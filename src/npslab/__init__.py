@@ -25,7 +25,6 @@ from .integrals import (
     avg_lower_integral,
     distance_integral_cellwise,
     imbalanced_integrals,
-    imbalanced_integrals_hook_form,
     worst_case_integral,
 )
 from .nps import (
@@ -50,6 +49,6 @@ from .partitions import (
     syt_count,
 )
 from .sampling import SeededStream, estimate_avg_case, random_tableau, syt_uniformity_test
-from .two_row import c_closed, c_double_sums, c_equal_rows, c_fixed_distance, s0
+from .two_row import c_closed, c_double_sums, c_equal_rows, c_fixed_distance
 
 __version__ = "0.1.0"

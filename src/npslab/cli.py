@@ -81,7 +81,11 @@ def _load_config(path):
     settings = {}
     if path is None:
         return settings
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -305,7 +309,11 @@ def _cmd_sweep(args):
             _fmt_float(c_value), c_err, _fmt_float(c_pred),
             _fmt_float(c_value / w) if w else "",
         ])
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(args.out, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {args.out!r}: {exc.strerror}") from None
+    with fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"wrote {len(rows) - 1} rows to {args.out}")
     return 0

@@ -142,33 +142,22 @@ def _stats_fixed_first(parts, first):
 def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):
     """(sum, max) of exchange counts over all n! fillings of the shape.
 
-    With jobs > 1 the enumeration is partitioned by the value at the first
-    processed cell; the exact associative reduction makes the result
-    independent of the worker count.
+    The enumeration is partitioned by the value at the first processed cell;
+    with jobs > 1 the parts run in worker processes, and the exact
+    associative reduction makes the result independent of the worker count.
     """
     n = shape.size
     if n > cutoff:
         raise ValueError(f"size {n} exceeds enumeration cutoff {cutoff}")
     if n == 0:
         return 0, 0
+    tasks = ([shape.parts] * n, range(1, n + 1))
     if jobs > 1 and n >= 4:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_stats_fixed_first,
-                                    [shape.parts] * n, range(1, n + 1)))
-        return sum(t for t, _ in results), max(b for _, b in results)
-    ops = shape_ops(shape)
-    board = ops.new_board()
-    fill = ops.fill
-    sort = ops.sort_board
-    total = 0
-    best = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        fill(board, perm)
-        count = sort(board)
-        total += count
-        if count > best:
-            best = count
-    return total, best
+            results = list(pool.map(_stats_fixed_first, *tasks))
+    else:
+        results = list(map(_stats_fixed_first, *tasks))
+    return sum(t for t, _ in results), max(b for _, b in results)
 
 
 def average_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):

@@ -6,8 +6,8 @@ Quadrature is adaptive Gauss-Kronrod on intervals pre-split at curve
 breakpoints (the integrands are piecewise smooth between them).  Area
 integrals over the region between |x| and the curve are computed in frame
 units and rescaled; hook-coordinate forms integrate over pairs of curve
-segments, where the integrands are smooth (and for the linear forms exactly
-affine, so those are evaluated in closed form).
+segments, where the integrands are smooth.  The diagonal integrals I1, I2
+have affine hook-coordinate integrands and are evaluated exactly.
 """
 
 import math
@@ -22,7 +22,6 @@ __all__ = [
     "worst_case_integral",
     "avg_lower_integral",
     "imbalanced_integrals",
-    "imbalanced_integrals_hook_form",
     "distance_integral_cellwise",
     "DEFAULT_TOL",
 ]
@@ -149,13 +148,6 @@ def worst_case_integral(curve, tol=DEFAULT_TOL):
     return _area_integral(curve, curve._frame_d, tol, critical_y=critical)
 
 
-def imbalanced_integrals(curve, tol=DEFAULT_TOL):
-    """(I1, I2): area integrals of the two diagonal distance functions."""
-    i1 = _area_integral(curve, curve._frame_a, tol)
-    i2 = _area_integral(curve, curve._frame_l, tol)
-    return i1, i2
-
-
 def _segment_data(curve):
     """Frame segments as (x0, x1, y0, slope) with Fractions."""
     out = []
@@ -165,12 +157,14 @@ def _segment_data(curve):
     return out
 
 
-def imbalanced_integrals_hook_form(curve):
-    """(I1, I2) through the hook-coordinate double integrals.
+def imbalanced_integrals(curve, tol=DEFAULT_TOL):
+    """(I1, I2): integrals of the two diagonal distance functions over the
+    curve's region, through their hook-coordinate double integrals.
 
     The integrands (t - s +- (gamma(t) - gamma(s))) (1 + gamma'(s))
     (1 - gamma'(t)) are affine on every pair of segments, so each pair is
-    integrated exactly by the centroid rule.
+    integrated exactly by the centroid rule; `tol` is accepted for symmetry
+    with the quadrature-based integrals and not needed.
     """
     segments = _segment_data(curve)
     totals = [Fraction(0), Fraction(0)]

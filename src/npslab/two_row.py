@@ -20,7 +20,6 @@ from .partitions import harmonic, pochhammer_rising
 __all__ = [
     "validate_two_row",
     "syt_count_two_row",
-    "s0",
     "s0_direct",
     "s0_nested",
     "c_closed",
@@ -82,15 +81,6 @@ def s0_nested(lam1, lam2):
         + excess * (harmonic(lam1) + Fraction(harmonic(lam2), 2) - harmonic(lam1 - lam2))
         + 1
     )
-
-
-def s0(lam1, lam2, representation="direct"):
-    """S0 in the requested representation ("direct" or "nested")."""
-    if representation == "direct":
-        return s0_direct(lam1, lam2)
-    if representation == "nested":
-        return s0_nested(lam1, lam2)
-    raise ValueError(f"unknown representation {representation!r}")
 
 
 def c_closed(lam1, lam2):

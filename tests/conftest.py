@@ -1,31 +1,9 @@
 import pytest
 
-from npslab.complexity import exchange_stats
-from npslab.partitions import partitions_of
-
-
-class BruteTable:
-    """Lazy cache of (sum, max) exchange counts per shape, shared across the
-    suite so the expensive full enumerations run once."""
-
-    def __init__(self):
-        self._stats = {}
-
-    def stats(self, shape):
-        if shape not in self._stats:
-            self._stats[shape] = exchange_stats(shape)
-        return self._stats[shape]
-
-    def total(self, shape):
-        return self.stats(shape)[0]
-
-    def maximum(self, shape):
-        return self.stats(shape)[1]
-
-    def shapes_up_to(self, cap):
-        return [s for n in range(1, cap + 1) for s in partitions_of(n)]
+from npslab.verify import brute_table
 
 
 @pytest.fixture(scope="session")
 def brute():
-    return BruteTable()
+    """Exchange-count (sum, max) for every shape of size 1..8, built once."""
+    return brute_table(8)

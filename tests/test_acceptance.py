@@ -1,261 +1,132 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-All exact claims are checked in exact rational arithmetic; numeric claims are
-checked at the stated tolerances.
+Each criterion runs the shared checks of `npslab.verify` at values no smaller
+than those of `verify --level full`.  Criterion 6, the Monte Carlo leg of
+criterion 8 and the named equality shapes of criterion 10 are checked here
+only.  The last test shows that every check reading the brute-force table
+fails when the table is wrong.
 """
 
+import re
 from fractions import Fraction
-from math import comb, factorial
 
-import numpy as np
+import pytest
 
+from npslab import verify
 from npslab.complexity import (
+    average_case_bruteforce,
     average_case_chicago,
     expected_hook_abs,
+    max_case_bruteforce,
     worst_case,
-    worst_case_witness,
 )
-from npslab.curves import unit_square_curve
-from npslab.integrals import (
-    avg_lower_integral,
-    distance_integral_cellwise,
-    imbalanced_integrals,
-    worst_case_integral,
-)
-from npslab.nps import nps_sort, verify_bijection
-from npslab.partitions import Partition, conjugate, harmonic, hook_product, partitions_of, syt_count
-from npslab.sampling import estimate_avg_case, syt_uniformity_test
-from npslab.two_row import (
-    c_closed,
-    c_double_sums,
-    c_equal_rows,
-    c_fixed_distance,
-    s0_direct,
-    s0_nested,
-)
-from npslab.verify import CHI2_999_DOF4, CN_LOWER_VALUE
+from npslab.partitions import Partition
+from npslab.sampling import estimate_avg_case
+from npslab.two_row import c_closed, c_double_sums, c_equal_rows, c_fixed_distance
+from npslab.verify import CN_LOWER_VALUE
 
 
-def report(number, ok, detail):
-    status = "PASS" if ok else "FAIL"
-    print(f"[{status}] criterion {number}: {detail}")
+def report(number, *results):
+    """Print the criterion's line from its (ok, detail) results and assert."""
+    ok = all(passed for passed, _ in results)
+    detail = "; ".join(text for _, text in results)
+    print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
     assert ok, f"criterion {number}: {detail}"
 
 
-def brute_average(brute, shape):
-    return Fraction(brute.total(shape), factorial(shape.size))
-
-
 def test_criterion_01_harmonic_formula_oracle(brute):
-    shapes = brute.shapes_up_to(8)
-    bad = [s for s in shapes if average_case_chicago(s) != brute_average(brute, s)]
-    report(1, not bad,
-           f"harmonic-number formula equals brute force on all {len(shapes)} "
-           f"shapes of sizes 1..8" + (f"; mismatches: {bad}" if bad else ""))
+    report(1, verify.check_chicago(brute))
 
 
 def test_criterion_02_worst_case(brute):
-    shapes = brute.shapes_up_to(8)
-    bad = [s for s in shapes if brute.maximum(s) != worst_case(s)]
-    for shape in shapes:
-        worst_case_witness(shape)  # raises unless it attains worst_case
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(424242)))
-    random_shapes = []
-    while len(random_shapes) < 20:
-        n = int(rng.integers(2, 41))
-        parts, remaining, prev = [], n, n
-        while remaining:
-            p = int(rng.integers(1, min(prev, remaining) + 1))
-            parts.append(p)
-            prev = p
-            remaining -= p
-        random_shapes.append(Partition(parts))
-    for shape in random_shapes:
-        witness = worst_case_witness(shape)
-        assert nps_sort(witness).exchanges == worst_case(shape)
-    report(2, not bad,
-           "brute-force maximum equals the cell-distance sum on all shapes of "
-           "sizes 1..8, witnesses verified there and on 20 random shapes up to size 40")
+    report(2, verify.check_worst(brute), verify.check_witness_random(424242))
 
 
 def test_criterion_03_bijectivity():
-    count = 0
-    for n in range(1, 8):
-        for shape in partitions_of(n):
-            rep = verify_bijection(shape)
-            ok = (rep.injective and rep.distinct_pairs == rep.expected
-                  and rep.expected == syt_count(shape) * hook_product(shape)
-                  and rep.uniform)
-            if not ok:
-                report(3, False, f"bijection fails on {shape}: {rep}")
-            count += 1
-    report(3, True, f"map is injective with full cardinality and uniform "
-                    f"standard-output counts on all {count} shapes of sizes 1..7")
+    report(3, verify.check_bijection(7))
 
 
 def test_criterion_04_two_row_theorem(brute):
-    for lam1 in range(1, 31):
-        for lam2 in range(1, lam1 + 1):
-            if c_closed(lam1, lam2) != c_double_sums(lam1, lam2):
-                report(4, False, f"closed form != double sums at ({lam1},{lam2})")
-    for lam1 in range(1, 8):
-        for lam2 in range(1, min(lam1, 8 - lam1) + 1):
-            shape = Partition([lam1, lam2])
-            if c_closed(lam1, lam2) != brute_average(brute, shape):
-                report(4, False, f"two-row value differs from brute force on {shape}")
-    report(4, True, "closed form equals the double-sum form on all 465 grid "
-                    "pairs up to 30 and matches brute force for sizes <= 8")
+    report(4, verify.check_two_row_theorem(30, brute))
 
 
 def test_criterion_05_representation_identities():
-    for lam1 in range(1, 51):
-        for lam2 in range(1, lam1 + 1):
-            if s0_direct(lam1, lam2) != s0_nested(lam1, lam2):
-                report(5, False, f"direct != nested alternating sum at ({lam1},{lam2})")
-    for lam2 in range(1, 51):
-        special = -Fraction(4**lam2, comb(2 * lam2, lam2)) + Fraction(harmonic(lam2), 2) + 1
-        if s0_direct(lam2, lam2) != special:
-            report(5, False, f"equal-rows alternating sum fails at lam2={lam2}")
-        if c_equal_rows(lam2) != c_closed(lam2, lam2):
-            report(5, False, f"equal-rows average fails at lam2={lam2}")
-        if sum(Fraction(comb(i + lam2, i), 2**i) for i in range(1, lam2 + 1)) != 2**lam2 - 1:
-            report(5, False, f"binomial half-weight identity fails at lam2={lam2}")
-    for lam2 in range(1, 26):
-        for delta in range(0, 26):
-            if c_fixed_distance(lam2, delta) != c_closed(lam2 + delta, lam2):
-                report(5, False, f"fixed-distance form fails at ({lam2},{delta})")
-    report(5, True, "alternating-sum representations, equal-rows and "
-                    "fixed-distance forms, and the binomial identity all agree "
-                    "exactly on their grids (lam <= 50, delta <= 25)")
+    report(5, verify.check_s0_representations(50, 25))
 
 
-def test_criterion_06_specific_values(brute):
-    checks = [
-        (Partition([2, 1]), Fraction(2, 3)),
-        (Partition([2, 2]), Fraction(11, 6)),
-        (Partition([1, 1]), Fraction(1, 2)),
-    ]
-    for shape, expected in checks:
-        lam1, lam2 = shape.parts[0], shape.row(2)
+def test_criterion_06_specific_values():
+    bad = []
+    for parts, expected in (((2, 1), Fraction(2, 3)), ((2, 2), Fraction(11, 6)),
+                            ((1, 1), Fraction(1, 2))):
+        shape = Partition(parts)
+        lam1, lam2 = parts
         values = {
-            "brute": brute_average(brute, shape),
+            "brute": average_case_bruteforce(shape),
             "chicago": average_case_chicago(shape),
             "closed": c_closed(lam1, lam2),
             "double-sums": c_double_sums(lam1, lam2),
+            "fixed-distance": c_fixed_distance(lam2, lam1 - lam2),
         }
         if lam1 == lam2:
             values["equal-rows"] = c_equal_rows(lam2)
-        values["fixed-distance"] = c_fixed_distance(lam2, lam1 - lam2)
-        bad = {k: v for k, v in values.items() if v != expected}
-        if bad:
-            report(6, False, f"{shape}: expected {expected}, got {bad}")
-    if worst_case(Partition([2, 2])) != 4 or brute.maximum(Partition([2, 2])) != 4:
-        report(6, False, "W((2,2)) != 4")
-    if worst_case(Partition([2, 1])) != 1 or brute.maximum(Partition([2, 1])) != 1:
-        report(6, False, "W((2,1)) != 1")
-    report(6, True, "C((2,1)) = 2/3, C((2,2)) = 11/6, C((1,1)) = 1/2, "
-                    "W((2,2)) = 4, W((2,1)) = 1 by every applicable route")
+        bad += [f"{name} gives {v} on {shape}" for name, v in values.items() if v != expected]
+    for parts, expected in (((2, 2), 4), ((2, 1), 1)):
+        shape = Partition(parts)
+        if not worst_case(shape) == max_case_bruteforce(shape) == expected:
+            bad.append(f"W({shape}) != {expected}")
+    report(6, (not bad, "C((2,1)) = 2/3, C((2,2)) = 11/6, C((1,1)) = 1/2, W((2,2)) = 4, "
+                        "W((2,1)) = 1 by every applicable route" + (f"; {bad}" if bad else "")))
 
 
 def test_criterion_07_distance_integral_identity():
-    for n in range(1, 9):
-        for shape in partitions_of(n):
-            _, total = distance_integral_cellwise(shape)
-            if total != 2 * (n + worst_case(shape)):
-                report(7, False, f"cell-wise identity fails on {shape}")
-    for m in range(2, 13):
-        shape = Partition((m,) * m)
-        w = worst_case(shape)
-        n = m * m
-        if w != m**3 - m**2:
-            report(7, False, f"square worst case wrong at m={m}")
-        if Fraction(w, m**3) != 1 - Fraction(1, m):
-            report(7, False, f"W / n^(3/2) != 1 - 1/sqrt(n) at m={m}")
-    value = worst_case_integral(unit_square_curve(), tol=1e-5)
-    if abs(value - 1.0) > 1e-3:
-        report(7, False, f"unit-square distance integral {value} != 1 within 1e-3")
-    report(7, True, "n^(3/2) * integral = n + W exactly for sizes 1..8; "
-                    "square trend exact; unit-square integral = 1 within 1e-3")
+    report(7, verify.check_wn_identity(8), verify.check_square_family())
 
 
 def test_criterion_08_average_lower_bound():
-    value = avg_lower_integral(unit_square_curve(), tol=1e-5)
-    if abs(value - CN_LOWER_VALUE) > 1e-3:
-        report(8, False, f"lower-bound integral {value} != (2/3)ln2 - 1/6 within 1e-3")
+    below = []
     for m, samples in ((10, 400), (20, 200), (30, 120)):
-        n = m * m
         mean, stderr = estimate_avg_case(Partition((m,) * m), samples, seed=20260809)
-        scale = n**1.5
+        scale = (m * m)**1.5
         if mean / scale <= CN_LOWER_VALUE - 3 * stderr / scale:
-            report(8, False, f"Monte Carlo average at n={n} does not exceed the bound")
-    report(8, True, f"integral = {value:.6f} within 1e-3 of (2/3)ln2 - 1/6; "
-                    "Monte Carlo averages for squares n=100,400,900 exceed it minus 3 stderr")
+            below.append(m * m)
+    report(8, verify.check_cn_value(),
+           (not below, "Monte Carlo averages for squares n=100,400,900 exceed it minus 3 stderr"
+                       + (f"; not at n={below}" if below else "")))
 
 
 def test_criterion_09_imbalanced_scaling():
-    ratio = c_closed(1000, 5) / worst_case(Partition([1000, 5]))
-    if abs(ratio - Fraction(1, 2)) >= Fraction(1, 100):
-        report(9, False, f"C/W at (1000,5) is {float(ratio)}, not within 0.01 of 1/2")
-    square = unit_square_curve()
-    i1, i2 = imbalanced_integrals(square, tol=1e-4)
-    if abs(i1 - 0.5) > 1e-3 or abs(i2 - 0.5) > 1e-3:
-        report(9, False, f"unit-square diagonal integrals ({i1}, {i2}) != (1/2, 1/2)")
-    m1, m2 = imbalanced_integrals(square.mirrored(), tol=1e-4)
-    if abs(m1 - i2) > 2e-3 or abs(m2 - i1) > 2e-3:
-        report(9, False, "mirroring does not swap the two integrals within 2e-3")
-    report(9, True, f"C/W at (1000,5) = {float(ratio):.6f}; integrals "
-                    f"({i1:.4f}, {i2:.4f}) with exact mirror swap in quadrature")
+    report(9, verify.check_cw_imbalanced())
 
 
 def test_criterion_10_expected_hook_bound(brute):
-    # The bound C >= E|H| must hold exactly everywhere.  Equality shapes are
-    # recorded; exact computation shows equality holds precisely on hook
-    # shapes (no 2x2 box), so strictness is asserted for every shape of size
-    # 4..8 containing a 2x2 box.  (The hooks (3,1), (2,1,1), ... also have >= 2
-    # rows and >= 2 columns yet give exact equality, e.g. both sides are 3/2
-    # on (3,1); a strictness claim over all such shapes is falsified by them.)
-    equalities = []
-    for shape in brute.shapes_up_to(8):
-        avg = brute_average(brute, shape)
-        bound = expected_hook_abs(shape)
-        if avg < bound:
-            report(10, False, f"C < E|H| on {shape}")
-        if avg == bound:
-            equalities.append(shape)
-    for must in (Partition([2]), Partition([1, 1]), Partition([2, 1])):
-        if must not in equalities:
-            report(10, False, f"expected equality on {must}")
-    box_equalities = [s for s in equalities if s.row(2) >= 2]
-    if box_equalities:
-        report(10, False, f"strictness fails on {box_equalities}")
-    hooks = [s for s in brute.shapes_up_to(8) if s.row(2) < 2]
-    if sorted(s.parts for s in equalities) != sorted(s.parts for s in hooks):
-        report(10, False, "equality set does not coincide with the hook shapes")
-    report(10, True, f"C >= E|H| exactly on all shapes of sizes 1..8; "
-                     f"equality exactly on the {len(equalities)} hook shapes "
-                     f"(including (2), (1,1), (2,1)); strict on every shape "
-                     f"of size 4..8 containing a 2x2 box")
+    # The check finds equality exactly on the hook shapes (no 2x2 box), e.g.
+    # both sides are 3/2 on (3,1); the smallest ones are named here too.
+    named = [Partition(p) for p in ((2,), (1, 1), (2, 1))]
+    missing = [s for s in named if average_case_bruteforce(s) != expected_hook_abs(s)]
+    report(10, verify.check_eh_bound(brute),
+           (not missing, "equality on (2), (1,1), (2,1)"
+                         + (f"; not on {missing}" if missing else "")))
 
 
 def test_criterion_11_conjugation_symmetry(brute):
-    for shape in brute.shapes_up_to(8):
-        if brute_average(brute, shape) != brute_average(brute, conjugate(shape)):
-            report(11, False, f"averages differ between {shape} and conjugate")
-    report(11, True, "brute-force average equals that of the conjugate for all "
-                     "shapes of sizes 1..8")
+    report(11, verify.check_conjugation(brute))
 
 
 def test_criterion_12_sampler_uniformity():
-    shape = Partition([3, 2])
-    stats = []
-    for seed in (1, 2, 3, 4, 5):
-        chi2, dof = syt_uniformity_test(shape, 50_000, seed=seed)
-        if dof != 4:
-            report(12, False, f"dof {dof} != 4")
-        if chi2 >= CHI2_999_DOF4:
-            report(12, False, f"chi-square {chi2:.3f} at seed {seed} exceeds "
-                              f"the 0.999 quantile {CHI2_999_DOF4}")
-        stats.append(chi2)
-    report(12, True, "chi-square on (3,2) with 50000 draws stays below the "
-                     f"0.999 quantile {CHI2_999_DOF4} for 5 seeds: "
-                     + ", ".join(f"{v:.2f}" for v in stats))
+    report(12, verify.check_uniformity((1, 2, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("check, field", [
+    (verify.check_chicago, 0),
+    (verify.check_worst, 1),
+    (lambda table: verify.check_two_row_theorem(1, table), 0),
+    (verify.check_eh_bound, 0),
+    (verify.check_conjugation, 0),
+], ids=["chicago", "worst", "two-row", "eh-bound", "conjugation"])
+def test_check_fails_on_corrupted_brute_table(brute, check, field):
+    shape = Partition([3, 1])
+    stats = list(brute[shape])
+    stats[field] += 1
+    ok, detail = check({**brute, shape: tuple(stats)})
+    assert not ok
+    assert re.search(r"(?<![\d,])3,1(?!,?\d)", detail), detail

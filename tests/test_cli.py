@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from npslab.cli import main
 
 
@@ -155,6 +157,16 @@ def test_config_defaults_and_flag_override(tmp_path, capsys):
     bad.write_text("mystery = 1\n")
     code, _, err = run(capsys, "--config", str(bad), "worst", "--shape", "1")
     assert code == 2 and "config" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "square", "--sizes", "4", "--out", "{missing}/x.csv"],
+    ["--config", "{missing}/lab.cfg", "verify"],
+], ids=["sweep-out", "config"])
+def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")
+    code, _, err = run(capsys, *(a.replace("{missing}", missing) for a in argv))
+    assert code == 2 and missing in err
 
 
 def test_verify_fast(capsys):

@@ -6,11 +6,11 @@ from npslab.complexity import worst_case
 from npslab.curves import LimitCurve, flat_top_curve, partition_boundary, unit_square_curve
 from npslab.integrals import (
     QuadratureError,
+    _area_integral,
     adaptive_quad,
     avg_lower_integral,
     distance_integral_cellwise,
     imbalanced_integrals,
-    imbalanced_integrals_hook_form,
     worst_case_integral,
 )
 from npslab.partitions import Partition, partitions_of
@@ -112,19 +112,27 @@ def test_imbalanced_integrals_flat_top():
     assert abs(i2 - math.sqrt(2) / 3) < 1e-3
 
 
+def _area_form(curve):
+    """Independent route to (I1, I2): quadrature of a and l over the region."""
+    return tuple(_area_integral(curve, frame, 1e-4) for frame in (curve._frame_a, curve._frame_l))
+
+
 def test_mirror_swaps_integrals():
     boundary = partition_boundary(Partition([3, 1]), 4)
-    i1, i2 = imbalanced_integrals(boundary, tol=1e-4)
-    m1, m2 = imbalanced_integrals(boundary.mirrored(), tol=1e-4)
-    assert abs(i1 - m2) < 2e-3 and abs(i2 - m1) < 2e-3
+    mirrored = boundary.mirrored()
+    i1, i2 = imbalanced_integrals(boundary)
+    m1, m2 = imbalanced_integrals(mirrored)
+    assert abs(i1 - m2) < 1e-12 and abs(i2 - m1) < 1e-12
     assert abs(i1 - i2) > 0.01  # asymmetric shape separates the two
+    a1, a2 = _area_form(mirrored)
+    assert abs(m1 - a1) < 2e-3 and abs(m2 - a2) < 2e-3
 
 
 def test_hook_form_agrees_with_area_form():
     for curve in (unit_square_curve(), flat_top_curve(),
                   partition_boundary(Partition([3, 1]), 4)):
-        a1, a2 = imbalanced_integrals(curve, tol=1e-4)
-        h1, h2 = imbalanced_integrals_hook_form(curve)
+        a1, a2 = _area_form(curve)
+        h1, h2 = imbalanced_integrals(curve)
         assert abs(a1 - h1) < 2e-4 and abs(a2 - h2) < 2e-4
 
 

@@ -10,7 +10,6 @@ from npslab.two_row import (
     c_double_sums,
     c_equal_rows,
     c_fixed_distance,
-    s0,
     s0_direct,
     s0_nested,
     syt_count_two_row,
@@ -24,11 +23,6 @@ def test_s0_direct_examples():
 
 
 def test_s0_dispatcher():
-    assert s0(5, 3, "direct") == s0(5, 3, "nested")
-    with pytest.raises(ValueError):
-        s0(5, 3, "magic")
-    with pytest.raises(ValueError):
-        s0(2, 3)
     with pytest.raises(ValueError):
         s0_nested(3, 0)
 
@@ -75,21 +69,6 @@ def test_closed_equals_double_sums_small_grid():
     for lam1 in range(1, 13):
         for lam2 in range(1, lam1 + 1):
             assert c_closed(lam1, lam2) == c_double_sums(lam1, lam2), (lam1, lam2)
-
-
-def test_one_row_degenerate_matches_bruteforce():
-    for lam1 in range(1, 9):
-        assert c_closed(lam1, 0) == Fraction(lam1 * (lam1 - 1), 4)
-        assert c_closed(lam1, 0) == average_case_bruteforce(Partition([lam1]))
-
-
-def test_two_row_matches_bruteforce(brute):
-    from math import factorial
-    for lam1 in range(1, 8):
-        for lam2 in range(0, min(lam1, 8 - lam1) + 1):
-            shape = Partition([lam1, lam2]) if lam2 else Partition([lam1])
-            expected = Fraction(brute.total(shape), factorial(shape.size))
-            assert c_closed(lam1, lam2) == expected, (lam1, lam2)
 
 
 def test_syt_count_formula_validates():
