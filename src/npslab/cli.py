@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import two_row
 from .complexity import (
+    WitnessConstructionError,
     average_case_bruteforce,
     average_case_chicago,
     expected_hook_abs,
@@ -488,6 +489,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, WitnessConstructionError) as exc:
+        # an internal self-check failed: a verification failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

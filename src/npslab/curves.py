@@ -61,6 +61,9 @@ class ScalingExponents:
     def __setattr__(self, name, value):
         raise AttributeError("ScalingExponents is immutable")
 
+    def __reduce__(self):
+        return (ScalingExponents, (self.alpha, self.beta))
+
     @classmethod
     def balanced(cls):
         return cls(Fraction(1, 2), Fraction(1, 2))

@@ -1,24 +1,32 @@
-"""Numerical evaluation of the asymptotic curve integrals, plus the exact
-cell-wise identity tying the rectangle-distance integral of a partition
-boundary to its worst-case exchange count.
+"""The asymptotic curve integrals in closed form, plus the exact cell-wise
+identity tying the rectangle-distance integral of a partition boundary to
+its worst-case exchange count.
 
-Quadrature is adaptive Gauss-Kronrod on intervals pre-split at curve
-breakpoints (the integrands are piecewise smooth between them).  Area
-integrals over the region between |x| and the curve are computed in frame
-units and rescaled; hook-coordinate forms integrate over pairs of curve
-segments, where the integrands are smooth.  The diagonal integrals I1, I2
-have affine hook-coordinate integrands and are evaluated exactly.
+All four integrals run over the region under a curve gamma in the hook
+coordinates s < t of a point, where its two diagonals meet the curve.  The
+area element is (1 + gamma'(s)) (1 - gamma'(t)) / 2, and on each pair of
+segments gamma(s), gamma(t) and the point are affine in (s, t).
+
+* I1, I2: the diagonal exits t - x and x - s are affine on each pair.
+* W: as gamma is 1-Lipschitz, {w : gamma(w) - |w - x| >= y} is exactly [s, t],
+  so the rectangle distance is max_{[s, t]} gamma - y: the largest of
+  gamma(s) (falling s-segment only), gamma(t) (rising t-segment only) and the
+  breakpoint values between, affine on at most three convex pieces.
+* C lower bound: gamma(t) - gamma(s) = gamma'(t) (t - s) + K(s) with K affine,
+  so the integrand is affine plus K(s)^2 / (t - s), with elementary log terms.
+
+Affine integrands are integrated exactly in Fractions over convex polygons;
+only the C log terms and an irrational true-units factor are floats.  The
+`tol` arguments are accepted for compatibility and unused.
 """
 
 import math
 from fractions import Fraction
 
 from .complexity import w_distance
-from .curves import partition_boundary
+from .curves import _rational_sqrt, partition_boundary
 
 __all__ = [
-    "QuadratureError",
-    "adaptive_quad",
     "worst_case_integral",
     "avg_lower_integral",
     "imbalanced_integrals",
@@ -28,173 +36,120 @@ __all__ = [
 
 DEFAULT_TOL = 1e-4
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1].
-_KRONROD_NODES = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-)
-_KRONROD_WEIGHTS = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-)
-_GAUSS_WEIGHTS = (
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-)
+_HALF = Fraction(1, 2)
+_T_MINUS_S = (0, -1, 1)  # t - s as an affine function
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the error budget is not met; carries the best estimate."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
+def _lin(*terms):
+    """Sum of coefficient * f over affine functions f = (c, a, b), meaning
+    c + a s + b t."""
+    return tuple(sum(k * f[m] for k, f in terms) for m in range(3))
 
 
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fk = 0.0
-    fg = 0.0
-    for i, x in enumerate(_KRONROD_NODES):
-        if x == 0.0:
-            v = f(mid)
-            fk += _KRONROD_WEIGHTS[i] * v
-            fg += _GAUSS_WEIGHTS[3] * v
+def _at(f, point):
+    return f[0] + f[1] * point[0] + f[2] * point[1]
+
+
+def _clip(poly, h):
+    """The part of a convex polygon where the affine function h is >= 0."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        hp, hq = _at(h, p), _at(h, q)
+        if hp >= 0:
+            out.append(p)
+        if (hp < 0) != (hq < 0):
+            r = hp / (hp - hq)
+            out.append((p[0] + r * (q[0] - p[0]), p[1] + r * (q[1] - p[1])))
+    return out
+
+
+def _affine_integral(poly, f):
+    """Exact integral of the affine f over a counter-clockwise convex polygon
+    (the shoelace formula with the first moments)."""
+    area = ms = mt = 0
+    for (s0, t0), (s1, t1) in zip(poly, poly[1:] + poly[:1]):
+        cross = s0 * t1 - s1 * t0
+        area += cross
+        ms += (s0 + s1) * cross
+        mt += (t0 + t1) * cross
+    return f[0] * Fraction(area, 2) + Fraction(f[1] * ms + f[2] * mt, 6)
+
+
+def _hook_pairs(curve):
+    """Segment pairs i <= j with nonzero area element, as
+    (i, j, polygon, gamma(s), gamma(t), element): the pair's (s, t) domain
+    (a rectangle, or the triangle s < t when i = j) and gamma on either
+    segment as affine functions of (s, t)."""
+    xs, ys = curve.xs, curve.ys
+    segments = []
+    for k in range(len(xs) - 1):
+        slope = Fraction(ys[k + 1] - ys[k], xs[k + 1] - xs[k])
+        segments.append((xs[k], xs[k + 1], ys[k] - slope * xs[k], slope))
+    for i, (s0, s1, cs, gi) in enumerate(segments):
+        if gi == -1:
             continue
-        v1 = f(mid - half * x)
-        v2 = f(mid + half * x)
-        fk += _KRONROD_WEIGHTS[i] * (v1 + v2)
-        if i % 2 == 1:
-            fg += _GAUSS_WEIGHTS[i // 2] * (v1 + v2)
-    return fk * half, abs(fk - fg) * half
+        for j in range(i, len(segments)):
+            t0, t1, ct, gj = segments[j]
+            if gj == 1:
+                continue
+            if i == j:
+                poly = [(s0, s0), (s1, s1), (s0, s1)]
+            else:
+                poly = [(s0, t0), (s1, t0), (s1, t1), (s0, t1)]
+            yield i, j, poly, (cs, gi, 0), (ct, 0, gj), (1 + gi) * (1 - gj) / 2
 
 
-def adaptive_quad(f, a, b, tol, splits=(), max_depth=50):
-    """Integrate f on [a, b] to absolute tolerance tol.
-
-    `splits` pre-seeds subdivision points (e.g. breakpoints or known jump
-    locations).  Raises QuadratureError with the best estimate when the
-    budget cannot be met.
-    """
-    a = float(a)
-    b = float(b)
-    if b <= a:
-        return 0.0
-    cuts = sorted({a, b} | {float(s) for s in splits if a < float(s) < b})
-    stack = [(x0, x1, 0) for x0, x1 in zip(cuts, cuts[1:])]
-    width = b - a
-    total = 0.0
-    err_used = 0.0
-    while stack:
-        x0, x1, depth = stack.pop()
-        val, err = _gk15(f, x0, x1)
-        budget = tol * (x1 - x0) / width
-        if err <= budget or depth >= max_depth:
-            total += val
-            err_used += err
-        else:
-            xm = 0.5 * (x0 + x1)
-            stack.append((x0, xm, depth + 1))
-            stack.append((xm, x1, depth + 1))
-    if err_used > tol:
-        raise QuadratureError(
-            f"quadrature error {err_used:.3e} exceeds tolerance {tol:.3e}", total)
-    return total
-
-
-def _area_integral(curve, frame_func, tol, critical_y=None):
-    """Integral over the region of sqrt(2)*scale*frame_func, in true units."""
-    if not curve.xs:
-        return 0.0
-    q = float(curve.scale_sq)
-    prefactor = math.sqrt(2.0) * q**1.5
-    frame_tol = max(tol / prefactor, 1e-13) / 2.0
-    xs = sorted({float(x) for x in curve.xs} | {0.0})
-    lo_x, hi_x = float(curve.xs[0]), float(curve.xs[-1])
-    xs = [x for x in xs if lo_x <= x <= hi_x]
-    span = hi_x - lo_x
-    inner_tol = frame_tol / (4.0 * span)
-
-    def inner(x):
-        lo = abs(x)
-        hi = float(curve.value_frame(x))
-        if hi <= lo:
-            return 0.0
-        splits = critical_y(x) if critical_y is not None else ()
-        return adaptive_quad(lambda y: float(frame_func(x, y)), lo, hi,
-                             max(inner_tol * (hi - lo), 1e-14), splits=splits)
-
-    return prefactor * adaptive_quad(inner, lo_x, hi_x, frame_tol, splits=xs)
+def _true_units(curve, frame_value):
+    """sqrt(2 scale_sq^3) * frame_value: a frame-unit area integral of a frame
+    length in true units, exact before rounding when the factor is rational."""
+    factor_sq = 2 * curve.scale_sq**3
+    root = _rational_sqrt(factor_sq)
+    if root is not None:
+        return float(root * frame_value)
+    return math.sqrt(factor_sq) * float(frame_value)
 
 
 def worst_case_integral(curve, tol=DEFAULT_TOL):
     """Integral of the rectangle-distance function d over the curve's region.
 
-    For boundary curves of partitions of n, n^(3/2) times this integral is
-    n plus the worst-case exchange count, up to lower-order terms.
+    For the boundary curve of a partition of n, n^(3/2) times this integral
+    is exactly n plus the worst-case exchange count (the cell-wise identity).
     """
-
-    def critical(x):
-        # d(x, .) can jump where a feasibility component vanishes; those
-        # heights are among gamma(w) - |w - x| at breakpoints w.
-        out = []
-        for w, g in zip(curve.xs, curve.ys):
-            out.append(float(g) - abs(float(w) - x))
-        return out
-
-    return _area_integral(curve, curve._frame_d, tol, critical_y=critical)
-
-
-def _segment_data(curve):
-    """Frame segments as (x0, x1, y0, slope) with Fractions."""
-    out = []
-    for (x0, y0), (x1, y1) in zip(zip(curve.xs, curve.ys),
-                                  zip(curve.xs[1:], curve.ys[1:])):
-        out.append((x0, x1, y0, Fraction(y1 - y0, x1 - x0)))
-    return out
+    total = Fraction(0)
+    ys = curve.ys
+    for i, j, poly, gs, gt, element in _hook_pairs(curve):
+        y = _lin((-_HALF, _T_MINUS_S), (_HALF, gs), (_HALF, gt))
+        if i == j:
+            candidates = [gs if gs[1] < 0 else gt]
+        else:
+            candidates = [(max(ys[i + 1:j + 1]), 0, 0)]
+            if gs[1] < 0:
+                candidates.append(gs)
+            if gt[2] > 0:
+                candidates.append(gt)
+        for top in candidates:
+            piece = poly
+            for other in candidates:
+                if other is not top:
+                    piece = _clip(piece, _lin((1, top), (-1, other)))
+            total += element * _affine_integral(piece, _lin((1, top), (-1, y)))
+    return _true_units(curve, total)
 
 
 def imbalanced_integrals(curve, tol=DEFAULT_TOL):
     """(I1, I2): integrals of the two diagonal distance functions over the
     curve's region, through their hook-coordinate double integrals.
 
-    The integrands (t - s +- (gamma(t) - gamma(s))) (1 + gamma'(s))
-    (1 - gamma'(t)) are affine on every pair of segments, so each pair is
-    integrated exactly by the centroid rule; `tol` is accepted for symmetry
-    with the quadrature-based integrals and not needed.
+    The exits t - x = (t - s + gamma(t) - gamma(s)) / 2 and
+    x - s = (t - s - gamma(t) + gamma(s)) / 2 are affine on every pair of
+    segments, so each pair is integrated exactly.
     """
-    segments = _segment_data(curve)
     totals = [Fraction(0), Fraction(0)]
-    for idx, (s0, s1, sy, sg) in enumerate(segments):
-        fs = 1 + sg
-        if fs == 0:
-            continue
-        for t0, t1, ty, tg in segments[idx:]:
-            ft = 1 - tg
-            if ft == 0:
-                continue
-            same = s0 == t0 and s1 == t1
-            if same:
-                w = s1 - s0
-                area = Fraction(w * w, 2)
-                cs = s0 + Fraction(w, 3)
-                ct = s0 + Fraction(2 * w, 3)
-            else:
-                area = (s1 - s0) * (t1 - t0)
-                cs = Fraction(s0 + s1, 2)
-                ct = Fraction(t0 + t1, 2)
-            gs = sy + sg * (cs - s0)
-            gt = ty + tg * (ct - t0)
-            base = ct - cs
-            diff = gt - gs
-            weight = fs * ft * area
-            totals[0] += weight * (base + diff)
-            totals[1] += weight * (base - diff)
-    factor = math.sqrt(2.0) / 4.0 * float(curve.scale_sq)**1.5
-    return factor * float(totals[0]), factor * float(totals[1])
+    for _, _, poly, gs, gt, element in _hook_pairs(curve):
+        for k, sign in enumerate((1, -1)):
+            exit_ = _lin((_HALF, _T_MINUS_S), (sign * _HALF, gt), (-sign * _HALF, gs))
+            totals[k] += element * _affine_integral(poly, exit_)
+    return _true_units(curve, totals[0]), _true_units(curve, totals[1])
 
 
 def avg_lower_integral(curve, tol=DEFAULT_TOL):
@@ -203,52 +158,34 @@ def avg_lower_integral(curve, tol=DEFAULT_TOL):
         sqrt(2)/8 * iint_{s<t} ((t-s) + (gamma(t)-gamma(s))^2/(t-s))
                                (1+gamma'(s)) (1-gamma'(t)) dt ds.
 
-    Same-segment triangles have closed form; cross-segment rectangles are
-    integrated by nested adaptive quadrature.
+    With gamma(t) - gamma(s) = gamma'(t) (t - s) + K(s) the integrand is
+    affine plus K(s)^2 / (t - s).  The t-integral of the latter is
+    K(s)^2 ln(t - s), and int v^k ln v dv has an elementary antiderivative,
+    taken as 0 at v = 0; its rational part is summed exactly, its log terms
+    with fsum.
     """
-    if not curve.xs:
-        return 0.0
-    segments = _segment_data(curve)
-    q = float(curve.scale_sq)
-    prefactor = math.sqrt(2.0) / 8.0 * q**1.5
-    frame_tol = max(tol / prefactor, 1e-13) / 2.0
-    pairs = []
-    for idx, seg_s in enumerate(segments):
-        if 1 + seg_s[3] == 0:
-            continue
-        for seg_t in segments[idx:]:
-            if 1 - seg_t[3] == 0:
+    rational = Fraction(0)
+    logs = []
+    for i, j, poly, gs, gt, element in _hook_pairs(curve):
+        gj = gt[2]
+        k0, k1, _ = _lin((1, gt), (-1, gs), (-gj, _T_MINUS_S))
+        affine = _lin((1 + gj * gj, _T_MINUS_S), (2 * gj, (k0, k1, 0)))
+        rational += element * _affine_integral(poly, affine)
+        if i == j:
+            continue  # K vanishes on a single segment
+        (s0, t0), (s1, _), (_, t1) = poly[:3]
+        # iint K(s)^2 / (t - s) = sum over corners of +-G(t - s), where G is
+        # the antiderivative of K(te - v)^2 ln v in v at t = te
+        for te, se, sign in ((t1, s0, 1), (t1, s1, -1), (t0, s0, -1), (t0, s1, 1)):
+            v = te - se
+            if v == 0:
                 continue
-            pairs.append((seg_s, seg_t))
-    if not pairs:
-        return 0.0
-    pair_tol = frame_tol / len(pairs)
-    total = 0.0
-    for (s0, s1, sy, sg), (t0, t1, ty, tg) in pairs:
-        fs = float(1 + sg)
-        ft = float(1 - tg)
-        if s0 == t0 and s1 == t1:
-            w = float(s1 - s0)
-            total += fs * ft * (1.0 + float(sg)**2) * w**3 / 6.0
-            continue
-        fs0, fsy, fsg = float(s0), float(sy), float(sg)
-        ft0, fty, ftg = float(t0), float(ty), float(tg)
-
-        def outer(s):
-            gs = fsy + fsg * (s - fs0)
-
-            def inner(t):
-                dt = t - s
-                if dt <= 1e-15:
-                    return 0.0
-                dg = fty + ftg * (t - ft0) - gs
-                return dt + dg * dg / dt
-
-            return adaptive_quad(inner, float(t0), float(t1),
-                                 max(pair_tol * 0.2, 1e-14))
-
-        total += fs * ft * adaptive_quad(outer, float(s0), float(s1), pair_tol)
-    return prefactor * total
+            alpha = k0 + k1 * te
+            for p, c in enumerate((alpha * alpha, -2 * alpha * k1, k1 * k1), 1):
+                term = sign * element * c * v**p / p
+                rational -= term / p
+                logs.append(float(term) * math.log(v))
+    return _true_units(curve, (float(rational) + math.fsum(logs)) / 4)
 
 
 _CELL_PROBES = (

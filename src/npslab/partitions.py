@@ -44,6 +44,9 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        return (Partition, (self.parts,))
+
     @classmethod
     def parse(cls, text):
         """Parse the textual form "4,4,2,1,1,1"; empty string is the empty shape."""

@@ -228,18 +228,18 @@ def check_square_family():
             return False, f"square worst case {w} != m^3 - m^2 at m={m}"
         if not partition_boundary(shape, m * m).same_curve(square):
             return False, f"{m}x{m} boundary does not collapse to the unit-square curve"
-    value = worst_case_integral(square, tol=1e-5)
-    if abs(value - 1.0) > 1e-3:
+    value = worst_case_integral(square)
+    if abs(value - 1.0) > 1e-12:
         return False, f"unit-square distance integral {value} != 1"
     return True, "square family trend and unit-square integral verified"
 
 
 def check_cn_value():
     square = unit_square_curve()
-    value = avg_lower_integral(square, tol=1e-5)
-    if abs(value - CN_LOWER_VALUE) > 1e-3:
+    value = avg_lower_integral(square)
+    if abs(value - CN_LOWER_VALUE) > 1e-12:
         return False, f"lower-bound integral {value} != {CN_LOWER_VALUE}"
-    w_value = worst_case_integral(square, tol=1e-5)
+    w_value = worst_case_integral(square)
     if not value < w_value / 2:
         return False, "lower bound not below half the worst-case integral"
     return True, f"lower-bound integral = {value:.5f}"
@@ -251,11 +251,11 @@ def check_cw_imbalanced():
     if abs(ratio - Fraction(1, 2)) >= Fraction(1, 100):
         return False, f"C/W ratio {float(ratio)} not within 0.01 of 1/2"
     square = unit_square_curve()
-    i1, i2 = imbalanced_integrals(square, tol=1e-4)
-    if abs(i1 - 0.5) > 1e-3 or abs(i2 - 0.5) > 1e-3:
+    i1, i2 = imbalanced_integrals(square)
+    if abs(i1 - 0.5) > 1e-12 or abs(i2 - 0.5) > 1e-12:
         return False, f"unit-square diagonal integrals ({i1}, {i2}) != (1/2, 1/2)"
-    m1, m2 = imbalanced_integrals(square.mirrored(), tol=1e-4)
-    if abs(m1 - i2) > 2e-3 or abs(m2 - i1) > 2e-3:
+    m1, m2 = imbalanced_integrals(square.mirrored())
+    if abs(m1 - i2) > 1e-12 or abs(m2 - i1) > 1e-12:
         return False, "mirroring does not swap the diagonal integrals"
     return True, f"imbalanced ratio {float(ratio):.6f}, integrals ({i1:.4f}, {i2:.4f})"
 

@@ -4,6 +4,10 @@ import math
 import pytest
 
 from npslab.cli import main
+from npslab.complexity import WitnessConstructionError
+from npslab.curves import LimitCurve, partition_boundary
+from npslab.integrals import avg_lower_integral, worst_case_integral
+from npslab.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -118,6 +122,21 @@ def test_sweep_two_row_ratio_column(tmp_path, capsys):
     assert abs(float(rows[-1][3]) - 0.5) < 1e-3
 
 
+def test_sweep_curve_file_family(tmp_path, capsys):
+    curve_path = tmp_path / "curve.json"
+    partition_boundary(Partition([4, 2]), 6).to_file(curve_path)
+    out_path = tmp_path / "cf.csv"
+    code, _, _ = run(capsys, "sweep", "--family", "curve-file", "--sizes", "10..20",
+                     "--curve", str(curve_path), "--out", str(out_path))
+    assert code == 0
+    rows = [line.split(",") for line in out_path.read_text().strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(10, 21))
+    curve = LimitCurve.from_file(curve_path)
+    w_pred = f"{worst_case_integral(curve):.12g}"
+    c_pred = f"{avg_lower_integral(curve):.12g}"
+    assert all(r[3] == w_pred and r[6] == c_pred for r in rows)
+
+
 def test_sweep_byte_stable(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -188,6 +207,17 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] broken-check" in out
     assert "broken-check" in err and "invariant violated" in err
+
+
+@pytest.mark.parametrize("error", [WitnessConstructionError, AssertionError],
+                         ids=["witness", "assertion"])
+def test_self_check_failure_is_verification_failure(capsys, monkeypatch, error):
+    def broken(shape):
+        raise error("self-check failed")
+
+    monkeypatch.setattr("npslab.cli.worst_case_witness", broken)
+    code, out, err = run(capsys, "worst", "--shape", "2,2", "--witness")
+    assert (code, out, err) == (1, "", "error: self-check failed\n")
 
 
 def test_sweep_jobs_do_not_change_output(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,13 @@ def test_scaling_exponents():
     assert one_sided.growth_exponent == 2
     with pytest.raises(ValueError):
         ScalingExponents(Fraction(1, 2), Fraction(1, 3))
+
+
+def test_immutable_values_survive_pickling():
+    shape = pickle.loads(pickle.dumps(Partition([3, 1])))
+    assert shape == Partition([3, 1]) and shape.size == 4
+    exponents = pickle.loads(pickle.dumps(ScalingExponents.from_pq(3, Fraction(3, 2))))
+    assert (exponents.alpha, exponents.beta) == (Fraction(1, 3), Fraction(2, 3))
 
 
 # -- construction and validation ---------------------------------------------

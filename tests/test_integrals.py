@@ -1,13 +1,18 @@
+"""Tests of the exact curve integrals.
+
+The adaptive Gauss-Kronrod quadrature below is an independent route kept as a
+test oracle: it integrates the distance functions point by point over the
+curve's region in (x, y), where the library works in hook coordinates.
+"""
+
 import math
+from fractions import Fraction
 
 import pytest
 
 from npslab.complexity import worst_case
 from npslab.curves import LimitCurve, flat_top_curve, partition_boundary, unit_square_curve
 from npslab.integrals import (
-    QuadratureError,
-    _area_integral,
-    adaptive_quad,
     avg_lower_integral,
     distance_integral_cellwise,
     imbalanced_integrals,
@@ -15,6 +20,132 @@ from npslab.integrals import (
 )
 from npslab.partitions import Partition, partitions_of
 from npslab.verify import CN_LOWER_VALUE
+
+# 15-point Kronrod extension of 7-point Gauss on [-1, 1].
+_KRONROD_NODES = (
+    0.991455371120813, 0.949107912342759, 0.864864423359769,
+    0.741531185599394, 0.586087235467691, 0.405845151377397,
+    0.207784955007898, 0.0,
+)
+_KRONROD_WEIGHTS = (
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728,
+)
+_GAUSS_WEIGHTS = (
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469,
+)
+
+
+class QuadratureError(RuntimeError):
+    """Raised when the error budget is not met; carries the best estimate."""
+
+    def __init__(self, message, estimate):
+        super().__init__(message)
+        self.estimate = estimate
+
+
+def _gk15(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fk = 0.0
+    fg = 0.0
+    for i, x in enumerate(_KRONROD_NODES):
+        if x == 0.0:
+            v = f(mid)
+            fk += _KRONROD_WEIGHTS[i] * v
+            fg += _GAUSS_WEIGHTS[3] * v
+            continue
+        v1 = f(mid - half * x)
+        v2 = f(mid + half * x)
+        fk += _KRONROD_WEIGHTS[i] * (v1 + v2)
+        if i % 2 == 1:
+            fg += _GAUSS_WEIGHTS[i // 2] * (v1 + v2)
+    return fk * half, abs(fk - fg) * half
+
+
+def adaptive_quad(f, a, b, tol, splits=(), max_depth=50):
+    """Integrate f on [a, b] to absolute tolerance tol.
+
+    `splits` pre-seeds subdivision points (e.g. breakpoints or known jump
+    locations).  Raises QuadratureError with the best estimate when the
+    budget cannot be met.
+    """
+    a = float(a)
+    b = float(b)
+    if b <= a:
+        return 0.0
+    cuts = sorted({a, b} | {float(s) for s in splits if a < float(s) < b})
+    stack = [(x0, x1, 0) for x0, x1 in zip(cuts, cuts[1:])]
+    width = b - a
+    total = 0.0
+    err_used = 0.0
+    while stack:
+        x0, x1, depth = stack.pop()
+        val, err = _gk15(f, x0, x1)
+        budget = tol * (x1 - x0) / width
+        if err <= budget or depth >= max_depth:
+            total += val
+            err_used += err
+        else:
+            xm = 0.5 * (x0 + x1)
+            stack.append((x0, xm, depth + 1))
+            stack.append((xm, x1, depth + 1))
+    if err_used > tol:
+        raise QuadratureError(
+            f"quadrature error {err_used:.3e} exceeds tolerance {tol:.3e}", total)
+    return total
+
+
+def _area_integral(curve, frame_func, tol, critical_y=None):
+    """Integral over the region of sqrt(2)*scale*frame_func, in true units."""
+    if not curve.xs:
+        return 0.0
+    q = float(curve.scale_sq)
+    prefactor = math.sqrt(2.0) * q**1.5
+    frame_tol = max(tol / prefactor, 1e-13) / 2.0
+    xs = sorted({float(x) for x in curve.xs} | {0.0})
+    lo_x, hi_x = float(curve.xs[0]), float(curve.xs[-1])
+    xs = [x for x in xs if lo_x <= x <= hi_x]
+    span = hi_x - lo_x
+    inner_tol = frame_tol / (4.0 * span)
+
+    def inner(x):
+        lo = abs(x)
+        hi = float(curve.value_frame(x))
+        if hi <= lo:
+            return 0.0
+        splits = critical_y(x) if critical_y is not None else ()
+        return adaptive_quad(lambda y: float(frame_func(x, y)), lo, hi,
+                             max(inner_tol * (hi - lo), 1e-14), splits=splits)
+
+    return prefactor * adaptive_quad(inner, lo_x, hi_x, frame_tol, splits=xs)
+
+
+def _area_w(curve, tol):
+    """Quadrature route to the distance integral W."""
+
+    def critical(x):
+        # d(x, .) can jump where a feasibility component vanishes; those
+        # heights are among gamma(w) - |w - x| at breakpoints w.
+        return [float(g) - abs(float(w) - x) for w, g in zip(curve.xs, curve.ys)]
+
+    return _area_integral(curve, curve._frame_d, tol, critical_y=critical)
+
+
+def _area_form(curve):
+    """Quadrature route to (I1, I2): the exits a and l over the region."""
+    return tuple(_area_integral(curve, frame, 1e-4) for frame in (curve._frame_a, curve._frame_l))
+
+
+# Slopes strictly inside (-1, 1), so that gamma(s) on a falling s-segment and
+# gamma(t) on a rising t-segment beat the breakpoint values between them.
+GENERAL_CURVES = (
+    LimitCurve([(-2, 2), (-1, Fraction(5, 2)), (0, 2), (1, Fraction(5, 2)), (2, 2)]),
+    LimitCurve([(-1, 1), (Fraction(-1, 2), Fraction(5, 4)), (Fraction(1, 4), 1),
+                (Fraction(3, 4), Fraction(5, 4)), (2, 2)]),
+)
 
 
 def test_adaptive_quad_basics():
@@ -31,14 +162,15 @@ def test_adaptive_quad_reports_failure_with_estimate():
 
 
 def test_worst_case_integral_unit_square():
-    # closed form: integral of (1-u) + (1-v) over the unit cell is 1
-    assert abs(worst_case_integral(unit_square_curve(), tol=1e-5) - 1.0) < 1e-4
+    # closed form: integral of (1-u) + (1-v) over the unit cell is 1; the
+    # true-units factor is the rational 1/2 here, so the value is exact
+    assert worst_case_integral(unit_square_curve()) == 1.0
 
 
 def test_worst_case_integral_flat_top():
     # d = sqrt(2)(1 - y) on the triangle, giving sqrt(2)/3
-    value = worst_case_integral(flat_top_curve(), tol=1e-5)
-    assert abs(value - math.sqrt(2) / 3) < 1e-4
+    value = worst_case_integral(flat_top_curve())
+    assert abs(value - math.sqrt(2) / 3) < 1e-15
 
 
 def test_worst_case_integral_degenerate():
@@ -47,12 +179,16 @@ def test_worst_case_integral_degenerate():
 
 
 def test_worst_case_integral_small_boundary_matches_identity():
-    shape = Partition([2, 1])
-    boundary = partition_boundary(shape, 3)
-    value = worst_case_integral(boundary, tol=1e-6)
-    assert value > 0
-    # n^{3/2} * integral = n + sum of w = 4, exactly in the limit of tol -> 0
-    assert abs(3**1.5 * value - 4.0) < 1e-4 * 3**1.5
+    # n^{3/2} * integral = n + sum of w, the cell-wise identity
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            value = n**1.5 * worst_case_integral(partition_boundary(shape, n))
+            assert math.isclose(value, n + worst_case(shape), rel_tol=1e-12), shape
+
+
+def test_worst_case_integral_agrees_with_area_form():
+    for curve in GENERAL_CURVES:
+        assert abs(worst_case_integral(curve) - _area_w(curve, 1e-8)) < 1e-6, curve
 
 
 def _midpoint_avg_lower(curve, cells=400):
@@ -84,37 +220,38 @@ def _midpoint_avg_lower(curve, cells=400):
 
 def test_avg_lower_integral_unit_square_two_schemes():
     square = unit_square_curve()
-    value = avg_lower_integral(square, tol=1e-6)
+    value = avg_lower_integral(square)
     # analytic value (2/3) ln 2 - 1/6
-    assert abs(value - CN_LOWER_VALUE) < 1e-5
+    assert abs(value - CN_LOWER_VALUE) < 1e-12
     independent = _midpoint_avg_lower(square)
     assert abs(independent - CN_LOWER_VALUE) < 2e-3
     # consistency: strictly below half the worst-case integral
-    assert value < worst_case_integral(square, tol=1e-5) / 2
+    assert value < worst_case_integral(square) / 2
+
+
+def test_avg_lower_integral_agrees_with_midpoint_scheme():
+    # the log terms of the closed form on curves with slopes inside (-1, 1);
+    # 100 midpoint cells are within 3e-3 of the limit on both
+    for curve in GENERAL_CURVES:
+        assert abs(avg_lower_integral(curve) - _midpoint_avg_lower(curve, cells=100)) < 5e-3
 
 
 def test_avg_lower_integral_positive_on_normalized_curves():
     for curve in (unit_square_curve(), flat_top_curve(),
                   partition_boundary(Partition([3, 2, 1]), 6)):
-        assert avg_lower_integral(curve, tol=1e-4) > 0
+        assert avg_lower_integral(curve) > 0
 
 
 def test_imbalanced_integrals_unit_square():
-    i1, i2 = imbalanced_integrals(unit_square_curve(), tol=1e-4)
-    assert abs(i1 - 0.5) < 1e-3 and abs(i2 - 0.5) < 1e-3
+    assert imbalanced_integrals(unit_square_curve()) == (0.5, 0.5)
 
 
 def test_imbalanced_integrals_flat_top():
     # on the flat top both diagonal exits equal sqrt(2)(1 - y), so both
     # integrals coincide with the distance integral sqrt(2)/3
-    i1, i2 = imbalanced_integrals(flat_top_curve(), tol=1e-4)
-    assert abs(i1 - math.sqrt(2) / 3) < 1e-3
-    assert abs(i2 - math.sqrt(2) / 3) < 1e-3
-
-
-def _area_form(curve):
-    """Independent route to (I1, I2): quadrature of a and l over the region."""
-    return tuple(_area_integral(curve, frame, 1e-4) for frame in (curve._frame_a, curve._frame_l))
+    i1, i2 = imbalanced_integrals(flat_top_curve())
+    assert abs(i1 - math.sqrt(2) / 3) < 1e-15
+    assert abs(i2 - math.sqrt(2) / 3) < 1e-15
 
 
 def test_mirror_swaps_integrals():
