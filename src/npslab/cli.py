@@ -256,7 +256,7 @@ def _sweep_family(args):
     if family == "curve-file":
         if not args.curve:
             raise UsageError("curve-file family needs --curve")
-        curve = LimitCurve.from_file(args.curve)
+        curve = _load_curve(args.curve)
 
         def shape_for(n):
             return _partition_for_curve(curve, n)

@@ -12,15 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops
-from .partitions import (
-    Partition,
-    harmonic,
-    reverse_lex_cells,
-    skew_syt_count,
-    subpartitions,
-    subpartitions_of_size,
-    syt_count,
-)
+from .partitions import Partition, _chain_counts, _removable, harmonic, reverse_lex_cells
 
 __all__ = [
     "w_distance",
@@ -186,19 +178,17 @@ def expected_hook_abs(shape):
 def f_fixed_entry(shape, cell, k):
     """Number of standard tableaux of `shape` whose cell holds the entry k.
 
-    Sums, over subdiagrams mu of size k having `cell` as a corner, the product
-    of standard counts of mu minus the corner and of the skew shape above mu.
+    Sums, over subdiagrams mu of size k having `cell` as a corner, the chains
+    in Young's lattice up to mu minus the corner times those from mu up to
+    the shape.
     """
     if cell not in shape:
         raise ValueError(f"cell {cell} outside shape {shape}")
     if not 1 <= k <= shape.size:
         raise ValueError(f"entry {k} outside 1..{shape.size}")
-    i, j = cell
-    total = 0
-    for mu in subpartitions_of_size(shape, k):
-        if mu.row(i) == j and mu.row(i + 1) < j:
-            total += syt_count(mu.remove_corner(i, j)) * skew_syt_count(shape, mu)
-    return total
+    up, down = _chain_counts(shape, Partition())
+    return sum(up[below] * skew for mu, skew in down.items() if sum(mu) == k
+               for corner, below in _removable(mu) if corner == cell)
 
 
 def average_case_chicago(shape):
@@ -207,24 +197,19 @@ def average_case_chicago(shape):
         sum_x sum_k |x| f(x, k)/f * (H_n - H_{n-k} - 1),
 
     where |x| = i + j - 2 and f(x, k) counts standard tableaux with entry k at
-    cell x.  Evaluated exactly in one sweep over all subdiagrams.
+    cell x.  One pass over the subdiagrams mu of the shape collects, per size
+    k = |mu|, the integer sum of |x| f^(mu - x) f^(shape/mu) over the corners x
+    of mu; the chain counts come from Young's lattice.
     """
     n = shape.size
     if n == 0:
         return Fraction(0)
+    up, down = _chain_counts(shape, Partition())
+    numerators = [0] * (n + 1)
+    for mu, skew in down.items():
+        numerators[sum(mu)] += skew * sum(
+            (i + j - 2) * up[below] for (i, j), below in _removable(mu))
     h_n = harmonic(n)
-    total = Fraction(0)
-    for mu in subpartitions(shape):
-        k = mu.size
-        if k == 0:
-            continue
-        weight = h_n - harmonic(n - k) - 1
-        skew = skew_syt_count(shape, mu)
-        if skew == 0:
-            continue
-        for (i, j) in mu.corners():
-            dist = i + j - 2
-            if dist == 0:
-                continue
-            total += dist * syt_count(mu.remove_corner(i, j)) * skew * weight
-    return total / syt_count(shape)
+    total = sum((numer * (h_n - harmonic(n - k) - 1)
+                 for k, numer in enumerate(numerators) if numer), Fraction(0))
+    return total / up[shape.parts]

@@ -18,14 +18,14 @@ the interior:
 * ``d``: half the maximal perimeter of an axis-parallel (in the rotated
   frame) rectangle with lower corner (x, y) contained in the region.  Since
   the region is closed under moving the upper corner down either diagonal,
-  d reduces to sqrt(2) * max { gamma(w) - y : gamma(w) - y >= |w - x| } and
-  the maximum is attained at a breakpoint or a feasibility crossing of a
-  segment, both solvable in closed form.
+  d reduces to sqrt(2) * max { gamma(w) - y : gamma(w) - y >= |w - x| }.  As
+  gamma is 1-Lipschitz the feasible w form the interval between the two
+  diagonal exits, so d is sqrt(2) times the maximum of gamma there minus y.
 """
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 __all__ = [
@@ -256,46 +256,30 @@ class LimitCurve:
         # span ends left of the origin.
         return -target / 2 - x
 
-    def _frame_a(self, x, y):
+    def _frame_exits(self, x, y):
+        """(a, l) in frame units at an interior point, None elsewhere."""
         if not self._interior_frame(x, y):
-            return x - x  # zero of the caller's numeric type
-        return self._diag_exit(x, y)
-
-    def _frame_l(self, x, y):
-        if not self._interior_frame(x, y):
-            return x - x
+            return None
         mirror = self._mirror_cache
         if mirror is None:
             mirror = self.mirrored()
             object.__setattr__(self, "_mirror_cache", mirror)
-        return mirror._diag_exit(-x, y)
+        return self._diag_exit(x, y), mirror._diag_exit(-x, y)
 
-    def _frame_d(self, x, y):
-        """max { gamma(w) - y : gamma(w) - y >= |w - x| }, 0 off the interior."""
-        if not self._interior_frame(x, y):
-            return x - x
-        best = None
-        for w, g in zip(self.xs, self.ys):
-            h = g - y
-            if h >= abs(w - x) and (best is None or h > best):
-                best = h
-        for (x0, y0), (x1, y1) in self._segments():
-            dx = x1 - x0
-            slope = (y1 - y0) / dx
-            # crossings of gamma(w) - y = +-(w - x) within the segment
-            if slope != 1:
-                w = (y0 - slope * x0 - y + x) / (1 - slope)
-                if x0 <= w <= x1 and w >= x:
-                    h = y0 + slope * (w - x0) - y
-                    if h >= 0 and (best is None or h > best):
-                        best = h
-            if slope != -1:
-                w = (y0 - slope * x0 - y - x) / (-1 - slope)
-                if x0 <= w <= x1 and w <= x:
-                    h = y0 + slope * (w - x0) - y
-                    if h >= 0 and (best is None or h > best):
-                        best = h
-        return best if best is not None else x - x
+    def _frame_distances(self, x, y):
+        """(a, l, d) in frame units, all 0 off the interior.
+
+        The feasible set {w : gamma(w) - |w - x| >= y} is exactly [s, t] with
+        s = x - l and t = x + a, so d is the maximum of gamma on [s, t] minus y.
+        """
+        exits = self._frame_exits(x, y)
+        if exits is None:
+            zero = x - x  # zero of the caller's numeric type
+            return zero, zero, zero
+        a, leg = exits
+        s, t = x - leg, x + a
+        inside = self.ys[bisect_right(self.xs, s):bisect_left(self.xs, t)]
+        return a, leg, max(self.value_frame(s), self.value_frame(t), *inside) - y
 
     # -- file interface ---------------------------------------------------
 
@@ -430,11 +414,7 @@ def hook_distances(curve, point):
     s = curve.scale
     fx, fy = x / s, y / s
     factor = math.sqrt(2.0) * s
-    return (
-        float(curve._frame_a(fx, fy)) * factor,
-        float(curve._frame_l(fx, fy)) * factor,
-        float(curve._frame_d(fx, fy)) * factor,
-    )
+    return tuple(float(v) * factor for v in curve._frame_distances(fx, fy))
 
 
 def hook_coordinates(curve, point):
@@ -443,8 +423,7 @@ def hook_coordinates(curve, point):
     x, y = point
     sc = curve.scale
     fx, fy = x / sc, y / sc
-    arm = curve._frame_a(fx, fy)
-    leg = curve._frame_l(fx, fy)
+    arm, leg = curve._frame_exits(fx, fy) or (0, 0)
     return (float(fx - leg) * sc, float(fx + arm) * sc)
 
 

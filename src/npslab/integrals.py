@@ -219,7 +219,7 @@ def distance_integral_cellwise(shape):
             v = i - 1 + dv
             x = u - v
             y = u + v
-            d = curve._frame_d(x, y)
+            _, _, d = curve._frame_distances(x, y)
             expected = w + i + j - y
             if d != expected:
                 raise AssertionError(

@@ -7,6 +7,7 @@ computation here.
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import factorial
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "pochhammer_rising",
     "partitions_of",
     "subpartitions",
-    "subpartitions_of_size",
 ]
 
 
@@ -172,47 +172,12 @@ def syt_count(shape):
     return q
 
 
-def _inv_factorial(m):
-    """1/m! as an exact Fraction, zero for negative m."""
-    return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
-
-
-def _det_fraction(mat):
-    """Exact determinant of a square Fraction matrix via Gaussian elimination."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    mat = [row[:] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if mat[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c] == 0:
-                continue
-            factor = mat[r][c] * inv
-            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[c])]
-    return det
-
-
 def skew_syt_count(outer, inner):
-    """Number of standard fillings of the skew shape outer/inner, computed by
-    the factorial determinant det(1/(lambda_i - mu_j - i + j)!)."""
+    """Number of standard fillings of the skew shape outer/inner: the
+    saturated chains from inner up to outer in Young's lattice."""
     if not outer.contains_shape(inner):
         raise ValueError(f"{inner} is not contained in {outer}")
-    ell = len(outer.parts)
-    mat = [[_inv_factorial(outer.row(i) - inner.row(j) - i + j)
-            for j in range(1, ell + 1)] for i in range(1, ell + 1)]
-    value = factorial(outer.size - inner.size) * _det_fraction(mat)
-    if value.denominator != 1 or value < 0:
-        raise AssertionError(f"skew count for {outer}/{inner} is not a natural: {value}")
-    return int(value)
+    return _chain_counts(outer, inner)[1][inner.parts]
 
 
 _HARMONIC = [Fraction(0)]
@@ -269,21 +234,53 @@ def subpartitions(shape):
         yield Partition(parts)
 
 
-def subpartitions_of_size(shape, k):
-    """All partitions contained in `shape` with exactly k cells."""
-    if k < 0 or k > shape.size:
-        return
+MAX_SUBDIAGRAMS = 10**6
+
+
+def _subdiagram_count(shape):
+    """Number of partitions contained in `shape`, the empty one included.
+
+    ways[m] counts the fillings of the rows below the current one when the
+    current row has m cells; it is carried from the last row up to the first.
+    """
     parts = shape.parts
+    if not parts:
+        return 1
+    ways = [1] * (parts[-1] + 1)
+    for p in reversed(parts[:-1]):
+        below = list(accumulate(ways))
+        ways = [below[min(m, len(below) - 1)] for m in range(p + 1)]
+    return sum(ways)
 
-    def rec(idx, prev, need):
-        if need == 0:
-            yield ()
-            return
-        if idx >= len(parts) or prev == 0:
-            return
-        for m in range(min(parts[idx], prev, need), 0, -1):
-            for rest in rec(idx + 1, m, need - m):
-                yield (m,) + rest
 
-    for tail in rec(0, parts[0] if parts else 0, k):
-        yield Partition(tail)
+def _removable(mu):
+    """(cell, mu minus that cell) for each corner cell of the parts tuple mu."""
+    for i, p in enumerate(mu):
+        if i + 1 == len(mu) or mu[i + 1] < p:
+            yield (i + 1, p), mu[:i] + ((p - 1,) if p > 1 else ()) + mu[i + 1:]
+
+
+def _chain_counts(outer, inner):
+    """Saturated-chain counts in the interval [inner, outer] of Young's lattice.
+
+    Returns dicts `up` and `down` keyed by the parts of every subdiagram mu
+    between inner and outer: up[mu] counts the chains from inner to mu, that
+    is f^(mu/inner), and down[mu] the chains from mu to outer, f^(outer/mu).
+    Raises ValueError when outer has more than MAX_SUBDIAGRAMS subdiagrams.
+    """
+    count = _subdiagram_count(outer)
+    if count > MAX_SUBDIAGRAMS:
+        raise ValueError(
+            f"shape {outer} has {count} subdiagrams, exceeding the limit {MAX_SUBDIAGRAMS}")
+    # lexicographic order, in which each mu follows every mu minus a corner
+    interval = [mu.parts for mu in subpartitions(outer) if mu.contains_shape(inner)]
+    up = {inner.parts: 1}
+    for mu in interval[1:]:
+        up[mu] = sum(up.get(below, 0) for _, below in _removable(mu))
+    down = dict.fromkeys(interval, 0)
+    down[outer.parts] = 1
+    for mu in reversed(interval):
+        for _, below in _removable(mu):
+            if below in down:
+                down[below] += down[mu]
+    return up, down

@@ -35,6 +35,12 @@ def test_exact_inapplicable_method(capsys):
     assert "not applicable" in err
 
 
+def test_exact_refuses_too_many_subdiagrams(capsys):
+    code, out, err = run(capsys, "exact", "--shape", ",".join(["12"] * 12))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2704156 subdiagrams" in err
+
+
 def test_exact_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "exact", "--shape", "2,1",
                        "--method", "chicago")
@@ -181,7 +187,9 @@ def test_config_defaults_and_flag_override(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "square", "--sizes", "4", "--out", "{missing}/x.csv"],
     ["--config", "{missing}/lab.cfg", "verify"],
-], ids=["sweep-out", "config"])
+    ["sweep", "--family", "curve-file", "--curve", "{missing}/curve.json", "--sizes", "4",
+     "--out", "{missing}/x.csv"],
+], ids=["sweep-out", "config", "sweep-curve"])
 def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing")
     code, _, err = run(capsys, *(a.replace("{missing}", missing) for a in argv))

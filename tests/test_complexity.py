@@ -14,7 +14,7 @@ from npslab.complexity import (
     worst_case_witness,
 )
 from npslab.nps import enumerate_hook_tableaux, nps_sort
-from npslab.partitions import Partition, syt_count
+from npslab.partitions import Partition, harmonic, partitions_of, subpartitions, syt_count
 
 FIG_SHAPE = Partition([4, 4, 2, 1, 1, 1])
 
@@ -98,6 +98,22 @@ def test_f_fixed_entry_normalization():
             assert total == syt_count(shape), (shape, cell)
 
 
+def _f_fixed_entry_by_determinant(shape, cell, k, aitken):
+    i, j = cell
+    return sum(syt_count(mu.remove_corner(i, j)) * aitken(shape, mu)
+               for mu in subpartitions(shape)
+               if mu.size == k and mu.row(i) == j and mu.row(i + 1) < j)
+
+
+def test_f_fixed_entry_matches_determinant_route_up_to_6(aitken):
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for cell in shape.cells():
+                for k in range(1, n + 1):
+                    expected = _f_fixed_entry_by_determinant(shape, cell, k, aitken)
+                    assert f_fixed_entry(shape, cell, k) == expected, (shape, cell, k)
+
+
 def test_f_fixed_entry_two_row_support_windows():
     # nonzero exactly on {j..2j-1} for first-row cells with j <= lam2, on
     # {j..lam2+j} for the remaining first-row cells, and on {2j..lam1+j} for
@@ -122,3 +138,34 @@ def test_chicago_small_values():
     assert average_case_chicago(Partition([2, 1])) == Fraction(2, 3)
     assert average_case_chicago(Partition([1])) == 0
     assert average_case_chicago(Partition([2, 2])) == Fraction(11, 6)
+
+
+def _chicago_by_determinant(shape, aitken):
+    """The harmonic-number formula with each skew count f^(shape/mu) from the
+    Aitken determinant and each f^(mu - x) from the hook-length formula."""
+    n = shape.size
+    total = Fraction(0)
+    for mu in subpartitions(shape):
+        weight = harmonic(n) - harmonic(n - mu.size) - 1
+        skew = aitken(shape, mu)
+        for (i, j) in mu.corners():
+            total += (i + j - 2) * syt_count(mu.remove_corner(i, j)) * skew * weight
+    return total / syt_count(shape)
+
+
+@pytest.mark.parametrize("parts", [(6,) * 6, (6, 5, 4, 3, 2, 1)], ids=["6x6", "staircase-6"])
+def test_chicago_matches_determinant_route_beyond_brute_force(parts, aitken):
+    shape = Partition(parts)
+    assert average_case_chicago(shape) == _chicago_by_determinant(shape, aitken)
+
+
+def test_subdiagram_guard_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(shape):
+        raise AssertionError(f"enumerated the subdiagrams of {shape}")
+
+    monkeypatch.setattr("npslab.partitions.subpartitions", no_enumeration)
+    square = Partition((12,) * 12)
+    with pytest.raises(ValueError, match="2704156 subdiagrams, exceeding the limit 1000000"):
+        average_case_chicago(square)
+    with pytest.raises(ValueError, match="2704156 subdiagrams"):
+        f_fixed_entry(square, (1, 1), 1)

@@ -165,12 +165,11 @@ def test_hook_distances_boundary_and_apex():
 def test_frame_distances_exact_at_rational_points():
     square = unit_square_curve()
     # frame point (0, 1) is the square's center in rotated coordinates
-    assert square._frame_a(Fraction(0), Fraction(1)) == Fraction(1, 2)
-    assert square._frame_l(Fraction(0), Fraction(1)) == Fraction(1, 2)
-    assert square._frame_d(Fraction(0), Fraction(1)) == Fraction(1)
+    assert square._frame_distances(Fraction(0), Fraction(1)) == (
+        Fraction(1, 2), Fraction(1, 2), Fraction(1))
     # frame (1/2, 3/4) is (u, v) = (5/8, 1/8) in the unit cell, where the
     # half-perimeter is (1 - u) + (1 - v) = 5/4
-    assert square._frame_d(Fraction(1, 2), Fraction(3, 4)) == Fraction(5, 4)
+    assert square._frame_distances(Fraction(1, 2), Fraction(3, 4))[2] == Fraction(5, 4)
 
 
 def test_distance_inequalities_at_random_points():

@@ -123,6 +123,30 @@ def _area_integral(curve, frame_func, tol, critical_y=None):
     return prefactor * adaptive_quad(inner, lo_x, hi_x, frame_tol, splits=xs)
 
 
+def _crossing_d(curve, x, y):
+    """max { gamma(w) - y : gamma(w) - y >= |w - x| } in frame units, 0 off the
+    interior, searched over the breakpoints and the crossings of each segment
+    with the two feasibility lines gamma(w) - y = +-(w - x)."""
+    if not (curve.xs and abs(x) < y < curve.value_frame(x)):
+        return 0.0
+    best = None
+    for w, g in zip(curve.xs, curve.ys):
+        h = g - y
+        if h >= abs(w - x) and (best is None or h > best):
+            best = h
+    for x0, x1, y0, y1 in zip(curve.xs, curve.xs[1:], curve.ys, curve.ys[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        for sign in (1, -1):
+            if slope == sign:
+                continue
+            w = (y0 - slope * x0 - y + sign * x) / (sign - slope)
+            if x0 <= w <= x1 and sign * (w - x) >= 0:
+                h = y0 + slope * (w - x0) - y
+                if h >= 0 and (best is None or h > best):
+                    best = h
+    return best if best is not None else 0.0
+
+
 def _area_w(curve, tol):
     """Quadrature route to the distance integral W."""
 
@@ -131,12 +155,19 @@ def _area_w(curve, tol):
         # heights are among gamma(w) - |w - x| at breakpoints w.
         return [float(g) - abs(float(w) - x) for w, g in zip(curve.xs, curve.ys)]
 
-    return _area_integral(curve, curve._frame_d, tol, critical_y=critical)
+    return _area_integral(curve, lambda x, y: _crossing_d(curve, x, y), tol,
+                          critical_y=critical)
 
 
 def _area_form(curve):
     """Quadrature route to (I1, I2): the exits a and l over the region."""
-    return tuple(_area_integral(curve, frame, 1e-4) for frame in (curve._frame_a, curve._frame_l))
+    mirror = curve.mirrored()
+
+    def exit_(source, sign):
+        return lambda x, y: (source._diag_exit(sign * x, y)
+                             if abs(x) < y < curve.value_frame(x) else 0.0)
+
+    return _area_integral(curve, exit_(curve, 1), 1e-4), _area_integral(curve, exit_(mirror, -1), 1e-4)
 
 
 # Slopes strictly inside (-1, 1), so that gamma(s) on a falling s-segment and
@@ -189,6 +220,22 @@ def test_worst_case_integral_small_boundary_matches_identity():
 def test_worst_case_integral_agrees_with_area_form():
     for curve in GENERAL_CURVES:
         assert abs(worst_case_integral(curve) - _area_w(curve, 1e-8)) < 1e-6, curve
+
+
+def test_interval_maximum_d_matches_crossing_search():
+    curves = GENERAL_CURVES + (
+        unit_square_curve(), flat_top_curve(),
+        partition_boundary(Partition([4, 2, 1]), 7),
+        partition_boundary(Partition([6, 5, 3, 3, 1]), 18))
+    for curve in curves:
+        lo, hi = curve.xs[0], curve.xs[-1]
+        top = max(curve.ys)
+        for a in range(41):
+            x = lo + (hi - lo) * Fraction(a, 40)
+            for b in range(41):
+                y = top * Fraction(b, 40)
+                d = curve._frame_distances(x, y)[2]
+                assert d == _crossing_d(curve, x, y), (curve, x, y)
 
 
 def _midpoint_avg_lower(curve, cells=400):

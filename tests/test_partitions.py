@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npslab.partitions import (
+    MAX_SUBDIAGRAMS,
     Partition,
+    _subdiagram_count,
     cell_stats,
     conjugate,
     harmonic,
@@ -16,7 +18,6 @@ from npslab.partitions import (
     reverse_lex_cells,
     skew_syt_count,
     subpartitions,
-    subpartitions_of_size,
     syt_count,
 )
 
@@ -174,6 +175,13 @@ def test_skew_examples():
         skew_syt_count(Partition([2, 1]), Partition([3]))
 
 
+def test_skew_matches_aitken_determinant_up_to_8(aitken):
+    for n in range(0, 9):
+        for outer in partitions_of(n):
+            for inner in subpartitions(outer):
+                assert skew_syt_count(outer, inner) == aitken(outer, inner), (outer, inner)
+
+
 def test_skew_matches_enumeration_up_to_7():
     for n in range(1, 8):
         for outer in partitions_of(n):
@@ -227,19 +235,14 @@ def test_pochhammer():
 # -- subshapes ------------------------------------------------------------
 
 
-def test_subpartitions_of_size():
-    shape = Partition([3, 2])
-    got = sorted(mu.parts for mu in subpartitions_of_size(shape, 3))
-    assert got == [(2, 1), (3,)]
-    assert list(subpartitions_of_size(shape, 0)) == [Partition([])]
-    assert [mu.parts for mu in subpartitions_of_size(shape, 5)] == [(3, 2)]
-
-
 def test_subpartitions_complete():
     shape = Partition([2, 2])
     got = sorted(mu.parts for mu in subpartitions(shape))
     assert got == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
-    total = sum(1 for _ in subpartitions(Partition([3, 2, 1])))
-    by_size = sum(len(list(subpartitions_of_size(Partition([3, 2, 1]), k)))
-                  for k in range(0, 7))
-    assert total == by_size
+
+
+def test_subdiagram_count_matches_enumeration_up_to_8():
+    for n in range(0, 9):
+        for shape in partitions_of(n):
+            assert _subdiagram_count(shape) == sum(1 for _ in subpartitions(shape)), shape
+    assert _subdiagram_count(Partition((11,) * 11)) == 705_432 < MAX_SUBDIAGRAMS
