@@ -65,8 +65,10 @@ def _parse_sizes(text):
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            sizes = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in text.split(".."))
+            if hi < lo:
+                raise UsageError("sizes must be strictly ascending")
+            sizes = list(range(lo, hi + 1))
         elif text:
             sizes = [int(v) for v in text.split(",")]
         else:
@@ -482,6 +484,8 @@ def main(argv=None):
     flags = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         _apply_config(args, _load_config(args.config), flags)
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"jobs must be at least 1, got {args.jobs}")
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

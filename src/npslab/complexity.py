@@ -2,12 +2,11 @@
 
 The worst case is the cell sum of maximal South-East distances, with a
 constructive witness tableau that attains it.  The average case comes in two
-independent exact routes: brute force over all n! fillings, and the
-harmonic-number formula driven by fixed-entry standard tableau counts.
+independent exact routes: brute force over all n! fillings (merging fillings
+whose processed prefix has the same relative order), and the harmonic-number
+formula driven by fixed-entry standard tableau counts.
 """
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -106,50 +105,44 @@ def worst_case_witness(shape):
     return witness
 
 
-def _stats_fixed_first(parts, first):
-    """(sum, max) of exchange counts over fillings whose first processed cell
-    holds `first`; the remaining values run in lexicographic order."""
-    shape = Partition(parts)
-    ops = shape_ops(shape)
-    n = shape.size
-    board = ops.new_board()
-    order = ops.order
-    rest = [v for v in range(1, n + 1) if v != first]
-    total = 0
-    best = 0
-    sort = ops.sort_board
-    first_cell = order[0]
-    tail = order[1:]
-    for perm in itertools.permutations(rest):
-        board[first_cell] = first
-        for t, v in zip(tail, perm):
-            board[t] = v
-        count = sort(board)
-        total += count
-        if count > best:
-            best = count
-    return total, best
-
-
 def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):
     """(sum, max) of exchange counts over all n! fillings of the shape.
 
-    The enumeration is partitioned by the value at the first processed cell;
-    with jobs > 1 the parts run in worker processes, and the exact
-    associative reduction makes the result independent of the worker count.
+    Sifting the t-th processed cell reads and writes only cells processed
+    before it (every South or East neighbour comes earlier) and only
+    compares values, so the exchanges so far and the sifted board depend
+    only on the relative order of the first t values.  The loop keeps, per
+    relative order of the sifted board, the number of fillings reaching it
+    and their exchange sum and maximum; each of the t + 1 ranks of the next
+    value extends it by one sift.  There are at most f^shape such orders.
+    `jobs` is accepted and unused.
     """
     n = shape.size
     if n > cutoff:
         raise ValueError(f"size {n} exceeds enumeration cutoff {cutoff}")
-    if n == 0:
-        return 0, 0
-    tasks = ([shape.parts] * n, range(1, n + 1))
-    if jobs > 1 and n >= 4:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_stats_fixed_first, *tasks))
-    else:
-        results = list(map(_stats_fixed_first, *tasks))
-    return sum(t for t, _ in results), max(b for _, b in results)
+    ops = shape_ops(shape)
+    coord = ops.coord
+    # boards hold ranks 1..t on the processed cells, 0 on the others and a
+    # sentinel above every rank at index n
+    states = {tuple(ops.new_board()): (1, 0, 0)}
+    for t, start in enumerate(ops.order):
+        i0, j0 = coord[start]
+        merged = {}
+        for board, (count, total, best) in states.items():
+            for r in range(1, t + 2):
+                nxt = [v + 1 if v >= r else v for v in board]
+                i1, j1 = coord[ops.sift_cell(nxt, start, r)]
+                steps = (i1 - i0) + (j1 - j0)
+                key = tuple(nxt)
+                seen = merged.get(key)
+                if seen is None:
+                    merged[key] = (count, total + count * steps, best + steps)
+                else:
+                    merged[key] = (seen[0] + count, seen[1] + total + count * steps,
+                                   max(seen[2], best + steps))
+        states = merged
+    return (sum(total for _, total, _ in states.values()),
+            max(best for _, _, best in states.values()))
 
 
 def average_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):

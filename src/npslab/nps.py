@@ -250,49 +250,61 @@ class _ShapeOps:
                 total += 1
         return total
 
+    def sift_cell(self, board, c, v):
+        """Sift the value v down from index c in place, returning the landing
+        index.  Only cells South-East of c are read or written, and those are
+        all processed before c.  The exchanges are (i1 - i0) + (j1 - j0)."""
+        south = self.south
+        east = self.east
+        while True:
+            s = south[c]
+            e = east[c]
+            sv = board[s]
+            ev = board[e]
+            if sv < ev:
+                if sv > v:
+                    break
+                board[c] = sv
+                c = s
+            else:
+                if ev > v:
+                    break
+                board[c] = ev
+                c = e
+        board[c] = v
+        return c
+
+    def sift_cell_with_hooks(self, board, hooks, start, v):
+        """sift_cell plus the hook rule: the column segment below `start`
+        shifts up with a decrement and the landing row records the column
+        displacement.  Returns the landing index."""
+        c = self.sift_cell(board, start, v)
+        i0, j0 = self.coord[start]
+        i1, j1 = self.coord[c]
+        south = self.south
+        walk = start
+        for _ in range(i1 - i0):
+            nxt = south[walk]
+            hooks[walk] = hooks[nxt] - 1
+            walk = nxt
+        hooks[walk] = j1 - j0
+        return c
+
     def sort_board_with_hooks(self, board):
         """Sort in place; returns (exchanges, hook array, per-entry moves).
 
-        Each move is (value, start index, end index).  The hook array follows
-        the shift-and-decrement rule for the traversed column segment and
-        records the column displacement at the landing cell.
+        Each move is (value, start index, end index, exchanges).
         """
         total = 0
-        south = self.south
-        east = self.east
+        coord = self.coord
         hooks = [0] * self.n
         moves = []
         for start in self.order:
-            c = start
-            v = board[c]
-            swaps = 0
-            while True:
-                s = south[c]
-                e = east[c]
-                sv = board[s]
-                ev = board[e]
-                if sv < ev:
-                    if sv > v:
-                        break
-                    board[c] = sv
-                    board[s] = v
-                    c = s
-                else:
-                    if ev > v:
-                        break
-                    board[c] = ev
-                    board[e] = v
-                    c = e
-                swaps += 1
+            v = board[start]
+            c = self.sift_cell_with_hooks(board, hooks, start, v)
+            (i0, j0), (i1, j1) = coord[start], coord[c]
+            swaps = (i1 - i0) + (j1 - j0)
             total += swaps
-            i0, j0 = self.coord[start]
-            i1, j1 = self.coord[c]
-            walk = start
-            for _ in range(i1 - i0):
-                nxt = south[walk]
-                hooks[walk] = hooks[nxt] - 1
-                walk = nxt
-            hooks[walk] = j1 - j0
             moves.append((v, start, c, swaps))
         return total, hooks, moves
 
@@ -357,22 +369,40 @@ def enumerate_hook_tableaux(shape, cutoff=DEFAULT_HOOK_CUTOFF):
         yield HookTableau(shape, rows)
 
 
+def _walk_prefixes(ops, board, hooks, t, rest, pairs, tally):
+    """Extend the sifted prefix (board, hooks) of t processed cells by each
+    value in `rest`, depth first, adding every full filling's (output, hooks)
+    pair to `pairs` and tallying it under its output in `tally`.  Siblings
+    work on copies; the last cell has a single value and is sifted in place."""
+    if len(rest) > 1:
+        start = ops.order[t]
+        for k, v in enumerate(rest):
+            b = board[:]
+            h = hooks[:]
+            ops.sift_cell_with_hooks(b, h, start, v)
+            _walk_prefixes(ops, b, h, t + 1, rest[:k] + rest[k + 1:], pairs, tally)
+        return
+    if rest:
+        ops.sift_cell_with_hooks(board, hooks, ops.order[t], rest[0])
+    key = (tuple(board[:ops.n]), tuple(hooks))
+    pairs.add(key)
+    tally[key[0]] += 1
+
+
 def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """Run the sort over every filling and certify the bijection onto
-    (standard tableau, hook tableau) pairs by injectivity and cardinality."""
+    (standard tableau, hook tableau) pairs by injectivity and cardinality.
+
+    Sifting a cell touches only cells processed before it, so fillings that
+    share a prefix of values in processing order share its sifts: the walk
+    over the prefix tree sifts each prefix once."""
     n = shape.size
     if n > cutoff:
         raise ValueError(f"size {n} exceeds enumeration cutoff {cutoff}")
     ops = shape_ops(shape)
     pairs = set()
     syt_tally = Counter()
-    board = ops.new_board()
-    for perm in itertools.permutations(range(1, n + 1)):
-        ops.fill(board, perm)
-        _, hooks, _ = ops.sort_board_with_hooks(board)
-        key = (tuple(board[:n]), tuple(hooks))
-        pairs.add(key)
-        syt_tally[key[0]] += 1
+    _walk_prefixes(ops, ops.new_board(), [0] * n, 0, tuple(range(1, n + 1)), pairs, syt_tally)
     expected = factorial(n)
     hooks_count = hook_product(shape)
     injective = len(pairs) == expected

@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from npslab.nps import shape_ops
 from npslab.verify import brute_table
 
 
@@ -57,3 +59,23 @@ def aitken():
     """The Aitken determinant for skew standard-tableau counts: an oracle
     independent of the Young-lattice chain counts in the package."""
     return _aitken_skew_count
+
+
+def _plain_exchange_stats(shape):
+    """(sum, max) of exchange counts by sorting each of the n! fillings."""
+    ops = shape_ops(shape)
+    board = ops.new_board()
+    total = best = 0
+    for perm in itertools.permutations(range(1, shape.size + 1)):
+        ops.fill(board, perm)
+        count = ops.sort_board(board)
+        total += count
+        best = max(best, count)
+    return total, best
+
+
+@pytest.fixture(scope="session")
+def plain_stats():
+    """Exchange-count (sum, max) by the plain n! loop over `sort_board`: an
+    oracle that shares no prefix work, unlike `exchange_stats`."""
+    return _plain_exchange_stats

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -196,6 +197,28 @@ def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
     assert code == 2 and missing in err
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["sweep", "--family", "square", "--sizes", "9..4", "--out", "{tmp}/x.csv"], None),
+    (["sweep", "--family", "square", "--sizes", "4", "--jobs", "0", "--out", "{tmp}/x.csv"], None),
+    (["sweep", "--family", "square", "--sizes", "4", "--jobs", "-1", "--out", "{tmp}/x.csv"],
+     None),
+    (["verify", "--jobs", "0"], None),
+    (["verify", "--jobs", "-1"], None),
+    (["verify"], "jobs = 0\n"),
+    (["sweep", "--family", "square", "--sizes", "4", "--out", "{tmp}/x.csv"], "jobs = -1\n"),
+], ids=["reversed-range", "sweep-jobs-0", "sweep-jobs-negative", "verify-jobs-0",
+        "verify-jobs-negative", "config-jobs-0", "config-jobs-negative"])
+def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if config is not None:
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + argv
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_verify_fast(capsys):
     code, out, _ = run(capsys, "verify", "--level", "fast")
     assert code == 0
@@ -236,3 +259,13 @@ def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
     assert run(capsys, *args, "--out", str(one))[0] == 0
     assert run(capsys, *args, "--jobs", "3", "--out", str(two))[0] == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_verify_jobs_do_not_change_output(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--level", "fast", "--jobs", jobs)
+        assert code == 0
+        outputs.append(re.sub(r"\(\d+\.\d\ds\)", "(SECONDS)", out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("(SECONDS)") == 12

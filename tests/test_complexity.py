@@ -66,6 +66,20 @@ def test_exchange_stats_worker_count_independent():
     assert exchange_stats(shape, jobs=1) == exchange_stats(shape, jobs=3)
 
 
+def test_exchange_stats_matches_plain_enumeration_up_to_8(plain_stats):
+    for n in range(0, 9):
+        for shape in partitions_of(n):
+            assert exchange_stats(shape) == plain_stats(shape), shape
+
+
+def test_bruteforce_matches_exact_routes_at_sizes_9_and_10():
+    shapes = [s for n in (9, 10) for s in partitions_of(n)]
+    assert len(shapes) == 72
+    for shape in shapes:
+        assert average_case_bruteforce(shape, cutoff=10) == average_case_chicago(shape), shape
+        assert max_case_bruteforce(shape, cutoff=10) == worst_case(shape), shape
+
+
 def test_expected_hook_abs_examples():
     assert expected_hook_abs(Partition([2, 2])) == Fraction(5, 3)
     assert expected_hook_abs(Partition([1])) == 0

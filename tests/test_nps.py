@@ -1,16 +1,19 @@
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npslab.complexity import worst_case
+from npslab.complexity import exchange_stats, worst_case
 from npslab.nps import (
+    BijectionReport,
     HookTableau,
     Tableau,
     enumerate_hook_tableaux,
     enumerate_tableaux,
     nps_sort,
+    _ShapeOps,
     verify_bijection,
 )
 from npslab.partitions import Partition, hook_product, partitions_of, syt_count
@@ -259,3 +262,46 @@ def test_bijection_outputs_are_standard():
     outputs = Counter(nps_sort(t).output for t in enumerate_tableaux(Partition([2, 2])))
     assert all(t.is_standard() for t in outputs)
     assert len(outputs) == 2
+
+
+def _naive_report(shape):
+    """The bijection report built filling by filling from `_naive_sort`,
+    with outputs and hooks flattened row by row."""
+    pairs = set()
+    tally = Counter()
+    for tableau in enumerate_tableaux(shape):
+        _, out_rows, hook_rows = _naive_sort(tableau)
+        key = (sum(out_rows, ()), sum(hook_rows, ()))
+        pairs.add(key)
+        tally[key[0]] += 1
+    expected = factorial(shape.size)
+    uniform = (len(tally) == syt_count(shape)
+               and all(v == hook_product(shape) for v in tally.values()))
+    return BijectionReport(shape, len(pairs), expected, len(pairs) == expected,
+                           dict(tally), uniform)
+
+
+def test_bijection_matches_naive_reports_up_to_6():
+    for n in range(0, 7):
+        for shape in partitions_of(n):
+            assert verify_bijection(shape) == _naive_report(shape), shape
+
+
+def test_wrong_sift_rule_is_caught(monkeypatch):
+    def south_first(self, board, c, v):
+        # compares only with the South neighbour while there is one
+        while True:
+            nxt = self.south[c] if self.south[c] != self.n else self.east[c]
+            if board[nxt] > v:
+                break
+            board[c] = board[nxt]
+            c = nxt
+        board[c] = v
+        return c
+
+    shape = Partition([2, 2])
+    assert exchange_stats(shape) == (44, 4)
+    monkeypatch.setattr(_ShapeOps, "sift_cell", south_first)
+    report = verify_bijection(shape)
+    assert not report.injective and not report.uniform
+    assert exchange_stats(shape) == (40, 4)
