@@ -17,8 +17,6 @@ from .curves import (
     hook_coordinates,
     hook_distances,
     partition_boundary,
-    point_from_hook_coordinates,
-    sup_distance,
     unit_square_curve,
 )
 from .integrals import (
@@ -31,14 +29,11 @@ from .nps import (
     HookTableau,
     NpsOutcome,
     Tableau,
-    enumerate_hook_tableaux,
-    enumerate_tableaux,
     nps_sort,
     verify_bijection,
 )
 from .partitions import (
     Partition,
-    cell_stats,
     conjugate,
     harmonic,
     hook_product,

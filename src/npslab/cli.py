@@ -326,7 +326,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    results = run_suite(args.level, jobs=args.jobs)
+    results = run_suite(args.level)
     failures = [r for r in results if not r.ok]
     for r in results:
         status = "PASS" if r.ok else "FAIL"

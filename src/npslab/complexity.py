@@ -105,7 +105,7 @@ def worst_case_witness(shape):
     return witness
 
 
-def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):
+def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """(sum, max) of exchange counts over all n! fillings of the shape.
 
     Sifting the t-th processed cell reads and writes only cells processed
@@ -115,7 +115,6 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):
     relative order of the sifted board, the number of fillings reaching it
     and their exchange sum and maximum; each of the t + 1 ranks of the next
     value extends it by one sift.  There are at most f^shape such orders.
-    `jobs` is accepted and unused.
     """
     n = shape.size
     if n > cutoff:
@@ -145,15 +144,15 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):
             max(best for _, _, best in states.values()))
 
 
-def average_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):
+def average_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """Average exchange count over all fillings, as an exact Fraction."""
-    total, _ = exchange_stats(shape, cutoff=cutoff, jobs=jobs)
+    total, _ = exchange_stats(shape, cutoff=cutoff)
     return Fraction(total, factorial(shape.size)) if shape.size else Fraction(0)
 
 
-def max_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF, jobs=1):
+def max_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """Maximal exchange count over all fillings, by exhaustive search."""
-    _, best = exchange_stats(shape, cutoff=cutoff, jobs=jobs)
+    _, best = exchange_stats(shape, cutoff=cutoff)
     return best
 
 

@@ -34,10 +34,8 @@ __all__ = [
     "partition_boundary",
     "unit_square_curve",
     "flat_top_curve",
-    "sup_distance",
     "hook_distances",
     "hook_coordinates",
-    "point_from_hook_coordinates",
 ]
 
 
@@ -194,11 +192,6 @@ class LimitCurve:
     def area(self):
         """Exact integral of (gamma(x) - |x|) dx in true coordinates."""
         return self.scale_sq * self.area_frame()
-
-    @property
-    def is_normalized(self):
-        """Exact membership test for the unit-area class."""
-        return self.area == 1
 
     def _segments(self):
         return list(zip(zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])))
@@ -391,23 +384,6 @@ def partition_boundary(shape, n, exponents=None):
     return LimitCurve(points, scale / 2, tolerance=tol)
 
 
-def sup_distance(curve, other):
-    """Supremum of |gamma(x) - eta(x)| over the real line.
-
-    The difference of two piecewise-linear curves attains its supremum at a
-    breakpoint of either, or at x = 0; the computation is exact when both
-    curves share a frame scale.
-    """
-    if curve.scale_sq == other.scale_sq:
-        xs = sorted(set(curve.xs) | set(other.xs) | {Fraction(0)})
-        best = max((abs(curve.value_frame(x) - other.value_frame(x)) for x in xs),
-                   default=Fraction(0))
-        return float(best) * curve.scale
-    xs = sorted({x for x, _ in curve.breakpoints}
-                | {x for x, _ in other.breakpoints} | {0.0})
-    return max((abs(curve.value(x) - other.value(x)) for x in xs), default=0.0)
-
-
 def hook_distances(curve, point):
     """(a, l, d) at a true-coordinate point, zero outside the interior."""
     x, y = point
@@ -425,10 +401,3 @@ def hook_coordinates(curve, point):
     fx, fy = x / sc, y / sc
     arm, leg = curve._frame_exits(fx, fy) or (0, 0)
     return (float(fx - leg) * sc, float(fx + arm) * sc)
-
-
-def point_from_hook_coordinates(curve, s, t):
-    """Inverse of hook_coordinates."""
-    gs = curve.value(s)
-    gt = curve.value(t)
-    return ((s + t + gs - gt) / 2.0, (s - t + gs + gt) / 2.0)

@@ -1,5 +1,5 @@
 """The tableau sorting engine: the column-wise sift with exchange counting,
-hook-tableau bookkeeping, exhaustive enumeration, and bijection certification.
+hook-tableau bookkeeping, and bijection certification over all n! fillings.
 
 Entries are processed cell by cell, rightmost column first and bottom to top
 within a column.  Each entry is repeatedly exchanged with the smaller of its
@@ -9,13 +9,12 @@ the start cell shifts up with a decrement and the landing row records the
 column displacement j' - j.
 """
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
-from .partitions import Partition, hook_product, reverse_lex_cells, syt_count
+from .partitions import Partition, conjugate, hook_product, reverse_lex_cells, syt_count
 
 __all__ = [
     "Tableau",
@@ -24,15 +23,11 @@ __all__ = [
     "NpsOutcome",
     "BijectionReport",
     "nps_sort",
-    "enumerate_tableaux",
-    "enumerate_hook_tableaux",
     "verify_bijection",
     "DEFAULT_ENUMERATION_CUTOFF",
-    "DEFAULT_HOOK_CUTOFF",
 ]
 
 DEFAULT_ENUMERATION_CUTOFF = 9
-DEFAULT_HOOK_CUTOFF = 10**7
 
 
 class Tableau:
@@ -101,10 +96,10 @@ class HookTableau:
         rows = tuple(tuple(int(v) for v in row) for row in rows)
         if tuple(len(r) for r in rows) != shape.parts:
             raise ValueError(f"rows {rows} do not match shape {shape}")
-        for i in range(1, len(rows) + 1):
-            for j in range(1, len(rows[i - 1]) + 1):
-                v = rows[i - 1][j - 1]
-                if not -shape.leg(i, j) <= v <= shape.arm(i, j):
+        heights = conjugate(shape).parts
+        for i, row in enumerate(rows, start=1):
+            for j, v in enumerate(row, start=1):
+                if not i - heights[j - 1] <= v <= len(row) - j:
                     raise ValueError(f"entry {v} at ({i},{j}) outside [-leg, arm]")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
@@ -112,15 +107,8 @@ class HookTableau:
     def __setattr__(self, name, value):
         raise AttributeError("HookTableau is immutable")
 
-    @classmethod
-    def zero(cls, shape):
-        return cls(shape, tuple((0,) * p for p in shape.parts))
-
     def entry(self, i, j):
         return self.rows[i - 1][j - 1]
-
-    def abs_sum(self):
-        return sum(abs(v) for row in self.rows for v in row)
 
     def __eq__(self, other):
         return isinstance(other, HookTableau) and self.rows == other.rows
@@ -165,7 +153,7 @@ class _ShapeOps:
     a value larger than every entry, so missing neighbours never win a swap.
     """
 
-    __slots__ = ("shape", "n", "order", "south", "east", "coord", "flat")
+    __slots__ = ("shape", "n", "order", "south", "east", "coord")
 
     def __init__(self, shape):
         n = shape.size
@@ -194,7 +182,6 @@ class _ShapeOps:
         self.south = south
         self.east = east
         self.coord = tuple(coord)
-        self.flat = flat
 
     def new_board(self):
         board = [0] * (self.n + 1)
@@ -338,35 +325,6 @@ def nps_sort(tableau):
     if not output.is_standard():
         raise AssertionError(f"sort produced a non-standard tableau from {tableau}")
     return outcome
-
-
-def enumerate_tableaux(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
-    """All n! fillings, ordered lexicographically by the value sequence read
-    in the processing-cell order."""
-    n = shape.size
-    if n > cutoff:
-        raise ValueError(
-            f"refusing to enumerate {n}! tableaux of {shape}: size {n} exceeds cutoff {cutoff}")
-    ops = shape_ops(shape)
-    board = ops.new_board()
-    for perm in itertools.permutations(range(1, n + 1)):
-        ops.fill(board, perm)
-        yield Tableau(shape, ops.rows_from_board(board))
-
-
-def enumerate_hook_tableaux(shape, cutoff=DEFAULT_HOOK_CUTOFF):
-    """All hook tableaux: independent entry ranges [-leg, arm] per cell."""
-    count = hook_product(shape)
-    if count > cutoff:
-        raise ValueError(
-            f"refusing to enumerate {count} hook tableaux of {shape}: exceeds cutoff {cutoff}")
-    cells = shape.cells()
-    ranges = [range(-shape.leg(i, j), shape.arm(i, j) + 1) for (i, j) in cells]
-    for combo in itertools.product(*ranges):
-        rows = [[0] * p for p in shape.parts]
-        for (i, j), v in zip(cells, combo):
-            rows[i - 1][j - 1] = v
-        yield HookTableau(shape, rows)
 
 
 def _walk_prefixes(ops, board, hooks, t, rest, pairs, tally):

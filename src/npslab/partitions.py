@@ -13,7 +13,6 @@ from math import factorial
 __all__ = [
     "Partition",
     "conjugate",
-    "cell_stats",
     "reverse_lex_cells",
     "syt_count",
     "skew_syt_count",
@@ -111,16 +110,6 @@ class Partition:
     def hook(self, i, j):
         return self.arm(i, j) + self.leg(i, j) + 1
 
-    def remove_corner(self, i, j):
-        """The partition with corner cell (i, j) removed."""
-        if (i, j) not in self or self.hook(i, j) != 1:
-            raise ValueError(f"({i},{j}) is not a corner of {self}")
-        parts = list(self.parts)
-        parts[i - 1] -= 1
-        if parts[i - 1] == 0:
-            parts.pop(i - 1)
-        return Partition(parts)
-
     def contains_shape(self, other):
         """Whether the diagram of `other` fits inside this one."""
         return all(other.row(i) <= self.row(i)
@@ -133,17 +122,6 @@ def conjugate(shape):
     if not parts:
         return Partition(())
     return Partition(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
-
-
-def cell_stats(shape, cell):
-    """(arm, leg, hook, is_corner) of a cell; raises if the cell is outside."""
-    if cell not in shape:
-        raise ValueError(f"cell {cell} outside shape {shape}")
-    i, j = cell
-    arm = shape.arm(i, j)
-    leg = shape.leg(i, j)
-    hook = arm + leg + 1
-    return arm, leg, hook, hook == 1
 
 
 def reverse_lex_cells(shape):

@@ -6,7 +6,8 @@ each other and with brute force wherever that is feasible:
 * the closed form: a quadratic polynomial minus twice an alternating single
   sum S0 with rising-factorial denominators;
 * the double-sum form: a leading harmonic term plus five double sums built
-  from binomial fixed-entry counts;
+  from binomial fixed-entry counts, divided by the standard-tableau count
+  that `partitions.syt_count` gives;
 * a nested-sum representation of S0 (one forward pass, O(lam2) operations);
 * the specially simple equal-rows case and a fixed-distance form in
   delta = lam1 - lam2.
@@ -15,11 +16,10 @@ each other and with brute force wherever that is feasible:
 from fractions import Fraction
 from math import comb, factorial
 
-from .partitions import harmonic, pochhammer_rising
+from .partitions import Partition, harmonic, pochhammer_rising, syt_count
 
 __all__ = [
     "validate_two_row",
-    "syt_count_two_row",
     "s0_direct",
     "s0_nested",
     "c_closed",
@@ -34,14 +34,6 @@ def validate_two_row(lam1, lam2):
         raise ValueError(f"second part {lam2} exceeds first part {lam1}")
     if lam2 < 0 or lam1 < 1:
         raise ValueError(f"({lam1},{lam2}) is not a two-row shape")
-
-
-def syt_count_two_row(lam1, lam2):
-    """Standard tableau count (lam1-lam2+1)/(lam1+1) * C(lam1+lam2, lam2)."""
-    validate_two_row(lam1, lam2)
-    value = Fraction(lam1 - lam2 + 1, lam1 + 1) * comb(lam1 + lam2, lam2)
-    assert value.denominator == 1
-    return int(value)
 
 
 def s0_direct(lam1, lam2):
@@ -99,7 +91,7 @@ def c_double_sums(lam1, lam2):
     if lam2 < 1:
         raise ValueError("double-sum representation needs lam2 >= 1")
     n = lam1 + lam2
-    f = syt_count_two_row(lam1, lam2)
+    f = syt_count(Partition((lam1, lam2)))
     total = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (harmonic(n) - 1)
 
     def term(j, k, top, choose, lower):

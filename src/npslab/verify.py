@@ -63,10 +63,9 @@ class CheckResult:
     seconds: float
 
 
-def brute_table(size_cap, jobs=1):
+def brute_table(size_cap):
     """Exchange-count (sum, max) for every shape up to the size cap, in
-    order of size.  `jobs` is accepted and unused: the whole table up to
-    size 8 takes a fraction of a second in one process."""
+    order of size."""
     return {s: exchange_stats(s) for n in range(1, size_cap + 1) for s in partitions_of(n)}
 
 
@@ -262,9 +261,8 @@ def check_uniformity(seeds):
     return True, f"chi-square {', '.join(stats)} below {CHI2_999_DOF4} with dof 4"
 
 
-def run_suite(level="fast", jobs=1):
-    """Run every check at the given level; returns a list of CheckResult.
-    `jobs` is accepted and unused."""
+def run_suite(level="fast"):
+    """Run every check at the given level; returns a list of CheckResult."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r} (choose from {sorted(LEVELS)})")
     cfg = LEVELS[level]

@@ -3,12 +3,14 @@
 Each criterion runs the shared checks of `npslab.verify` at values no smaller
 than those of `verify --level full`.  Criterion 6, the Monte Carlo leg of
 criterion 8 and the named equality shapes of criterion 10 are checked here
-only.  The last test shows that every check reading the brute-force table
-fails when the table is wrong.
+only.  The corrupted-table test shows that every check reading the
+brute-force table fails when the table is wrong, and the last test runs the
+README's library example.
 """
 
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +132,10 @@ def test_check_fails_on_corrupted_brute_table(brute, check, field):
     ok, detail = check({**brute, shape: tuple(stats)})
     assert not ok
     assert re.search(r"(?<![\d,])3,1(?!,?\d)", detail), detail
+
+
+def test_readme_library_example():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})

@@ -229,7 +229,7 @@ def test_verify_fast(capsys):
 def test_verify_reports_first_failure(capsys, monkeypatch):
     from npslab.verify import CheckResult
 
-    def broken(level, jobs=1):
+    def broken(level):
         return [CheckResult("good-check", True, "fine", 0.0),
                 CheckResult("broken-check", False, "invariant violated", 0.0)]
 

@@ -13,7 +13,7 @@ from npslab.complexity import (
     worst_case,
     worst_case_witness,
 )
-from npslab.nps import enumerate_hook_tableaux, nps_sort
+from npslab.nps import nps_sort
 from npslab.partitions import Partition, harmonic, partitions_of, subpartitions, syt_count
 
 FIG_SHAPE = Partition([4, 4, 2, 1, 1, 1])
@@ -61,11 +61,6 @@ def test_average_examples():
         average_case_bruteforce(Partition([5, 5]))
 
 
-def test_exchange_stats_worker_count_independent():
-    shape = Partition([3, 2, 1])
-    assert exchange_stats(shape, jobs=1) == exchange_stats(shape, jobs=3)
-
-
 def test_exchange_stats_matches_plain_enumeration_up_to_8(plain_stats):
     for n in range(0, 9):
         for shape in partitions_of(n):
@@ -86,11 +81,12 @@ def test_expected_hook_abs_examples():
     assert expected_hook_abs(Partition([2, 1])) == Fraction(2, 3)
 
 
-def test_expected_hook_abs_is_exact_mean_over_hook_tableaux():
+def test_expected_hook_abs_is_exact_mean_over_hook_tableaux(hook_tableaux):
     for parts in [(2, 1), (2, 2), (3, 1), (3, 2), (2, 2, 1)]:
         shape = Partition(parts)
-        tableaux = list(enumerate_hook_tableaux(shape))
-        mean = Fraction(sum(h.abs_sum() for h in tableaux), len(tableaux))
+        tableaux = list(hook_tableaux(shape))
+        mean = Fraction(sum(abs(v) for h in tableaux for row in h.rows for v in row),
+                        len(tableaux))
         assert expected_hook_abs(shape) == mean, shape
 
 
@@ -112,9 +108,16 @@ def test_f_fixed_entry_normalization():
             assert total == syt_count(shape), (shape, cell)
 
 
+def _remove_corner(mu, i):
+    """mu with the last cell of row i removed."""
+    parts = list(mu.parts)
+    parts[i - 1] -= 1
+    return Partition(p for p in parts if p)
+
+
 def _f_fixed_entry_by_determinant(shape, cell, k, aitken):
     i, j = cell
-    return sum(syt_count(mu.remove_corner(i, j)) * aitken(shape, mu)
+    return sum(syt_count(_remove_corner(mu, i)) * aitken(shape, mu)
                for mu in subpartitions(shape)
                if mu.size == k and mu.row(i) == j and mu.row(i + 1) < j)
 
@@ -163,7 +166,7 @@ def _chicago_by_determinant(shape, aitken):
         weight = harmonic(n) - harmonic(n - mu.size) - 1
         skew = aitken(shape, mu)
         for (i, j) in mu.corners():
-            total += (i + j - 2) * syt_count(mu.remove_corner(i, j)) * skew * weight
+            total += (i + j - 2) * syt_count(_remove_corner(mu, i)) * skew * weight
     return total / syt_count(shape)
 
 

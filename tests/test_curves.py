@@ -13,8 +13,6 @@ from npslab.curves import (
     hook_coordinates,
     hook_distances,
     partition_boundary,
-    point_from_hook_coordinates,
-    sup_distance,
     unit_square_curve,
 )
 from npslab.partitions import Partition, partitions_of
@@ -78,7 +76,6 @@ def test_curves_never_dip_below_absolute_value(parts):
 
 def test_unit_square_curve():
     square = unit_square_curve()
-    assert square.is_normalized
     assert square.area == 1
     expected = [(-INV_SQRT2, INV_SQRT2), (0.0, math.sqrt(2)), (INV_SQRT2, INV_SQRT2)]
     for (gx, gy), (ex, ey) in zip(square.breakpoints, expected):
@@ -91,7 +88,7 @@ def test_partition_boundary_examples():
     for m in (2, 3, 7):
         boundary = partition_boundary(Partition([m] * m), m * m)
         assert boundary.same_curve(square)
-        assert boundary.is_normalized
+        assert boundary.area == 1
     two = partition_boundary(Partition([2]), 2)
     got = two.breakpoints
     half = 0.5
@@ -106,18 +103,18 @@ def test_partition_boundary_examples():
 @settings(max_examples=40, deadline=None)
 def test_partition_boundary_always_normalized(parts):
     shape = Partition(parts)
-    assert partition_boundary(shape, shape.size).is_normalized
+    assert partition_boundary(shape, shape.size).area == 1
 
 
 def test_imbalanced_boundary_normalized_exactly():
     shape = Partition([995, 5])
     boundary = partition_boundary(shape, 1000, ScalingExponents.from_pq(1, math.inf))
-    assert boundary.is_normalized
+    assert boundary.area == 1
     balanced = partition_boundary(shape, 1000)
-    assert balanced.is_normalized
+    assert balanced.area == 1
 
 
-def test_staircases_approach_flat_top():
+def test_staircases_approach_flat_top(sup_distance):
     flat = flat_top_curve()
     distances = []
     for m in (5, 15, 40):
@@ -131,7 +128,7 @@ def test_staircases_approach_flat_top():
 # -- sup distance -------------------------------------------------------------
 
 
-def test_sup_distance_examples():
+def test_sup_distance_examples(sup_distance):
     square = unit_square_curve()
     assert sup_distance(square, square) == 0.0
     b21 = partition_boundary(Partition([2, 1]), 3)
@@ -186,7 +183,7 @@ def test_distance_inequalities_at_random_points():
             assert d <= a + leg + slack + 1e-12
 
 
-def test_hook_coordinate_round_trip():
+def test_hook_coordinate_round_trip(point_from_hook_coordinates):
     for curve in (unit_square_curve(), partition_boundary(Partition([4, 2, 1]), 7)):
         for (x, y) in [(0.1, 0.8), (-0.2, 0.5), (0.0, 0.9), (0.3, 0.6)]:
             if not curve.value(x) > y > abs(x):
@@ -268,7 +265,7 @@ def test_same_curve_strips_collinear_points():
 # -- file round trip --------------------------------------------------------------
 
 
-def test_file_round_trip(tmp_path):
+def test_file_round_trip(tmp_path, sup_distance):
     path = tmp_path / "curve.json"
     flat = flat_top_curve()
     flat.to_file(path)

@@ -2,10 +2,12 @@
 
 The adaptive Gauss-Kronrod quadrature below is an independent route kept as a
 test oracle: it integrates the distance functions point by point over the
-curve's region in (x, y), where the library works in hook coordinates.
+curve's region in (x, y), where the library works in hook coordinates.  The
+quadrature oracles evaluate the curve on a float copy of its breakpoints.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -98,6 +100,49 @@ def adaptive_quad(f, a, b, tol, splits=(), max_depth=50):
     return total
 
 
+class _FloatCurve:
+    """A float copy of a curve's frame breakpoints with the evaluations the
+    quadrature oracles need: gamma and the exit along the (1, 1) diagonal."""
+
+    def __init__(self, xs, ys, scale_sq):
+        self.xs, self.ys, self.scale_sq = xs, ys, scale_sq
+        self.scale = math.sqrt(scale_sq)
+
+    @classmethod
+    def of(cls, curve):
+        return cls(tuple(float(x) for x in curve.xs), tuple(float(y) for y in curve.ys),
+                   float(curve.scale_sq))
+
+    def mirrored(self):
+        return _FloatCurve(tuple(-x for x in reversed(self.xs)), tuple(reversed(self.ys)),
+                           self.scale_sq)
+
+    def value_frame(self, x):
+        xs = self.xs
+        if not xs or x <= xs[0] or x >= xs[-1]:
+            return abs(x)
+        i = bisect_right(xs, x) - 1
+        x0, y0, x1, y1 = xs[i], self.ys[i], xs[i + 1], self.ys[i + 1]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    def value(self, x):
+        return self.value_frame(x / self.scale) * self.scale
+
+    def diag_exit(self, x, y):
+        """Largest t with (x + t, y + t) under the curve, from an interior
+        point: where gamma(w) - w, non-increasing, falls below y - x."""
+        target = y - x
+        xs, ys = self.xs, self.ys
+        prev_w, prev_v = x, self.value_frame(x) - x
+        for i in range(bisect_right(xs, x), len(xs)):
+            w, v = xs[i], ys[i] - xs[i]
+            if v < target:
+                return prev_w + (prev_v - target) * (w - prev_w) / (prev_v - v) - x
+            prev_w, prev_v = w, v
+        # beyond the polyline gamma is |w|: the span ends left of the origin
+        return -target / 2 - x
+
+
 def _area_integral(curve, frame_func, tol, critical_y=None):
     """Integral over the region of sqrt(2)*scale*frame_func, in true units."""
     if not curve.xs:
@@ -149,11 +194,12 @@ def _crossing_d(curve, x, y):
 
 def _area_w(curve, tol):
     """Quadrature route to the distance integral W."""
+    curve = _FloatCurve.of(curve)
 
     def critical(x):
         # d(x, .) can jump where a feasibility component vanishes; those
         # heights are among gamma(w) - |w - x| at breakpoints w.
-        return [float(g) - abs(float(w) - x) for w, g in zip(curve.xs, curve.ys)]
+        return [g - abs(w - x) for w, g in zip(curve.xs, curve.ys)]
 
     return _area_integral(curve, lambda x, y: _crossing_d(curve, x, y), tol,
                           critical_y=critical)
@@ -161,10 +207,11 @@ def _area_w(curve, tol):
 
 def _area_form(curve):
     """Quadrature route to (I1, I2): the exits a and l over the region."""
+    curve = _FloatCurve.of(curve)
     mirror = curve.mirrored()
 
     def exit_(source, sign):
-        return lambda x, y: (source._diag_exit(sign * x, y)
+        return lambda x, y: (source.diag_exit(sign * x, y)
                              if abs(x) < y < curve.value_frame(x) else 0.0)
 
     return _area_integral(curve, exit_(curve, 1), 1e-4), _area_integral(curve, exit_(mirror, -1), 1e-4)
@@ -241,7 +288,8 @@ def test_interval_maximum_d_matches_crossing_search():
 def _midpoint_avg_lower(curve, cells=400):
     """Second, independent scheme for the lower-bound integral: plain
     midpoint rule over the (s, t) square in true coordinates."""
-    lo, hi = (b[0] for b in (curve.breakpoints[0], curve.breakpoints[-1]))
+    curve = _FloatCurve.of(curve)
+    lo, hi = curve.xs[0] * curve.scale, curve.xs[-1] * curve.scale
     width = hi - lo
     h = width / cells
     total = 0.0

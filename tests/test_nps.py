@@ -10,8 +10,6 @@ from npslab.nps import (
     BijectionReport,
     HookTableau,
     Tableau,
-    enumerate_hook_tableaux,
-    enumerate_tableaux,
     nps_sort,
     _ShapeOps,
     verify_bijection,
@@ -72,6 +70,14 @@ def test_hook_tableau_bounds():
         HookTableau(shape, ((2, 0), (0,)))   # arm(1,1) = 1
     with pytest.raises(ValueError):
         HookTableau(shape, ((-2, 0), (0,)))  # leg(1,1) = 1
+
+
+def test_hook_tableau_reads_each_column_height_once(monkeypatch):
+    calls = []
+    col = Partition.col
+    monkeypatch.setattr(Partition, "col", lambda self, j: calls.append(j) or col(self, j))
+    HookTableau(Partition([7] * 7), ((0,) * 7,) * 7)
+    assert len(calls) <= 7
 
 
 # -- hand-traced sorts ------------------------------------------------------
@@ -173,11 +179,11 @@ def _naive_sort(tableau):
     return exchanges, out_rows, hook_rows
 
 
-def test_engine_matches_naive_implementation_exhaustively():
+def test_engine_matches_naive_implementation_exhaustively(tableaux):
     shapes = [s for n in range(1, 6) for s in partitions_of(n)]
     shapes += [Partition([3, 2, 1]), Partition([4, 2])]
     for shape in shapes:
-        for tableau in enumerate_tableaux(shape):
+        for tableau in tableaux(shape):
             outcome = nps_sort(tableau)
             exchanges, out_rows, hook_rows = _naive_sort(tableau)
             assert outcome.exchanges == exchanges, tableau
@@ -198,37 +204,30 @@ def test_engine_matches_naive_implementation_randomly(tableau):
 # -- enumeration -------------------------------------------------------------
 
 
-def test_enumerate_tableaux_counts():
-    assert len(set(enumerate_tableaux(Partition([2, 1])))) == 6
-    assert len(list(enumerate_tableaux(Partition([1])))) == 1
-    assert len(set(enumerate_tableaux(Partition([2, 2])))) == 24
+def test_enumerate_tableaux_counts(tableaux):
+    assert len(set(tableaux(Partition([2, 1])))) == 6
+    assert len(list(tableaux(Partition([1])))) == 1
+    assert len(set(tableaux(Partition([2, 2])))) == 24
 
 
-def test_enumerate_tableaux_order_is_deterministic():
-    first = next(iter(enumerate_tableaux(Partition([2, 1]))))
+def test_enumerate_tableaux_order_is_deterministic(tableaux):
+    first = next(iter(tableaux(Partition([2, 1]))))
     # lexicographically first value sequence 1,2,3 along cells (1,2),(2,1),(1,1)
     assert first == Tableau.parse("3,1;2")
 
 
-def test_enumeration_cutoffs():
-    with pytest.raises(ValueError, match="cutoff"):
-        list(enumerate_tableaux(Partition([5, 5]), cutoff=9))
-    with pytest.raises(ValueError, match="cutoff"):
-        list(enumerate_hook_tableaux(Partition([4, 4]), cutoff=10))
-
-
-def test_enumerate_hook_tableaux():
-    assert len(list(enumerate_hook_tableaux(Partition([2, 1])))) == 3
-    only = list(enumerate_hook_tableaux(Partition([1])))
+def test_enumerate_hook_tableaux(hook_tableaux):
+    assert len(list(hook_tableaux(Partition([2, 1])))) == 3
+    only = list(hook_tableaux(Partition([1])))
     assert only == [HookTableau(Partition([1]), ((0,),))]
-    twos = list(enumerate_hook_tableaux(Partition([2, 2])))
+    twos = list(hook_tableaux(Partition([2, 2])))
     assert len(twos) == len(set(twos)) == 12
 
 
-def test_hook_enumeration_matches_product():
+def test_hook_enumeration_matches_product(hook_tableaux):
     for n in range(1, 7):
         for shape in partitions_of(n):
-            assert len(list(enumerate_hook_tableaux(shape))) == hook_product(shape)
+            assert len(list(hook_tableaux(shape))) == hook_product(shape)
 
 
 # -- bijection ---------------------------------------------------------------
@@ -257,19 +256,19 @@ def test_bijection_up_to_6():
             assert len(report.each_syt_count) == syt_count(shape)
 
 
-def test_bijection_outputs_are_standard():
+def test_bijection_outputs_are_standard(tableaux):
     # tally outputs of the full (2,2) run: exactly the 2 standard fillings
-    outputs = Counter(nps_sort(t).output for t in enumerate_tableaux(Partition([2, 2])))
+    outputs = Counter(nps_sort(t).output for t in tableaux(Partition([2, 2])))
     assert all(t.is_standard() for t in outputs)
     assert len(outputs) == 2
 
 
-def _naive_report(shape):
+def _naive_report(shape, tableaux):
     """The bijection report built filling by filling from `_naive_sort`,
     with outputs and hooks flattened row by row."""
     pairs = set()
     tally = Counter()
-    for tableau in enumerate_tableaux(shape):
+    for tableau in tableaux(shape):
         _, out_rows, hook_rows = _naive_sort(tableau)
         key = (sum(out_rows, ()), sum(hook_rows, ()))
         pairs.add(key)
@@ -281,10 +280,10 @@ def _naive_report(shape):
                            dict(tally), uniform)
 
 
-def test_bijection_matches_naive_reports_up_to_6():
+def test_bijection_matches_naive_reports_up_to_6(tableaux):
     for n in range(0, 7):
         for shape in partitions_of(n):
-            assert verify_bijection(shape) == _naive_report(shape), shape
+            assert verify_bijection(shape) == _naive_report(shape, tableaux), shape
 
 
 def test_wrong_sift_rule_is_caught(monkeypatch):

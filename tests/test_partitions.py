@@ -9,7 +9,6 @@ from npslab.partitions import (
     MAX_SUBDIAGRAMS,
     Partition,
     _subdiagram_count,
-    cell_stats,
     conjugate,
     harmonic,
     hook_product,
@@ -105,11 +104,13 @@ def test_membership_and_stats():
     assert (1, 4) in FIG_SHAPE
     assert (2, 5) not in FIG_SHAPE
     assert (7, 1) not in FIG_SHAPE
-    assert cell_stats(FIG_SHAPE, (1, 1)) == (3, 5, 9, False)
-    assert cell_stats(FIG_SHAPE, (2, 4)) == (0, 0, 1, True)
-    assert cell_stats(Partition([1]), (1, 1)) == (0, 0, 1, True)
-    with pytest.raises(ValueError):
-        cell_stats(FIG_SHAPE, (3, 3))
+    assert (3, 3) not in FIG_SHAPE
+    assert (FIG_SHAPE.arm(1, 1), FIG_SHAPE.leg(1, 1), FIG_SHAPE.hook(1, 1)) == (3, 5, 9)
+    assert (FIG_SHAPE.arm(2, 4), FIG_SHAPE.leg(2, 4), FIG_SHAPE.hook(2, 4)) == (0, 0, 1)
+    assert FIG_SHAPE.corners() == [(2, 4), (3, 2), (6, 1)]
+    single = Partition([1])
+    assert (single.arm(1, 1), single.leg(1, 1), single.hook(1, 1)) == (0, 0, 1)
+    assert single.corners() == [(1, 1)]
 
 
 def test_conjugate_examples():
@@ -201,16 +202,6 @@ def test_hook_product_times_syt_divides_factorial():
     for n in range(1, 9):
         for shape in partitions_of(n):
             assert syt_count(shape) * hook_product(shape) == factorial(n)
-
-
-def test_two_row_binomial_count_grid():
-    # (lam1 - lam2 + 1)/(lam1 + 1) * C(lam1 + lam2, lam2) as exact integers
-    from math import comb
-    for lam1 in range(1, 31):
-        for lam2 in range(1, lam1 + 1):
-            value = Fraction(lam1 - lam2 + 1, lam1 + 1) * comb(lam1 + lam2, lam2)
-            assert value.denominator == 1
-            assert value == syt_count(Partition([lam1, lam2]))
 
 
 # -- scalars --------------------------------------------------------------

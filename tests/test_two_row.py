@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from npslab.complexity import average_case_bruteforce, worst_case
-from npslab.partitions import Partition, harmonic
+from npslab.partitions import Partition, harmonic, syt_count
 from npslab.two_row import (
     c_closed,
     c_double_sums,
@@ -12,7 +12,6 @@ from npslab.two_row import (
     c_fixed_distance,
     s0_direct,
     s0_nested,
-    syt_count_two_row,
 )
 
 
@@ -72,10 +71,15 @@ def test_closed_equals_double_sums_small_grid():
 
 
 def test_syt_count_formula_validates():
-    assert syt_count_two_row(3, 2) == 5
-    assert syt_count_two_row(4, 0) == 1
+    # the two-row hook-length count in closed form,
+    # (lam1 - lam2 + 1)/(lam1 + 1) * C(lam1 + lam2, lam2), one row included
+    for lam1 in range(1, 31):
+        for lam2 in range(0, lam1 + 1):
+            value = Fraction(lam1 - lam2 + 1, lam1 + 1) * comb(lam1 + lam2, lam2)
+            shape = Partition(p for p in (lam1, lam2) if p)
+            assert value == syt_count(shape), shape
     with pytest.raises(ValueError):
-        syt_count_two_row(2, 3)
+        c_closed(2, 3)
 
 
 def test_imbalanced_ratio_tends_to_half():
