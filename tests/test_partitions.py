@@ -204,6 +204,16 @@ def test_hook_product_times_syt_divides_factorial():
             assert syt_count(shape) * hook_product(shape) == factorial(n)
 
 
+def test_two_row_binomial_count_grid():
+    # (lam1 - lam2 + 1)/(lam1 + 1) * C(lam1 + lam2, lam2) as exact integers
+    from math import comb
+    for lam1 in range(1, 31):
+        for lam2 in range(1, lam1 + 1):
+            value = Fraction(lam1 - lam2 + 1, lam1 + 1) * comb(lam1 + lam2, lam2)
+            assert value.denominator == 1
+            assert value == syt_count(Partition([lam1, lam2]))
+
+
 # -- scalars --------------------------------------------------------------
 
 
