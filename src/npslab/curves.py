@@ -10,6 +10,12 @@ areas), this keeps all structural checks exact even when the true
 breakpoints are irrational - e.g. the unit-square curve has true apex
 (0, sqrt(2)) but frame apex (0, 2) with scale_sq = 1/2.
 
+Queries answer in the type they are asked in.  A float query (``value``,
+``hook_distances``, ``hook_coordinates``, or a frame method given a float)
+reads a float copy of the breakpoints that each curve builds once, on first
+use, so it does float arithmetic only; a Fraction (or int) query reads the
+exact breakpoints and stays exact.
+
 Distance functions at an interior point (x, y), all extended by zero outside
 the interior:
 
@@ -98,7 +104,7 @@ def _exact_rational_power(n, exponent):
 class LimitCurve:
     """A 1-Lipschitz piecewise-linear curve equal to |x| outside its span."""
 
-    __slots__ = ("xs", "ys", "scale_sq", "_mirror_cache")
+    __slots__ = ("xs", "ys", "scale_sq", "_mirror_cache", "_float_cache")
 
     def __init__(self, points, scale_sq=Fraction(1), tolerance=Fraction(0)):
         """`points` are frame breakpoints; true coords are sqrt(scale_sq)
@@ -134,10 +140,14 @@ class LimitCurve:
                 y_at_zero = y0 + (y1 - y0) * (0 - x0) / (x1 - x0)
                 if y_at_zero + tol < 0:
                     raise ValueError("curve dips below |x| at x=0")
-        object.__setattr__(self, "xs", tuple(p[0] for p in pts))
-        object.__setattr__(self, "ys", tuple(p[1] for p in pts))
+        self._store(tuple(p[0] for p in pts), tuple(p[1] for p in pts), scale_sq)
+
+    def _store(self, xs, ys, scale_sq):
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "scale_sq", scale_sq)
         object.__setattr__(self, "_mirror_cache", None)
+        object.__setattr__(self, "_float_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LimitCurve is immutable")
@@ -152,22 +162,37 @@ class LimitCurve:
     @property
     def scale(self):
         """Frame-to-true scale factor sqrt(scale_sq), as a float."""
-        return math.sqrt(float(self.scale_sq))
+        return self._floats()[2]
+
+    def _floats(self):
+        """Float copies of (xs, ys, scale), built on first use."""
+        floats = self._float_cache
+        if floats is None:
+            floats = (tuple(map(float, self.xs)), tuple(map(float, self.ys)),
+                      math.sqrt(float(self.scale_sq)))
+            object.__setattr__(self, "_float_cache", floats)
+        return floats
+
+    def _table(self, x):
+        """Breakpoint abscissas and ordinates in the type of the query x: the
+        float copies for a float, the exact Fractions otherwise."""
+        return self._floats()[:2] if isinstance(x, float) else (self.xs, self.ys)
 
     def value_frame(self, x):
-        """Curve value at frame abscissa x (Fraction in, Fraction out)."""
-        xs = self.xs
+        """Curve value at frame abscissa x: float arithmetic on the float copy
+        of the breakpoints for a float x, exact for a Fraction or int x."""
+        xs, ys = self._table(x)
         if not xs or x <= xs[0] or x >= xs[-1]:
             return abs(x)
         i = bisect_right(xs, x) - 1
-        x0, y0 = xs[i], self.ys[i]
-        x1, y1 = xs[i + 1], self.ys[i + 1]
+        x0, y0 = xs[i], ys[i]
+        x1, y1 = xs[i + 1], ys[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def value(self, x):
         """Curve value at a true abscissa, as a float."""
         s = self.scale
-        return float(self.value_frame(x / s)) * s
+        return self.value_frame(x / s) * s
 
     @property
     def breakpoints(self):
@@ -197,9 +222,15 @@ class LimitCurve:
         return list(zip(zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])))
 
     def mirrored(self):
-        """The reflection across x = 0 (swaps the two diagonal directions)."""
-        pts = [(-x, y) for x, y in zip(reversed(self.xs), reversed(self.ys))]
-        return LimitCurve(pts, self.scale_sq)
+        """The reflection across x = 0 (swaps the two diagonal directions).
+
+        A reflection keeps every property the constructor checks, so the
+        mirror skips the checks; they would also wrongly reject the mirror
+        of a curve accepted under a tolerance.
+        """
+        mirror = object.__new__(LimitCurve)
+        mirror._store(tuple(-x for x in reversed(self.xs)), self.ys[::-1], self.scale_sq)
+        return mirror
 
     def _canonical(self):
         pts = list(zip(self.xs, self.ys))
@@ -235,7 +266,7 @@ class LimitCurve:
         crosses y - x, and solves the crossing within that segment.
         """
         target = y - x
-        xs, ys = self.xs, self.ys
+        xs, ys = self._table(x)
         prev_w, prev_v = x, self.value_frame(x) - x
         i = bisect_right(xs, x)
         while i < len(xs):
@@ -271,7 +302,8 @@ class LimitCurve:
             return zero, zero, zero
         a, leg = exits
         s, t = x - leg, x + a
-        inside = self.ys[bisect_right(self.xs, s):bisect_left(self.xs, t)]
+        xs, ys = self._table(x)
+        inside = ys[bisect_right(xs, s):bisect_left(xs, t)]
         return a, leg, max(self.value_frame(s), self.value_frame(t), *inside) - y
 
     # -- file interface ---------------------------------------------------
@@ -390,7 +422,7 @@ def hook_distances(curve, point):
     s = curve.scale
     fx, fy = x / s, y / s
     factor = math.sqrt(2.0) * s
-    return tuple(float(v) * factor for v in curve._frame_distances(fx, fy))
+    return tuple(v * factor for v in curve._frame_distances(fx, fy))
 
 
 def hook_coordinates(curve, point):
@@ -400,4 +432,4 @@ def hook_coordinates(curve, point):
     sc = curve.scale
     fx, fy = x / sc, y / sc
     arm, leg = curve._frame_exits(fx, fy) or (0, 0)
-    return (float(fx - leg) * sc, float(fx + arm) * sc)
+    return ((fx - leg) * sc, (fx + arm) * sc)

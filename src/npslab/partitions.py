@@ -117,11 +117,15 @@ class Partition:
 
 
 def conjugate(shape):
-    """Transpose of the diagram: {(j, i) : (i, j) in shape}."""
-    parts = shape.parts
-    if not parts:
-        return Partition(())
-    return Partition(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
+    """Transpose of the diagram: {(j, i) : (i, j) in shape}.
+
+    Walks up from the shortest row: row i is the lowest cell of the columns
+    it has beyond the rows below it, so those columns have height i.
+    """
+    heights = []
+    for i in range(len(shape.parts), 0, -1):
+        heights.extend([i] * (shape.parts[i - 1] - len(heights)))
+    return Partition(heights)
 
 
 def reverse_lex_cells(shape):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from npslab.curves import (
     partition_boundary,
     unit_square_curve,
 )
-from npslab.partitions import Partition, partitions_of
+from npslab.partitions import Partition, conjugate, partitions_of
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -241,6 +242,57 @@ def test_distances_match_brute_force_oracle():
             assert math.isclose(d, bd, abs_tol=5e-3), (curve, x, y)
 
 
+def _decimal_file_curve():
+    """A file curve whose decimal breakpoints are not binary floats."""
+    return LimitCurve.from_document(
+        {"breakpoints": [["-0.7", "0.7"], ["0.1", "1.1"], ["0.45", "0.95"], ["1.2", "1.2"]]})
+
+
+def test_float_queries_match_exact_route():
+    # float queries read the float copy of the breakpoints; at the same
+    # point the Fraction route stays exact
+    curves = [partition_boundary(shape, n) for n in range(1, 9) for shape in partitions_of(n)]
+    curves += [unit_square_curve(), flat_top_curve(), _decimal_file_curve()]
+    rng = random.Random(2016)
+
+    def close(got, want):
+        return all(abs(g - w) <= 1e-12 + 1e-12 * abs(w) for g, w in zip(got, want))
+
+    for curve in curves:
+        s = curve.scale
+        (lo, _), (hi, _) = curve.breakpoints[0], curve.breakpoints[-1]
+        top = max(y for _, y in curve.breakpoints)
+        for _ in range(30):
+            x, y = rng.uniform(lo, hi), rng.uniform(0.0, top)
+            fx, fy = Fraction(x / s), Fraction(y / s)
+            a, leg, d = curve._frame_distances(fx, fy)
+            factor = math.sqrt(2.0) * s
+            assert close(hook_distances(curve, (x, y)),
+                         [float(v) * factor for v in (a, leg, d)]), (curve, x, y)
+            assert close(hook_coordinates(curve, (x, y)),
+                         [float(fx - leg) * s, float(fx + a) * s]), (curve, x, y)
+            assert close([curve.value(x)], [float(curve.value_frame(fx)) * s]), (curve, x)
+
+
+def test_float_queries_convert_no_floats_to_fractions(monkeypatch):
+    curve = partition_boundary(Partition([6, 5, 3, 3, 1]), 18)
+    points = [(-0.6, 0.9), (-0.2, 0.4), (0.0, 0.8), (0.15, 1.1), (0.5, 0.7), (0.3, 0.1)]
+
+    def query():
+        for point in points:
+            hook_distances(curve, point)
+            hook_coordinates(curve, point)
+            curve.value(point[0])
+
+    query()  # builds the float copies of the curve and of its mirror
+    calls = []
+    from_float = Fraction.from_float
+    monkeypatch.setattr(Fraction, "from_float",
+                        classmethod(lambda cls, f: calls.append(f) or from_float(f)))
+    query()
+    assert calls == []
+
+
 # -- mirroring and equality -----------------------------------------------------
 
 
@@ -253,6 +305,27 @@ def test_mirror_swaps_diagonal_distances():
         assert math.isclose(a, mleg, abs_tol=1e-12)
         assert math.isclose(leg, ma, abs_tol=1e-12)
         assert math.isclose(d, md, abs_tol=1e-12)
+
+
+def test_mirror_is_the_conjugate_boundary():
+    for shape in partitions_of(6):
+        mirrored = partition_boundary(shape, 6).mirrored()
+        assert mirrored.same_curve(partition_boundary(conjugate(shape), 6))
+        assert mirrored.mirrored().same_curve(partition_boundary(shape, 6))
+
+
+def test_mirror_of_curve_accepted_within_tolerance():
+    # in binary floats the segment from (0.1, 1.3) to (0.45, 0.95) is a hair
+    # steeper than -1; from_document accepts it within its tolerance
+    curve = LimitCurve.from_document(
+        {"breakpoints": [["-0.7", "0.7"], [0.1, 1.3], ["0.45", "0.95"], [1.2, 1.2]]})
+    x, y = 0.0, 0.5
+    a, leg, d = hook_distances(curve, (x, y))
+    ba, bl, bd = _brute_force_distances(curve, x, y)
+    assert math.isclose(a, ba, abs_tol=1e-8) and math.isclose(leg, bl, abs_tol=1e-8)
+    assert bd <= d + 1e-9 and math.isclose(d, bd, abs_tol=5e-3)
+    s, t = hook_coordinates(curve, (x, y))
+    assert math.isclose(t - x, a / math.sqrt(2)) and math.isclose(x - s, leg / math.sqrt(2))
 
 
 def test_same_curve_strips_collinear_points():

@@ -129,6 +129,18 @@ def test_conjugate_matches_cell_transpose():
             assert conjugate(conjugate(shape)) == shape
 
 
+def _conjugate_by_counting(shape):
+    """Column j of the transpose counts the parts that reach column j."""
+    parts = shape.parts
+    return tuple(sum(1 for p in parts if p >= j) for j in range(1, (parts or (0,))[0] + 1))
+
+
+def test_conjugate_matches_counting_oracle():
+    for n in range(0, 13):
+        for shape in partitions_of(n):
+            assert conjugate(shape).parts == _conjugate_by_counting(shape)
+
+
 def test_reverse_lex_examples():
     assert reverse_lex_cells(Partition([2, 1])) == [(1, 2), (2, 1), (1, 1)]
     assert reverse_lex_cells(Partition([1])) == [(1, 1)]
