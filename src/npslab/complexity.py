@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops
-from .partitions import Partition, _chain_counts, _removable, harmonic, reverse_lex_cells
+from .partitions import Partition, _chain_counts, _removable, conjugate, harmonic
 
 __all__ = [
     "w_distance",
@@ -59,20 +59,19 @@ def worst_case_witness(shape):
 
     Repeatedly take the undefined cell of maximal hook length (starting at
     (1,1)), pick a farthest South-East corner, and fill the spanned rectangle
-    with the next block of consecutive integers in processing order.  The
+    with the next block of consecutive integers in processing order.  Hook
+    lengths are read once from the column heights of the conjugate.  The
     result is verified against worst_case; a mismatch raises.
     """
     if not shape.parts:
         raise ValueError("cannot build a witness for the empty shape")
-    n = shape.size
+    heights = conjugate(shape).parts
+    undefined = {(i, j): p - j + heights[j - 1] - i + 1
+                 for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1)}
     values = {}
-    next_value = 1
     corners = shape.corners()
-    while next_value <= n:
-        undefined = [c for c in shape.cells() if c not in values]
-        max_hook = max(shape.hook(i, j) for i, j in undefined)
-        candidates = [c for c in undefined if shape.hook(*c) == max_hook]
-        anchor = min(candidates, key=lambda c: (c[1], c[0]))
+    while undefined:
+        anchor = min(undefined, key=lambda c: (-undefined[c], c[1], c[0]))
         ai, aj = anchor
         dist = w_distance(shape, anchor)
         choices = sorted(
@@ -82,17 +81,17 @@ def worst_case_witness(shape):
         )
         rect = None
         for ci, cj in choices:
-            cells = [(i, j) for i in range(ai, ci + 1) for j in range(aj, cj + 1)]
-            if all(c in shape and c not in values for c in cells):
+            # processing order: columns from the right, bottom to top in each
+            cells = [(i, j) for j in range(cj, aj - 1, -1) for i in range(ci, ai - 1, -1)]
+            if all(c in undefined for c in cells):
                 rect = cells
                 break
         if rect is None:
             raise WitnessConstructionError(
                 f"no admissible corner for anchor {anchor} of {shape}")
-        rect_order = [c for c in reverse_lex_cells(shape) if c in set(rect)]
-        for c in rect_order:
-            values[c] = next_value
-            next_value += 1
+        for c in rect:
+            values[c] = len(values) + 1
+            del undefined[c]
     rows = [tuple(values[(i, j)] for j in range(1, shape.parts[i - 1] + 1))
             for i in range(1, len(shape.parts) + 1)]
     witness = Tableau(shape, rows)

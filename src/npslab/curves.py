@@ -152,6 +152,9 @@ class LimitCurve:
     def __setattr__(self, name, value):
         raise AttributeError("LimitCurve is immutable")
 
+    def __reduce__(self):
+        return (_stored_curve, (self.xs, self.ys, self.scale_sq))
+
     # -- basic geometry -------------------------------------------------
 
     @property
@@ -222,15 +225,9 @@ class LimitCurve:
         return list(zip(zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])))
 
     def mirrored(self):
-        """The reflection across x = 0 (swaps the two diagonal directions).
-
-        A reflection keeps every property the constructor checks, so the
-        mirror skips the checks; they would also wrongly reject the mirror
-        of a curve accepted under a tolerance.
-        """
-        mirror = object.__new__(LimitCurve)
-        mirror._store(tuple(-x for x in reversed(self.xs)), self.ys[::-1], self.scale_sq)
-        return mirror
+        """The reflection across x = 0, which swaps the two diagonal directions
+        and keeps every property the constructor checks."""
+        return _stored_curve(tuple(-x for x in reversed(self.xs)), self.ys[::-1], self.scale_sq)
 
     def _canonical(self):
         pts = list(zip(self.xs, self.ys))
@@ -347,6 +344,14 @@ class LimitCurve:
     def __repr__(self):
         pts = ", ".join(f"({x},{y})" for x, y in zip(self.xs, self.ys))
         return f"LimitCurve([{pts}], scale_sq={self.scale_sq})"
+
+
+def _stored_curve(xs, ys, scale_sq):
+    """The curve on frame breakpoints taken from a curve that passed the
+    constructor's checks, possibly under a tolerance, without checking again."""
+    curve = object.__new__(LimitCurve)
+    curve._store(xs, ys, scale_sq)
+    return curve
 
 
 def _parse_number(value):

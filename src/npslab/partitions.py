@@ -131,12 +131,8 @@ def conjugate(shape):
 def reverse_lex_cells(shape):
     """Cells in decreasing reverse-lexicographic order: rightmost column first,
     within a column bottom to top.  This is the processing order of the sort."""
-    out = []
-    ncols = shape.parts[0] if shape.parts else 0
-    for j in range(ncols, 0, -1):
-        for i in range(shape.col(j), 0, -1):
-            out.append((i, j))
-    return out
+    heights = conjugate(shape).parts
+    return [(i, j) for j in range(len(heights), 0, -1) for i in range(heights[j - 1], 0, -1)]
 
 
 def hook_product(shape):

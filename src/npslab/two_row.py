@@ -4,7 +4,8 @@ All representations are evaluated in exact rational arithmetic and agree with
 each other and with brute force wherever that is feasible:
 
 * the closed form: a quadratic polynomial minus twice an alternating single
-  sum S0 with rising-factorial denominators;
+  sum S0 with rising-factorial denominators, evaluated as a nested ratio of
+  consecutive terms in integers with one final reduction;
 * the double-sum form: a leading harmonic term plus five double sums built
   from binomial fixed-entry counts, divided by the standard-tableau count
   that `partitions.syt_count` gives;
@@ -14,9 +15,9 @@ each other and with brute force wherever that is feasible:
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
-from .partitions import Partition, harmonic, pochhammer_rising, syt_count
+from .partitions import Partition, harmonic, syt_count
 
 __all__ = [
     "validate_two_row",
@@ -37,14 +38,20 @@ def validate_two_row(lam1, lam2):
 
 
 def s0_direct(lam1, lam2):
-    """S0 = sum_{k=1..lam2} C(lam2,k) (-1)^k (2k-2)! / (lam1-lam2+2)_{2k-1}."""
+    """S0 = sum_{k=1..lam2} C(lam2,k) (-1)^k (2k-2)! / (lam1-lam2+2)_{2k-1}.
+
+    With b = lam1 - lam2 + 2, the first term is -lam2 / b and term k + 1 is
+    term k times -(lam2 - k)(2k)(2k - 1) / ((k + 1)(b + 2k - 1)(b + 2k)).
+    The sum is evaluated as that nested ratio in integers, innermost term
+    first, with one reduction to a Fraction at the end.
+    """
     validate_two_row(lam1, lam2)
-    total = Fraction(0)
-    base = lam1 - lam2 + 2
-    for k in range(1, lam2 + 1):
-        num = comb(lam2, k) * (-1) ** k * factorial(2 * k - 2)
-        total += Fraction(num, pochhammer_rising(base, 2 * k - 1))
-    return total
+    b = lam1 - lam2 + 2
+    num = den = 1
+    for k in range(lam2 - 1, 0, -1):
+        step = (k + 1) * (b + 2 * k - 1) * (b + 2 * k)
+        num, den = step * den - (lam2 - k) * 2 * k * (2 * k - 1) * num, step * den
+    return Fraction(-lam2 * num, b * den)
 
 
 def s0_nested(lam1, lam2):

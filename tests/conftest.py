@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from npslab.nps import HookTableau, Tableau, shape_ops
+from npslab.partitions import pochhammer_rising
+from npslab.two_row import validate_two_row
 from npslab.verify import brute_table
 
 
@@ -150,3 +152,21 @@ def _point_from_hook_coordinates(curve, s, t):
 def point_from_hook_coordinates():
     """The inverse of `hook_coordinates`, from the curve values at s and t."""
     return _point_from_hook_coordinates
+
+
+def _s0_termwise(lam1, lam2):
+    """S0 = sum_{k=1..lam2} C(lam2,k) (-1)^k (2k-2)! / (lam1-lam2+2)_{2k-1}."""
+    validate_two_row(lam1, lam2)
+    total = Fraction(0)
+    base = lam1 - lam2 + 2
+    for k in range(1, lam2 + 1):
+        num = comb(lam2, k) * (-1) ** k * factorial(2 * k - 2)
+        total += Fraction(num, pochhammer_rising(base, 2 * k - 1))
+    return total
+
+
+@pytest.fixture(scope="session")
+def s0_termwise():
+    """S0 as the sum of its terms, each a reduced Fraction: an oracle for the
+    nested integer ratio that `s0_direct` evaluates."""
+    return _s0_termwise

@@ -53,6 +53,23 @@ def test_witness_on_assorted_shapes():
         assert nps_sort(witness).exchanges == worst_case(shape)
 
 
+def test_witness_reads_no_column_heights(monkeypatch):
+    calls = []
+    original = Partition.col
+
+    def counted(shape, j):
+        calls.append(j)
+        return original(shape, j)
+
+    monkeypatch.setattr(Partition, "col", counted)
+    # start from no cached sort tables, so building them is counted too
+    monkeypatch.setattr("npslab.nps._OPS_CACHE", {})
+    staircase = Partition(range(30, 0, -1))
+    witness = worst_case_witness(staircase)
+    assert calls == []
+    assert nps_sort(witness).exchanges == worst_case(staircase)
+
+
 def test_average_examples():
     assert average_case_bruteforce(Partition([2, 1])) == Fraction(2, 3)
     assert average_case_bruteforce(Partition([1])) == 0

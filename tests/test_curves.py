@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -45,6 +46,27 @@ def test_immutable_values_survive_pickling():
     assert shape == Partition([3, 1]) and shape.size == 4
     exponents = pickle.loads(pickle.dumps(ScalingExponents.from_pq(3, Fraction(3, 2))))
     assert (exponents.alpha, exponents.beta) == (Fraction(1, 3), Fraction(2, 3))
+
+
+def _steep_file_curve():
+    # in binary floats the segment from (0.1, 1.3) to (0.45, 0.95) is a hair
+    # steeper than -1; from_document accepts it within its tolerance
+    return LimitCurve.from_document(
+        {"breakpoints": [["-0.7", "0.7"], [0.1, 1.3], ["0.45", "0.95"], [1.2, 1.2]]})
+
+
+@pytest.mark.parametrize("make", [
+    unit_square_curve,
+    lambda: partition_boundary(Partition([6, 5, 3, 3, 1]), 18),
+    _steep_file_curve,
+], ids=["unit-square", "boundary-65331", "tolerance-file"])
+def test_curves_survive_pickling_and_deepcopy(make):
+    curve = make()
+    points = [(0.0, 0.5), (0.2, 0.6), (-0.3, 0.9), (0.05, 1.0), (2.0, 0.1)]
+    for clone in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
+        assert clone.same_curve(curve) and clone.scale_sq == curve.scale_sq
+        for point in points:
+            assert hook_distances(clone, point) == hook_distances(curve, point)
 
 
 # -- construction and validation ---------------------------------------------
@@ -315,10 +337,7 @@ def test_mirror_is_the_conjugate_boundary():
 
 
 def test_mirror_of_curve_accepted_within_tolerance():
-    # in binary floats the segment from (0.1, 1.3) to (0.45, 0.95) is a hair
-    # steeper than -1; from_document accepts it within its tolerance
-    curve = LimitCurve.from_document(
-        {"breakpoints": [["-0.7", "0.7"], [0.1, 1.3], ["0.45", "0.95"], [1.2, 1.2]]})
+    curve = _steep_file_curve()
     x, y = 0.0, 0.5
     a, leg, d = hook_distances(curve, (x, y))
     ba, bl, bd = _brute_force_distances(curve, x, y)

@@ -21,6 +21,13 @@ def test_s0_direct_examples():
     assert s0_direct(3, 0) == 0
 
 
+def test_s0_direct_matches_termwise_sum(s0_termwise):
+    for lam1 in range(1, 61):
+        for lam2 in range(lam1 + 1):
+            assert s0_direct(lam1, lam2) == s0_termwise(lam1, lam2), (lam1, lam2)
+    assert s0_direct(1200, 600) == s0_termwise(1200, 600)
+
+
 def test_s0_dispatcher():
     with pytest.raises(ValueError):
         s0_nested(3, 0)
