@@ -38,7 +38,6 @@ from .partitions import (
     harmonic,
     hook_product,
     partitions_of,
-    pochhammer_rising,
     reverse_lex_cells,
     skew_syt_count,
     syt_count,

@@ -18,7 +18,6 @@ __all__ = [
     "skew_syt_count",
     "hook_product",
     "harmonic",
-    "pochhammer_rising",
     "partitions_of",
     "subpartitions",
 ]
@@ -168,16 +167,6 @@ def harmonic(n):
     while len(_HARMONIC) <= n:
         _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
     return _HARMONIC[n]
-
-
-def pochhammer_rising(x, k):
-    """Rising factorial x (x+1) ... (x+k-1), equal to 1 when k = 0."""
-    if k < 0:
-        raise ValueError("rising factorial needs k >= 0")
-    result = 1
-    for i in range(k):
-        result *= x + i
-    return result
 
 
 def partitions_of(n):

@@ -5,7 +5,6 @@ from math import comb, factorial
 import pytest
 
 from npslab.nps import HookTableau, Tableau, shape_ops
-from npslab.partitions import pochhammer_rising
 from npslab.two_row import validate_two_row
 from npslab.verify import brute_table
 
@@ -152,6 +151,22 @@ def _point_from_hook_coordinates(curve, s, t):
 def point_from_hook_coordinates():
     """The inverse of `hook_coordinates`, from the curve values at s and t."""
     return _point_from_hook_coordinates
+
+
+def pochhammer_rising(x, k):
+    """Rising factorial x (x+1) ... (x+k-1), equal to 1 when k = 0."""
+    if k < 0:
+        raise ValueError("rising factorial needs k >= 0")
+    result = 1
+    for i in range(k):
+        result *= x + i
+    return result
+
+
+@pytest.fixture(scope="session")
+def rising_factorial():
+    """The rising factorial, the denominators of the termwise S0 sum."""
+    return pochhammer_rising
 
 
 def _s0_termwise(lam1, lam2):

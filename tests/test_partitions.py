@@ -13,7 +13,6 @@ from npslab.partitions import (
     harmonic,
     hook_product,
     partitions_of,
-    pochhammer_rising,
     reverse_lex_cells,
     skew_syt_count,
     subpartitions,
@@ -237,12 +236,12 @@ def test_harmonic():
         harmonic(-1)
 
 
-def test_pochhammer():
-    assert pochhammer_rising(Fraction(7, 3), 0) == 1
-    assert pochhammer_rising(3, 2) == 12
-    assert pochhammer_rising(Fraction(1, 2), 2) == Fraction(3, 4)
+def test_pochhammer(rising_factorial):
+    assert rising_factorial(Fraction(7, 3), 0) == 1
+    assert rising_factorial(3, 2) == 12
+    assert rising_factorial(Fraction(1, 2), 2) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        pochhammer_rising(1, -1)
+        rising_factorial(1, -1)
 
 
 # -- subshapes ------------------------------------------------------------
