@@ -157,12 +157,15 @@ def max_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
 
 def expected_hook_abs(shape):
     """Mean of sum |H(i,j)| over uniformly random hook tableaux, via the
-    per-cell closed form (arm^2 + arm + leg^2 + leg) / (2 hook)."""
+    per-cell closed form (arm^2 + arm + leg^2 + leg) / (2 hook), with the
+    column heights read once from the conjugate."""
+    heights = conjugate(shape).parts
     total = Fraction(0)
-    for i, j in shape.cells():
-        arm = shape.arm(i, j)
-        leg = shape.leg(i, j)
-        total += Fraction(arm * arm + arm + leg * leg + leg, 2 * (arm + leg + 1))
+    for i, p in enumerate(shape.parts, start=1):
+        for j in range(1, p + 1):
+            arm = p - j
+            leg = heights[j - 1] - i
+            total += Fraction(arm * arm + arm + leg * leg + leg, 2 * (arm + leg + 1))
     return total
 
 

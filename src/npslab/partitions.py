@@ -6,9 +6,8 @@ computation here.
 """
 
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 
 __all__ = [
     "Partition",
@@ -135,8 +134,12 @@ def reverse_lex_cells(shape):
 
 
 def hook_product(shape):
-    """Product of all hook lengths; counts the hook tableaux of the shape."""
-    return reduce(lambda acc, c: acc * shape.hook(*c), shape.cells(), 1)
+    """Product of all hook lengths; counts the hook tableaux of the shape.
+
+    Column heights are read once from the conjugate."""
+    heights = conjugate(shape).parts
+    return prod(p - j + heights[j - 1] - i + 1
+                for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1))
 
 
 def syt_count(shape):

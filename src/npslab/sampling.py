@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 CHUNK = 512
+_BLOCK_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,27 @@ def random_tableau(shape, stream):
 
 
 def _chunked_boards(shape, m, seed):
-    """Yield m random value sequences, CHUNK per stream id."""
+    """Yield m random value sequences, CHUNK per stream id.
+
+    Each stream draws its rows in blocks of at most _BLOCK_ENTRIES values
+    (one row when a row is longer), so memory does not grow with n x CHUNK.
+    One `permuted` call shuffles the rows of a block one after another,
+    exactly as one `permutation` call per row would: the sequences are
+    bit-identical to those of `(rng.permutation(n) + 1).tolist()` drawn one
+    by one.
+    """
     n = shape.size
+    rows_per_block = max(1, _BLOCK_ENTRIES // max(n, 1))
+    values = np.arange(1, n + 1)
     produced = 0
     chunk_index = 0
     while produced < m:
         rng = SeededStream(seed, chunk_index).generator()
-        for _ in range(min(CHUNK, m - produced)):
-            yield (rng.permutation(n) + 1).tolist()
-            produced += 1
+        chunk_end = produced + min(CHUNK, m - produced)
+        while produced < chunk_end:
+            rows = min(rows_per_block, chunk_end - produced)
+            yield from rng.permuted(np.broadcast_to(values, (rows, n)), axis=1).tolist()
+            produced += rows
         chunk_index += 1
 
 

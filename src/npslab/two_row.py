@@ -1,21 +1,28 @@
 """Exact average-case formulas for two-row shapes (lam1, lam2).
 
 All representations are evaluated in exact rational arithmetic and agree with
-each other and with brute force wherever that is feasible:
+each other and with brute force wherever that is feasible.  Each sum is
+carried as integer numerators over one common denominator and reduced to a
+Fraction once, at the end:
 
 * the closed form: a quadratic polynomial minus twice an alternating single
   sum S0 with rising-factorial denominators, evaluated as a nested ratio of
-  consecutive terms in integers with one final reduction;
+  consecutive terms;
 * the double-sum form: a leading harmonic term plus five double sums built
   from binomial fixed-entry counts, divided by the standard-tableau count
-  that `partitions.syt_count` gives;
-* a nested-sum representation of S0 (one forward pass, O(lam2) operations);
+  that `partitions.syt_count` gives; every term is an integer over D^2 with
+  D = lcm(1..n);
+* a nested-sum representation of S0 (one forward pass, O(lam2) operations),
+  its inner sums over powers of two and its outer sums over the lcm of their
+  term denominators;
 * the specially simple equal-rows case and a fixed-distance form in
-  delta = lam1 - lam2.
+  delta = lam1 - lam2, whose three sums run over i <= delta with the lcms of
+  their term denominators (and their product for the weighted sum).
 """
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, lcm
 
 from .partitions import Partition, harmonic, syt_count
 
@@ -57,26 +64,26 @@ def s0_direct(lam1, lam2):
 def s0_nested(lam1, lam2):
     """Nested-sum representation of S0, valid for 1 <= lam2 <= lam1.
 
-    Evaluated in a single forward pass over i with running inner sums, so the
-    cost is O(lam2) rational operations.
+    With b_i = C(i + lam1, i), the inner sums sum_{j<=i} b_j / 2^j are carried
+    as p_i / 2^i, p_i = 2 p_(i-1) + b_i, and the two outer sums over i of
+    2^i inner_i / (i b_i) and 2^i / (i b_i) as one integer numerator
+    over L = lcm_i(i b_i); the cost is O(lam2) integer operations.
     """
     validate_two_row(lam1, lam2)
     if lam2 < 1:
         raise ValueError("nested representation needs lam2 >= 1")
-    inner = Fraction(0)          # sum_{j<=i} C(j+lam1, j) / 2^j
-    sum_weighted = Fraction(0)   # sum_i 2^i * inner_i / (i * C(i+lam1, i))
-    sum_plain = Fraction(0)      # sum_i 2^i / (i * C(i+lam1, i))
-    for i in range(1, lam2 + 1):
-        b = comb(i + lam1, i)
-        inner += Fraction(b, 2**i)
-        sum_weighted += Fraction(2**i, i * b) * inner
-        sum_plain += Fraction(2**i, i * b)
+    dens = [i * comb(i + lam1, i) for i in range(1, lam2 + 1)]
+    lcd = lcm(*dens)
+    p = 0
+    outer = 0   # L * sum_i (p_i + 2^i) / (i b_i): the weighted and plain sums
+    for i, den in enumerate(dens, start=1):
+        p = 2 * p + den // i
+        outer += (p + 2**i) * (lcd // den)
     big = comb(lam1 + lam2, lam2)
     excess = 1 + lam1 - lam2
     return (
-        -Fraction(2**lam2, big) * (inner + 1)
-        - Fraction(excess, 2) * sum_weighted
-        - Fraction(excess, 2) * sum_plain
+        -Fraction(p + 2**lam2, big)
+        - Fraction(excess * outer, 2 * lcd)
         + excess * (harmonic(lam1) + Fraction(harmonic(lam2), 2) - harmonic(lam1 - lam2))
         + 1
     )
@@ -93,6 +100,9 @@ def c_double_sums(lam1, lam2):
     """The five-double-sum representation of the two-row average.
 
     Requires two genuine parts (lam2 >= 1); empty inner ranges contribute 0.
+    With D = lcm(1..n), each term top C(k, choose) C(n-k, lower) H_(n-k) / k
+    is the integer top C(k, choose) C(n-k, lower) (D/k) (D H_(n-k)) over D^2,
+    so the sums are carried as one integer numerator and reduced once.
     """
     validate_two_row(lam1, lam2)
     if lam2 < 1:
@@ -100,31 +110,29 @@ def c_double_sums(lam1, lam2):
     n = lam1 + lam2
     f = syt_count(Partition((lam1, lam2)))
     total = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (harmonic(n) - 1)
+    lcd = lcm(*range(1, n + 1))
+    over_k = [0] + [lcd // k for k in range(1, n + 1)]   # D / k
+    scaled_h = list(accumulate(over_k))                  # D H_m
 
-    def term(j, k, top, choose, lower):
-        return Fraction(top * comb(k, choose) * comb(n - k, lower), k) * harmonic(n - k)
+    def term(k, top, choose, lower):
+        return top * comb(k, choose) * comb(n - k, lower) * over_k[k] * scaled_h[n - k]
 
-    s1 = Fraction(0)
-    s2 = Fraction(0)
+    acc = 0   # D^2 (-s1 + s2 - s3 - s4 + s5)
     for j in range(1, lam2 + 1):
         for k in range(j, 2 * j):
             top = (j - 1) * (2 * j - k)
-            s1 += term(j, k, top, j, lam1 - j)
+            acc -= term(k, top, j, lam1 - j)
             if lam2 - j - 1 >= 0:
-                s2 += term(j, k, top, j, lam2 - j - 1)
-    s3 = Fraction(0)
+                acc += term(k, top, j, lam2 - j - 1)
     for j in range(lam2 + 1, lam1 + 1):
         for k in range(j, lam2 + j + 1):
-            s3 += term(j, k, (j - 1) * (2 * j - k), j, lam1 - j)
-    s4 = Fraction(0)
-    s5 = Fraction(0)
+            acc -= term(k, (j - 1) * (2 * j - k), j, lam1 - j)
     for j in range(1, lam2 + 1):
-        top_of = lambda k: j * (k - 2 * j + 2)
         for k in range(2 * j, lam1 + j + 1):
-            s4 += term(j, k, top_of(k), j - 1, lam2 - j)
+            acc -= term(k, j * (k - 2 * j + 2), j - 1, lam2 - j)
         for k in range(2 * j, lam2 + j + 1):
-            s5 += term(j, k, top_of(k), j - 1, lam1 - j + 1)
-    return total + Fraction(-s1 + s2 - s3 - s4 + s5, f)
+            acc += term(k, j * (k - 2 * j + 2), j - 1, lam1 - j + 1)
+    return total + Fraction(acc, lcd * lcd * f)
 
 
 def c_equal_rows(lam2):
@@ -144,19 +152,25 @@ def _s0_fixed_distance(lam2, delta):
     central = comb(2 * lam2, lam2)
     pow_central = Fraction(2**(2 * lam2), central)
 
-    sum_a = Fraction(0)   # 2^i C(i+lam2,i) / (C(i+2lam2,i) (1+i+2lam2))
-    sum_b = Fraction(0)   # 2^-i C(i+2lam2,i) / (C(i+lam2,i) (i+2lam2))
-    sum_c = Fraction(0)   # as sum_a but weighted by the running sum_b
-    running_b = Fraction(0)
-    for i in range(1, delta + 1):
-        small = comb(i + lam2, i)
-        large = comb(i + 2 * lam2, i)
-        a_i = Fraction(2**i * small, large * (1 + i + 2 * lam2))
-        b_i = Fraction(large, 2**i * small * (i + 2 * lam2))
-        running_b += b_i
-        sum_a += a_i
-        sum_b += b_i
-        sum_c += a_i * running_b
+    # a_i = 2^i C(i+lam2,i) / (C(i+2lam2,i) (1+i+2lam2)) and
+    # b_i = C(i+2lam2,i) / (2^i C(i+lam2,i) (i+2lam2)), as integer numerators
+    # over the lcms La and Lb of their denominators
+    smalls = [comb(i + lam2, i) for i in range(1, delta + 1)]
+    larges = [comb(i + 2 * lam2, i) for i in range(1, delta + 1)]
+    dens_a = [large * (1 + i + 2 * lam2) for i, large in enumerate(larges, start=1)]
+    dens_b = [2**i * small * (i + 2 * lam2) for i, small in enumerate(smalls, start=1)]
+    lcd_a = lcm(*dens_a)
+    lcd_b = lcm(*dens_b)
+    num_a = num_b = num_c = 0   # sum_c: sum_i a_i (b_1 + ... + b_i), over La Lb
+    for i, (small, large, den_a, den_b) in enumerate(
+            zip(smalls, larges, dens_a, dens_b), start=1):
+        a_i = 2**i * small * (lcd_a // den_a)
+        num_b += large * (lcd_b // den_b)
+        num_a += a_i
+        num_c += a_i * num_b
+    sum_a = Fraction(num_a, lcd_a)
+    sum_b = Fraction(num_b, lcd_b)
+    sum_c = Fraction(num_c, lcd_a * lcd_b)
     d1 = delta + 1
     ratio = Fraction(comb(delta + lam2, delta), comb(delta + 2 * lam2, delta))
     return (

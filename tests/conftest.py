@@ -5,6 +5,8 @@ from math import comb, factorial
 import pytest
 
 from npslab.nps import HookTableau, Tableau, shape_ops
+from npslab.partitions import Partition, harmonic, syt_count
+from npslab.sampling import CHUNK, SeededStream
 from npslab.two_row import validate_two_row
 from npslab.verify import brute_table
 
@@ -185,3 +187,141 @@ def s0_termwise():
     """S0 as the sum of its terms, each a reduced Fraction: an oracle for the
     nested integer ratio that `s0_direct` evaluates."""
     return _s0_termwise
+
+
+def _c_double_sums_termwise(lam1, lam2):
+    """The five double sums of the two-row average, each term a Fraction."""
+    validate_two_row(lam1, lam2)
+    if lam2 < 1:
+        raise ValueError("double-sum representation needs lam2 >= 1")
+    n = lam1 + lam2
+    f = syt_count(Partition((lam1, lam2)))
+    total = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (harmonic(n) - 1)
+
+    def term(j, k, top, choose, lower):
+        return Fraction(top * comb(k, choose) * comb(n - k, lower), k) * harmonic(n - k)
+
+    s1 = Fraction(0)
+    s2 = Fraction(0)
+    for j in range(1, lam2 + 1):
+        for k in range(j, 2 * j):
+            top = (j - 1) * (2 * j - k)
+            s1 += term(j, k, top, j, lam1 - j)
+            if lam2 - j - 1 >= 0:
+                s2 += term(j, k, top, j, lam2 - j - 1)
+    s3 = Fraction(0)
+    for j in range(lam2 + 1, lam1 + 1):
+        for k in range(j, lam2 + j + 1):
+            s3 += term(j, k, (j - 1) * (2 * j - k), j, lam1 - j)
+    s4 = Fraction(0)
+    s5 = Fraction(0)
+    for j in range(1, lam2 + 1):
+        top_of = lambda k: j * (k - 2 * j + 2)
+        for k in range(2 * j, lam1 + j + 1):
+            s4 += term(j, k, top_of(k), j - 1, lam2 - j)
+        for k in range(2 * j, lam2 + j + 1):
+            s5 += term(j, k, top_of(k), j - 1, lam1 - j + 1)
+    return total + Fraction(-s1 + s2 - s3 - s4 + s5, f)
+
+
+@pytest.fixture(scope="session")
+def c_double_sums_termwise():
+    """The double-sum form summed term by term in Fractions: an oracle for
+    the single integer numerator that `c_double_sums` carries."""
+    return _c_double_sums_termwise
+
+
+def _s0_nested_termwise(lam1, lam2):
+    """The nested-sum representation of S0, its running sums as Fractions."""
+    validate_two_row(lam1, lam2)
+    if lam2 < 1:
+        raise ValueError("nested representation needs lam2 >= 1")
+    inner = Fraction(0)          # sum_{j<=i} C(j+lam1, j) / 2^j
+    sum_weighted = Fraction(0)   # sum_i 2^i * inner_i / (i * C(i+lam1, i))
+    sum_plain = Fraction(0)      # sum_i 2^i / (i * C(i+lam1, i))
+    for i in range(1, lam2 + 1):
+        b = comb(i + lam1, i)
+        inner += Fraction(b, 2**i)
+        sum_weighted += Fraction(2**i, i * b) * inner
+        sum_plain += Fraction(2**i, i * b)
+    big = comb(lam1 + lam2, lam2)
+    excess = 1 + lam1 - lam2
+    return (
+        -Fraction(2**lam2, big) * (inner + 1)
+        - Fraction(excess, 2) * sum_weighted
+        - Fraction(excess, 2) * sum_plain
+        + excess * (harmonic(lam1) + Fraction(harmonic(lam2), 2) - harmonic(lam1 - lam2))
+        + 1
+    )
+
+
+@pytest.fixture(scope="session")
+def s0_nested_termwise():
+    """The nested form of S0 with Fraction running sums: an oracle for the
+    integer numerators that `s0_nested` carries."""
+    return _s0_nested_termwise
+
+
+def _s0_fixed_distance_termwise(lam2, delta):
+    """S0 for lam1 = lam2 + delta by the fixed-distance form, in Fractions."""
+    if lam2 < 1 or delta < 0:
+        raise ValueError("fixed-distance form needs lam2 >= 1 and delta >= 0")
+    central = comb(2 * lam2, lam2)
+    pow_central = Fraction(2**(2 * lam2), central)
+
+    sum_a = Fraction(0)   # 2^i C(i+lam2,i) / (C(i+2lam2,i) (1+i+2lam2))
+    sum_b = Fraction(0)   # 2^-i C(i+2lam2,i) / (C(i+lam2,i) (i+2lam2))
+    sum_c = Fraction(0)   # as sum_a but weighted by the running sum_b
+    running_b = Fraction(0)
+    for i in range(1, delta + 1):
+        small = comb(i + lam2, i)
+        large = comb(i + 2 * lam2, i)
+        a_i = Fraction(2**i * small, large * (1 + i + 2 * lam2))
+        b_i = Fraction(large, 2**i * small * (i + 2 * lam2))
+        running_b += b_i
+        sum_a += a_i
+        sum_b += b_i
+        sum_c += a_i * running_b
+    d1 = delta + 1
+    ratio = Fraction(comb(delta + lam2, delta), comb(delta + 2 * lam2, delta))
+    return (
+        (-d1 + d1 * pow_central) * sum_a
+        + Fraction(2**(delta + 2) * lam2 * (1 + delta + lam2), 1 + delta + 2 * lam2) * ratio * sum_b
+        - 2 * d1 * lam2 * sum_c
+        + Fraction(d1, 2 * lam2 + 1) * pow_central
+        + Fraction(2**(delta + 1) * (1 + delta + lam2), 1 + delta + 2 * lam2) * ratio
+        * Fraction(central - 2**(2 * lam2), central)
+        - Fraction(d1, 2 * lam2 + 1)
+        + d1 * harmonic(delta + 2 * lam2)
+        + Fraction(d1, 2) * harmonic(lam2)
+        - d1 * harmonic(2 * lam2)
+        - d1 * harmonic(delta)
+    )
+
+
+@pytest.fixture(scope="session")
+def s0_fixed_distance_termwise():
+    """The fixed-distance form of S0 with Fraction running sums: an oracle for
+    the integer numerators that `two_row._s0_fixed_distance` carries."""
+    return _s0_fixed_distance_termwise
+
+
+def _boards_per_draw(shape, m, seed):
+    """m random value sequences, CHUNK per stream id, one `permutation` call
+    per draw."""
+    n = shape.size
+    produced = 0
+    chunk_index = 0
+    while produced < m:
+        rng = SeededStream(seed, chunk_index).generator()
+        for _ in range(min(CHUNK, m - produced)):
+            yield (rng.permutation(n) + 1).tolist()
+            produced += 1
+        chunk_index += 1
+
+
+@pytest.fixture(scope="session")
+def boards_per_draw():
+    """The Monte Carlo draws one `permutation` at a time: an oracle for the
+    blocks of rows that `sampling._chunked_boards` shuffles at once."""
+    return _boards_per_draw

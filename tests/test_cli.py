@@ -73,6 +73,29 @@ def test_sample_commands(capsys):
     assert "dof=1" in out
 
 
+def test_block_draws_keep_monte_carlo_output(tmp_path, capsys, monkeypatch, boards_per_draw):
+    runs = [
+        ["sample", "--shape", "3,2", "--draws", "2000", "--seed", "3"],
+        ["sample", "--shape", "3,2", "--draws", "2000", "--seed", "3", "--uniformity"],
+        ["sweep", "--family", "staircase", "--sizes", "3..12", "--seed", "9",
+         "--samples", "600", "--exact-limit", "4", "--out", str(tmp_path / "x.csv")],
+    ]
+
+    def outputs():
+        results = []
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            results.append((code, out, err))
+        results.append((tmp_path / "x.csv").read_bytes())
+        return results
+
+    blocks = outputs()
+    monkeypatch.setattr("npslab.sampling._chunked_boards", boards_per_draw)
+    assert blocks == outputs()
+    rows = [row.split(b",") for row in blocks[-1].splitlines()]
+    assert rows[0][5] == b"C_stderr" and any(row[5] for row in rows[1:])  # Monte Carlo rows
+
+
 def test_limit_builtin_curves(capsys):
     code, out, _ = run(capsys, "limit", "--curve", "square", "--integral", "W",
                        "--tol", "1e-4")

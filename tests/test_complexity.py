@@ -14,7 +14,14 @@ from npslab.complexity import (
     worst_case_witness,
 )
 from npslab.nps import nps_sort
-from npslab.partitions import Partition, harmonic, partitions_of, subpartitions, syt_count
+from npslab.partitions import (
+    Partition,
+    harmonic,
+    hook_product,
+    partitions_of,
+    subpartitions,
+    syt_count,
+)
 
 FIG_SHAPE = Partition([4, 4, 2, 1, 1, 1])
 
@@ -43,6 +50,29 @@ def test_witness_examples():
     assert nps_sort(worst_case_witness(Partition([2, 1]))).exchanges == 1
     with pytest.raises(ValueError):
         worst_case_witness(Partition([]))
+
+
+def test_hook_sums_read_no_column_heights(monkeypatch):
+    calls = []
+    original = Partition.col
+    monkeypatch.setattr(Partition, "col", lambda shape, j: calls.append(j) or original(shape, j))
+    square = Partition([7] * 7)
+    syt_count(square)
+    expected_hook_abs(square)
+    assert calls == []
+
+
+def test_hook_sums_match_cellwise_hooks():
+    shapes = [shape for n in range(11) for shape in partitions_of(n)]
+    for shape in shapes + [Partition([100] * 100)]:
+        product = 1
+        mean = Fraction(0)
+        for i, j in shape.cells():
+            arm, leg = shape.arm(i, j), shape.leg(i, j)
+            product *= shape.hook(i, j)
+            mean += Fraction(arm * arm + arm + leg * leg + leg, 2 * shape.hook(i, j))
+        assert hook_product(shape) == product, shape
+        assert expected_hook_abs(shape) == mean, shape
 
 
 def test_witness_on_assorted_shapes():

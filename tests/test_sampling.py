@@ -8,10 +8,24 @@ from npslab.nps import nps_sort
 from npslab.partitions import Partition
 from npslab.sampling import (
     SeededStream,
+    _chunked_boards,
     estimate_avg_case,
     random_tableau,
     syt_uniformity_test,
 )
+
+
+@pytest.mark.parametrize("parts, m", [
+    ((1,), 5), ((), 3), ((3, 2), 1_025), ((7,) * 7, 1_500), ((20,) * 20, 700),
+    ((100,) * 30, 520),
+])
+def test_block_draws_match_per_draw_permutations(parts, m, boards_per_draw):
+    shape = Partition(parts)
+    for seed in (0, 11):
+        blocks = list(_chunked_boards(shape, m, seed))
+        assert len(blocks) == m
+        assert blocks == list(boards_per_draw(shape, m, seed))
+        assert all(type(v) is int for v in blocks[0])
 
 
 def test_reproducibility():

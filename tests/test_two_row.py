@@ -6,6 +6,7 @@ import pytest
 from npslab.complexity import average_case_bruteforce, worst_case
 from npslab.partitions import Partition, harmonic, syt_count
 from npslab.two_row import (
+    _s0_fixed_distance,
     c_closed,
     c_double_sums,
     c_equal_rows,
@@ -26,6 +27,27 @@ def test_s0_direct_matches_termwise_sum(s0_termwise):
         for lam2 in range(lam1 + 1):
             assert s0_direct(lam1, lam2) == s0_termwise(lam1, lam2), (lam1, lam2)
     assert s0_direct(1200, 600) == s0_termwise(1200, 600)
+
+
+def test_c_double_sums_matches_termwise_sums(c_double_sums_termwise):
+    for lam1 in range(1, 41):
+        for lam2 in range(1, lam1 + 1):
+            assert c_double_sums(lam1, lam2) == c_double_sums_termwise(lam1, lam2), (lam1, lam2)
+
+
+def test_s0_nested_matches_termwise_sums(s0_nested_termwise):
+    for lam1 in range(1, 61):
+        for lam2 in range(1, lam1 + 1):
+            assert s0_nested(lam1, lam2) == s0_nested_termwise(lam1, lam2), (lam1, lam2)
+
+
+def test_fixed_distance_matches_termwise_sums(s0_fixed_distance_termwise):
+    for lam2 in range(1, 31):
+        for delta in range(31):
+            expected = s0_fixed_distance_termwise(lam2, delta)
+            assert _s0_fixed_distance(lam2, delta) == expected, (lam2, delta)
+    with pytest.raises(ValueError):
+        _s0_fixed_distance(1, -1)
 
 
 def test_s0_dispatcher():
