@@ -82,12 +82,7 @@ def test_block_draws_keep_monte_carlo_output(tmp_path, capsys, monkeypatch, boar
     ]
 
     def outputs():
-        results = []
-        for argv in runs:
-            code, out, err = run(capsys, *argv)
-            results.append((code, out, err))
-        results.append((tmp_path / "x.csv").read_bytes())
-        return results
+        return [run(capsys, *argv) for argv in runs] + [(tmp_path / "x.csv").read_bytes()]
 
     blocks = outputs()
     monkeypatch.setattr("npslab.sampling._chunked_boards", boards_per_draw)
