@@ -1,17 +1,20 @@
 """Exact worst-case and average-case exchange counts.
 
-The worst case is the cell sum of maximal South-East distances, with a
-constructive witness tableau that attains it.  The average case comes in two
-independent exact routes: brute force over all n! fillings (merging fillings
-whose processed prefix has the same relative order), and the harmonic-number
-formula driven by fixed-entry standard tableau counts.
+The worst case is the cell sum of maximal South-East distances w, read from
+one table that the recurrence w = 1 + max(w South, w East) fills in a pass
+over the cells, with a constructive witness tableau that attains it.  The
+average case comes in two independent exact routes: brute force over all n!
+fillings (merging fillings whose processed prefix has the same relative
+order), and the harmonic-number formula driven by fixed-entry standard
+tableau counts, summed over the integer-coded Young-lattice table of
+`partitions._chain_counts`.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops
-from .partitions import Partition, _chain_counts, _removable, conjugate, harmonic
+from .partitions import _chain_counts, conjugate, harmonic
 
 __all__ = [
     "w_distance",
@@ -27,27 +30,39 @@ __all__ = [
 ]
 
 
+def _w_table(shape):
+    """Rows of w(i, j), the maximal Manhattan distance from (i, j) to a cell
+    weakly South-East of it, by the recurrence w = 0 on a corner and
+    w = 1 + max(w South, w East) elsewhere: every corner South-East of a
+    non-corner cell lies weakly South-East of one of its two neighbours.
+
+    One array of the first row's length plus one carries the row below,
+    -1 where it has no cell; the rows are filled from the last one up and
+    right to left, so w[j + 1] is already the East neighbour.
+    """
+    w = [-1] * (shape.row(1) + 1)
+    table = []
+    for p in reversed(shape.parts):
+        for j in range(p - 1, -1, -1):
+            w[j] = 1 + max(w[j], w[j + 1])
+        table.append(w[:p])
+    table.reverse()
+    return table
+
+
 def w_distance(shape, cell):
     """Maximal Manhattan distance from `cell` to a cell weakly South-East of
     it; 0 exactly on corners."""
     if cell not in shape:
         raise ValueError(f"cell {cell} outside shape {shape}")
     i, j = cell
-    best = 0
-    for ci, cj in shape.corners():
-        if ci >= i and cj >= j:
-            best = max(best, ci - i + cj - j)
-    return best
+    return _w_table(shape)[i - 1][j - 1]
 
 
 def worst_case(shape):
-    """Exact worst-case exchange count: the sum of w over all cells."""
-    corners = shape.corners()
-    total = 0
-    for i in range(1, len(shape.parts) + 1):
-        for j in range(1, shape.parts[i - 1] + 1):
-            total += max(ci - i + cj - j for ci, cj in corners if ci >= i and cj >= j)
-    return total
+    """Exact worst-case exchange count: the sum of w over all cells, with
+    w = 0 on a corner and w = 1 + max(w South, w East) elsewhere."""
+    return sum(map(sum, _w_table(shape)))
 
 
 class WitnessConstructionError(RuntimeError):
@@ -60,20 +75,24 @@ def worst_case_witness(shape):
     Repeatedly take the undefined cell of maximal hook length (starting at
     (1,1)), pick a farthest South-East corner, and fill the spanned rectangle
     with the next block of consecutive integers in processing order.  Hook
-    lengths are read once from the column heights of the conjugate.  The
-    result is verified against worst_case; a mismatch raises.
+    lengths are read once from the column heights of the conjugate and never
+    change, so one sort of the cells by (-hook, column, row) gives the
+    anchors: the first cell of it not yet filled.  The result is verified
+    against worst_case; a mismatch raises.
     """
     if not shape.parts:
         raise ValueError("cannot build a witness for the empty shape")
     heights = conjugate(shape).parts
-    undefined = {(i, j): p - j + heights[j - 1] - i + 1
-                 for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1)}
+    hooks = {(i, j): p - j + heights[j - 1] - i + 1
+             for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1)}
+    w = _w_table(shape)
     values = {}
     corners = shape.corners()
-    while undefined:
-        anchor = min(undefined, key=lambda c: (-undefined[c], c[1], c[0]))
+    for anchor in sorted(hooks, key=lambda c: (-hooks[c], c[1], c[0])):
+        if anchor in values:
+            continue
         ai, aj = anchor
-        dist = w_distance(shape, anchor)
+        dist = w[ai - 1][aj - 1]
         choices = sorted(
             (c for c in corners
              if c[0] >= ai and c[1] >= aj and (c[0] - ai) + (c[1] - aj) == dist),
@@ -83,7 +102,7 @@ def worst_case_witness(shape):
         for ci, cj in choices:
             # processing order: columns from the right, bottom to top in each
             cells = [(i, j) for j in range(cj, aj - 1, -1) for i in range(ci, ai - 1, -1)]
-            if all(c in undefined for c in cells):
+            if not any(c in values for c in cells):
                 rect = cells
                 break
         if rect is None:
@@ -91,7 +110,6 @@ def worst_case_witness(shape):
                 f"no admissible corner for anchor {anchor} of {shape}")
         for c in rect:
             values[c] = len(values) + 1
-            del undefined[c]
     rows = [tuple(values[(i, j)] for j in range(1, shape.parts[i - 1] + 1))
             for i in range(1, len(shape.parts) + 1)]
     witness = Tableau(shape, rows)
@@ -180,9 +198,11 @@ def f_fixed_entry(shape, cell, k):
         raise ValueError(f"cell {cell} outside shape {shape}")
     if not 1 <= k <= shape.size:
         raise ValueError(f"entry {k} outside 1..{shape.size}")
-    up, down = _chain_counts(shape, Partition())
-    return sum(up[below] * skew for mu, skew in down.items() if sum(mu) == k
-               for corner, below in _removable(mu) if corner == cell)
+    i, j = cell
+    (codes, sizes, corners), up, down = _chain_counts(shape)
+    return sum(up[code - step] * down[code]
+               for code, size, mu_corners in zip(codes, sizes, corners) if size == k
+               for ci, cj, step in mu_corners if ci == i and cj == j)
 
 
 def average_case_chicago(shape):
@@ -198,12 +218,14 @@ def average_case_chicago(shape):
     n = shape.size
     if n == 0:
         return Fraction(0)
-    up, down = _chain_counts(shape, Partition())
+    (codes, sizes, corners), up, down = _chain_counts(shape)
     numerators = [0] * (n + 1)
-    for mu, skew in down.items():
-        numerators[sum(mu)] += skew * sum(
-            (i + j - 2) * up[below] for (i, j), below in _removable(mu))
+    for code, size, mu_corners in zip(codes, sizes, corners):
+        weighted = 0
+        for i, j, step in mu_corners:
+            weighted += (i + j - 2) * up[code - step]
+        numerators[size] += weighted * down[code]
     h_n = harmonic(n)
     total = sum((numer * (h_n - harmonic(n - k) - 1)
                  for k, numer in enumerate(numerators) if numer), Fraction(0))
-    return total / up[shape.parts]
+    return total / up[codes[-1]]

@@ -23,7 +23,7 @@ only the C log terms and an irrational true-units factor are floats.  The
 import math
 from fractions import Fraction
 
-from .complexity import w_distance
+from .complexity import _w_table
 from .curves import _rational_sqrt, partition_boundary
 
 __all__ = [
@@ -210,10 +210,11 @@ def distance_integral_cellwise(shape):
     """
     n = shape.size
     curve = partition_boundary(shape, n)
+    w_rows = _w_table(shape)
     per_cell = {}
     total = Fraction(0)
     for (i, j) in shape.cells():
-        w = w_distance(shape, (i, j))
+        w = w_rows[i - 1][j - 1]
         for du, dv in _CELL_PROBES:
             u = j - 1 + du
             v = i - 1 + dv

@@ -327,40 +327,49 @@ def nps_sort(tableau):
     return outcome
 
 
-def _walk_prefixes(ops, board, hooks, t, rest, pairs, tally):
-    """Extend the sifted prefix (board, hooks) of t processed cells by each
-    value in `rest`, depth first, adding every full filling's (output, hooks)
-    pair to `pairs` and tallying it under its output in `tally`.  Siblings
-    work on copies; the last cell has a single value and is sifted in place."""
-    if len(rest) > 1:
-        start = ops.order[t]
-        for k, v in enumerate(rest):
-            b = board[:]
-            h = hooks[:]
-            ops.sift_cell_with_hooks(b, h, start, v)
-            _walk_prefixes(ops, b, h, t + 1, rest[:k] + rest[k + 1:], pairs, tally)
+def _walk_orders(ops, board, hooks, t, pairs, tally):
+    """Extend the sifted board (ranks 1..t on the t processed cells) and its
+    hooks by each rank r of the next value among the first t + 1, depth
+    first, adding every full filling's (output, hooks) pair to `pairs` and
+    tallying it under its output in `tally`.
+
+    The sift only compares values, so the landing cell, the hook rule and
+    the sifted board, up to relabelling, depend only on the relative order
+    of the values so far; at depth n the ranks are the values.  The
+    children run from r = t + 1 down to 1, and before each one rank r moves
+    up to r + 1 on this board, which leaves room for the new value r.
+    Each child works on copies.
+    """
+    if t == ops.n:
+        key = (tuple(board[:t]), tuple(hooks))
+        pairs.add(key)
+        tally[key[0]] += 1
         return
-    if rest:
-        ops.sift_cell_with_hooks(board, hooks, ops.order[t], rest[0])
-    key = (tuple(board[:ops.n]), tuple(hooks))
-    pairs.add(key)
-    tally[key[0]] += 1
+    start = ops.order[t]
+    for r in range(t + 1, 0, -1):
+        if r <= t:
+            board[board.index(r)] = r + 1
+        b = board[:]
+        h = hooks[:]
+        ops.sift_cell_with_hooks(b, h, start, r)
+        _walk_orders(ops, b, h, t + 1, pairs, tally)
 
 
 def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """Run the sort over every filling and certify the bijection onto
     (standard tableau, hook tableau) pairs by injectivity and cardinality.
 
-    Sifting a cell touches only cells processed before it, so fillings that
-    share a prefix of values in processing order share its sifts: the walk
-    over the prefix tree sifts each prefix once."""
+    Sifting a cell touches only cells processed before it and only compares
+    values, so fillings whose prefixes in processing order have the same
+    relative order share their sifts: the walk over relative orders sifts
+    each one once, t! boards at depth t."""
     n = shape.size
     if n > cutoff:
         raise ValueError(f"size {n} exceeds enumeration cutoff {cutoff}")
     ops = shape_ops(shape)
     pairs = set()
     syt_tally = Counter()
-    _walk_prefixes(ops, ops.new_board(), [0] * n, 0, tuple(range(1, n + 1)), pairs, syt_tally)
+    _walk_orders(ops, ops.new_board(), [0] * n, 0, pairs, syt_tally)
     expected = factorial(n)
     hooks_count = hook_product(shape)
     injective = len(pairs) == expected

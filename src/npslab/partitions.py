@@ -3,6 +3,13 @@
 Everything in this module is exact: counts are Python integers, averages and
 harmonic numbers are `fractions.Fraction`.  No floating point enters any
 computation here.
+
+Skew and fixed-entry standard tableau counts come from one table of
+saturated-chain counts in Young's lattice below a shape (`_chain_counts`).
+It is keyed by integer codes: a subdiagram mu is the number
+sum_i mu_i base^i with base = lambda_1 + 1, so removing the last cell of a
+row subtracts a power of the base, and no subdiagram is built as a
+`Partition`.
 """
 
 from fractions import Fraction
@@ -18,7 +25,6 @@ __all__ = [
     "hook_product",
     "harmonic",
     "partitions_of",
-    "subpartitions",
 ]
 
 
@@ -157,7 +163,9 @@ def skew_syt_count(outer, inner):
     saturated chains from inner up to outer in Young's lattice."""
     if not outer.contains_shape(inner):
         raise ValueError(f"{inner} is not contained in {outer}")
-    return _chain_counts(outer, inner)[1][inner.parts]
+    base = outer.row(1) + 1
+    _, _, down = _chain_counts(outer)
+    return down[sum(p * base**i for i, p in enumerate(inner.parts))]
 
 
 _HARMONIC = [Fraction(0)]
@@ -189,21 +197,6 @@ def partitions_of(n):
         yield Partition(parts)
 
 
-def subpartitions(shape):
-    """All partitions contained in the diagram of `shape`, the empty one included."""
-
-    def rec(idx, prev):
-        yield ()
-        if idx >= len(shape.parts):
-            return
-        for m in range(1, min(shape.parts[idx], prev) + 1):
-            for rest in rec(idx + 1, m):
-                yield (m,) + rest
-
-    for parts in rec(0, shape.parts[0] if shape.parts else 0):
-        yield Partition(parts)
-
-
 MAX_SUBDIAGRAMS = 10**6
 
 
@@ -223,34 +216,72 @@ def _subdiagram_count(shape):
     return sum(ways)
 
 
-def _removable(mu):
-    """(cell, mu minus that cell) for each corner cell of the parts tuple mu."""
-    for i, p in enumerate(mu):
-        if i + 1 == len(mu) or mu[i + 1] < p:
-            yield (i + 1, p), mu[:i] + ((p - 1,) if p > 1 else ()) + mu[i + 1:]
+def _subdiagrams(outer):
+    """The subdiagrams mu of `outer`, the empty one first, in lexicographic
+    order of parts, in which each mu follows every mu minus a corner.
+
+    Returns three parallel lists: the code sum_i mu_i base^i of each mu (rows
+    counted from 0, base = outer_1 + 1), its size, and its corners as
+    (i, j, base^(i-1)) for the cell (i, j), so that mu minus that corner has
+    code `code - base**(i - 1)`.  The corner entries are shared between
+    subdiagrams.  A depth-first walk sets one row per frame; a frame holds
+    the corners of the rows above its row, with and without the row just
+    above, which is a corner unless this row is as long.
+    """
+    parts = outer.parts
+    rows = len(parts)
+    base = outer.row(1) + 1
+    cells = [[(i + 1, j, base**i) for j in range(p + 1)] for i, p in enumerate(parts)]
+    codes, sizes, corners = [0], [0], [()]
+    stack = []
+    if rows:
+        stack.append((0, 0, 0, parts[0], (), (), iter(range(1, parts[0] + 1))))
+    while stack:
+        i, code, size, prev, fixed, with_above, lengths = stack[-1]
+        m = next(lengths, 0)
+        if not m:
+            stack.pop()
+            continue
+        cell = cells[i][m]
+        above = with_above if m < prev else fixed
+        mine = above + (cell,)
+        code += m * cell[2]
+        size += m
+        codes.append(code)
+        sizes.append(size)
+        corners.append(mine)
+        if i + 1 < rows:
+            stack.append((i + 1, code, size, m, above, mine,
+                          iter(range(1, min(parts[i + 1], m) + 1))))
+    return codes, sizes, corners
 
 
-def _chain_counts(outer, inner):
-    """Saturated-chain counts in the interval [inner, outer] of Young's lattice.
+def _chain_counts(outer):
+    """Saturated-chain counts in Young's lattice below `outer`.
 
-    Returns dicts `up` and `down` keyed by the parts of every subdiagram mu
-    between inner and outer: up[mu] counts the chains from inner to mu, that
-    is f^(mu/inner), and down[mu] the chains from mu to outer, f^(outer/mu).
+    Returns (lattice, up, down): lattice is `_subdiagrams(outer)`, and the
+    dicts `up` and `down` are keyed by the code of every subdiagram mu:
+    up[code] counts the chains from the empty shape to mu, that is f^mu, and
+    down[code] the chains from mu to outer, f^(outer/mu).
     Raises ValueError when outer has more than MAX_SUBDIAGRAMS subdiagrams.
     """
     count = _subdiagram_count(outer)
     if count > MAX_SUBDIAGRAMS:
         raise ValueError(
             f"shape {outer} has {count} subdiagrams, exceeding the limit {MAX_SUBDIAGRAMS}")
-    # lexicographic order, in which each mu follows every mu minus a corner
-    interval = [mu.parts for mu in subpartitions(outer) if mu.contains_shape(inner)]
-    up = {inner.parts: 1}
-    for mu in interval[1:]:
-        up[mu] = sum(up.get(below, 0) for _, below in _removable(mu))
-    down = dict.fromkeys(interval, 0)
-    down[outer.parts] = 1
-    for mu in reversed(interval):
-        for _, below in _removable(mu):
-            if below in down:
-                down[below] += down[mu]
-    return up, down
+    codes, sizes, corners = lattice = _subdiagrams(outer)
+    up = {0: 1}
+    for k in range(1, count):
+        code = codes[k]
+        total = 0
+        for _, _, step in corners[k]:
+            total += up[code - step]
+        up[code] = total
+    down = dict.fromkeys(codes, 0)
+    down[codes[-1]] = 1
+    for k in range(count - 1, 0, -1):
+        code = codes[k]
+        chains = down[code]
+        for _, _, step in corners[k]:
+            down[code - step] += chains
+    return lattice, up, down

@@ -17,6 +17,45 @@ def brute():
     return brute_table(8)
 
 
+def _subpartitions(shape):
+    """All partitions contained in the diagram of `shape`, the empty one
+    included, in lexicographic order of parts."""
+
+    def rec(idx, prev):
+        yield ()
+        if idx >= len(shape.parts):
+            return
+        for m in range(1, min(shape.parts[idx], prev) + 1):
+            for rest in rec(idx + 1, m):
+                yield (m,) + rest
+
+    for parts in rec(0, shape.parts[0] if shape.parts else 0):
+        yield Partition(parts)
+
+
+@pytest.fixture(scope="session")
+def subpartitions():
+    """The subdiagrams of a shape as Partitions, by recursion over the rows:
+    an oracle for the integer-coded walk of `partitions._subdiagrams`."""
+    return _subpartitions
+
+
+def _w_by_corners(shape):
+    """w at every cell, as the maximum over the corners weakly South-East of
+    the cell of their Manhattan distance from it."""
+    corners = shape.corners()
+    return {(i, j): max(ci - i + cj - j for ci, cj in corners if ci >= i and cj >= j)
+            for i in range(1, len(shape.parts) + 1)
+            for j in range(1, shape.parts[i - 1] + 1)}
+
+
+@pytest.fixture(scope="session")
+def w_by_corners():
+    """The South-East distance w of every cell by a maximum over the corners:
+    an oracle for the recurrence that `complexity.worst_case` sums."""
+    return _w_by_corners
+
+
 def _inv_factorial(m):
     """1/m! as an exact Fraction, zero for negative m."""
     return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)

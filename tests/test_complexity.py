@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,6 @@ from npslab.partitions import (
     harmonic,
     hook_product,
     partitions_of,
-    subpartitions,
     syt_count,
 )
 
@@ -39,6 +40,28 @@ def test_worst_case_examples():
     assert worst_case(Partition([2, 2])) == 4
     assert worst_case(Partition([1])) == 0
     assert worst_case(Partition([2, 1])) == 1 == max_case_bruteforce(Partition([2, 1]))
+
+
+def test_w_recurrence_matches_corner_maximum(w_by_corners):
+    shapes = [shape for n in range(13) for shape in partitions_of(n)]
+    shapes.append(Partition(range(30, 0, -1)))
+    for seed in range(3):
+        rng = random.Random(seed)
+        shapes.append(Partition(sorted((rng.randint(1, 40) for _ in range(30)), reverse=True)))
+    for shape in shapes:
+        expected = w_by_corners(shape)
+        assert worst_case(shape) == sum(expected.values()), shape
+        assert {cell: w_distance(shape, cell) for cell in expected} == expected, shape
+
+
+def test_witnesses_are_pinned():
+    # sha256 of one "shape:witness" line per shape: `worst --witness` prints
+    # these witnesses, and its output is documented as stable
+    shapes = [shape for n in range(1, 11) for shape in partitions_of(n)]
+    shapes.append(Partition(range(30, 0, -1)))
+    text = "".join(f"{shape}:{worst_case_witness(shape).format()}\n" for shape in shapes)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "f49c37c04733fa7aa82ef1fdb2b9485cb5bb7e137597ac158375462e57a9f5d8")
 
 
 def test_witness_examples():
@@ -161,19 +184,20 @@ def _remove_corner(mu, i):
     return Partition(p for p in parts if p)
 
 
-def _f_fixed_entry_by_determinant(shape, cell, k, aitken):
+def _f_fixed_entry_by_determinant(shape, cell, k, aitken, subpartitions):
     i, j = cell
     return sum(syt_count(_remove_corner(mu, i)) * aitken(shape, mu)
                for mu in subpartitions(shape)
                if mu.size == k and mu.row(i) == j and mu.row(i + 1) < j)
 
 
-def test_f_fixed_entry_matches_determinant_route_up_to_6(aitken):
+def test_f_fixed_entry_matches_determinant_route_up_to_6(aitken, subpartitions):
     for n in range(1, 7):
         for shape in partitions_of(n):
             for cell in shape.cells():
                 for k in range(1, n + 1):
-                    expected = _f_fixed_entry_by_determinant(shape, cell, k, aitken)
+                    expected = _f_fixed_entry_by_determinant(shape, cell, k, aitken,
+                                                             subpartitions)
                     assert f_fixed_entry(shape, cell, k) == expected, (shape, cell, k)
 
 
@@ -203,7 +227,7 @@ def test_chicago_small_values():
     assert average_case_chicago(Partition([2, 2])) == Fraction(11, 6)
 
 
-def _chicago_by_determinant(shape, aitken):
+def _chicago_by_determinant(shape, aitken, subpartitions):
     """The harmonic-number formula with each skew count f^(shape/mu) from the
     Aitken determinant and each f^(mu - x) from the hook-length formula."""
     n = shape.size
@@ -217,16 +241,16 @@ def _chicago_by_determinant(shape, aitken):
 
 
 @pytest.mark.parametrize("parts", [(6,) * 6, (6, 5, 4, 3, 2, 1)], ids=["6x6", "staircase-6"])
-def test_chicago_matches_determinant_route_beyond_brute_force(parts, aitken):
+def test_chicago_matches_determinant_route_beyond_brute_force(parts, aitken, subpartitions):
     shape = Partition(parts)
-    assert average_case_chicago(shape) == _chicago_by_determinant(shape, aitken)
+    assert average_case_chicago(shape) == _chicago_by_determinant(shape, aitken, subpartitions)
 
 
 def test_subdiagram_guard_refuses_before_enumerating(monkeypatch):
     def no_enumeration(shape):
         raise AssertionError(f"enumerated the subdiagrams of {shape}")
 
-    monkeypatch.setattr("npslab.partitions.subpartitions", no_enumeration)
+    monkeypatch.setattr("npslab.partitions._subdiagrams", no_enumeration)
     square = Partition((12,) * 12)
     with pytest.raises(ValueError, match="2704156 subdiagrams, exceeding the limit 1000000"):
         average_case_chicago(square)

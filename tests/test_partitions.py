@@ -14,8 +14,8 @@ from npslab.partitions import (
     hook_product,
     partitions_of,
     reverse_lex_cells,
+    _subdiagrams,
     skew_syt_count,
-    subpartitions,
     syt_count,
 )
 
@@ -187,14 +187,14 @@ def test_skew_examples():
         skew_syt_count(Partition([2, 1]), Partition([3]))
 
 
-def test_skew_matches_aitken_determinant_up_to_8(aitken):
+def test_skew_matches_aitken_determinant_up_to_8(aitken, subpartitions):
     for n in range(0, 9):
         for outer in partitions_of(n):
             for inner in subpartitions(outer):
                 assert skew_syt_count(outer, inner) == aitken(outer, inner), (outer, inner)
 
 
-def test_skew_matches_enumeration_up_to_7():
+def test_skew_matches_enumeration_up_to_7(subpartitions):
     for n in range(1, 8):
         for outer in partitions_of(n):
             for inner in subpartitions(outer):
@@ -247,14 +247,29 @@ def test_pochhammer(rising_factorial):
 # -- subshapes ------------------------------------------------------------
 
 
-def test_subpartitions_complete():
+def test_subpartitions_complete(subpartitions):
     shape = Partition([2, 2])
     got = sorted(mu.parts for mu in subpartitions(shape))
     assert got == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
 
 
-def test_subdiagram_count_matches_enumeration_up_to_8():
+def test_subdiagram_count_matches_enumeration_up_to_8(subpartitions):
     for n in range(0, 9):
         for shape in partitions_of(n):
             assert _subdiagram_count(shape) == sum(1 for _ in subpartitions(shape)), shape
     assert _subdiagram_count(Partition((11,) * 11)) == 705_432 < MAX_SUBDIAGRAMS
+
+
+def test_coded_subdiagrams_match_enumeration(subpartitions):
+    shapes = [shape for n in range(0, 9) for shape in partitions_of(n)]
+    for shape in shapes + [Partition((6,) * 6)]:
+        base = shape.row(1) + 1
+        codes, sizes, corners = _subdiagrams(shape)
+        expected = list(subpartitions(shape))
+        assert codes == [sum(p * base**i for i, p in enumerate(mu.parts)) for mu in expected]
+        assert sizes == [mu.size for mu in expected], shape
+        assert corners == [tuple((i, j, base**(i - 1)) for i, j in mu.corners())
+                           for mu in expected], shape
+        position = {code: k for k, code in enumerate(codes)}
+        for k, (code, mu_corners) in enumerate(zip(codes, corners)):
+            assert all(position[code - step] < k for _, _, step in mu_corners), (shape, k)
