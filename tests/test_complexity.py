@@ -246,6 +246,14 @@ def test_chicago_matches_determinant_route_beyond_brute_force(parts, aitken, sub
     assert average_case_chicago(shape) == _chicago_by_determinant(shape, aitken, subpartitions)
 
 
+def test_chicago_on_a_column_deeper_than_the_recursion_limit():
+    # a single column sorts like insertion: each pair of entries is out of
+    # order in half of the fillings and costs one exchange then
+    column = Partition((1,) * 1500)
+    assert average_case_chicago(column) == Fraction(1500 * 1499, 4)
+    assert f_fixed_entry(column, (1500, 1), 1500) == 1
+
+
 def test_subdiagram_guard_refuses_before_enumerating(monkeypatch):
     def no_enumeration(shape):
         raise AssertionError(f"enumerated the subdiagrams of {shape}")
