@@ -18,13 +18,19 @@ segments gamma(s), gamma(t) and the point are affine in (s, t).
 Affine integrands are integrated exactly in Fractions over convex polygons;
 only the C log terms and an irrational true-units factor are floats.  The
 `tol` arguments are accepted for compatibility and unused.
+
+The cell-wise identity checks d at five probes per cell through the float
+copy of the balanced boundary scaled by K = 240.  That boundary has integer
+breakpoints and slopes +-1, so with the probes scaled to even integers every
+value the float query forms is an integer below 2^53, which IEEE-754
+arithmetic returns exactly: the probes stay exact without Fractions.
 """
 
 import math
 from fractions import Fraction
 
 from .complexity import _w_table
-from .curves import _rational_sqrt, partition_boundary
+from .curves import _rational_sqrt, _stored_curve, partition_boundary
 
 __all__ = [
     "worst_case_integral",
@@ -196,36 +202,66 @@ _CELL_PROBES = (
     (Fraction(7, 8), Fraction(5, 6)),
 )
 
+# The probes in units of 1/_K: 240 = 2 lcm(2, 3, 4, 5, 6, 8) makes every
+# offset an integer and du + dv, du - dv even.
+_K = 240
+_SCALED_PROBES = tuple((_K * du, _K * dv) for du, dv in _CELL_PROBES)
+if any(a.denominator != 1 or b.denominator != 1 or (a + b) % 2
+       for a, b in _SCALED_PROBES):
+    raise AssertionError(f"K = {_K} does not scale the cell probes to even integer sums")
+_SCALED_PROBES = tuple((int(a), int(b)) for a, b in _SCALED_PROBES)
+
+
+def _scaled_boundary(shape):
+    """The balanced boundary of a partition with its frame breakpoints
+    multiplied by _K, as ints, so that its float copy is exact."""
+    curve = partition_boundary(shape, shape.size)
+    if any(v.denominator != 1 for v in curve.xs + curve.ys):
+        raise ValueError(f"boundary of {shape} has non-integer frame breakpoints")
+    xs = tuple(_K * int(x) for x in curve.xs)
+    ys = tuple(_K * int(y) for y in curve.ys)
+    if xs and (xs[-1] - xs[0]) ** 2 >= 2**52:
+        raise ValueError(f"{shape} is too wide for exact float distance probes")
+    return _stored_curve(xs, ys, curve.scale_sq / _K**2)
+
 
 def distance_integral_cellwise(shape):
     """Exact frame-unit integral of the rectangle-distance function over the
     balanced boundary of a partition, evaluated cell by cell.
 
     On the open cell (i, j) the frame distance equals
-    w(i, j) + i + j - (u + v); the affine form is certified by exact rational
-    evaluation of the geometric distance at five interior probes, and each
-    cell then contributes exactly 2 (w(i, j) + 1).  Returns (per-cell map,
-    total).  In true units the integral is total / (2 n^(3/2)), so
+    w(i, j) + i + j - (u + v); the affine form is certified by evaluating the
+    geometric distance at five interior probes, and each cell then
+    contributes exactly 2 (w(i, j) + 1).  Returns (per-cell map, total).  In
+    true units the integral is total / (2 n^(3/2)), so
     n^(3/2) * integral = total / 2 = n + sum of w.
+
+    The probes read the float copy of the boundary scaled by K = 240
+    (`_scaled_boundary`), which is exact.  The balanced boundary has integer
+    breakpoints and slopes +-1, so after scaling every breakpoint is a
+    multiple of K and every probe's frame (x, y) is an even integer.  The
+    curve values there are even, the diagonal crossing is the integer
+    (prev_v - target) / 2 of two even values, and so every value the query
+    forms, the maximum d included, is an integer; the span check keeps every
+    product below 2^52.  IEEE-754 rounds each operation correctly, so the
+    float query returns those integers exactly, and d is compared exactly
+    with K (w + i + j) - y.
     """
-    n = shape.size
-    curve = partition_boundary(shape, n)
+    curve = _scaled_boundary(shape)
     w_rows = _w_table(shape)
     per_cell = {}
     total = Fraction(0)
     for (i, j) in shape.cells():
         w = w_rows[i - 1][j - 1]
-        for du, dv in _CELL_PROBES:
-            u = j - 1 + du
-            v = i - 1 + dv
-            x = u - v
-            y = u + v
-            _, _, d = curve._frame_distances(x, y)
-            expected = w + i + j - y
+        for (a, b), (du, dv) in zip(_SCALED_PROBES, _CELL_PROBES):
+            u = _K * (j - 1) + a
+            v = _K * (i - 1) + b
+            _, _, d = curve._frame_distances(float(u - v), float(u + v))
+            expected = _K * (w + i + j) - (u + v)
             if d != expected:
                 raise AssertionError(
                     f"distance at cell ({i},{j}) probe ({du},{dv}) of {shape}: "
-                    f"got {d}, affine form gives {expected}")
+                    f"got {Fraction(d) / _K}, affine form gives {Fraction(expected, _K)}")
         contribution = Fraction(2) * (w + 1)
         per_cell[(i, j)] = contribution
         total += contribution

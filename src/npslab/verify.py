@@ -198,6 +198,10 @@ def check_conjugation(table):
 
 
 def check_wn_identity(cap):
+    """The discrete identity n^(3/2) * integral of d = n + W on every shape
+    up to the cap.  The certificate is the probes: `distance_integral_cellwise`
+    raises when d is not affine on a cell, and its total is 2 (n + W) by
+    construction once they pass."""
     for n in range(1, cap + 1):
         for shape in partitions_of(n):
             _, total = distance_integral_cellwise(shape)

@@ -4,6 +4,9 @@ from math import comb, factorial
 
 import pytest
 
+from npslab.complexity import _w_table
+from npslab.curves import partition_boundary
+from npslab.integrals import _CELL_PROBES
 from npslab.nps import HookTableau, Tableau, shape_ops
 from npslab.partitions import Partition, harmonic, syt_count
 from npslab.sampling import CHUNK, SeededStream
@@ -54,6 +57,33 @@ def w_by_corners():
     """The South-East distance w of every cell by a maximum over the corners:
     an oracle for the recurrence that `complexity.worst_case` sums."""
     return _w_by_corners
+
+
+def _cellwise_by_fractions(shape):
+    """The cell-wise distance certificate on the unscaled balanced boundary,
+    every probe evaluated in Fractions: (per-cell map, total, distances),
+    where distances maps (cell, probe) to the exact (a, l, d)."""
+    curve = partition_boundary(shape, shape.size)
+    w_rows = _w_table(shape)
+    per_cell = {}
+    distances = {}
+    for (i, j) in shape.cells():
+        w = w_rows[i - 1][j - 1]
+        for du, dv in _CELL_PROBES:
+            u = j - 1 + du
+            v = i - 1 + dv
+            distances[(i, j), (du, dv)] = a, leg, d = curve._frame_distances(u - v, u + v)
+            assert d == w + i + j - (u + v), (shape, (i, j), (du, dv), d)
+        per_cell[(i, j)] = Fraction(2) * (w + 1)
+    return per_cell, sum(per_cell.values(), Fraction(0)), distances
+
+
+@pytest.fixture(scope="session")
+def cellwise_by_fractions():
+    """The cell-wise identity with its probes in exact rational arithmetic:
+    an oracle for the float probes on the scaled boundary that
+    `integrals.distance_integral_cellwise` reads."""
+    return _cellwise_by_fractions
 
 
 def _inv_factorial(m):

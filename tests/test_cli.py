@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,21 @@ def test_exact_refuses_too_many_subdiagrams(capsys):
     code, out, err = run(capsys, "exact", "--shape", ",".join(["12"] * 12))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "2704156 subdiagrams" in err
+
+
+def test_exact_brute_refuses_too_many_sorted_orders():
+    # a fresh process with a deadline: before the guard this command ran
+    # without end, enumerating f = 1,662,804 sorted orders
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "npslab", "exact", "--shape", "5,5,5,5",
+         "--method", "brute", "--cutoff", "20"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "1662804" in proc.stderr and "50000" in proc.stderr
 
 
 def test_exact_json(capsys):

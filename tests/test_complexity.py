@@ -136,6 +136,23 @@ def test_exchange_stats_matches_plain_enumeration_up_to_8(plain_stats):
             assert exchange_stats(shape) == plain_stats(shape), shape
 
 
+def test_sorted_order_guard_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(shape):
+        raise AssertionError(f"enumerated the fillings of {shape}")
+
+    with monkeypatch.context() as m:
+        m.setattr("npslab.complexity.shape_ops", no_enumeration)
+        with pytest.raises(ValueError, match="f = 1662804 sorted orders, above the "
+                                             "enumeration budget of 50000"):
+            exchange_stats(Partition([5, 5, 5, 5]), cutoff=20)
+    shape = Partition([2, 2])  # f = 2: admitted at a budget of 2, not of 1
+    monkeypatch.setattr("npslab.complexity.MAX_SORTED_ORDERS", 2)
+    assert exchange_stats(shape) == (44, 4)
+    monkeypatch.setattr("npslab.complexity.MAX_SORTED_ORDERS", 1)
+    with pytest.raises(ValueError, match="f = 2 sorted orders"):
+        average_case_bruteforce(shape)
+
+
 def test_bruteforce_matches_exact_routes_at_sizes_9_and_10():
     shapes = [s for n in (9, 10) for s in partitions_of(n)]
     assert len(shapes) == 72

@@ -12,9 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from npslab.complexity import worst_case
+from npslab.complexity import _w_table, worst_case
 from npslab.curves import LimitCurve, flat_top_curve, partition_boundary, unit_square_curve
+from npslab import integrals
+from npslab.cli import main
 from npslab.integrals import (
+    _K,
+    _scaled_boundary,
     avg_lower_integral,
     distance_integral_cellwise,
     imbalanced_integrals,
@@ -380,3 +384,37 @@ def test_distance_integral_cellwise_up_to_6():
         for shape in partitions_of(n):
             _, total = distance_integral_cellwise(shape)
             assert total == 2 * (n + worst_case(shape)), shape
+
+
+def _probe_shapes():
+    yield from (s for n in range(1, 9) for s in partitions_of(n))
+    yield from (Partition([6] * 6), Partition(range(8, 0, -1)),
+                Partition([10, 1]), Partition([40, 1]))
+
+
+def test_scaled_probes_match_fraction_probes(cellwise_by_fractions):
+    for shape in _probe_shapes():
+        per_cell, total, distances = cellwise_by_fractions(shape)
+        assert distance_integral_cellwise(shape) == (per_cell, total), shape
+        curve = _scaled_boundary(shape)
+        for ((i, j), (du, dv)), exact in distances.items():
+            u = _K * (j - 1 + du)
+            v = _K * (i - 1 + dv)
+            scaled = curve._frame_distances(float(u - v), float(u + v))
+            for got, want in zip(scaled, exact):
+                assert type(got) is float and got.is_integer(), (shape, (i, j), (du, dv))
+                assert got == _K * want, (shape, (i, j), (du, dv), scaled, exact)
+
+
+def test_wrong_cell_distance_is_caught(capsys, monkeypatch):
+    def off_by_one(shape):
+        rows = _w_table(shape)
+        rows[0][0] += 1
+        return rows
+
+    monkeypatch.setattr(integrals, "_w_table", off_by_one)
+    with pytest.raises(AssertionError, match=r"cell \(1,1\) probe \(1/2,1/2\) of 2,1"):
+        distance_integral_cellwise(Partition([2, 1]))
+    assert main(["verify", "--level", "fast"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] distance-integral-identity" in out and "cell (1,1)" in out
