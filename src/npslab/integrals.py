@@ -205,11 +205,10 @@ _CELL_PROBES = (
 # The probes in units of 1/_K: 240 = 2 lcm(2, 3, 4, 5, 6, 8) makes every
 # offset an integer and du + dv, du - dv even.
 _K = 240
-_SCALED_PROBES = tuple((_K * du, _K * dv) for du, dv in _CELL_PROBES)
-if any(a.denominator != 1 or b.denominator != 1 or (a + b) % 2
-       for a, b in _SCALED_PROBES):
+_SCALED_PROBES = tuple((int(_K * du), int(_K * dv)) for du, dv in _CELL_PROBES)
+if any((_K * du, _K * dv) != probe or sum(probe) % 2
+       for (du, dv), probe in zip(_CELL_PROBES, _SCALED_PROBES)):
     raise AssertionError(f"K = {_K} does not scale the cell probes to even integer sums")
-_SCALED_PROBES = tuple((int(a), int(b)) for a, b in _SCALED_PROBES)
 
 
 def _scaled_boundary(shape):
@@ -237,15 +236,15 @@ def distance_integral_cellwise(shape):
     n^(3/2) * integral = total / 2 = n + sum of w.
 
     The probes read the float copy of the boundary scaled by K = 240
-    (`_scaled_boundary`), which is exact.  The balanced boundary has integer
-    breakpoints and slopes +-1, so after scaling every breakpoint is a
-    multiple of K and every probe's frame (x, y) is an even integer.  The
-    curve values there are even, the diagonal crossing is the integer
-    (prev_v - target) / 2 of two even values, and so every value the query
-    forms, the maximum d included, is an integer; the span check keeps every
-    product below 2^52.  IEEE-754 rounds each operation correctly, so the
-    float query returns those integers exactly, and d is compared exactly
-    with K (w + i + j) - y.
+    (`_scaled_boundary`), and that is exact.  The balanced boundary has
+    integer breakpoints and slopes +-1, so after scaling every breakpoint is
+    a multiple of K and every probe's frame (x, y) is an even integer.  The
+    curve values there are even, the diagonal crossing `_diag_exit` solves
+    is the integer (prev_v - target) / 2 of two even values, and so every
+    value the query forms, d included, is an integer; the span check keeps
+    every product below 2^52.  IEEE-754 rounds each operation correctly, so
+    the float query returns those integers exactly, and d is compared
+    exactly with K (w + i + j) - (u + v), u and v in units of 1/K.
     """
     curve = _scaled_boundary(shape)
     w_rows = _w_table(shape)

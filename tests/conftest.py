@@ -72,8 +72,9 @@ def _cellwise_by_fractions(shape):
         for du, dv in _CELL_PROBES:
             u = j - 1 + du
             v = i - 1 + dv
-            distances[(i, j), (du, dv)] = a, leg, d = curve._frame_distances(u - v, u + v)
-            assert d == w + i + j - (u + v), (shape, (i, j), (du, dv), d)
+            a_l_d = curve._frame_distances(u - v, u + v)
+            assert a_l_d[2] == w + i + j - (u + v), (shape, (i, j), (du, dv), a_l_d)
+            distances[(i, j), (du, dv)] = a_l_d
         per_cell[(i, j)] = Fraction(2) * (w + 1)
     return per_cell, sum(per_cell.values(), Fraction(0)), distances
 

@@ -50,8 +50,7 @@ def test_exact_brute_refuses_too_many_sorted_orders():
     # a fresh process with a deadline: before the guard this command ran
     # without end, enumerating f = 1,662,804 sorted orders
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-m", "npslab", "exact", "--shape", "5,5,5,5",
          "--method", "brute", "--cutoff", "20"],

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from npslab.complexity import _w_table, worst_case
-from npslab.curves import LimitCurve, flat_top_curve, partition_boundary, unit_square_curve
 from npslab import integrals
 from npslab.cli import main
+from npslab.complexity import _w_table, worst_case
+from npslab.curves import LimitCurve, flat_top_curve, partition_boundary, unit_square_curve
 from npslab.integrals import (
     _K,
     _scaled_boundary,
@@ -404,6 +404,19 @@ def test_scaled_probes_match_fraction_probes(cellwise_by_fractions):
             for got, want in zip(scaled, exact):
                 assert type(got) is float and got.is_integer(), (shape, (i, j), (du, dv))
                 assert got == _K * want, (shape, (i, j), (du, dv), scaled, exact)
+
+
+def test_scaled_probes_stay_exact_up_to_the_span_limit():
+    # a row of 279,619 cells has span K * 279,620 with square just below
+    # 2^52: the largest products of the float query are still exact
+    row = 279_619
+    curve = _scaled_boundary(Partition([row]))
+    for j in (1, row // 2, row):
+        u, v = _K * (j - 1) + 120, 120
+        _, _, d = curve._frame_distances(float(u - v), float(u + v))
+        assert d == _K * (row - j + 1 + j) - (u + v), j
+    with pytest.raises(ValueError, match="too wide"):
+        _scaled_boundary(Partition([row + 1]))
 
 
 def test_wrong_cell_distance_is_caught(capsys, monkeypatch):
