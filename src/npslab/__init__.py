@@ -34,6 +34,7 @@ from .nps import (
 )
 from .partitions import (
     Partition,
+    SizeGuardError,
     conjugate,
     harmonic,
     hook_product,

@@ -487,10 +487,7 @@ def main(argv=None):
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"jobs must be at least 1, got {args.jobs}")
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:  # SizeGuardError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, WitnessConstructionError) as exc:

@@ -13,8 +13,8 @@ tableau counts, summed over the integer-coded Young-lattice table of
 from fractions import Fraction
 from math import factorial
 
-from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops
-from .partitions import _chain_counts, conjugate, harmonic, syt_count
+from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops, slid
+from .partitions import SizeGuardError, _chain_counts, conjugate, harmonic, syt_count
 
 __all__ = [
     "w_distance",
@@ -29,12 +29,14 @@ __all__ = [
     "average_case_chicago",
 ]
 
-# The n! route keeps one state per sorted relative order, f^shape of them
-# at the end.  Shapes just under the budget take 3 to 10 s on a 2-vCPU Xeon
-# with Python 3.11: (5,4,3,2), f = 48,048, about 3 s; (4,2,2,1^11),
-# f = 49,248, about 10 s.  The time also grows with the size, as n^3 on
-# hooks (m,1), so `cutoff` still bounds it.
+# The n! route keeps one state per sorted relative order, f^shape of them at
+# the end, and a state costs O(n) per rank of each of the n cells: the work
+# budget f^shape n^2 bounds hooks (m,1), whose time grows as n^3, and admits
+# every shape of size <= 20 that the state budget admits.  On a 2-vCPU Xeon
+# with Python 3.11, (5,4,3,2) takes about 1.6 s, (4,2,2,1^11) about 5 s and
+# (270,1) about 0.7 s.
 MAX_SORTED_ORDERS = 50_000
+MAX_ENUMERATION_WORK = 2 * 10**7
 
 
 def _w_table(shape):
@@ -133,44 +135,47 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """(sum, max) of exchange counts over all n! fillings of the shape.
 
     Sifting the t-th processed cell reads and writes only cells processed
-    before it (every South or East neighbour comes earlier) and only
-    compares values, so the exchanges so far and the sifted board depend
-    only on the relative order of the first t values.  The loop keeps, per
-    relative order of the sifted board, the number of fillings reaching it
-    and their exchange sum and maximum; each of the t + 1 ranks of the next
-    value extends it by one sift.  There are at most f^shape such orders;
-    a shape with more than MAX_SORTED_ORDERS is refused before any sift.
+    before it and only compares values, so the exchanges so far and the
+    sifted board depend only on the relative order of the first t values.
+    The loop keeps, per relative order keyed by its integer code
+    sum rank * (n + 2)^index, the number of fillings reaching it and their
+    exchange sum and maximum.  Each state reads its `slide_chain` once: rank
+    r of the next value lands at the first chain index m whose prefix-maximum
+    rank exceeds r, after m exchanges, and a child's board is built only
+    when its code is new.  A shape above MAX_SORTED_ORDERS sorted orders or
+    MAX_ENUMERATION_WORK units of work f^shape n^2 is refused before any sift.
     """
     n = shape.size
     if n > cutoff:
-        raise ValueError(f"size {n} exceeds enumeration cutoff {cutoff}")
+        raise SizeGuardError(f"size {n} exceeds enumeration cutoff {cutoff}")
     f = syt_count(shape)
     if f > MAX_SORTED_ORDERS:
-        raise ValueError(f"{shape} has f = {f} sorted orders, above the enumeration "
-                         f"budget of {MAX_SORTED_ORDERS}")
+        raise SizeGuardError(f"{shape} has f = {f} sorted orders, above the enumeration "
+                             f"budget of {MAX_SORTED_ORDERS}")
+    if f * n * n > MAX_ENUMERATION_WORK:
+        raise SizeGuardError(f"{shape} needs f n^2 = {f * n * n} units of work, above the "
+                             f"enumeration budget of {MAX_ENUMERATION_WORK}")
     ops = shape_ops(shape)
-    coord = ops.coord
+    powers = [(n + 2)**k for k in range(n)]
     # boards hold ranks 1..t on the processed cells, 0 on the others and a
     # sentinel above every rank at index n
-    states = {tuple(ops.new_board()): (1, 0, 0)}
-    for t, start in enumerate(ops.order):
-        i0, j0 = coord[start]
+    states = {0: [ops.new_board(), 1, 0, 0]}
+    for t in range(n):
         merged = {}
-        for board, (count, total, best) in states.items():
-            for r in range(1, t + 2):
-                nxt = [v + 1 if v >= r else v for v in board]
-                i1, j1 = coord[ops.sift_cell(nxt, start, r)]
-                steps = (i1 - i0) + (j1 - j0)
-                key = tuple(nxt)
-                seen = merged.get(key)
+        for code, (board, count, total, best) in states.items():
+            for cells, m, r, shift in ops.landings(board, t, powers):
+                child = code + shift
+                seen = merged.get(child)
                 if seen is None:
-                    merged[key] = (count, total + count * steps, best + steps)
+                    merged[child] = [slid(board, cells, m, r), count, total + count * m, best + m]
                 else:
-                    merged[key] = (seen[0] + count, seen[1] + total + count * steps,
-                                   max(seen[2], best + steps))
+                    seen[1] += count
+                    seen[2] += total + count * m
+                    if seen[3] < best + m:
+                        seen[3] = best + m
         states = merged
-    return (sum(total for _, total, _ in states.values()),
-            max(best for _, _, best in states.values()))
+    return (sum(total for _, _, total, _ in states.values()),
+            max(best for _, _, _, best in states.values()))
 
 
 def average_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):

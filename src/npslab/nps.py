@@ -7,14 +7,21 @@ South/East neighbours until both are larger (or it sits in a corner).  While
 an entry drops from (i, j) to (i', j'), the hook tableau column segment below
 the start cell shifts up with a decrement and the landing row records the
 column displacement j' - j.
+
+The n! walks read that path once per sifted board as the slide chain of the
+start cell, which does not depend on the entry: an entry lands at the first
+chain cell whose successor's prefix-maximum rank exceeds it.  They key boards
+and hook arrays by integer codes, sum value * (n + 2)^index.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial
 from typing import NamedTuple
 
-from .partitions import Partition, conjugate, hook_product, reverse_lex_cells, syt_count
+from .partitions import (Partition, SizeGuardError, conjugate, hook_product,
+                         reverse_lex_cells, syt_count)
 
 __all__ = [
     "Tableau",
@@ -157,31 +164,14 @@ class _ShapeOps:
 
     def __init__(self, shape):
         n = shape.size
-        offsets = []
-        acc = 0
-        for p in shape.parts:
-            offsets.append(acc)
-            acc += p
-        flat = {}
-        coord = [None] * n
-        for i in range(1, len(shape.parts) + 1):
-            for j in range(1, shape.parts[i - 1] + 1):
-                idx = offsets[i - 1] + j - 1
-                flat[(i, j)] = idx
-                coord[idx] = (i, j)
-        south = [n] * n
-        east = [n] * n
-        for (i, j), idx in flat.items():
-            if (i + 1, j) in flat:
-                south[idx] = flat[(i + 1, j)]
-            if (i, j + 1) in flat:
-                east[idx] = flat[(i, j + 1)]
+        coord = tuple((i, j) for i, p in enumerate(shape.parts, 1) for j in range(1, p + 1))
+        flat = {c: idx for idx, c in enumerate(coord)}
         self.shape = shape
         self.n = n
         self.order = tuple(flat[c] for c in reverse_lex_cells(shape))
-        self.south = south
-        self.east = east
-        self.coord = tuple(coord)
+        self.south = [flat.get((i + 1, j), n) for i, j in coord]
+        self.east = [flat.get((i, j + 1), n) for i, j in coord]
+        self.coord = coord
 
     def new_board(self):
         board = [0] * (self.n + 1)
@@ -195,20 +185,12 @@ class _ShapeOps:
 
     def board_of(self, tableau):
         board = self.new_board()
-        k = 0
-        for row in tableau.rows:
-            for v in row:
-                board[k] = v
-                k += 1
+        board[:self.n] = [v for row in tableau.rows for v in row]
         return board
 
     def rows_from_board(self, board):
-        out = []
-        k = 0
-        for p in self.shape.parts:
-            out.append(tuple(board[k:k + p]))
-            k += p
-        return tuple(out)
+        parts = self.shape.parts
+        return tuple(tuple(board[k:k + p]) for k, p in zip(accumulate(parts, initial=0), parts))
 
     def sort_board(self, board):
         """Run the sort in place, returning the total number of exchanges."""
@@ -236,6 +218,49 @@ class _ShapeOps:
                     c = e
                 total += 1
         return total
+
+    def slide_chain(self, board, start):
+        """The smaller-neighbour chain from `start`: cells p0 = start, p1, ...,
+        each the smaller of the South and East neighbours of the one before,
+        up to the sentinel, with ranks[k] = board[p(k+1)] (the sentinel's
+        last).  A value v sifted from `start` slides p1..pm up one step and
+        lands at pm after m exchanges, for the first m whose prefix-maximum
+        rank exceeds v: the rule of `sift_cell`, for every v at once."""
+        cells = [start]
+        ranks = []
+        c = start
+        while True:
+            s, e = self.south[c], self.east[c]
+            c = s if board[s] < board[e] else e
+            ranks.append(board[c])
+            if c == self.n:
+                return cells, ranks
+            cells.append(c)
+
+    def landings(self, board, t, powers):
+        """Land each rank r = 1..t + 1 of a new value at the t-th processed
+        cell on its `slide_chain`, yielding (cells, m, r, shift): r lands at
+        cells[m], and the child's code sum board[c] * powers[c] is `shift`
+        above this board's.  The board's ranks are raised by one in place
+        and, before child r, rank r - 1 drops back: r lands at the first m
+        whose prefix-maximum rank, on the board as given, is at least r."""
+        cells, ranks = self.slide_chain(board, self.order[t])
+        shift = 0
+        for c in self.order[:t]:
+            board[c] += 1
+            shift += powers[c]
+        m = slide = 0
+        peak = ranks[0]
+        for r in range(1, t + 2):
+            if r > 1:
+                pos = board.index(r)
+                board[pos] = r - 1
+                shift -= powers[pos]
+            while peak < r:
+                slide += ranks[m] * (powers[cells[m]] - powers[cells[m + 1]])
+                m += 1
+                peak = max(peak, ranks[m])
+            yield cells, m, r, shift + slide + r * powers[cells[m]]
 
     def sift_cell(self, board, c, v):
         """Sift the value v down from index c in place, returning the landing
@@ -296,6 +321,16 @@ class _ShapeOps:
         return total, hooks, moves
 
 
+def slid(board, cells, m, r):
+    """A copy of the board with cells[1..m] moved up one step along the
+    chain and r put at cells[m]."""
+    board = board[:]
+    for k in range(m):
+        board[cells[k]] = board[cells[k + 1]]
+    board[cells[m]] = r
+    return board
+
+
 _OPS_CACHE = {}
 
 
@@ -316,43 +351,47 @@ def nps_sort(tableau):
         EntryTrace(v, ops.coord[a], ops.coord[b], swaps) for v, a, b, swaps in moves
     )
     output = Tableau(tableau.shape, ops.rows_from_board(board))
-    hook_rows = []
-    k = 0
-    for p in tableau.shape.parts:
-        hook_rows.append(tuple(hooks[k:k + p]))
-        k += p
-    outcome = NpsOutcome(output, HookTableau(tableau.shape, hook_rows), total, trace)
+    hook_tableau = HookTableau(tableau.shape, ops.rows_from_board(hooks))
+    outcome = NpsOutcome(output, hook_tableau, total, trace)
     if not output.is_standard():
         raise AssertionError(f"sort produced a non-standard tableau from {tableau}")
     return outcome
 
 
-def _walk_orders(ops, board, hooks, t, pairs, tally):
-    """Extend the sifted board (ranks 1..t on the t processed cells) and its
-    hooks by each rank r of the next value among the first t + 1, depth
-    first, adding every full filling's (output, hooks) pair to `pairs` and
-    tallying it under its output in `tally`.
-
-    The sift only compares values, so the landing cell, the hook rule and
-    the sifted board, up to relabelling, depend only on the relative order
-    of the values so far; at depth n the ranks are the values.  The
-    children run from r = t + 1 down to 1, and before each one rank r moves
-    up to r + 1 on this board, which leaves room for the new value r.
-    Each child works on copies.
-    """
-    if t == ops.n:
-        key = (tuple(board[:t]), tuple(hooks))
-        pairs.add(key)
-        tally[key[0]] += 1
-        return
+def _walk_orders(ops, powers, board, hooks, out, hook_code, t, pairs, tally):
+    """Extend the sifted board (ranks 1..t on the t processed cells) by each
+    rank of the next value, depth first.  `out` and `hook_code` are the
+    codes of the board and the hooks; a full filling adds their sum to
+    `pairs` and counts `out` in `tally`.  The children landing at one chain
+    index share one update of the hooks over the start column, made in
+    place between groups: a child copies the hooks before writing."""
+    n = ops.n
     start = ops.order[t]
-    for r in range(t + 1, 0, -1):
-        if r <= t:
-            board[board.index(r)] = r + 1
-        b = board[:]
-        h = hooks[:]
-        ops.sift_cell_with_hooks(b, h, start, r)
-        _walk_orders(ops, b, h, t + 1, pairs, tally)
+    coord = ops.coord
+    south = ops.south
+    i0, j0 = coord[start]
+    leaf = t + 1 == n
+    h = hooks[:]
+    col = start
+    last = None
+    for cells, m, r, shift in ops.landings(board, t, powers):
+        if m != last:
+            last = m
+            i1, j1 = coord[cells[m]]
+            while coord[col][0] < i1:
+                nxt = south[col]
+                h[col] = hooks[nxt] - 1
+                hook_code += (h[col] - hooks[col]) * powers[n + col]
+                col = nxt
+            h[col] = j1 - j0
+            child_hooks = hook_code + (h[col] - hooks[col]) * powers[n + col]
+        child = out + shift
+        if leaf:
+            pairs.add(child + child_hooks)
+            tally[child] += 1
+        else:
+            _walk_orders(ops, powers, slid(board, cells, m, r), h, child, child_hooks, t + 1,
+                         pairs, tally)
 
 
 def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
@@ -361,18 +400,29 @@ def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
 
     Sifting a cell touches only cells processed before it and only compares
     values, so fillings whose prefixes in processing order have the same
-    relative order share their sifts: the walk over relative orders sifts
-    each one once, t! boards at depth t."""
+    relative order share their sifts.  The walk over relative orders reads
+    each node's slide chain once and lands the t + 1 ranks of the next
+    value on it: rank r at the first chain index whose prefix-maximum rank
+    exceeds r.  A leaf is the output code sum rank * B^index, B = n + 2,
+    plus the hook code sum H * B^(n + index); H lies in [-leg, arm], fewer
+    than B values, so the signed digits decode uniquely.  Each output code
+    is decoded to its flattened rows once, as a key of `each_syt_count`."""
     n = shape.size
     if n > cutoff:
-        raise ValueError(f"size {n} exceeds enumeration cutoff {cutoff}")
+        raise SizeGuardError(f"size {n} exceeds enumeration cutoff {cutoff}")
     ops = shape_ops(shape)
-    pairs = set()
-    syt_tally = Counter()
-    _walk_orders(ops, ops.new_board(), [0] * n, 0, pairs, syt_tally)
+    base = n + 2
+    powers = [base**k for k in range(2 * n)]
+    pairs, tally = set(), Counter()
+    if n:
+        _walk_orders(ops, powers, ops.new_board(), [0] * n, 0, 0, 0, pairs, tally)
+    else:
+        pairs.add(0)
+        tally[0] = 1
     expected = factorial(n)
     hooks_count = hook_product(shape)
     injective = len(pairs) == expected
-    uniform = (len(syt_tally) == syt_count(shape)
-               and all(v == hooks_count for v in syt_tally.values()))
-    return BijectionReport(shape, len(pairs), expected, injective, dict(syt_tally), uniform)
+    uniform = (len(tally) == syt_count(shape)
+               and all(v == hooks_count for v in tally.values()))
+    each = {tuple(code // powers[k] % base for k in range(n)): v for code, v in tally.items()}
+    return BijectionReport(shape, len(pairs), expected, injective, each, uniform)

@@ -25,7 +25,12 @@ __all__ = [
     "hook_product",
     "harmonic",
     "partitions_of",
+    "SizeGuardError",
 ]
+
+
+class SizeGuardError(ValueError):
+    """A size guard refused an input before the work that it would cost."""
 
 
 class Partition:
@@ -263,11 +268,11 @@ def _chain_counts(outer):
     dicts `up` and `down` are keyed by the code of every subdiagram mu:
     up[code] counts the chains from the empty shape to mu, that is f^mu, and
     down[code] the chains from mu to outer, f^(outer/mu).
-    Raises ValueError when outer has more than MAX_SUBDIAGRAMS subdiagrams.
+    Raises SizeGuardError when outer has more than MAX_SUBDIAGRAMS subdiagrams.
     """
     count = _subdiagram_count(outer)
     if count > MAX_SUBDIAGRAMS:
-        raise ValueError(
+        raise SizeGuardError(
             f"shape {outer} has {count} subdiagrams, exceeding the limit {MAX_SUBDIAGRAMS}")
     codes, sizes, corners = lattice = _subdiagrams(outer)
     up = {0: 1}

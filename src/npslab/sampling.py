@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nps import Tableau, shape_ops
-from .partitions import syt_count
+from .partitions import SizeGuardError, syt_count
 
 __all__ = [
     "SeededStream",
@@ -104,7 +104,7 @@ def syt_uniformity_test(shape, m, seed):
     """
     count = syt_count(shape)
     if count > 10**4:
-        raise ValueError(f"{count} standard tableaux is too many to tabulate")
+        raise SizeGuardError(f"{count} standard tableaux is too many to tabulate")
     if m < 10 * count:
         raise ValueError(f"need m >= {10 * count} draws for {count} classes")
     ops = shape_ops(shape)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,8 +8,8 @@ import pytest
 from npslab.complexity import _w_table
 from npslab.curves import partition_boundary
 from npslab.integrals import _CELL_PROBES
-from npslab.nps import HookTableau, Tableau, shape_ops
-from npslab.partitions import Partition, harmonic, syt_count
+from npslab.nps import BijectionReport, HookTableau, Tableau, shape_ops
+from npslab.partitions import Partition, harmonic, hook_product, syt_count
 from npslab.sampling import CHUNK, SeededStream
 from npslab.two_row import validate_two_row
 from npslab.verify import brute_table
@@ -152,6 +153,50 @@ def plain_stats():
     """Exchange-count (sum, max) by the plain n! loop over `sort_board`: an
     oracle that shares no prefix work, unlike `exchange_stats`."""
     return _plain_exchange_stats
+
+
+def _walk_orders_by_sifts(ops, board, hooks, t, pairs, tally):
+    """Extend the sifted board (ranks 1..t on the t processed cells) and its
+    hooks by each rank r of the next value among the first t + 1, depth
+    first, with one `sift_cell_with_hooks` per child, adding every full
+    filling's (output, hooks) pair of tuples to `pairs` and tallying it
+    under its output in `tally`.  Before child r, rank r moves up to r + 1
+    on this board, which leaves room for the new value r."""
+    if t == ops.n:
+        key = (tuple(board[:t]), tuple(hooks))
+        pairs.add(key)
+        tally[key[0]] += 1
+        return
+    start = ops.order[t]
+    for r in range(t + 1, 0, -1):
+        if r <= t:
+            board[board.index(r)] = r + 1
+        b = board[:]
+        h = hooks[:]
+        ops.sift_cell_with_hooks(b, h, start, r)
+        _walk_orders_by_sifts(ops, b, h, t + 1, pairs, tally)
+
+
+def _bijection_by_sifts(shape):
+    """The bijection report from a walk over relative orders that sifts each
+    child on its own copy and keys leaves by tuples."""
+    n = shape.size
+    ops = shape_ops(shape)
+    pairs = set()
+    tally = Counter()
+    _walk_orders_by_sifts(ops, ops.new_board(), [0] * n, 0, pairs, tally)
+    expected = factorial(n)
+    uniform = (len(tally) == syt_count(shape)
+               and all(v == hook_product(shape) for v in tally.values()))
+    return BijectionReport(shape, len(pairs), expected, len(pairs) == expected, dict(tally),
+                           uniform)
+
+
+@pytest.fixture(scope="session")
+def bijection_by_sifts():
+    """The bijection report by one sift per child and tuple-keyed leaves: an
+    oracle for the slide chains and integer codes of `verify_bijection`."""
+    return _bijection_by_sifts
 
 
 def _enumerate_tableaux(shape):

@@ -60,6 +60,41 @@ def test_exact_brute_refuses_too_many_sorted_orders():
     assert "1662804" in proc.stderr and "50000" in proc.stderr
 
 
+def test_exact_brute_refuses_too_much_work():
+    # a fresh process with a deadline: before the work budget this command
+    # ran for minutes, since the hook (1000,1) has only f = 1000 sorted orders
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "npslab", "exact", "--shape", "1000,1",
+         "--method", "brute", "--cutoff", "1001"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "1002001000 units of work" in proc.stderr and "20000000" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the CLI offers brute force only up to the cutoff, so it never calls
+    # the enumeration with a larger shape
+    (["exact", "--shape", "5,5", "--method", "brute"],
+     "method 'brute' not applicable to shape 5,5"),
+    (["exact", "--shape", "5,5,5,5", "--method", "brute", "--cutoff", "20"],
+     "5,5,5,5 has f = 1662804 sorted orders, above the enumeration budget of 50000"),
+    (["exact", "--shape", "1000,1", "--method", "brute", "--cutoff", "1001"],
+     "1000,1 needs f n^2 = 1002001000 units of work, above the enumeration budget of "
+     "20000000"),
+    (["exact", "--shape", ",".join(["12"] * 12)],
+     "2704156 subdiagrams, exceeding the limit 1000000"),
+    (["sample", "--shape", "5,4,3,2", "--uniformity", "--draws", "10"],
+     "48048 standard tableaux is too many to tabulate"),
+], ids=["enumeration-cutoff", "sorted-orders", "work", "subdiagrams", "uniformity-classes"])
+def test_size_guards_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
+
+
 def test_exact_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "exact", "--shape", "2,1",
                        "--method", "chicago")

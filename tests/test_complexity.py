@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import npslab
 from npslab.complexity import (
+    MAX_ENUMERATION_WORK,
+    MAX_SORTED_ORDERS,
     average_case_bruteforce,
     average_case_chicago,
     exchange_stats,
@@ -15,14 +18,16 @@ from npslab.complexity import (
     worst_case,
     worst_case_witness,
 )
-from npslab.nps import nps_sort
+from npslab.nps import nps_sort, verify_bijection
 from npslab.partitions import (
     Partition,
+    SizeGuardError,
     harmonic,
     hook_product,
     partitions_of,
     syt_count,
 )
+from npslab.sampling import syt_uniformity_test
 
 FIG_SHAPE = Partition([4, 4, 2, 1, 1, 1])
 
@@ -151,6 +156,52 @@ def test_sorted_order_guard_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr("npslab.complexity.MAX_SORTED_ORDERS", 1)
     with pytest.raises(ValueError, match="f = 2 sorted orders"):
         average_case_bruteforce(shape)
+
+
+def test_work_guard_bounds_long_hooks_before_enumerating(monkeypatch):
+    def no_enumeration(shape):
+        raise AssertionError(f"enumerated the fillings of {shape}")
+
+    monkeypatch.setattr("npslab.complexity.shape_ops", no_enumeration)
+    # f n^2 for the hook (m,1) is m (m + 1)^2: 19,829,070 at m = 270 and
+    # 20,049,664 at m = 271, either side of the budget
+    with pytest.raises(AssertionError, match="enumerated"):
+        exchange_stats(Partition([270, 1]), cutoff=1000)
+    with pytest.raises(SizeGuardError, match=r"f n\^2 = 20049664 units of work, above the "
+                                             r"enumeration budget of 20000000"):
+        exchange_stats(Partition([271, 1]), cutoff=1000)
+
+
+def test_work_budget_admits_every_sorted_order_budget_shape_up_to_20():
+    admitted = 0
+    for n in range(1, 21):
+        for shape in partitions_of(n):
+            f = syt_count(shape)
+            if f <= MAX_SORTED_ORDERS:
+                assert f * n * n <= MAX_ENUMERATION_WORK, shape
+                admitted += 1
+    assert admitted == 887
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: verify_bijection(Partition([5, 5])), "size 10 exceeds enumeration cutoff 9"),
+    (lambda: exchange_stats(Partition([5, 5])), "size 10 exceeds enumeration cutoff 9"),
+    (lambda: exchange_stats(Partition([5, 5, 5, 5]), cutoff=20),
+     "5,5,5,5 has f = 1662804 sorted orders, above the enumeration budget of 50000"),
+    (lambda: exchange_stats(Partition([1000, 1]), cutoff=1001),
+     "1000,1 needs f n^2 = 1002001000 units of work, above the enumeration budget of "
+     "20000000"),
+    (lambda: average_case_chicago(Partition([12] * 12)),
+     "2704156 subdiagrams, exceeding the limit 1000000"),
+    (lambda: syt_uniformity_test(Partition([5, 4, 3, 2]), 10, 0),
+     "48048 standard tableaux is too many to tabulate"),
+], ids=["bijection-cutoff", "brute-cutoff", "sorted-orders", "work", "subdiagrams",
+        "uniformity-classes"])
+def test_size_guards_raise_one_named_error(call, message):
+    assert npslab.SizeGuardError is SizeGuardError and issubclass(SizeGuardError, ValueError)
+    with pytest.raises(SizeGuardError) as info:
+        call()
+    assert str(info.value).endswith(message)
 
 
 def test_bruteforce_matches_exact_routes_at_sizes_9_and_10():

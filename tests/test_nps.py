@@ -286,21 +286,51 @@ def test_bijection_matches_naive_reports_up_to_6(tableaux):
             assert verify_bijection(shape) == _naive_report(shape, tableaux), shape
 
 
-def test_wrong_sift_rule_is_caught(monkeypatch):
-    def south_first(self, board, c, v):
-        # compares only with the South neighbour while there is one
-        while True:
-            nxt = self.south[c] if self.south[c] != self.n else self.east[c]
-            if board[nxt] > v:
-                break
-            board[c] = board[nxt]
-            c = nxt
-        board[c] = v
-        return c
+def test_bijection_matches_sift_walk_up_to_8(bijection_by_sifts):
+    for n in range(0, 9):
+        for shape in partitions_of(n):
+            report = verify_bijection(shape)
+            assert report == bijection_by_sifts(shape), shape
+            assert all(len(key) == n for key in report.each_syt_count), shape
 
+
+def _south_first_chain(self, board, start):
+    # follows the South neighbour while there is one, whatever its value
+    cells, ranks = [start], []
+    c = start
+    while True:
+        c = self.south[c] if self.south[c] != self.n else self.east[c]
+        ranks.append(board[c])
+        if c == self.n:
+            return cells, ranks
+        cells.append(c)
+
+
+_slide_chain = _ShapeOps.slide_chain
+
+
+def _chain_ending_early(self, board, start):
+    # drops the last cell of every chain longer than its start
+    cells, ranks = _slide_chain(self, board, start)
+    if len(cells) > 1:
+        del cells[-1], ranks[-2]
+    return cells, ranks
+
+
+def test_wrong_sift_rule_is_caught(monkeypatch):
     shape = Partition([2, 2])
     assert exchange_stats(shape) == (44, 4)
-    monkeypatch.setattr(_ShapeOps, "sift_cell", south_first)
+    monkeypatch.setattr(_ShapeOps, "slide_chain", _south_first_chain)
     report = verify_bijection(shape)
     assert not report.injective and not report.uniform
     assert exchange_stats(shape) == (40, 4)
+
+
+def test_chain_ending_early_is_caught(monkeypatch, plain_stats):
+    shape = Partition([3, 2])
+    expected = plain_stats(shape)
+    assert exchange_stats(shape) == expected
+    monkeypatch.setattr(_ShapeOps, "slide_chain", _chain_ending_early)
+    report = verify_bijection(shape)
+    assert not (report.injective and report.uniform)
+    assert exchange_stats(shape) != expected
