@@ -1,7 +1,8 @@
 """Command-line harness: exact computation, worst-case reports, convergence
 sweeps, verification suites, Monte Carlo sampling and curve integrals.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All output is
+Exit codes: 0 success, 1 verification failure or program fault (one line,
+no traceback), 2 usage error.  All output is
 deterministic given flags and seed; CSV uses '.' decimals and stable float
 formatting, and JSON carries exact fractions as "p/q" strings.
 """
@@ -11,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import two_row
 from .complexity import (
@@ -113,10 +113,8 @@ def _emit(args, document, text_lines):
 
 def _exact_methods(shape, cutoff):
     two_parts = len(shape.parts) <= 2 and shape.size >= 1
-    methods = {}
-    if shape.size <= cutoff:
-        methods["brute"] = lambda: average_case_bruteforce(shape, cutoff=cutoff)
-    methods["chicago"] = lambda: average_case_chicago(shape)
+    methods = {"brute": lambda: average_case_bruteforce(shape, cutoff=cutoff),
+               "chicago": lambda: average_case_chicago(shape)}
     if two_parts:
         lam1 = shape.parts[0]
         lam2 = shape.row(2)
@@ -129,7 +127,9 @@ def _cmd_exact(args):
     cutoff = args.cutoff
     methods = _exact_methods(shape, cutoff)
     if args.all:
-        values = {name: fn() for name, fn in methods.items()}
+        # brute force runs above the cutoff only when named
+        values = {name: fn() for name, fn in methods.items()
+                  if name != "brute" or shape.size <= cutoff}
         if len(set(values.values())) > 1:
             print("method disagreement: "
                   + ", ".join(f"{k}={_fmt_fraction(v)}" for k, v in values.items()),
@@ -299,6 +299,7 @@ def _cmd_sweep(args):
     shapes = [(n, s) for n, s in shapes if s is not None]
     tasks = [(s.parts, args.samples, args.seed, args.exact_limit) for _, s in shapes]
     if args.jobs > 1 and tasks:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             c_values = list(pool.map(_row_c_value, tasks))
     else:
@@ -493,6 +494,10 @@ def main(argv=None):
     except (AssertionError, WitnessConstructionError) as exc:
         # an internal self-check failed: a verification failure
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a program fault: one line, no traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

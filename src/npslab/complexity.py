@@ -123,7 +123,7 @@ def worst_case_witness(shape):
             for i in range(1, len(shape.parts) + 1)]
     witness = Tableau(shape, rows)
     ops = shape_ops(shape)
-    achieved = ops.sort_board(ops.board_of(witness))
+    achieved = ops.sort_values(ops.new_board(), [values[ops.coord[c]] for c in ops.order])
     expected = worst_case(shape)
     if achieved != expected:
         raise WitnessConstructionError(

@@ -160,7 +160,7 @@ class _ShapeOps:
     a value larger than every entry, so missing neighbours never win a swap.
     """
 
-    __slots__ = ("shape", "n", "order", "south", "east", "coord")
+    __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum")
 
     def __init__(self, shape):
         n = shape.size
@@ -172,16 +172,13 @@ class _ShapeOps:
         self.south = [flat.get((i + 1, j), n) for i, j in coord]
         self.east = [flat.get((i, j + 1), n) for i, j in coord]
         self.coord = coord
+        self.depth = [i + j for i, j in coord]
+        self.depth_sum = sum(self.depth)
 
     def new_board(self):
         board = [0] * (self.n + 1)
         board[self.n] = self.n + 2
         return board
-
-    def fill(self, board, values):
-        order = self.order
-        for t, v in enumerate(values):
-            board[order[t]] = v
 
     def board_of(self, tableau):
         board = self.new_board()
@@ -192,13 +189,19 @@ class _ShapeOps:
         parts = self.shape.parts
         return tuple(tuple(board[k:k + p]) for k, p in zip(accumulate(parts, initial=0), parts))
 
-    def sort_board(self, board):
-        """Run the sort in place, returning the total number of exchanges."""
-        total = 0
+    def sort_values(self, board, values):
+        """Sift values[t] from the t-th processed cell for every t, in place,
+        returning the number of exchanges.  No fill pass runs first: a sift
+        reads only cells processed before its own, so the board's earlier
+        contents never matter.  The moving value is written once, at its
+        landing cell, and the exchanges of a sift are the rise of the depth
+        i + j from its start to its landing, so the total is the sum of the
+        landing depths less that of all cells."""
         south = self.south
         east = self.east
-        for c in self.order:
-            v = board[c]
+        depth = self.depth
+        total = -self.depth_sum
+        for c, v in zip(self.order, values):
             while True:
                 s = south[c]
                 e = east[c]
@@ -208,15 +211,14 @@ class _ShapeOps:
                     if sv > v:
                         break
                     board[c] = sv
-                    board[s] = v
                     c = s
                 else:
                     if ev > v:
                         break
                     board[c] = ev
-                    board[e] = v
                     c = e
-                total += 1
+            board[c] = v
+            total += depth[c]
         return total
 
     def slide_chain(self, board, start):
@@ -225,96 +227,86 @@ class _ShapeOps:
         up to the sentinel, with ranks[k] = board[p(k+1)] (the sentinel's
         last).  A value v sifted from `start` slides p1..pm up one step and
         lands at pm after m exchanges, for the first m whose prefix-maximum
-        rank exceeds v: the rule of `sift_cell`, for every v at once."""
+        rank exceeds v: the rule of `sort_values`, for every v at once."""
+        south = self.south
+        east = self.east
+        n = self.n
         cells = [start]
         ranks = []
         c = start
         while True:
-            s, e = self.south[c], self.east[c]
+            s = south[c]
+            e = east[c]
             c = s if board[s] < board[e] else e
             ranks.append(board[c])
-            if c == self.n:
+            if c == n:
                 return cells, ranks
             cells.append(c)
 
     def landings(self, board, t, powers):
         """Land each rank r = 1..t + 1 of a new value at the t-th processed
         cell on its `slide_chain`, yielding (cells, m, r, shift): r lands at
-        cells[m], and the child's code sum board[c] * powers[c] is `shift`
-        above this board's.  The board's ranks are raised by one in place
-        and, before child r, rank r - 1 drops back: r lands at the first m
-        whose prefix-maximum rank, on the board as given, is at least r."""
+        cells[m], the first m whose prefix-maximum rank is at least r, and
+        the child's code sum board[c] * powers[c] is `shift` above this
+        board's.  The board is only read: in the child the ranks r and above
+        move up by one (`slid` builds it), so `cell_of[k]`, the cell of rank
+        k, gives the code shift as rank r drops back before child r + 1."""
         cells, ranks = self.slide_chain(board, self.order[t])
+        cell_of = [0] * (t + 2)
         shift = 0
         for c in self.order[:t]:
-            board[c] += 1
+            cell_of[board[c]] = c
             shift += powers[c]
-        m = slide = 0
+        m = 0
         peak = ranks[0]
         for r in range(1, t + 2):
-            if r > 1:
-                pos = board.index(r)
-                board[pos] = r - 1
-                shift -= powers[pos]
             while peak < r:
-                slide += ranks[m] * (powers[cells[m]] - powers[cells[m + 1]])
+                shift += ranks[m] * (powers[cells[m]] - powers[cells[m + 1]])
                 m += 1
-                peak = max(peak, ranks[m])
-            yield cells, m, r, shift + slide + r * powers[cells[m]]
-
-    def sift_cell(self, board, c, v):
-        """Sift the value v down from index c in place, returning the landing
-        index.  Only cells South-East of c are read or written, and those are
-        all processed before c.  The exchanges are (i1 - i0) + (j1 - j0)."""
-        south = self.south
-        east = self.east
-        while True:
-            s = south[c]
-            e = east[c]
-            sv = board[s]
-            ev = board[e]
-            if sv < ev:
-                if sv > v:
-                    break
-                board[c] = sv
-                c = s
-            else:
-                if ev > v:
-                    break
-                board[c] = ev
-                c = e
-        board[c] = v
-        return c
-
-    def sift_cell_with_hooks(self, board, hooks, start, v):
-        """sift_cell plus the hook rule: the column segment below `start`
-        shifts up with a decrement and the landing row records the column
-        displacement.  Returns the landing index."""
-        c = self.sift_cell(board, start, v)
-        i0, j0 = self.coord[start]
-        i1, j1 = self.coord[c]
-        south = self.south
-        walk = start
-        for _ in range(i1 - i0):
-            nxt = south[walk]
-            hooks[walk] = hooks[nxt] - 1
-            walk = nxt
-        hooks[walk] = j1 - j0
-        return c
+                if peak < ranks[m]:
+                    peak = ranks[m]
+            yield cells, m, r, shift + r * powers[cells[m]]
+            shift -= powers[cell_of[r]]
 
     def sort_board_with_hooks(self, board):
         """Sort in place; returns (exchanges, hook array, per-entry moves).
 
-        Each move is (value, start index, end index, exchanges).
+        Each move is (value, start index, end index, exchanges).  After each
+        sift the column segment below its start shifts up with a decrement
+        and the landing row records the column displacement.
         """
         total = 0
+        south = self.south
+        east = self.east
         coord = self.coord
         hooks = [0] * self.n
         moves = []
         for start in self.order:
             v = board[start]
-            c = self.sift_cell_with_hooks(board, hooks, start, v)
+            c = start
+            while True:
+                s = south[c]
+                e = east[c]
+                sv = board[s]
+                ev = board[e]
+                if sv < ev:
+                    if sv > v:
+                        break
+                    board[c] = sv
+                    c = s
+                else:
+                    if ev > v:
+                        break
+                    board[c] = ev
+                    c = e
+            board[c] = v
             (i0, j0), (i1, j1) = coord[start], coord[c]
+            walk = start
+            for _ in range(i1 - i0):
+                nxt = south[walk]
+                hooks[walk] = hooks[nxt] - 1
+                walk = nxt
+            hooks[walk] = j1 - j0
             swaps = (i1 - i0) + (j1 - j0)
             total += swaps
             moves.append((v, start, c, swaps))
@@ -322,9 +314,10 @@ class _ShapeOps:
 
 
 def slid(board, cells, m, r):
-    """A copy of the board with cells[1..m] moved up one step along the
-    chain and r put at cells[m]."""
-    board = board[:]
+    """A copy of the board with the ranks r and above raised by one (the
+    sentinel too, which keeps it above every rank), cells[1..m] moved up
+    one step along the chain and r put at cells[m]."""
+    board = [v + 1 if v >= r else v for v in board]
     for k in range(m):
         board[cells[k]] = board[cells[k + 1]]
     board[cells[m]] = r
@@ -358,40 +351,63 @@ def nps_sort(tableau):
     return outcome
 
 
-def _walk_orders(ops, powers, board, hooks, out, hook_code, t, pairs, tally):
+def _landing_groups(ops, powers, board, t, out):
+    """The children of a node with code `out`, grouped by landing index:
+    [(cells, m, r0, codes)], rank r0 + k landing at cells[m] with code
+    codes[k]."""
+    groups = []
+    for cells, m, r, shift in ops.landings(board, t, powers):
+        if not groups or groups[-1][1] != m:
+            groups.append((cells, m, r, []))
+        groups[-1][3].append(out + shift)
+    return groups
+
+
+def _walk_orders(ops, powers, board, hooks, out, hook_code, t, pairs, leaves):
     """Extend the sifted board (ranks 1..t on the t processed cells) by each
     rank of the next value, depth first.  `out` and `hook_code` are the
     codes of the board and the hooks; a full filling adds their sum to
-    `pairs` and counts `out` in `tally`.  The children landing at one chain
-    index share one update of the hooks over the start column, made in
-    place between groups: a child copies the hooks before writing."""
+    `pairs`.  The children landing at one chain index share one update of
+    the hooks over the start column, made in place between groups: a child
+    copies the hooks before writing.
+
+    The leaf codes of a node one cell short of a full filling depend on its
+    board alone, so `leaves` keeps them by board code, with the number of
+    nodes that reached the board: each group of leaves is one C-level
+    `pairs.update` with its hook code added."""
     n = ops.n
     start = ops.order[t]
     coord = ops.coord
     south = ops.south
     i0, j0 = coord[start]
     leaf = t + 1 == n
+    if leaf:
+        seen = leaves.get(out)
+        if seen is None:
+            seen = leaves[out] = [0, _landing_groups(ops, powers, board, t, out)]
+        seen[0] += 1
+        groups = seen[1]
+    else:
+        groups = _landing_groups(ops, powers, board, t, out)
     h = hooks[:]
     col = start
-    last = None
-    for cells, m, r, shift in ops.landings(board, t, powers):
-        if m != last:
-            last = m
-            i1, j1 = coord[cells[m]]
-            while coord[col][0] < i1:
-                nxt = south[col]
-                h[col] = hooks[nxt] - 1
-                hook_code += (h[col] - hooks[col]) * powers[n + col]
-                col = nxt
-            h[col] = j1 - j0
-            child_hooks = hook_code + (h[col] - hooks[col]) * powers[n + col]
-        child = out + shift
+    for cells, m, r0, codes in groups:
+        i1, j1 = coord[cells[m]]
+        while coord[col][0] < i1:
+            nxt = south[col]
+            h[col] = hooks[nxt] - 1
+            hook_code += (h[col] - hooks[col]) * powers[n + col]
+            col = nxt
+        h[col] = j1 - j0
+        child_hooks = hook_code + (h[col] - hooks[col]) * powers[n + col]
         if leaf:
-            pairs.add(child + child_hooks)
-            tally[child] += 1
+            pairs.update(map(child_hooks.__add__, codes))
         else:
-            _walk_orders(ops, powers, slid(board, cells, m, r), h, child, child_hooks, t + 1,
-                         pairs, tally)
+            for r, child in enumerate(codes, r0):
+                # a board already in `leaves` is not needed again
+                known = t + 2 == n and child in leaves
+                _walk_orders(ops, powers, None if known else slid(board, cells, m, r), h, child,
+                             child_hooks, t + 1, pairs, leaves)
 
 
 def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
@@ -413,12 +429,17 @@ def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     ops = shape_ops(shape)
     base = n + 2
     powers = [base**k for k in range(2 * n)]
-    pairs, tally = set(), Counter()
+    pairs, leaves, tally = set(), {}, Counter()
     if n:
-        _walk_orders(ops, powers, ops.new_board(), [0] * n, 0, 0, 0, pairs, tally)
+        _walk_orders(ops, powers, ops.new_board(), [0] * n, 0, 0, 0, pairs, leaves)
     else:
         pairs.add(0)
         tally[0] = 1
+    # in order of first reach, as a walk counting leaf by leaf would insert them
+    for visits, groups in leaves.values():
+        for group in groups:
+            for code in group[3]:
+                tally[code] += visits
     expected = factorial(n)
     hooks_count = hook_product(shape)
     injective = len(pairs) == expected

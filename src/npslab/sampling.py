@@ -7,6 +7,7 @@ function of (shape, m, seed) regardless of how work is distributed.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ def random_tableau(shape, stream):
     ops = shape_ops(shape)
     perm = stream.generator().permutation(shape.size) + 1
     board = ops.new_board()
-    ops.fill(board, perm.tolist())
+    for c, v in zip(ops.order, perm.tolist()):
+        board[c] = v
     return Tableau(shape, ops.rows_from_board(board))
 
 
@@ -86,8 +88,7 @@ def estimate_avg_case(shape, m, seed):
     total = 0
     total_sq = 0
     for values in _chunked_boards(shape, m, seed):
-        ops.fill(board, values)
-        count = ops.sort_board(board)
+        count = ops.sort_values(board, values)
         total += count
         total_sq += count * count
     mean = total / m
@@ -100,7 +101,9 @@ def syt_uniformity_test(shape, m, seed):
 
     Requires the standard tableau count to be small enough to tabulate
     (<= 10^4) and m at least ten times that count; returns (chi_square, dof)
-    with dof = count - 1.
+    with dof = count - 1.  When n! <= m the draws are tallied by filling
+    first, so each distinct filling is sorted once; its outputs are tallied
+    in the order of their first draw either way.
     """
     count = syt_count(shape)
     if count > 10**4:
@@ -111,11 +114,15 @@ def syt_uniformity_test(shape, m, seed):
     n = shape.size
     board = ops.new_board()
     tally = {}
-    for values in _chunked_boards(shape, m, seed):
-        ops.fill(board, values)
-        ops.sort_board(board)
+    draws = _chunked_boards(shape, m, seed)
+    if math.factorial(n) <= m:
+        draws = Counter(map(tuple, draws)).items()
+    else:
+        draws = ((values, 1) for values in draws)
+    for values, k in draws:
+        ops.sort_values(board, values)
         key = tuple(board[:n])
-        tally[key] = tally.get(key, 0) + 1
+        tally[key] = tally.get(key, 0) + k
     expected = m / count
     chi_square = sum((obs - expected) ** 2 for obs in tally.values()) / expected
     chi_square += (count - len(tally)) * expected  # classes never observed

@@ -135,14 +135,66 @@ def aitken():
     return _aitken_skew_count
 
 
+def _fill(ops, board, values):
+    """Write values[t] at the t-th processed cell."""
+    order = ops.order
+    for t, v in enumerate(values):
+        board[order[t]] = v
+
+
+def _sort_board(ops, board):
+    """Run the sort in place by exchanges, one swap per step, returning the
+    total number of exchanges."""
+    total = 0
+    south = ops.south
+    east = ops.east
+    for c in ops.order:
+        v = board[c]
+        while True:
+            s = south[c]
+            e = east[c]
+            sv = board[s]
+            ev = board[e]
+            if sv < ev:
+                if sv > v:
+                    break
+                board[c] = sv
+                board[s] = v
+                c = s
+            else:
+                if ev > v:
+                    break
+                board[c] = ev
+                board[e] = v
+                c = e
+            total += 1
+    return total
+
+
+def _sort_filling(shape, values):
+    """(exchanges, sorted board) of the filling with values[t] at the t-th
+    processed cell, by a fill pass and then the swap-by-swap sort."""
+    ops = shape_ops(shape)
+    board = ops.new_board()
+    _fill(ops, board, values)
+    return _sort_board(ops, board), board
+
+
+@pytest.fixture(scope="session")
+def sort_filling():
+    """The sort as a fill pass and then one swap per exchange, counted one
+    by one: an oracle for the fused kernel `_ShapeOps.sort_values`."""
+    return _sort_filling
+
+
 def _plain_exchange_stats(shape):
     """(sum, max) of exchange counts by sorting each of the n! fillings."""
     ops = shape_ops(shape)
     board = ops.new_board()
     total = best = 0
     for perm in itertools.permutations(range(1, shape.size + 1)):
-        ops.fill(board, perm)
-        count = ops.sort_board(board)
+        _fill(ops, board, perm)
+        count = _sort_board(ops, board)
         total += count
         best = max(best, count)
     return total, best
@@ -150,15 +202,57 @@ def _plain_exchange_stats(shape):
 
 @pytest.fixture(scope="session")
 def plain_stats():
-    """Exchange-count (sum, max) by the plain n! loop over `sort_board`: an
-    oracle that shares no prefix work, unlike `exchange_stats`."""
+    """Exchange-count (sum, max) by the plain n! loop over the swap-by-swap
+    sort: an oracle that shares no prefix work, unlike `exchange_stats`."""
     return _plain_exchange_stats
+
+
+def _sift_cell(ops, board, c, v):
+    """Sift the value v down from index c in place, returning the landing
+    index.  Only cells South-East of c are read or written, and those are
+    all processed before c.  The exchanges are (i1 - i0) + (j1 - j0)."""
+    south = ops.south
+    east = ops.east
+    while True:
+        s = south[c]
+        e = east[c]
+        sv = board[s]
+        ev = board[e]
+        if sv < ev:
+            if sv > v:
+                break
+            board[c] = sv
+            c = s
+        else:
+            if ev > v:
+                break
+            board[c] = ev
+            c = e
+    board[c] = v
+    return c
+
+
+def _sift_cell_with_hooks(ops, board, hooks, start, v):
+    """_sift_cell plus the hook rule: the column segment below `start`
+    shifts up with a decrement and the landing row records the column
+    displacement.  Returns the landing index."""
+    c = _sift_cell(ops, board, start, v)
+    i0, j0 = ops.coord[start]
+    i1, j1 = ops.coord[c]
+    south = ops.south
+    walk = start
+    for _ in range(i1 - i0):
+        nxt = south[walk]
+        hooks[walk] = hooks[nxt] - 1
+        walk = nxt
+    hooks[walk] = j1 - j0
+    return c
 
 
 def _walk_orders_by_sifts(ops, board, hooks, t, pairs, tally):
     """Extend the sifted board (ranks 1..t on the t processed cells) and its
     hooks by each rank r of the next value among the first t + 1, depth
-    first, with one `sift_cell_with_hooks` per child, adding every full
+    first, with one `_sift_cell_with_hooks` per child, adding every full
     filling's (output, hooks) pair of tuples to `pairs` and tallying it
     under its output in `tally`.  Before child r, rank r moves up to r + 1
     on this board, which leaves room for the new value r."""
@@ -173,7 +267,7 @@ def _walk_orders_by_sifts(ops, board, hooks, t, pairs, tally):
             board[board.index(r)] = r + 1
         b = board[:]
         h = hooks[:]
-        ops.sift_cell_with_hooks(b, h, start, r)
+        _sift_cell_with_hooks(ops, b, h, start, r)
         _walk_orders_by_sifts(ops, b, h, t + 1, pairs, tally)
 
 
@@ -205,7 +299,7 @@ def _enumerate_tableaux(shape):
     ops = shape_ops(shape)
     board = ops.new_board()
     for perm in itertools.permutations(range(1, shape.size + 1)):
-        ops.fill(board, perm)
+        _fill(ops, board, perm)
         yield Tableau(shape, ops.rows_from_board(board))
 
 

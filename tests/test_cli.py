@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from npslab import cli
 from npslab.cli import main
 from npslab.complexity import WitnessConstructionError
 from npslab.curves import LimitCurve, partition_boundary
@@ -75,10 +76,9 @@ def test_exact_brute_refuses_too_much_work():
 
 
 @pytest.mark.parametrize("argv,message", [
-    # the CLI offers brute force only up to the cutoff, so it never calls
-    # the enumeration with a larger shape
+    # a named brute force runs whatever the size, and its cutoff speaks
     (["exact", "--shape", "5,5", "--method", "brute"],
-     "method 'brute' not applicable to shape 5,5"),
+     "size 10 exceeds enumeration cutoff 9"),
     (["exact", "--shape", "5,5,5,5", "--method", "brute", "--cutoff", "20"],
      "5,5,5,5 has f = 1662804 sorted orders, above the enumeration budget of 50000"),
     (["exact", "--shape", "1000,1", "--method", "brute", "--cutoff", "1001"],
@@ -320,6 +320,31 @@ def test_self_check_failure_is_verification_failure(capsys, monkeypatch, error):
     monkeypatch.setattr("npslab.cli.worst_case_witness", broken)
     code, out, err = run(capsys, "worst", "--shape", "2,2", "--witness")
     assert (code, out, err) == (1, "", "error: self-check failed\n")
+
+
+@pytest.mark.parametrize("error,line", [
+    (RuntimeError("lost state"), "error: internal: RuntimeError: lost state"),
+    (KeyError("missing"), "error: internal: KeyError: 'missing'"),
+    (RuntimeError("two\nlines"), "error: internal: RuntimeError: two lines"),
+], ids=["runtime", "key", "multiline"])
+def test_program_fault_exits_1_in_one_line(capsys, monkeypatch, error, line):
+    def broken(args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "worst", broken)
+    code, out, err = run(capsys, "worst", "--shape", "2,2")
+    assert (code, out, err) == (1, "", line + "\n")
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, npslab, npslab.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_sweep_jobs_do_not_change_output(tmp_path, capsys):

@@ -1,6 +1,8 @@
 from collections import Counter
 from math import factorial
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,11 @@ from npslab.nps import (
     HookTableau,
     Tableau,
     nps_sort,
+    shape_ops,
     _ShapeOps,
     verify_bijection,
 )
+from npslab.sampling import _chunked_boards
 from npslab.partitions import Partition, hook_product, partitions_of, syt_count
 
 
@@ -199,6 +203,59 @@ def test_engine_matches_naive_implementation_randomly(tableau):
     assert outcome.exchanges == exchanges
     assert outcome.output.rows == out_rows
     assert outcome.hooks.rows == hook_rows
+
+
+def _kernel_mismatch(shape, fillings, sort_filling):
+    """The first filling on which `sort_values`, run on one board that is
+    never cleared, differs from the oracle in exchanges or final board;
+    None when there is none."""
+    ops = shape_ops(shape)
+    board = ops.new_board()
+    for values in fillings:
+        count = ops.sort_values(board, values)
+        if (count, board) != sort_filling(shape, values):
+            return values
+    return None
+
+
+def test_sort_values_matches_swap_sort_on_every_small_filling(sort_filling):
+    for n in range(0, 8):
+        for shape in partitions_of(n):
+            fillings = itertools.permutations(range(1, n + 1))
+            assert _kernel_mismatch(shape, fillings, sort_filling) is None, shape
+
+
+@pytest.mark.parametrize("parts", [(10,) * 10, (20,) * 20, (200,) + (1,) * 200],
+                         ids=["10x10", "20x20", "hook-200"])
+def test_sort_values_matches_swap_sort_on_seeded_fillings(parts, sort_filling):
+    shape = Partition(parts)
+    fillings = _chunked_boards(shape, 30, seed=5)
+    assert _kernel_mismatch(shape, fillings, sort_filling) is None
+
+
+def _east_first_sort_values(self, board, values):
+    # moves East whenever the East neighbour is below the value, even when
+    # the South neighbour is smaller still
+    total = 0
+    for c, v in zip(self.order, values):
+        start = c
+        while True:
+            s, e = self.south[c], self.east[c]
+            nxt = e if board[e] < v else s
+            if board[nxt] > v:
+                break
+            board[c] = board[nxt]
+            c = nxt
+        board[c] = v
+        total += self.depth[c] - self.depth[start]
+    return total
+
+
+def test_east_first_kernel_is_caught(monkeypatch, sort_filling):
+    shape = Partition([2, 2])
+    fillings = list(itertools.permutations(range(1, 5)))
+    monkeypatch.setattr(_ShapeOps, "sort_values", _east_first_sort_values)
+    assert _kernel_mismatch(shape, fillings, sort_filling) is not None
 
 
 # -- enumeration -------------------------------------------------------------

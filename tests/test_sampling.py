@@ -1,11 +1,12 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from npslab.complexity import worst_case
-from npslab.nps import nps_sort
-from npslab.partitions import Partition
+from npslab.nps import _ShapeOps, nps_sort
+from npslab.partitions import Partition, syt_count
 from npslab.sampling import (
     SeededStream,
     _chunked_boards,
@@ -102,3 +103,53 @@ def test_uniformity_preconditions():
     big = Partition([12, 10, 8, 6, 4, 2])
     with pytest.raises(ValueError, match="tabulate"):
         syt_uniformity_test(big, 10**6, seed=0)
+
+
+def _estimate_by_oracle(shape, m, seed, draws, sort_filling):
+    """(mean, stderr) with the formula of `estimate_avg_case`, each draw
+    sorted by the oracle."""
+    counts = [sort_filling(shape, values)[0] for values in draws(shape, m, seed)]
+    total = sum(counts)
+    total_sq = sum(c * c for c in counts)
+    variance = (total_sq - total * total / m) / (m - 1)
+    return total / m, math.sqrt(max(variance, 0.0) / m)
+
+
+def _uniformity_by_oracle(shape, m, seed, draws, sort_filling):
+    """(chi_square, dof) with the formula of `syt_uniformity_test`, every
+    draw sorted by the oracle and tallied in draw order."""
+    n = shape.size
+    count = syt_count(shape)
+    tally = {}
+    for values in draws(shape, m, seed):
+        key = tuple(sort_filling(shape, values)[1][:n])
+        tally[key] = tally.get(key, 0) + 1
+    expected = m / count
+    chi_square = sum((obs - expected) ** 2 for obs in tally.values()) / expected
+    chi_square += (count - len(tally)) * expected
+    return chi_square, count - 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("parts, m", [((3, 2), 60), ((3, 2), 2_000), ((3, 2, 1), 300),
+                                      ((3, 2, 1), 3_000), ((4, 3, 1), 700)])
+def test_monte_carlo_equals_oracle_loop(parts, m, seed, boards_per_draw, sort_filling,
+                                        monkeypatch):
+    shape = Partition(parts)
+    expected = (_estimate_by_oracle(shape, m, seed, boards_per_draw, sort_filling),
+                _uniformity_by_oracle(shape, m, seed, boards_per_draw, sort_filling))
+    sorts = []
+    sort_values = _ShapeOps.sort_values
+
+    def counted(self, board, values):
+        sorts.append(tuple(values))
+        return sort_values(self, board, values)
+
+    monkeypatch.setattr(_ShapeOps, "sort_values", counted)
+    assert estimate_avg_case(shape, m, seed) == expected[0]
+    assert len(sorts) == m
+    del sorts[:]
+    assert syt_uniformity_test(shape, m, seed) == expected[1]
+    # with n! <= m each distinct filling is sorted once
+    memo = math.factorial(shape.size) <= m
+    assert len(sorts) == (len(set(sorts)) if memo else m)
