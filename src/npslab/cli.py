@@ -2,9 +2,9 @@
 sweeps, verification suites, Monte Carlo sampling and curve integrals.
 
 Exit codes: 0 success, 1 verification failure or program fault (one line,
-no traceback), 2 usage error.  All output is
-deterministic given flags and seed; CSV uses '.' decimals and stable float
-formatting, and JSON carries exact fractions as "p/q" strings.
+no traceback), 2 usage error.  All output is deterministic given flags and
+seed; CSV uses '.' decimals and stable float formatting, and JSON carries
+exact fractions as "p/q" strings.
 """
 
 import argparse

@@ -76,7 +76,7 @@ def test_exact_brute_refuses_too_much_work():
 
 
 @pytest.mark.parametrize("argv,message", [
-    # a named brute force runs whatever the size, and its cutoff speaks
+    # a named brute force runs at any size, so the cutoff's own guard reports it
     (["exact", "--shape", "5,5", "--method", "brute"],
      "size 10 exceeds enumeration cutoff 9"),
     (["exact", "--shape", "5,5,5,5", "--method", "brute", "--cutoff", "20"],
