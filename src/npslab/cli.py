@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 
 from . import two_row
 from .complexity import (
@@ -241,11 +242,9 @@ def _partition_for_curve(curve, n):
 
 
 def _sweep_family(args):
+    """(shape of size n or None, growth exponent, W and C integrals) of the family."""
     family = args.family
-    if family == "square":
-        return (_square_shape, unit_square_curve(), ScalingExponents.balanced())
-    if family == "staircase":
-        return (_staircase_shape, flat_top_curve(), ScalingExponents.balanced())
+    tol = args.tol
     if family == "two-row":
         c = args.param
         if c < 1:
@@ -254,27 +253,27 @@ def _sweep_family(args):
         def shape_for(n):
             return Partition((n - c, c)) if n >= 2 * c else None
 
-        return (shape_for, unit_square_curve(), ScalingExponents.from_pq(1, math.inf))
-    if family == "curve-file":
+        # In the one-sided scaling regime the leading coefficients are the
+        # first diagonal integral and half of it.
+        w_pred = imbalanced_integrals(unit_square_curve(), tol=tol)[0]
+        exponents = ScalingExponents.from_pq(1, math.inf)
+        return shape_for, float(exponents.growth_exponent), w_pred, w_pred / 2.0
+    if family == "square":
+        shape_for, curve = _square_shape, unit_square_curve()
+    elif family == "staircase":
+        shape_for, curve = _staircase_shape, flat_top_curve()
+    else:  # curve-file, the one family argparse admits besides these
         if not args.curve:
             raise UsageError("curve-file family needs --curve")
         curve = _load_curve(args.curve)
-
-        def shape_for(n):
-            return _partition_for_curve(curve, n)
-
-        return (shape_for, curve, ScalingExponents.balanced())
-    raise UsageError(f"unknown family {family!r}")
+        shape_for = partial(_partition_for_curve, curve)
+    exponent = float(ScalingExponents.balanced().growth_exponent)
+    return (shape_for, exponent, worst_case_integral(curve, tol=tol),
+            avg_lower_integral(curve, tol=tol))
 
 
-def _row_c_value(task):
-    """(parts, samples, seed, exact_limit) -> (value, stderr string).
-
-    A pure function of its arguments, so sweep rows can be computed by any
-    number of workers without changing the output.
-    """
-    parts, samples, seed, exact_limit = task
-    shape = Partition(parts)
+def _row_c_value(shape, samples, seed, exact_limit):
+    """(value, stderr string) of C on one sweep row: exact where feasible."""
     if len(shape.parts) <= 2:
         return float(two_row.c_closed(shape.parts[0], shape.row(2))), ""
     if shape.size <= exact_limit:
@@ -284,28 +283,14 @@ def _row_c_value(task):
 
 
 def _cmd_sweep(args):
-    shape_for, curve, exponents = _sweep_family(args)
+    shape_for, exponent, w_pred, c_pred = _sweep_family(args)
     sizes = _parse_sizes(args.sizes)
-    tol = args.tol
-    w_pred = worst_case_integral(curve, tol=tol)
-    c_pred = avg_lower_integral(curve, tol=tol)
-    if args.family == "two-row":
-        # In the one-sided scaling regime the leading coefficients are the
-        # first diagonal integral and half of it.
-        w_pred = imbalanced_integrals(curve, tol=tol)[0]
-        c_pred = w_pred / 2.0
-    exponent = float(exponents.growth_exponent)
-    shapes = [(n, shape_for(n)) for n in sizes]
-    shapes = [(n, s) for n, s in shapes if s is not None]
-    tasks = [(s.parts, args.samples, args.seed, args.exact_limit) for _, s in shapes]
-    if args.jobs > 1 and tasks:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            c_values = list(pool.map(_row_c_value, tasks))
-    else:
-        c_values = [_row_c_value(t) for t in tasks]
     rows = [["n", "W", "W_scaled", "W_integral", "C", "C_stderr", "C_integral", "C_over_W"]]
-    for (n, shape), (c_value, c_err) in zip(shapes, c_values):
+    for n in sizes:
+        shape = shape_for(n)
+        if shape is None:
+            continue
+        c_value, c_err = _row_c_value(shape, args.samples, args.seed, args.exact_limit)
         w = worst_case(shape)
         scale = float(n) ** exponent
         rows.append([
@@ -445,7 +430,7 @@ def _build_parser():
                          help='curve file, or builtin "square"/"flat"')
     p_limit.add_argument("--integral", required=True, choices=("W", "C", "I1", "I2"))
     p_limit.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -458,8 +443,9 @@ _HANDLERS = {
 }
 
 
-# Config keys map to argument names; a config value is a fallback, so it is
-# skipped whenever the flag was given explicitly.
+# Config keys map to argument names.  Each value that applies to the
+# chosen command becomes a default of its subparser, so a flag given in any
+# form argparse accepts wins over it.
 _CONFIG_KEYS = {
     "tol": ("tol", float),
     "jobs": ("jobs", int),
@@ -468,23 +454,26 @@ _CONFIG_KEYS = {
 }
 
 
-def _apply_config(args, settings, flags):
+def _config_defaults(settings, args):
+    defaults = {}
     for key, raw in settings.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
         name, cast = _CONFIG_KEYS[key]
-        flag = "--" + name.replace("_", "-")
-        given = any(f == flag or f.startswith(flag + "=") for f in flags)
-        if hasattr(args, name) and not given:
-            setattr(args, name, cast(raw))
+        if hasattr(args, name):
+            try:
+                defaults[name] = cast(raw)
+            except ValueError:
+                raise UsageError(f"config key {key!r} needs {cast.__name__}, got {raw!r}") from None
+    return defaults
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    flags = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        _apply_config(args, _load_config(args.config), flags)
+        commands[args.command].set_defaults(**_config_defaults(_load_config(args.config), args))
+        args = parser.parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"jobs must be at least 1, got {args.jobs}")
         return _HANDLERS[args.command](args)

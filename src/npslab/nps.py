@@ -180,11 +180,6 @@ class _ShapeOps:
         board[self.n] = self.n + 2
         return board
 
-    def board_of(self, tableau):
-        board = self.new_board()
-        board[:self.n] = [v for row in tableau.rows for v in row]
-        return board
-
     def rows_from_board(self, board):
         parts = self.shape.parts
         return tuple(tuple(board[k:k + p]) for k, p in zip(accumulate(parts, initial=0), parts))
@@ -268,50 +263,6 @@ class _ShapeOps:
             yield cells, m, r, shift + r * powers[cells[m]]
             shift -= powers[cell_of[r]]
 
-    def sort_board_with_hooks(self, board):
-        """Sort in place; returns (exchanges, hook array, per-entry moves).
-
-        Each move is (value, start index, end index, exchanges).  After each
-        sift the column segment below its start shifts up with a decrement
-        and the landing row records the column displacement.
-        """
-        total = 0
-        south = self.south
-        east = self.east
-        coord = self.coord
-        hooks = [0] * self.n
-        moves = []
-        for start in self.order:
-            v = board[start]
-            c = start
-            while True:
-                s = south[c]
-                e = east[c]
-                sv = board[s]
-                ev = board[e]
-                if sv < ev:
-                    if sv > v:
-                        break
-                    board[c] = sv
-                    c = s
-                else:
-                    if ev > v:
-                        break
-                    board[c] = ev
-                    c = e
-            board[c] = v
-            (i0, j0), (i1, j1) = coord[start], coord[c]
-            walk = start
-            for _ in range(i1 - i0):
-                nxt = south[walk]
-                hooks[walk] = hooks[nxt] - 1
-                walk = nxt
-            hooks[walk] = j1 - j0
-            swaps = (i1 - i0) + (j1 - j0)
-            total += swaps
-            moves.append((v, start, c, swaps))
-        return total, hooks, moves
-
 
 def slid(board, cells, m, r):
     """A copy of the board with the ranks r and above raised by one (the
@@ -338,17 +289,48 @@ def nps_sort(tableau):
     """Sort a tableau into a standard one, returning the standard output, the
     hook tableau, the exchange count and the per-entry drop trace."""
     ops = shape_ops(tableau.shape)
-    board = ops.board_of(tableau)
-    total, hooks, moves = ops.sort_board_with_hooks(board)
-    trace = tuple(
-        EntryTrace(v, ops.coord[a], ops.coord[b], swaps) for v, a, b, swaps in moves
-    )
+    south, east, coord = ops.south, ops.east, ops.coord
+    board = ops.new_board()
+    board[:ops.n] = [v for row in tableau.rows for v in row]
+    hooks = [0] * ops.n
+    total = 0
+    trace = []
+    for start in ops.order:
+        v = board[start]
+        c = start
+        while True:
+            s = south[c]
+            e = east[c]
+            sv = board[s]
+            ev = board[e]
+            if sv < ev:
+                if sv > v:
+                    break
+                board[c] = sv
+                c = s
+            else:
+                if ev > v:
+                    break
+                board[c] = ev
+                c = e
+        board[c] = v
+        # the hooks of the column segment below the start shift up with a
+        # decrement, and the landing row records the column displacement
+        (i0, j0), (i1, j1) = coord[start], coord[c]
+        walk = start
+        for _ in range(i1 - i0):
+            nxt = south[walk]
+            hooks[walk] = hooks[nxt] - 1
+            walk = nxt
+        hooks[walk] = j1 - j0
+        swaps = (i1 - i0) + (j1 - j0)
+        total += swaps
+        trace.append(EntryTrace(v, coord[start], coord[c], swaps))
     output = Tableau(tableau.shape, ops.rows_from_board(board))
     hook_tableau = HookTableau(tableau.shape, ops.rows_from_board(hooks))
-    outcome = NpsOutcome(output, hook_tableau, total, trace)
     if not output.is_standard():
         raise AssertionError(f"sort produced a non-standard tableau from {tableau}")
-    return outcome
+    return NpsOutcome(output, hook_tableau, total, tuple(trace))
 
 
 def _landing_groups(ops, powers, board, t, out):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-import numpy as np
-
 from . import two_row
 from .complexity import (
     average_case_chicago,
@@ -32,7 +30,7 @@ from .integrals import (
 )
 from .nps import nps_sort, verify_bijection
 from .partitions import Partition, conjugate, harmonic, hook_product, partitions_of, syt_count
-from .sampling import syt_uniformity_test
+from .sampling import SeededStream, syt_uniformity_test
 
 __all__ = ["CheckResult", "run_suite", "LEVELS", "CN_LOWER_VALUE", "CHI2_999_DOF4",
            "brute_table", "check_chicago", "check_worst", "check_witness_random",
@@ -91,7 +89,7 @@ def check_worst(table):
 
 
 def check_witness_random(seed, count=20, max_size=40):
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = SeededStream(seed).generator()
     for _ in range(count):
         n = int(rng.integers(2, max_size + 1))
         parts = []

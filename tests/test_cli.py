@@ -256,6 +256,32 @@ def test_config_defaults_and_flag_override(tmp_path, capsys):
     assert code == 2 and "config" in err
 
 
+def test_config_loses_to_explicit_flag_in_any_form(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("samples = 3\nenumeration_cutoff = 3\n")
+    sweep = ["sweep", "--family", "square", "--sizes", "36", "--exact-limit", "1"]
+    csvs = {}
+    for name, flags in [("plain", ["--samples", "50"]), ("abbrev", ["--samp", "50"]),
+                        ("equals", ["--samples=50"]), ("config", [])]:
+        out = tmp_path / f"{name}.csv"
+        assert run(capsys, "--config", str(cfg), *sweep, *flags, "--out", str(out))[0] == 0
+        csvs[name] = out.read_bytes()
+    assert run(capsys, *sweep, "--samples", "3", "--out", str(tmp_path / "three.csv"))[0] == 0
+    assert csvs["config"] == (tmp_path / "three.csv").read_bytes() != csvs["plain"]
+    assert csvs["abbrev"] == csvs["equals"] == csvs["plain"]
+
+    exact = ["--config", str(cfg), "exact", "--shape", "2,2", "--method", "brute"]
+    for flags in (["--cut", "9"], ["--cutoff=9"]):
+        code, out, _ = run(capsys, *exact, *flags)
+        assert code == 0 and out.startswith("11/6")
+    code, _, err = run(capsys, *exact)
+    assert code == 2 and "enumeration cutoff 3" in err
+
+    cfg.write_text("samples = many\n")
+    code, _, err = run(capsys, "--config", str(cfg), *sweep, "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and err.startswith("error: ") and "'samples'" in err and "'many'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "square", "--sizes", "4", "--out", "{missing}/x.csv"],
     ["--config", "{missing}/lab.cfg", "verify"],
@@ -277,8 +303,10 @@ def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
     (["verify", "--jobs", "-1"], None),
     (["verify"], "jobs = 0\n"),
     (["sweep", "--family", "square", "--sizes", "4", "--out", "{tmp}/x.csv"], "jobs = -1\n"),
+    (["sweep", "--family", "square", "--sizes", "4", "--out", "{tmp}/x.csv"], "samples = many\n"),
 ], ids=["reversed-range", "sweep-jobs-0", "sweep-jobs-negative", "verify-jobs-0",
-        "verify-jobs-negative", "config-jobs-0", "config-jobs-negative"])
+        "verify-jobs-negative", "config-jobs-0", "config-jobs-negative",
+        "config-samples-unparsable"])
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if config is not None:
@@ -337,14 +365,19 @@ def test_program_fault_exits_1_in_one_line(capsys, monkeypatch, error, line):
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_process_pool_unloaded():
+def test_cli_import_leaves_process_pool_unloaded(tmp_path):
+    # nor does a sweep with --jobs 2 and Monte Carlo rows: no code starts a process
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    sweep = ["sweep", "--family", "square", "--sizes", "4..16", "--exact-limit", "4",
+             "--samples", "20", "--jobs", "2", "--out", str(tmp_path / "x.csv")]
     code = ("import sys, npslab, npslab.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+            "loaded = 'concurrent.futures.process' in sys.modules; "
+            f"assert npslab.cli.main({sweep!r}) == 0; "
+            "print(loaded, 'concurrent.futures.process' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=30, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0 and proc.stdout.endswith("False False\n"), proc.stderr
 
 
 def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
