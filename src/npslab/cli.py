@@ -78,6 +78,8 @@ def _parse_sizes(text):
         raise UsageError(f"cannot parse sizes {text!r}") from None
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise UsageError("sizes must be strictly ascending")
+    if sizes and sizes[0] < 1:
+        raise UsageError(f"size {sizes[0]} is below 1")
     return sizes
 
 
@@ -366,11 +368,9 @@ def _cmd_limit(args):
         value = worst_case_integral(curve, tol=tol)
     elif args.integral == "C":
         value = avg_lower_integral(curve, tol=tol)
-    elif args.integral in ("I1", "I2"):
+    else:  # I1 or I2, the two integrals argparse admits besides these
         pair = imbalanced_integrals(curve, tol=tol)
         value = pair[0] if args.integral == "I1" else pair[1]
-    else:
-        raise UsageError(f"unknown integral {args.integral!r}")
     doc = {"curve": args.curve, "integral": args.integral, "value": value, "tol": tol}
     _emit(args, doc, [_fmt_float(value)])
     return 0

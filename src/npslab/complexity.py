@@ -139,11 +139,12 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     sifted board depend only on the relative order of the first t values.
     The loop keeps, per relative order keyed by its integer code
     sum rank * (n + 2)^index, the number of fillings reaching it and their
-    exchange sum and maximum.  Each state reads its `slide_chain` once: rank
-    r of the next value lands at the first chain index m whose prefix-maximum
-    rank exceeds r, after m exchanges, and a child's board is built only
-    when its code is new.  A shape above MAX_SORTED_ORDERS sorted orders or
-    MAX_ENUMERATION_WORK units of work f^shape n^2 is refused before any sift.
+    exchange sum and maximum.  Each state reads its `landings` once: rank r
+    of the next value lands at the first chain index m whose prefix-maximum
+    rank exceeds r, after m exchanges, so the sums shift once per landing
+    index, and a child's board is built only when its code is new.  A shape
+    above MAX_SORTED_ORDERS sorted orders or MAX_ENUMERATION_WORK units of
+    work f^shape n^2 is refused before any sift.
     """
     n = shape.size
     if n > cutoff:
@@ -163,16 +164,17 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     for t in range(n):
         merged = {}
         for code, (board, count, total, best) in states.items():
-            for cells, m, r, shift in ops.landings(board, t, powers):
-                child = code + shift
-                seen = merged.get(child)
-                if seen is None:
-                    merged[child] = [slid(board, cells, m, r), count, total + count * m, best + m]
-                else:
-                    seen[1] += count
-                    seen[2] += total + count * m
-                    if seen[3] < best + m:
-                        seen[3] = best + m
+            for cells, m, r0, codes in ops.landings(board, t, code, powers):
+                sub, top = total + count * m, best + m
+                for r, child in enumerate(codes, r0):
+                    seen = merged.get(child)
+                    if seen is None:
+                        merged[child] = [slid(board, cells, m, r), count, sub, top]
+                    else:
+                        seen[1] += count
+                        seen[2] += sub
+                        if seen[3] < top:
+                            seen[3] = top
         states = merged
     return (sum(total for _, _, total, _ in states.values()),
             max(best for _, _, _, best in states.values()))

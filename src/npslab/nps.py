@@ -8,10 +8,12 @@ an entry drops from (i, j) to (i', j'), the hook tableau column segment below
 the start cell shifts up with a decrement and the landing row records the
 column displacement j' - j.
 
-The n! walks read that path once per sifted board as the slide chain of the
-start cell, which does not depend on the entry: an entry lands at the first
-chain cell whose successor's prefix-maximum rank exceeds it.  They key boards
-and hook arrays by integer codes, sum value * (n + 2)^index.
+The two n! routes, `verify_bijection` and `complexity.exchange_stats`, go
+level by level and merge the prefixes that sift to the same board.  They
+read that path once per sorted board as the slide chain of the start cell,
+which does not depend on the entry: an entry lands at the first chain cell
+whose successor's prefix-maximum rank exceeds it.  They key boards and hook
+arrays by integer codes, sum value * (n + 2)^index.
 """
 
 from collections import Counter
@@ -238,30 +240,36 @@ class _ShapeOps:
                 return cells, ranks
             cells.append(c)
 
-    def landings(self, board, t, powers):
+    def landings(self, board, t, code, powers):
         """Land each rank r = 1..t + 1 of a new value at the t-th processed
-        cell on its `slide_chain`, yielding (cells, m, r, shift): r lands at
-        cells[m], the first m whose prefix-maximum rank is at least r, and
-        the child's code sum board[c] * powers[c] is `shift` above this
-        board's.  The board is only read: in the child the ranks r and above
-        move up by one (`slid` builds it), so `cell_of[k]`, the cell of rank
-        k, gives the code shift as rank r drops back before child r + 1."""
+        cell on its `slide_chain`, grouped by landing index: a list of
+        (cells, m, r0, codes), rank r0 + k landing at cells[m], the first m
+        whose prefix-maximum rank is at least it, with child code codes[k],
+        the sum board[c] * powers[c] of a board whose own code is `code`.
+        The board is only read: in the child the ranks r and above move up
+        by one (`slid` builds it), so `cell_of[k]`, the cell of rank k,
+        gives the code shift as rank r drops back before child r + 1."""
         cells, ranks = self.slide_chain(board, self.order[t])
         cell_of = [0] * (t + 2)
-        shift = 0
+        shift = code
         for c in self.order[:t]:
             cell_of[board[c]] = c
             shift += powers[c]
+        groups = []
         m = 0
         peak = ranks[0]
         for r in range(1, t + 2):
-            while peak < r:
-                shift += ranks[m] * (powers[cells[m]] - powers[cells[m + 1]])
-                m += 1
-                if peak < ranks[m]:
-                    peak = ranks[m]
-            yield cells, m, r, shift + r * powers[cells[m]]
+            if peak < r or not groups:
+                while peak < r:
+                    shift += ranks[m] * (powers[cells[m]] - powers[cells[m + 1]])
+                    m += 1
+                    if peak < ranks[m]:
+                        peak = ranks[m]
+                codes = []
+                groups.append((cells, m, r, codes))
+            codes.append(shift + r * powers[cells[m]])
             shift -= powers[cell_of[r]]
+        return groups
 
 
 def slid(board, cells, m, r):
@@ -333,95 +341,65 @@ def nps_sort(tableau):
     return NpsOutcome(output, hook_tableau, total, tuple(trace))
 
 
-def _landing_groups(ops, powers, board, t, out):
-    """The children of a node with code `out`, grouped by landing index:
-    [(cells, m, r0, codes)], rank r0 + k landing at cells[m] with code
-    codes[k]."""
-    groups = []
-    for cells, m, r, shift in ops.landings(board, t, powers):
-        if not groups or groups[-1][1] != m:
-            groups.append((cells, m, r, []))
-        groups[-1][3].append(out + shift)
-    return groups
-
-
-def _walk_orders(ops, powers, board, hooks, out, hook_code, t, pairs, leaves):
-    """Extend the sifted board (ranks 1..t on the t processed cells) by each
-    rank of the next value, depth first.  `out` and `hook_code` are the
-    codes of the board and the hooks; a full filling adds their sum to
-    `pairs`.  The children landing at one chain index share one update of
-    the hooks over the start column, made in place between groups: a child
-    copies the hooks before writing.
-
-    The leaf codes of a node one cell short of a full filling depend on its
-    board alone, so `leaves` keeps them by board code, with the number of
-    nodes that reached the board: each group of leaves is one C-level
-    `pairs.update` with its hook code added."""
-    n = ops.n
-    start = ops.order[t]
-    coord = ops.coord
-    south = ops.south
-    i0, j0 = coord[start]
-    leaf = t + 1 == n
-    if leaf:
-        seen = leaves.get(out)
-        if seen is None:
-            seen = leaves[out] = [0, _landing_groups(ops, powers, board, t, out)]
-        seen[0] += 1
-        groups = seen[1]
-    else:
-        groups = _landing_groups(ops, powers, board, t, out)
-    h = hooks[:]
-    col = start
-    for cells, m, r0, codes in groups:
-        i1, j1 = coord[cells[m]]
-        while coord[col][0] < i1:
-            nxt = south[col]
-            h[col] = hooks[nxt] - 1
-            hook_code += (h[col] - hooks[col]) * powers[n + col]
-            col = nxt
-        h[col] = j1 - j0
-        child_hooks = hook_code + (h[col] - hooks[col]) * powers[n + col]
-        if leaf:
-            pairs.update(map(child_hooks.__add__, codes))
-        else:
-            for r, child in enumerate(codes, r0):
-                # a board already in `leaves` is not needed again
-                known = t + 2 == n and child in leaves
-                _walk_orders(ops, powers, None if known else slid(board, cells, m, r), h, child,
-                             child_hooks, t + 1, pairs, leaves)
-
-
 def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """Run the sort over every filling and certify the bijection onto
     (standard tableau, hook tableau) pairs by injectivity and cardinality.
 
-    Sifting a cell touches only cells processed before it and only compares
-    values, so fillings whose prefixes in processing order have the same
-    relative order share their sifts.  The walk over relative orders reads
-    each node's slide chain once and lands the t + 1 ranks of the next
-    value on it: rank r at the first chain index whose prefix-maximum rank
-    exceeds r.  A leaf is the output code sum rank * B^index, B = n + 2,
-    plus the hook code sum H * B^(n + index); H lies in [-leg, arm], fewer
-    than B values, so the signed digits decode uniquely.  Each output code
-    is decoded to its flattened rows once, as a key of `each_syt_count`."""
+    As in `exchange_stats`, each level keeps one state per sorted board,
+    with the hooks of every prefix that reaches it: the board's `landings`
+    and children are made once, and only the hook shift over the start
+    column runs per prefix.  A full filling is the output code sum
+    rank * B^index, B = n + 2, plus the hook code sum H * B^(n + index);
+    H lies in [-leg, arm], fewer than B values, so the signed digits decode
+    uniquely.  The last level builds no board.  Each output code is decoded
+    to its flattened rows once, as a key of `each_syt_count`."""
     n = shape.size
     if n > cutoff:
         raise SizeGuardError(f"size {n} exceeds enumeration cutoff {cutoff}")
     ops = shape_ops(shape)
+    coord, south = ops.coord, ops.south
     base = n + 2
     powers = [base**k for k in range(2 * n)]
-    pairs, leaves, tally = set(), {}, Counter()
-    if n:
-        _walk_orders(ops, powers, ops.new_board(), [0] * n, 0, 0, 0, pairs, leaves)
-    else:
+    pairs, tally = set(), Counter()
+    if not n:
         pairs.add(0)
         tally[0] = 1
-    # in order of first reach, as a walk counting leaf by leaf would insert them
-    for visits, groups in leaves.values():
-        for group in groups:
-            for code in group[3]:
-                tally[code] += visits
+    # each sorted board by its code, with the hooks and hook code of every
+    # prefix that reaches it: a list, so a faulty sift shows as a collision
+    states = {0: (ops.new_board(), [([0] * n, 0)])}
+    for t, start in enumerate(ops.order):
+        i0, j0 = coord[start]
+        leaf = t + 1 == n
+        merged = {}
+        for out, (board, prefixes) in states.items():
+            groups = ops.landings(board, t, out, powers)
+            for cells, m, r0, codes in groups:
+                for r, child in enumerate(codes, r0):
+                    if leaf:
+                        tally[child] += len(prefixes)
+                    elif child not in merged:
+                        merged[child] = (slid(board, cells, m, r), [])
+            for hooks, hook_code in prefixes:
+                # the children landing at one chain index share one update
+                # of the hooks over the start column, made in place
+                h = hooks[:]
+                col = start
+                for cells, m, r0, codes in groups:
+                    i1, j1 = coord[cells[m]]
+                    while coord[col][0] < i1:
+                        nxt = south[col]
+                        h[col] = hooks[nxt] - 1
+                        hook_code += (h[col] - hooks[col]) * powers[n + col]
+                        col = nxt
+                    h[col] = j1 - j0
+                    child_hooks = hook_code + (h[col] - hooks[col]) * powers[n + col]
+                    if leaf:
+                        pairs.update(map(child_hooks.__add__, codes))
+                    else:
+                        prefix = (h[:], child_hooks)
+                        for child in codes:
+                            merged[child][1].append(prefix)
+        states = merged
     expected = factorial(n)
     hooks_count = hook_product(shape)
     injective = len(pairs) == expected

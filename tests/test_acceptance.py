@@ -4,17 +4,19 @@ Each criterion runs the shared checks of `npslab.verify` at values no smaller
 than those of `verify --level full`.  Criterion 6, the Monte Carlo leg of
 criterion 8 and the named equality shapes of criterion 10 are checked here
 only.  The corrupted-table test shows that every check reading the
-brute-force table fails when the table is wrong, and the last test runs the
-README's library example.
+brute-force table fails when the table is wrong, and the last tests run the
+README's library example and its command lines.
 """
 
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from npslab import verify
+from npslab.cli import main
 from npslab.complexity import (
     average_case_bruteforce,
     average_case_chicago,
@@ -134,8 +136,30 @@ def test_check_fails_on_corrupted_brute_table(brute, check, field):
     assert re.search(r"(?<![\d,])3,1(?!,?\d)", detail), detail
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_library_example():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def _readme_commands():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("npslab ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands(),
+                         ids=lambda line: line.split("#")[0].strip())
+def test_readme_command(tmp_path, capsys, line):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    if "--out" in argv:
+        k = argv.index("--out") + 1
+        argv[k] = str(tmp_path / argv[k])
+    assert main(argv) == 0
+    quoted = re.search(r'"(.*)"', comment)
+    if quoted:
+        assert capsys.readouterr().out == quoted.group(1) + "\n"

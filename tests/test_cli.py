@@ -294,20 +294,32 @@ def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
     assert code == 2 and missing in err
 
 
-@pytest.mark.parametrize("argv,config", [
-    (["sweep", "--family", "square", "--sizes", "9..4", "--out", "{tmp}/x.csv"], None),
-    (["sweep", "--family", "square", "--sizes", "4", "--jobs", "0", "--out", "{tmp}/x.csv"], None),
-    (["sweep", "--family", "square", "--sizes", "4", "--jobs", "-1", "--out", "{tmp}/x.csv"],
+@pytest.mark.parametrize("argv,config,named", [
+    (["sweep", "--family", "square", "--sizes", "9..4", "--out", "{tmp}/x.csv"], None, None),
+    (["sweep", "--family", "square", "--sizes", "4", "--jobs", "0", "--out", "{tmp}/x.csv"], None,
      None),
-    (["verify", "--jobs", "0"], None),
-    (["verify", "--jobs", "-1"], None),
-    (["verify"], "jobs = 0\n"),
-    (["sweep", "--family", "square", "--sizes", "4", "--out", "{tmp}/x.csv"], "jobs = -1\n"),
-    (["sweep", "--family", "square", "--sizes", "4", "--out", "{tmp}/x.csv"], "samples = many\n"),
+    (["sweep", "--family", "square", "--sizes", "4", "--jobs", "-1", "--out", "{tmp}/x.csv"],
+     None, None),
+    (["verify", "--jobs", "0"], None, None),
+    (["verify", "--jobs", "-1"], None, None),
+    (["verify"], "jobs = 0\n", None),
+    (["sweep", "--family", "square", "--sizes", "4", "--out", "{tmp}/x.csv"], "jobs = -1\n",
+     None),
+    (["sweep", "--family", "square", "--sizes", "4", "--out", "{tmp}/x.csv"], "samples = many\n",
+     None),
+    (["sweep", "--family", "square", "--sizes", "0..4", "--out", "{tmp}/x.csv"], None, "size 0 "),
+    (["sweep", "--family", "staircase", "--sizes", "0..4", "--out", "{tmp}/x.csv"], None,
+     "size 0 "),
+    (["sweep", "--family", "two-row", "--sizes", "0..4", "--out", "{tmp}/x.csv"], None,
+     "size 0 "),
+    (["sweep", "--family", "curve-file", "--curve", "flat", "--sizes", "0",
+      "--out", "{tmp}/x.csv"], None, "size 0 "),
+    (["sweep", "--family", "square", "--sizes=-4..4", "--out", "{tmp}/x.csv"], None, "size -4 "),
 ], ids=["reversed-range", "sweep-jobs-0", "sweep-jobs-negative", "verify-jobs-0",
         "verify-jobs-negative", "config-jobs-0", "config-jobs-negative",
-        "config-samples-unparsable"])
-def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config):
+        "config-samples-unparsable", "square-size-0", "staircase-size-0", "two-row-size-0",
+        "curve-file-size-0", "square-size-negative"])
+def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config, named):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if config is not None:
         cfg = tmp_path / "lab.cfg"
@@ -316,6 +328,8 @@ def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
+    if named is not None:
+        assert named in err
 
 
 def test_verify_fast(capsys):

@@ -351,6 +351,15 @@ def test_bijection_matches_sift_walk_up_to_8(bijection_by_sifts):
             assert all(len(key) == n for key in report.each_syt_count), shape
 
 
+def test_bijection_at_the_cutoff():
+    # size 9, where the merge holds the most prefixes: 8! at the last level
+    report = verify_bijection(Partition([3, 3, 3]))
+    assert report.injective and report.uniform
+    assert report.distinct_pairs == factorial(9)
+    assert len(report.each_syt_count) == 42
+    assert set(report.each_syt_count.values()) == {8640}
+
+
 def _south_first_chain(self, board, start):
     # follows the South neighbour while there is one, whatever its value
     cells, ranks = [start], []
