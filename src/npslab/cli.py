@@ -26,6 +26,7 @@ from .complexity import (
 from .curves import (
     LimitCurve,
     ScalingExponents,
+    _deepest_cells,
     flat_top_curve,
     unit_square_curve,
 )
@@ -191,58 +192,6 @@ def _staircase_shape(n):
     return Partition(range(m, 0, -1)) if m * (m + 1) // 2 == n else None
 
 
-def _u_extent(curve, v):
-    """Largest row coordinate at height v of the curve's region, true units."""
-    lo, hi = (float(curve.xs[0]) * curve.scale, float(curve.xs[-1]) * curve.scale)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if (curve.value(mid) - mid) / math.sqrt(2.0) > v:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    return (x + curve.value(x)) / math.sqrt(2.0)
-
-
-def _partition_for_curve(curve, n):
-    """A partition of n whose balanced boundary approximates the curve."""
-    root = math.sqrt(n)
-    rows = []
-    i = 1
-    while True:
-        length = round(_u_extent(curve, (i - 0.5) / root) * root)
-        if length <= 0:
-            break
-        if rows and length > rows[-1]:
-            length = rows[-1]
-        rows.append(length)
-        i += 1
-    if not rows:
-        rows = [n]
-    total = sum(rows)
-    while total > n:
-        for idx in range(len(rows) - 1, -1, -1):
-            nxt = rows[idx + 1] if idx + 1 < len(rows) else 0
-            if rows[idx] > nxt:
-                rows[idx] -= 1
-                total -= 1
-                break
-        rows = [r for r in rows if r]
-    while total < n:
-        placed = False
-        for idx in range(len(rows) - 1, -1, -1):
-            prev = rows[idx - 1] if idx > 0 else rows[idx] + 1
-            if rows[idx] < prev:
-                rows[idx] += 1
-                total += 1
-                placed = True
-                break
-        if not placed:
-            rows.append(1)
-            total += 1
-    return Partition(rows)
-
-
 def _sweep_family(args):
     """(shape of size n or None, growth exponent, W and C integrals) of the family."""
     family = args.family
@@ -268,7 +217,9 @@ def _sweep_family(args):
         if not args.curve:
             raise UsageError("curve-file family needs --curve")
         curve = _load_curve(args.curve)
-        shape_for = partial(_partition_for_curve, curve)
+        if abs(curve.area - 1) > 1e-9:  # the loader's tolerance, which decimal files need
+            raise UsageError(f"curve {args.curve!r} has area {float(curve.area):.12g}, not 1")
+        shape_for = partial(_deepest_cells, curve)
     exponent = float(ScalingExponents.balanced().growth_exponent)
     return (shape_for, exponent, worst_case_integral(curve, tol=tol),
             avg_lower_integral(curve, tol=tol))

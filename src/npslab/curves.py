@@ -29,10 +29,14 @@ the interior:
   diagonal exits, so d is sqrt(2) times the maximum of gamma there minus y.
 """
 
+import heapq
 import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache
+
+from .partitions import Partition
 
 __all__ = [
     "LimitCurve",
@@ -419,6 +423,32 @@ def partition_boundary(shape, n, exponents=None):
         profile.append(prev)
     points = [(rho * u - v, rho * u + v) for u, v in profile]
     return LimitCurve(points, scale / 2, tolerance=tol)
+
+
+def _deepest_cells(curve, n):
+    """The partition of n made of the n cells deepest below the curve in
+    balanced scaling: cell (i, j) scores phi = gamma(x) - y at its centre,
+    x = (j - i)/sqrt(2n) and y = (i + j - 1)/sqrt(2n), and ties go to the
+    smaller i + j, then i.  A South or East step never raises phi, as gamma
+    is 1-Lipschitz, so these cells form a Young diagram.  A heap of the
+    addable cells takes them one at a time, so the result is a partition of
+    n whatever the float rounding."""
+    unit = 1.0 / math.sqrt(2.0 * n)
+    gamma = cache(lambda d: curve.value(d * unit))  # one read per diagonal j - i
+
+    def entry(i, j):
+        return ((i + j - 1) * unit - gamma(j - i), i + j, i, j)
+
+    rows = [0] * (n + 1)  # rows[i - 1] is the length of row i
+    heap = [entry(1, 1)]
+    for _ in range(n):
+        *_, i, j = heapq.heappop(heap)
+        rows[i - 1] = j
+        if i == 1 or rows[i - 2] > j:
+            heapq.heappush(heap, entry(i, j + 1))
+        if rows[i] == j - 1:
+            heapq.heappush(heap, entry(i + 1, j))
+    return Partition(r for r in rows if r)
 
 
 def hook_distances(curve, point):

@@ -10,8 +10,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .nps import Tableau, shape_ops
 from .partitions import SizeGuardError, syt_count
 
@@ -35,6 +33,7 @@ class SeededStream:
     stream_id: int = 0
 
     def generator(self):
+        import numpy as np  # here, not at module level: commands that draw nothing skip its import
         key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -60,6 +59,7 @@ def _chunked_boards(shape, m, seed):
     bit-identical to those of `(rng.permutation(n) + 1).tolist()` drawn one
     by one.
     """
+    import numpy as np
     n = shape.size
     rows_per_block = max(1, _BLOCK_ENTRIES // max(n, 1))
     values = np.arange(1, n + 1)

@@ -10,7 +10,7 @@ import pytest
 
 from npslab import cli
 from npslab.cli import main
-from npslab.complexity import WitnessConstructionError
+from npslab.complexity import WitnessConstructionError, worst_case
 from npslab.curves import LimitCurve, partition_boundary
 from npslab.integrals import avg_lower_integral, worst_case_integral
 from npslab.partitions import Partition
@@ -213,6 +213,26 @@ def test_sweep_curve_file_family(tmp_path, capsys):
     w_pred = f"{worst_case_integral(curve):.12g}"
     c_pred = f"{avg_lower_integral(curve):.12g}"
     assert all(r[3] == w_pred and r[6] == c_pred for r in rows)
+    # at n = 24 and 54 the fitted shapes are (4,2) blown up 2x2 and 3x3
+    code, _, _ = run(capsys, "sweep", "--family", "curve-file", "--sizes", "24,54",
+                     "--curve", str(curve_path), "--out", str(out_path))
+    assert code == 0
+    rows = [line.split(",") for line in out_path.read_text().strip().splitlines()[1:]]
+    blown_up = [Partition([8, 8, 4, 4]), Partition([12, 12, 12, 6, 6, 6])]
+    assert [int(r[1]) for r in rows] == [worst_case(p) for p in blown_up] == [80, 297]
+
+
+@pytest.mark.parametrize("breakpoints,area", [([], "0"), ([[-2, 2], [0, 4], [2, 2]], "8")],
+                         ids=["empty", "area-8"])
+def test_sweep_refuses_curve_without_unit_area(tmp_path, capsys, breakpoints, area):
+    curve_path = tmp_path / "curve.json"
+    curve_path.write_text(json.dumps({"breakpoints": breakpoints}))
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sweep", "--family", "curve-file", "--sizes", "10..12",
+                         "--curve", str(curve_path), "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert f"has area {area}," in err
+    assert not out_path.exists()
 
 
 def test_sweep_byte_stable(tmp_path, capsys):
@@ -392,6 +412,16 @@ def test_cli_import_leaves_process_pool_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=30, env=env)
     assert proc.returncode == 0 and proc.stdout.endswith("False False\n"), proc.stderr
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the commands that draw, not by importing the package
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, npslab, npslab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 def test_sweep_jobs_do_not_change_output(tmp_path, capsys):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from npslab.complexity import average_case_bruteforce, worst_case
+from npslab.complexity import average_case_bruteforce, average_case_chicago, worst_case
 from npslab.partitions import Partition, harmonic, syt_count
 from npslab.two_row import (
     _s0_fixed_distance,
@@ -97,6 +97,15 @@ def test_closed_equals_double_sums_small_grid():
     for lam1 in range(1, 13):
         for lam2 in range(1, lam1 + 1):
             assert c_closed(lam1, lam2) == c_double_sums(lam1, lam2), (lam1, lam2)
+
+
+def test_closed_equals_harmonic_formula_up_to_size_60():
+    # every shape of at most two rows and size <= 60, one-row shapes included: 960 shapes
+    shapes = [(n - lam2, lam2) for n in range(1, 61) for lam2 in range(n // 2 + 1)]
+    assert len(shapes) == 960
+    for lam1, lam2 in shapes:
+        shape = Partition([lam1, lam2] if lam2 else [lam1])
+        assert c_closed(lam1, lam2) == average_case_chicago(shape), (lam1, lam2)
 
 
 def test_syt_count_formula_validates():
