@@ -351,8 +351,10 @@ class LimitCurve:
 
 
 def _stored_curve(xs, ys, scale_sq):
-    """The curve on frame breakpoints taken from a curve that passed the
-    constructor's checks, possibly under a tolerance, without checking again."""
+    """The curve on frame breakpoints, without the constructor's checks: the
+    breakpoints come from a curve that passed them, possibly under a
+    tolerance, or from a construction that satisfies them exactly, such as
+    `partition_boundary`."""
     curve = object.__new__(LimitCurve)
     curve._store(xs, ys, scale_sq)
     return curve
@@ -403,26 +405,29 @@ def partition_boundary(shape, n, exponents=None):
     if n == 0:
         return LimitCurve([], Fraction(1))
     rho = _exact_rational_power(n, exponents.beta - exponents.alpha)
-    tol = Fraction(0)
     if rho is None:
         rho = Fraction(float(n) ** float(exponents.beta - exponents.alpha))
-        tol = Fraction(1, 10**9)
     scale = _exact_rational_power(n, -2 * exponents.beta)
     if scale is None:
         scale = Fraction(float(n) ** float(-2 * exponents.beta))
-    profile = []
+    # The profile's corners (u, v), row lengths u and row indices v, run from
+    # (0, rows) to (lambda_1, 0); a point is (rho u - v, rho u + v) in the
+    # frame, rho = p / q.  For any rho > 0 the steps have slopes +-1 and
+    # strictly increasing x and the ends lie on |x|, so the constructor's
+    # checks hold by construction.
+    p, q = rho.numerator, rho.denominator
     ell = len(shape.parts)
-    prev = (Fraction(0), Fraction(ell))
-    profile.append(prev)
+    profile = [(0, ell)]
+    prev_u = 0
     for i in range(ell, 0, -1):
-        u = Fraction(shape.parts[i - 1])
-        if u != prev[0]:
-            prev = (u, Fraction(i))
-            profile.append(prev)
-        prev = (u, Fraction(i - 1))
-        profile.append(prev)
-    points = [(rho * u - v, rho * u + v) for u, v in profile]
-    return LimitCurve(points, scale / 2, tolerance=tol)
+        u = shape.parts[i - 1]
+        if u != prev_u:
+            profile.append((u, i))
+            prev_u = u
+        profile.append((u, i - 1))
+    xs = tuple(Fraction(p * u - q * v, q) for u, v in profile)
+    ys = tuple(Fraction(p * u + q * v, q) for u, v in profile)
+    return _stored_curve(xs, ys, scale / 2)
 
 
 def _deepest_cells(curve, n):

@@ -15,9 +15,19 @@ segments gamma(s), gamma(t) and the point are affine in (s, t).
 * C lower bound: gamma(t) - gamma(s) = gamma'(t) (t - s) + K(s) with K affine,
   so the integrand is affine plus K(s)^2 / (t - s), with elementary log terms.
 
-Affine integrands are integrated exactly in Fractions over convex polygons;
-only the C log terms and an irrational true-units factor are floats.  The
-`tol` arguments are accepted for compatibility and unused.
+Each integral reads one integer segment table of the curve
+(`_segment_table`): the breakpoints times L, the lcm of their denominators,
+and the slopes times Q, the lcm of theirs.  The area element of a pair is
+then E / (2 Q^2) with E an integer, and an affine integrand over the pair's
+rectangle or triangle is its area times its value at the centroid, all in
+ints.  Each integral sums one integer numerator over a fixed denominator
+(24 Q^3 L^3 for W and I, 72 Q^4 L^3 for the rational part of C) and divides
+once; only the W pieces clipped where two candidates for the maximum cross
+have Fraction vertices.  Only the C log terms and an irrational true-units
+factor are floats, and each log term is an int / int ratio times
+ln(V / L): both divisions round correctly, so the floats equal those of
+the same sums taken in Fractions.  The `tol` arguments are accepted for
+compatibility and unused.
 
 The cell-wise identity checks d at five probes per cell through the float
 copy of the balanced boundary scaled by K = 240.  That boundary has integer
@@ -27,6 +37,7 @@ arithmetic returns exactly: the probes stay exact without Fractions.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .complexity import _w_table
@@ -42,67 +53,81 @@ __all__ = [
 
 DEFAULT_TOL = 1e-4
 
-_HALF = Fraction(1, 2)
-_T_MINUS_S = (0, -1, 1)  # t - s as an affine function
+# The weights 36 / p^2 of the log terms' rational parts, p = 1, 2, 3.
+_LOG_WEIGHTS = (36, 9, 4)
+
+_Segments = namedtuple("_Segments", "L Q X Y G C")
 
 
-def _lin(*terms):
-    """Sum of coefficient * f over affine functions f = (c, a, b), meaning
-    c + a s + b t."""
-    return tuple(sum(k * f[m] for k, f in terms) for m in range(3))
+def _segment_table(curve):
+    """The curve's segments in integers.  L is the lcm of the breakpoint
+    denominators and Q that of the slope denominators; breakpoint k is
+    (X[k], Y[k]) / L, and on segment k, Q L gamma(S / L) = G[k] S + C[k]
+    with G[k] = Q slope and C[k] = Q Y[k] - G[k] X[k]."""
+    xs, ys = curve.xs, curve.ys
+    L = math.lcm(*(v.denominator for v in xs), *(v.denominator for v in ys))
+    X = [v.numerator * (L // v.denominator) for v in xs]
+    Y = [v.numerator * (L // v.denominator) for v in ys]
+    slopes = []
+    for k in range(len(X) - 1):
+        dy, dx = Y[k + 1] - Y[k], X[k + 1] - X[k]
+        g = math.gcd(dy, dx)
+        slopes.append((dy // g, dx // g))
+    Q = math.lcm(*(den for _, den in slopes))
+    G = [num * (Q // den) for num, den in slopes]
+    C = [Q * y - g * x for x, y, g in zip(X, Y, G)]
+    return _Segments(L, Q, X, Y, G, C)
 
 
-def _at(f, point):
-    return f[0] + f[1] * point[0] + f[2] * point[1]
+def _hook_pairs(table):
+    """Segment pairs i <= j with nonzero area element, as
+    (i, j, E, M, MS, MT).  The pair's (S, T) domain is a rectangle, or the
+    triangle S < T when i = j; its area element (1 + gamma'(s)) (1 -
+    gamma'(t)) / 2 is E / (2 Q^2), and 6 times the integral of a + b S + c T
+    over it is a M + b MS + c MT."""
+    Q, X, G = table.Q, table.X, table.G
+    for i in range(len(G)):
+        if G[i] == -Q:
+            continue
+        s0, s1 = X[i], X[i + 1]
+        rise = Q + G[i]
+        for j in range(i, len(G)):
+            if G[j] == Q:
+                continue
+            if i == j:
+                d2 = (s1 - s0) ** 2
+                yield i, j, rise * (Q - G[j]), 3 * d2, d2 * (2 * s0 + s1), d2 * (s0 + 2 * s1)
+            else:
+                t0, t1 = X[j], X[j + 1]
+                area = (s1 - s0) * (t1 - t0)
+                yield i, j, rise * (Q - G[j]), 6 * area, 3 * area * (s0 + s1), 3 * area * (t0 + t1)
 
 
 def _clip(poly, h):
-    """The part of a convex polygon where the affine function h is >= 0."""
+    """The part of a convex polygon where the affine function
+    h = (c, a, b), meaning c + a S + b T, is >= 0; new vertices are Fractions."""
     out = []
     for p, q in zip(poly, poly[1:] + poly[:1]):
-        hp, hq = _at(h, p), _at(h, q)
+        hp = h[0] + h[1] * p[0] + h[2] * p[1]
+        hq = h[0] + h[1] * q[0] + h[2] * q[1]
         if hp >= 0:
             out.append(p)
         if (hp < 0) != (hq < 0):
-            r = hp / (hp - hq)
-            out.append((p[0] + r * (q[0] - p[0]), p[1] + r * (q[1] - p[1])))
+            out.append((Fraction(hp * q[0] - hq * p[0], hp - hq),
+                        Fraction(hp * q[1] - hq * p[1], hp - hq)))
     return out
 
 
-def _affine_integral(poly, f):
-    """Exact integral of the affine f over a counter-clockwise convex polygon
-    (the shoelace formula with the first moments)."""
-    area = ms = mt = 0
+def _moments(poly):
+    """(M, MS, MT) of a counter-clockwise convex polygon, as `_hook_pairs`
+    gives them: 6 times its area and first moments, by the shoelace formula."""
+    area2 = ms = mt = 0
     for (s0, t0), (s1, t1) in zip(poly, poly[1:] + poly[:1]):
         cross = s0 * t1 - s1 * t0
-        area += cross
+        area2 += cross
         ms += (s0 + s1) * cross
         mt += (t0 + t1) * cross
-    return f[0] * Fraction(area, 2) + Fraction(f[1] * ms + f[2] * mt, 6)
-
-
-def _hook_pairs(curve):
-    """Segment pairs i <= j with nonzero area element, as
-    (i, j, polygon, gamma(s), gamma(t), element): the pair's (s, t) domain
-    (a rectangle, or the triangle s < t when i = j) and gamma on either
-    segment as affine functions of (s, t)."""
-    xs, ys = curve.xs, curve.ys
-    segments = []
-    for k in range(len(xs) - 1):
-        slope = Fraction(ys[k + 1] - ys[k], xs[k + 1] - xs[k])
-        segments.append((xs[k], xs[k + 1], ys[k] - slope * xs[k], slope))
-    for i, (s0, s1, cs, gi) in enumerate(segments):
-        if gi == -1:
-            continue
-        for j in range(i, len(segments)):
-            t0, t1, ct, gj = segments[j]
-            if gj == 1:
-                continue
-            if i == j:
-                poly = [(s0, s0), (s1, s1), (s0, s1)]
-            else:
-                poly = [(s0, t0), (s1, t0), (s1, t1), (s0, t1)]
-            yield i, j, poly, (cs, gi, 0), (ct, 0, gj), (1 + gi) * (1 - gj) / 2
+    return 3 * area2, ms, mt
 
 
 def _true_units(curve, frame_value):
@@ -120,26 +145,33 @@ def worst_case_integral(curve, tol=DEFAULT_TOL):
 
     For the boundary curve of a partition of n, n^(3/2) times this integral
     is exactly n plus the worst-case exchange count (the cell-wise identity).
+    In units of 1 / (2 Q L), d is 2 top - y2, where y2 is twice the point's
+    height and top is the largest candidate for gamma on [s, t].
     """
-    total = Fraction(0)
-    ys = curve.ys
-    for i, j, poly, gs, gt, element in _hook_pairs(curve):
-        y = _lin((-_HALF, _T_MINUS_S), (_HALF, gs), (_HALF, gt))
+    table = _segment_table(curve)
+    Q, X, Y, G, C = table.Q, table.X, table.Y, table.G, table.C
+    total = 0
+    for i, j, e, m, ms, mt in _hook_pairs(table):
+        gs, gt = (C[i], G[i], 0), (C[j], 0, G[j])
+        y2 = (C[i] + C[j], Q + G[i], G[j] - Q)
         if i == j:
-            candidates = [gs if gs[1] < 0 else gt]
+            candidates = [gs if G[i] < 0 else gt]
         else:
-            candidates = [(max(ys[i + 1:j + 1]), 0, 0)]
-            if gs[1] < 0:
+            candidates = [(Q * max(Y[i + 1:j + 1]), 0, 0)]
+            if G[i] < 0:
                 candidates.append(gs)
-            if gt[2] > 0:
+            if G[j] > 0:
                 candidates.append(gt)
         for top in candidates:
-            piece = poly
-            for other in candidates:
-                if other is not top:
-                    piece = _clip(piece, _lin((1, top), (-1, other)))
-            total += element * _affine_integral(piece, _lin((1, top), (-1, y)))
-    return _true_units(curve, total)
+            moments = (m, ms, mt)
+            if len(candidates) > 1:
+                piece = [(X[i], X[j]), (X[i + 1], X[j]), (X[i + 1], X[j + 1]), (X[i], X[j + 1])]
+                for other in candidates:
+                    if other is not top:
+                        piece = _clip(piece, [a - b for a, b in zip(top, other)])
+                moments = _moments(piece)
+            total += e * sum((2 * a - b) * w for a, b, w in zip(top, y2, moments))
+    return _true_units(curve, Fraction(total, 24 * Q**3 * table.L**3))
 
 
 def imbalanced_integrals(curve, tol=DEFAULT_TOL):
@@ -148,14 +180,17 @@ def imbalanced_integrals(curve, tol=DEFAULT_TOL):
 
     The exits t - x = (t - s + gamma(t) - gamma(s)) / 2 and
     x - s = (t - s - gamma(t) + gamma(s)) / 2 are affine on every pair of
-    segments, so each pair is integrated exactly.
+    segments, so each pair is integrated exactly, in units of 1 / (2 Q L).
     """
-    totals = [Fraction(0), Fraction(0)]
-    for _, _, poly, gs, gt, element in _hook_pairs(curve):
-        for k, sign in enumerate((1, -1)):
-            exit_ = _lin((_HALF, _T_MINUS_S), (sign * _HALF, gt), (-sign * _HALF, gs))
-            totals[k] += element * _affine_integral(poly, exit_)
-    return _true_units(curve, totals[0]), _true_units(curve, totals[1])
+    table = _segment_table(curve)
+    Q, G, C = table.Q, table.G, table.C
+    right = left = 0
+    for i, j, e, m, ms, mt in _hook_pairs(table):
+        dc = C[j] - C[i]
+        right += e * (dc * m - (Q + G[i]) * ms + (Q + G[j]) * mt)
+        left += e * (-dc * m - (Q - G[i]) * ms + (Q - G[j]) * mt)
+    den = 24 * Q**3 * table.L**3
+    return _true_units(curve, Fraction(right, den)), _true_units(curve, Fraction(left, den))
 
 
 def avg_lower_integral(curve, tol=DEFAULT_TOL):
@@ -167,31 +202,38 @@ def avg_lower_integral(curve, tol=DEFAULT_TOL):
     With gamma(t) - gamma(s) = gamma'(t) (t - s) + K(s) the integrand is
     affine plus K(s)^2 / (t - s).  The t-integral of the latter is
     K(s)^2 ln(t - s), and int v^k ln v dv has an elementary antiderivative,
-    taken as 0 at v = 0; its rational part is summed exactly, its log terms
-    with fsum.
+    taken as 0 at v = 0.  Its rational part and the affine part are summed
+    as one integer over 72 Q^4 L^3; each log term is an integer ratio times
+    ln(V / L), summed with fsum.
     """
-    rational = Fraction(0)
+    table = _segment_table(curve)
+    L, Q, X, G, C = table.L, table.Q, table.X, table.G, table.C
+    affine = from_logs = 0
     logs = []
-    for i, j, poly, gs, gt, element in _hook_pairs(curve):
-        gj = gt[2]
-        k0, k1, _ = _lin((1, gt), (-1, gs), (-gj, _T_MINUS_S))
-        affine = _lin((1 + gj * gj, _T_MINUS_S), (2 * gj, (k0, k1, 0)))
-        rational += element * _affine_integral(poly, affine)
+    log_den = 2 * Q**4 * L**3
+    for i, j, e, m, ms, mt in _hook_pairs(table):
+        # Q L K(S / L) = k0 + k1 S; the integrand's affine part times Q^2 L
+        gj = G[j]
+        k0, k1 = C[j] - C[i], gj - G[i]
+        square = Q * Q + gj * gj
+        affine += e * (2 * gj * k0 * m + (2 * gj * k1 - square) * ms + square * mt)
         if i == j:
             continue  # K vanishes on a single segment
-        (s0, t0), (s1, _), (_, t1) = poly[:3]
+        s0, s1, t0, t1 = X[i], X[i + 1], X[j], X[j + 1]
         # iint K(s)^2 / (t - s) = sum over corners of +-G(t - s), where G is
         # the antiderivative of K(te - v)^2 ln v in v at t = te
-        for te, se, sign in ((t1, s0, 1), (t1, s1, -1), (t0, s0, -1), (t0, s1, 1)):
+        for te, se, weight in ((t1, s0, e), (t1, s1, -e), (t0, s0, -e), (t0, s1, e)):
             v = te - se
             if v == 0:
                 continue
             alpha = k0 + k1 * te
-            for p, c in enumerate((alpha * alpha, -2 * alpha * k1, k1 * k1), 1):
-                term = sign * element * c * v**p / p
-                rational -= term / p
-                logs.append(float(term) * math.log(v))
-    return _true_units(curve, (float(rational) + math.fsum(logs)) / 4)
+            log_v = math.log(v / L)
+            for p, c in enumerate((alpha * alpha * v, -2 * alpha * k1 * v * v, k1 * k1 * v**3), 1):
+                term = weight * c
+                from_logs += term * _LOG_WEIGHTS[p - 1]
+                logs.append(term / (log_den * p) * log_v)
+    rational = (6 * affine - from_logs) / (36 * log_den)
+    return _true_units(curve, (rational + math.fsum(logs)) / 4)
 
 
 _CELL_PROBES = (

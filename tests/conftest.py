@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -7,7 +8,7 @@ import pytest
 
 from npslab.complexity import _w_table
 from npslab.curves import partition_boundary
-from npslab.integrals import _CELL_PROBES
+from npslab.integrals import _CELL_PROBES, _true_units
 from npslab.nps import BijectionReport, HookTableau, Tableau, shape_ops
 from npslab.partitions import Partition, harmonic, hook_product, syt_count
 from npslab.sampling import CHUNK, SeededStream
@@ -534,3 +535,135 @@ def boards_per_draw():
     """The Monte Carlo draws one `permutation` at a time: an oracle for the
     blocks of rows that `sampling._chunked_boards` shuffles at once."""
     return _boards_per_draw
+
+
+_HALF = Fraction(1, 2)
+_T_MINUS_S = (0, -1, 1)  # t - s as an affine function
+
+
+def _lin(*terms):
+    """Sum of coefficient * f over affine functions f = (c, a, b), meaning
+    c + a s + b t."""
+    return tuple(sum(k * f[m] for k, f in terms) for m in range(3))
+
+
+def _at(f, point):
+    return f[0] + f[1] * point[0] + f[2] * point[1]
+
+
+def _clip_fractions(poly, h):
+    """The part of a convex polygon where the affine function h is >= 0."""
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        hp, hq = _at(h, p), _at(h, q)
+        if hp >= 0:
+            out.append(p)
+        if (hp < 0) != (hq < 0):
+            r = hp / (hp - hq)
+            out.append((p[0] + r * (q[0] - p[0]), p[1] + r * (q[1] - p[1])))
+    return out
+
+
+def _affine_integral(poly, f):
+    """Exact integral of the affine f over a counter-clockwise convex polygon
+    (the shoelace formula with the first moments)."""
+    area = ms = mt = 0
+    for (s0, t0), (s1, t1) in zip(poly, poly[1:] + poly[:1]):
+        cross = s0 * t1 - s1 * t0
+        area += cross
+        ms += (s0 + s1) * cross
+        mt += (t0 + t1) * cross
+    return f[0] * Fraction(area, 2) + Fraction(f[1] * ms + f[2] * mt, 6)
+
+
+def _fraction_hook_pairs(curve):
+    """Segment pairs i <= j with nonzero area element, as
+    (i, j, polygon, gamma(s), gamma(t), element): the pair's (s, t) domain
+    (a rectangle, or the triangle s < t when i = j) and gamma on either
+    segment as affine functions of (s, t), all in frame Fractions."""
+    xs, ys = curve.xs, curve.ys
+    segments = []
+    for k in range(len(xs) - 1):
+        slope = Fraction(ys[k + 1] - ys[k], xs[k + 1] - xs[k])
+        segments.append((xs[k], xs[k + 1], ys[k] - slope * xs[k], slope))
+    for i, (s0, s1, cs, gi) in enumerate(segments):
+        if gi == -1:
+            continue
+        for j in range(i, len(segments)):
+            t0, t1, ct, gj = segments[j]
+            if gj == 1:
+                continue
+            if i == j:
+                poly = [(s0, s0), (s1, s1), (s0, s1)]
+            else:
+                poly = [(s0, t0), (s1, t0), (s1, t1), (s0, t1)]
+            yield i, j, poly, (cs, gi, 0), (ct, 0, gj), (1 + gi) * (1 - gj) / 2
+
+
+def _w_by_fractions(curve):
+    total = Fraction(0)
+    ys = curve.ys
+    for i, j, poly, gs, gt, element in _fraction_hook_pairs(curve):
+        y = _lin((-_HALF, _T_MINUS_S), (_HALF, gs), (_HALF, gt))
+        if i == j:
+            candidates = [gs if gs[1] < 0 else gt]
+        else:
+            candidates = [(max(ys[i + 1:j + 1]), 0, 0)]
+            if gs[1] < 0:
+                candidates.append(gs)
+            if gt[2] > 0:
+                candidates.append(gt)
+        for top in candidates:
+            piece = poly
+            for other in candidates:
+                if other is not top:
+                    piece = _clip_fractions(piece, _lin((1, top), (-1, other)))
+            total += element * _affine_integral(piece, _lin((1, top), (-1, y)))
+    return _true_units(curve, total)
+
+
+def _c_by_fractions(curve):
+    rational = Fraction(0)
+    logs = []
+    for i, j, poly, gs, gt, element in _fraction_hook_pairs(curve):
+        gj = gt[2]
+        k0, k1, _ = _lin((1, gt), (-1, gs), (-gj, _T_MINUS_S))
+        affine = _lin((1 + gj * gj, _T_MINUS_S), (2 * gj, (k0, k1, 0)))
+        rational += element * _affine_integral(poly, affine)
+        if i == j:
+            continue
+        (s0, t0), (s1, _), (_, t1) = poly[:3]
+        for te, se, sign in ((t1, s0, 1), (t1, s1, -1), (t0, s0, -1), (t0, s1, 1)):
+            v = te - se
+            if v == 0:
+                continue
+            alpha = k0 + k1 * te
+            for p, c in enumerate((alpha * alpha, -2 * alpha * k1, k1 * k1), 1):
+                term = sign * element * c * v**p / p
+                rational -= term / p
+                logs.append(float(term) * math.log(v))
+    return _true_units(curve, (float(rational) + math.fsum(logs)) / 4)
+
+
+def _i_by_fractions(curve):
+    totals = [Fraction(0), Fraction(0)]
+    for _, _, poly, gs, gt, element in _fraction_hook_pairs(curve):
+        for k, sign in enumerate((1, -1)):
+            exit_ = _lin((_HALF, _T_MINUS_S), (sign * _HALF, gt), (-sign * _HALF, gs))
+            totals[k] += element * _affine_integral(poly, exit_)
+    return _true_units(curve, totals[0]), _true_units(curve, totals[1])
+
+
+def _integrals_by_fractions(curve):
+    """(W, C, I1, I2) with every pair of segments integrated in frame
+    Fractions over its polygon, affine functions as coefficient triples and
+    each log term rounded from its Fraction."""
+    return (_w_by_fractions(curve), _c_by_fractions(curve), *_i_by_fractions(curve))
+
+
+@pytest.fixture(scope="session")
+def integrals_by_fractions():
+    """The four limit integrals in frame Fractions, pair by pair: an oracle
+    for the scaled integer segment table that `integrals` reads, which must
+    give the same floats."""
+    return _integrals_by_fractions

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npslab import curves
 from npslab.curves import (
     LimitCurve,
     ScalingExponents,
@@ -127,6 +128,33 @@ def test_partition_boundary_examples():
 def test_partition_boundary_always_normalized(parts):
     shape = Partition(parts)
     assert partition_boundary(shape, shape.size).area == 1
+
+
+def _check_boundaries_with_constructor():
+    """Every boundary of size <= 10 under balanced, (1/3, 2/3) and (1, 0)
+    exponents, and (4,3,2,1) under (2/5, 3/5), rebuilt through the checked
+    constructor at tolerance 0.  Most (1/3, 2/3) cases and the last one have
+    a float-derived rho."""
+    exponents = (ScalingExponents.balanced(), ScalingExponents(Fraction(1, 3), Fraction(2, 3)),
+                 ScalingExponents(1, 0))
+    cases = [(shape, e) for n in range(1, 11) for shape in partitions_of(n) for e in exponents]
+    cases.append((Partition([4, 3, 2, 1]), ScalingExponents(Fraction(2, 5), Fraction(3, 5))))
+    for shape, e in cases:
+        curve = partition_boundary(shape, shape.size, e)
+        checked = LimitCurve(list(zip(curve.xs, curve.ys)), curve.scale_sq)
+        assert checked.same_curve(curve), (shape, e)
+
+
+def test_partition_boundaries_pass_the_constructor_checks():
+    _check_boundaries_with_constructor()
+
+
+def test_constructor_check_rejects_a_boundary_missing_its_last_point(monkeypatch):
+    stored = curves._stored_curve
+    monkeypatch.setattr(curves, "_stored_curve",
+                        lambda xs, ys, scale_sq: stored(xs[:-1], ys[:-1], scale_sq))
+    with pytest.raises(ValueError, match="endpoint"):
+        _check_boundaries_with_constructor()
 
 
 def test_imbalanced_boundary_normalized_exactly():

@@ -11,6 +11,8 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from npslab import integrals
 from npslab.cli import main
@@ -19,6 +21,7 @@ from npslab.curves import LimitCurve, flat_top_curve, partition_boundary, unit_s
 from npslab.integrals import (
     _K,
     _scaled_boundary,
+    _segment_table,
     avg_lower_integral,
     distance_integral_cellwise,
     imbalanced_integrals,
@@ -228,6 +231,73 @@ GENERAL_CURVES = (
     LimitCurve([(-1, 1), (Fraction(-1, 2), Fraction(5, 4)), (Fraction(1, 4), 1),
                 (Fraction(3, 4), Fraction(5, 4)), (2, 2)]),
 )
+
+
+def _production(curve):
+    return (worst_case_integral(curve), avg_lower_integral(curve), *imbalanced_integrals(curve))
+
+
+def _oracle_curves(tmp_path):
+    yield from (partition_boundary(shape, n) for n in range(1, 9) for shape in partitions_of(n))
+    yield unit_square_curve()
+    yield flat_top_curve()
+    for curve in GENERAL_CURVES:
+        yield curve
+        yield curve.mirrored()
+    # decimal files: the (4,2) boundary and the staircase 15..1, whose
+    # slope denominators have an lcm of hundreds of bits
+    path = tmp_path / "curve.json"
+    for shape in (Partition([4, 2]), Partition(range(15, 0, -1))):
+        partition_boundary(shape, shape.size).to_file(path)
+        yield LimitCurve.from_file(path)
+
+
+def test_integrals_equal_fraction_oracle(tmp_path, integrals_by_fractions):
+    for curve in _oracle_curves(tmp_path):
+        assert _production(curve) == integrals_by_fractions(curve), curve
+
+
+@st.composite
+def rational_curves(draw):
+    """Rational 1-Lipschitz curves: from a point on |x|, up to five segments
+    with slopes of even denominator inside (-1, 1), then a slope -1 segment
+    down to |x|."""
+    x = -Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    points = [(x, -x)]
+    for _ in range(draw(st.integers(1, 5))):
+        half = draw(st.integers(1, 4))
+        slope = Fraction(2 * draw(st.integers(-half, half - 1)) + 1, 2 * half)
+        dx = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+        y = points[-1][1] + slope * dx
+        if y <= x + dx:
+            break  # the next point would not lie above |x|
+        x += dx
+        points.append((x, y))
+    assume(len(points) > 1)
+    drop = (points[-1][1] - x) / 2
+    points.append((x + drop, points[-1][1] - drop))
+    return LimitCurve(points)
+
+
+@given(rational_curves())
+@settings(max_examples=40, deadline=None)
+def test_integrals_equal_fraction_oracle_on_rational_curves(integrals_by_fractions, curve):
+    assert _segment_table(curve).Q > 1
+    assert _production(curve) == integrals_by_fractions(curve)
+
+
+def test_oracle_catches_q_forced_to_one(monkeypatch, integrals_by_fractions):
+    table = integrals._segment_table
+    monkeypatch.setattr(integrals, "_segment_table", lambda curve: table(curve)._replace(Q=1))
+    for curve in GENERAL_CURVES:
+        got, want = _production(curve), integrals_by_fractions(curve)
+        assert all(g != w for g, w in zip(got, want)), (curve, got, want)
+
+
+def test_oracle_catches_log_weights_36_over_p(monkeypatch, integrals_by_fractions):
+    monkeypatch.setattr(integrals, "_LOG_WEIGHTS", (36, 18, 12))
+    for curve in GENERAL_CURVES:
+        assert avg_lower_integral(curve) != integrals_by_fractions(curve)[1], curve
 
 
 def test_adaptive_quad_basics():
