@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from npslab import integrals
 from npslab.cli import main
 from npslab.complexity import _w_table, worst_case
-from npslab.curves import LimitCurve, flat_top_curve, partition_boundary, unit_square_curve
+from npslab.curves import (
+    LimitCurve,
+    ScalingExponents,
+    flat_top_curve,
+    partition_boundary,
+    unit_square_curve,
+)
 from npslab.integrals import (
     _K,
     _scaled_boundary,
@@ -238,7 +244,9 @@ def _production(curve):
 
 
 def _oracle_curves(tmp_path):
-    yield from (partition_boundary(shape, n) for n in range(1, 9) for shape in partitions_of(n))
+    exponents = (None, ScalingExponents(Fraction(1, 3), Fraction(2, 3)), ScalingExponents(1, 0))
+    yield from (partition_boundary(shape, n, e)
+                for n in range(1, 9) for shape in partitions_of(n) for e in exponents)
     yield unit_square_curve()
     yield flat_top_curve()
     for curve in GENERAL_CURVES:
