@@ -12,9 +12,12 @@ breakpoints are irrational - e.g. the unit-square curve has true apex
 
 Queries answer in the type they are asked in.  A float query (``value``,
 ``hook_distances``, ``hook_coordinates``, or a frame method given a float)
-reads a float copy of the breakpoints that each curve builds once, on first
-use, so it does float arithmetic only; a Fraction (or int) query reads the
-exact breakpoints and stays exact.
+reads one float table per curve, built once on first use: the breakpoints
+and the two non-decreasing sequences w - gamma(w) and gamma(w) + w.  A
+Fraction (or int) query builds the same table exactly and stays exact.  A
+point query evaluates gamma(x) once, finds both diagonal exits by bisection
+and d from a slice of the breakpoints, so on k breakpoints it costs
+O(log k) Python steps plus one C-level max over a slice.
 
 Distance functions at an interior point (x, y), all extended by zero outside
 the interior:
@@ -108,7 +111,7 @@ def _exact_rational_power(n, exponent):
 class LimitCurve:
     """A 1-Lipschitz piecewise-linear curve equal to |x| outside its span."""
 
-    __slots__ = ("xs", "ys", "scale_sq", "_mirror_cache", "_float_cache")
+    __slots__ = ("xs", "ys", "scale_sq", "_float_cache")
 
     def __init__(self, points, scale_sq=Fraction(1), tolerance=Fraction(0)):
         """`points` are frame breakpoints; true coords are sqrt(scale_sq)
@@ -150,7 +153,6 @@ class LimitCurve:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "scale_sq", scale_sq)
-        object.__setattr__(self, "_mirror_cache", None)
         object.__setattr__(self, "_float_cache", None)
 
     def __setattr__(self, name, value):
@@ -169,32 +171,27 @@ class LimitCurve:
     @property
     def scale(self):
         """Frame-to-true scale factor sqrt(scale_sq), as a float."""
-        return self._floats()[2]
+        return self._floats()[1]
 
     def _floats(self):
-        """Float copies of (xs, ys, scale), built on first use."""
+        """The float query table and the float scale, built on first use."""
         floats = self._float_cache
         if floats is None:
-            floats = (tuple(map(float, self.xs)), tuple(map(float, self.ys)),
+            floats = (_query_table(tuple(map(float, self.xs)), tuple(map(float, self.ys))),
                       math.sqrt(float(self.scale_sq)))
             object.__setattr__(self, "_float_cache", floats)
         return floats
 
     def _table(self, x):
-        """Breakpoint abscissas and ordinates in the type of the query x: the
-        float copies for a float, the exact Fractions otherwise."""
-        return self._floats()[:2] if isinstance(x, float) else (self.xs, self.ys)
+        """The query table in the type of the query x: the float one for a
+        float, the exact one, built per query, for a Fraction or int."""
+        return self._floats()[0] if isinstance(x, float) else _query_table(self.xs, self.ys)
 
     def value_frame(self, x):
         """Curve value at frame abscissa x: float arithmetic on the float copy
         of the breakpoints for a float x, exact for a Fraction or int x."""
-        xs, ys = self._table(x)
-        if not xs or x <= xs[0] or x >= xs[-1]:
-            return abs(x)
-        i = bisect_right(xs, x) - 1
-        x0, y0 = xs[i], ys[i]
-        x1, y1 = xs[i + 1], ys[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        xs, ys = self._floats()[0][:2] if isinstance(x, float) else (self.xs, self.ys)
+        return _interpolate(xs, ys, x)
 
     def value(self, x):
         """Curve value at a true abscissa, as a float."""
@@ -257,55 +254,22 @@ class LimitCurve:
 
     # -- distance functions (frame units) --------------------------------
 
-    def _interior_frame(self, x, y):
-        return self.xs and abs(x) < y < self.value_frame(x)
-
-    def _diag_exit(self, x, y):
-        """Largest t with (x + t, y + t) in the region, for interior points.
-
-        Follows the non-increasing function gamma(w) - w rightwards until it
-        crosses y - x, and solves the crossing within that segment.
-        """
-        target = y - x
-        xs, ys = self._table(x)
-        prev_w, prev_v = x, self.value_frame(x) - x
-        i = bisect_right(xs, x)
-        while i < len(xs):
-            w, v = xs[i], ys[i] - xs[i]
-            if v < target:
-                t_star = prev_w + (prev_v - target) * (w - prev_w) / (prev_v - v) - x
-                return t_star
-            prev_w, prev_v = w, v
-            i += 1
-        # Beyond the polyline the curve is |w|; a crossing there means the
-        # span ends left of the origin.
-        return -target / 2 - x
-
-    def _frame_exits(self, x, y):
-        """(a, l) in frame units at an interior point, None elsewhere."""
-        if not self._interior_frame(x, y):
-            return None
-        mirror = self._mirror_cache
-        if mirror is None:
-            mirror = self.mirrored()
-            object.__setattr__(self, "_mirror_cache", mirror)
-        return self._diag_exit(x, y), mirror._diag_exit(-x, y)
-
     def _frame_distances(self, x, y):
         """(a, l, d) in frame units, all 0 off the interior.
 
         The feasible set {w : gamma(w) - |w - x| >= y} is exactly [s, t] with
         s = x - l and t = x + a, so d is the maximum of gamma on [s, t] minus y.
         """
-        exits = self._frame_exits(x, y)
+        table = self._table(x)
+        exits = _exits(table, x, y)
         if exits is None:
             zero = x - x  # zero of the caller's numeric type
             return zero, zero, zero
         a, leg = exits
         s, t = x - leg, x + a
-        xs, ys = self._table(x)
+        xs, ys = table[:2]
         inside = ys[bisect_right(xs, s):bisect_left(xs, t)]
-        return a, leg, max(self.value_frame(s), self.value_frame(t), *inside) - y
+        return a, leg, max(_interpolate(xs, ys, s), _interpolate(xs, ys, t), *inside) - y
 
     # -- file interface ---------------------------------------------------
 
@@ -350,6 +314,61 @@ class LimitCurve:
         return f"LimitCurve([{pts}], scale_sq={self.scale_sq})"
 
 
+def _query_table(xs, ys):
+    """(xs, ys, w - gamma(w), gamma(w) + w) at the breakpoints; the last two
+    are non-decreasing, as gamma is 1-Lipschitz."""
+    return xs, ys, tuple(x - y for x, y in zip(xs, ys)), tuple(y + x for x, y in zip(xs, ys))
+
+
+def _interpolate(xs, ys, x):
+    """gamma(x) on the breakpoints (xs, ys), |x| outside them."""
+    if not xs or x <= xs[0] or x >= xs[-1]:
+        return abs(x)
+    i = bisect_right(xs, x) - 1
+    x0, y0, x1, y1 = xs[i], ys[i], xs[i + 1], ys[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _exits(table, x, y):
+    """(a, l) in frame units at an interior point (x, y), None elsewhere.
+
+    The arm crosses the curve in the first segment right of x where
+    gamma(w) - w falls below y - x, the leg in the first segment left of x
+    where gamma(w) + w falls below y + x.  Bisection finds both; each
+    crossing is solved in the operations of a walk along the curve (for the
+    leg, along its mirror), so the floats are those of that walk.  Rounded
+    float breakpoints may make the table wobble by an ulp along a segment of
+    slope +-1; on the diagonal through it, where the exit jumps from one end
+    of the segment to the other, either end may be returned.
+    """
+    xs, ys, falls, rises = table
+    if not (xs and xs[0] < x < xs[-1] and abs(x) < y):
+        return None
+    i = bisect_right(xs, x)
+    x0, y0, x1, y1 = xs[i - 1], ys[i - 1], xs[i], ys[i]
+    gx = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    if not y < gx:
+        return None
+    target = y - x
+    j = bisect_right(falls, -target, i)
+    if j == len(xs):  # beyond the polyline gamma is |w|: the span ends left of 0
+        arm = -target / 2 - x
+    else:
+        pw, pv = (x, gx - x) if j == i else (xs[j - 1], -falls[j - 1])
+        arm = pw + (pv - target) * (xs[j] - pw) / (pv + falls[j]) - x
+    target = y + x
+    last = bisect_left(xs, x) - 1  # the last breakpoint left of x
+    j = bisect_left(rises, target, 0, last + 1) - 1
+    if j < 0:  # beyond the polyline gamma is |w|: the span starts right of 0
+        return arm, -target / 2 + x
+    if j < last:
+        pw, pv = xs[j + 1], rises[j + 1]
+    else:  # gamma(x) as the mirror interpolates it, from the segment's right end
+        x0, y0, x1, y1 = xs[j], ys[j], xs[j + 1], ys[j + 1]
+        pw, pv = x, y1 + (y0 - y1) * (x1 - x) / (x1 - x0) + x
+    return arm, -pw + (pv - target) * (pw - xs[j]) / (pv - rises[j]) + x
+
+
 def _stored_curve(xs, ys, scale_sq):
     """The curve on frame breakpoints, without the constructor's checks: the
     breakpoints come from a curve that passed them, possibly under a
@@ -361,9 +380,12 @@ def _stored_curve(xs, ys, scale_sq):
 
 
 def _parse_number(value):
+    """A coordinate as an exact Fraction: a string, an int or a finite float;
+    JSON true/false and Infinity/NaN are refused, not read as 1, 0 or inf."""
     if isinstance(value, str):
         return Fraction(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, int) and not isinstance(value, bool) or (
+            isinstance(value, float) and math.isfinite(value)):
         return Fraction(value)
     raise ValueError(f"cannot parse coordinate {value!r}")
 
@@ -460,9 +482,9 @@ def hook_distances(curve, point):
     """(a, l, d) at a true-coordinate point, zero outside the interior."""
     x, y = point
     s = curve.scale
-    fx, fy = x / s, y / s
+    a, leg, d = curve._frame_distances(x / s, y / s)
     factor = math.sqrt(2.0) * s
-    return tuple(v * factor for v in curve._frame_distances(fx, fy))
+    return a * factor, leg * factor, d * factor
 
 
 def hook_coordinates(curve, point):
@@ -471,5 +493,5 @@ def hook_coordinates(curve, point):
     x, y = point
     sc = curve.scale
     fx, fy = x / sc, y / sc
-    arm, leg = curve._frame_exits(fx, fy) or (0, 0)
+    arm, leg = _exits(curve._table(fx), fx, fy) or (0, 0)
     return ((fx - leg) * sc, (fx + arm) * sc)

@@ -279,14 +279,20 @@ def distance_integral_cellwise(shape):
 
     The probes read the float copy of the boundary scaled by K = 240
     (`_scaled_boundary`), and that is exact.  The balanced boundary has
-    integer breakpoints and slopes +-1, so after scaling every breakpoint is
-    a multiple of K and every probe's frame (x, y) is an even integer.  The
-    curve values there are even, the diagonal crossing `_diag_exit` solves
-    is the integer (prev_v - target) / 2 of two even values, and so every
-    value the query forms, d included, is an integer; the span check keeps
-    every product below 2^52.  IEEE-754 rounds each operation correctly, so
-    the float query returns those integers exactly, and d is compared
-    exactly with K (w + i + j) - (u + v), u and v in units of 1/K.
+    integer breakpoints and slopes +-1, so after scaling every breakpoint,
+    and every entry w -+ gamma(w) of the query table, is a multiple of K,
+    and every probe's frame (x, y) is an even integer.  gamma at an even
+    integer is even.  The arm crosses y - x on a slope -1 segment, where
+    gamma(w) - w drops by twice the distance travelled, so its crossing
+    (pv - target) (w - pw) / (pv - v) is the integer (pv - target) / 2 of
+    two even values; the leg's crossing on a slope +1 segment is the same.
+    So s, t, gamma(s), gamma(t) and d are integers.  Every product has two
+    factors of at most the span (pv - target < gamma(pw) - y for the
+    crossings), and the span check keeps the span's square below 2^52, so
+    every value the query forms is an integer below 2^52.  IEEE-754 rounds
+    each operation correctly, so the float query returns those integers
+    exactly, and d is compared exactly with K (w + i + j) - (u + v), u and v
+    in units of 1/K.
     """
     curve = _scaled_boundary(shape)
     w_rows = _w_table(shape)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -7,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 from npslab.complexity import _w_table
-from npslab.curves import partition_boundary
+from npslab.curves import LimitCurve, partition_boundary
 from npslab.integrals import _CELL_PROBES, _true_units
 from npslab.nps import BijectionReport, HookTableau, Tableau, shape_ops
 from npslab.partitions import Partition, harmonic, hook_product, syt_count
@@ -363,6 +364,108 @@ def _point_from_hook_coordinates(curve, s, t):
 def point_from_hook_coordinates():
     """The inverse of `hook_coordinates`, from the curve values at s and t."""
     return _point_from_hook_coordinates
+
+
+class _WalkCurve:
+    """A copy of a curve's frame breakpoints, in floats (`of`) or exact
+    (`exact`), that answers each point query by walking the breakpoints one
+    by one: gamma, the exit along (1, 1), the exit along (-1, 1) as the
+    mirror's exit along (1, 1), and d as the maximum of gamma at the two
+    exits and at every breakpoint between them."""
+
+    def __init__(self, xs, ys, scale_sq):
+        self.xs, self.ys, self.scale_sq = xs, ys, scale_sq
+        self.scale = math.sqrt(scale_sq)
+
+    @classmethod
+    def of(cls, curve):
+        return cls(tuple(float(x) for x in curve.xs), tuple(float(y) for y in curve.ys),
+                   float(curve.scale_sq))
+
+    @classmethod
+    def exact(cls, curve):
+        return cls(curve.xs, curve.ys, curve.scale_sq)
+
+    def mirrored(self):
+        return _WalkCurve(tuple(-x for x in reversed(self.xs)), tuple(reversed(self.ys)),
+                          self.scale_sq)
+
+    def value_frame(self, x):
+        xs = self.xs
+        if not xs or x <= xs[0] or x >= xs[-1]:
+            return abs(x)
+        i = bisect_right(xs, x) - 1
+        x0, y0, x1, y1 = xs[i], self.ys[i], xs[i + 1], self.ys[i + 1]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    def value(self, x):
+        return self.value_frame(x / self.scale) * self.scale
+
+    def diag_exit(self, x, y):
+        """Largest t with (x + t, y + t) under the curve, from an interior
+        point: where gamma(w) - w, non-increasing, falls below y - x."""
+        target = y - x
+        xs, ys = self.xs, self.ys
+        prev_w, prev_v = x, self.value_frame(x) - x
+        for i in range(bisect_right(xs, x), len(xs)):
+            w, v = xs[i], ys[i] - xs[i]
+            if v < target:
+                return prev_w + (prev_v - target) * (w - prev_w) / (prev_v - v) - x
+            prev_w, prev_v = w, v
+        # beyond the polyline gamma is |w|: the span ends left of the origin
+        return -target / 2 - x
+
+    def frame_exits(self, x, y):
+        """(a, l) in frame units at an interior point, None elsewhere."""
+        if not (self.xs and abs(x) < y < self.value_frame(x)):
+            return None
+        return self.diag_exit(x, y), self.mirrored().diag_exit(-x, y)
+
+    def frame_distances(self, x, y):
+        """(a, l, d) in frame units, all 0 off the interior."""
+        exits = self.frame_exits(x, y)
+        if exits is None:
+            return (x - x,) * 3
+        a, leg = exits
+        s, t = x - leg, x + a
+        top = max([self.value_frame(s), self.value_frame(t)]
+                  + [g for w, g in zip(self.xs, self.ys) if s < w < t])
+        return a, leg, top - y
+
+    def hook_distances(self, point):
+        x, y = point
+        a, leg, d = self.frame_distances(x / self.scale, y / self.scale)
+        factor = math.sqrt(2.0) * self.scale
+        return a * factor, leg * factor, d * factor
+
+    def hook_coordinates(self, point):
+        x, y = point
+        fx, fy = x / self.scale, y / self.scale
+        arm, leg = self.frame_exits(fx, fy) or (0, 0)
+        return (fx - leg) * self.scale, (fx + arm) * self.scale
+
+
+@pytest.fixture(scope="session")
+def walk_curve():
+    """The linear-walk curve queries, `walk_curve.of(curve)` in floats and
+    `walk_curve.exact(curve)` in Fractions: an oracle for the bisections of
+    `curves._exits`, and the float curve of the quadrature oracles."""
+    return _WalkCurve
+
+
+# Slopes strictly inside (-1, 1), so that gamma(s) on a falling s-segment and
+# gamma(t) on a rising t-segment beat the breakpoint values between them.
+_GENERAL_CURVES = (
+    LimitCurve([(-2, 2), (-1, Fraction(5, 2)), (0, 2), (1, Fraction(5, 2)), (2, 2)]),
+    LimitCurve([(-1, 1), (Fraction(-1, 2), Fraction(5, 4)), (Fraction(1, 4), 1),
+                (Fraction(3, 4), Fraction(5, 4)), (2, 2)]),
+)
+
+
+@pytest.fixture(scope="session")
+def general_curves():
+    """Two rational curves whose slopes lie strictly inside (-1, 1)."""
+    return _GENERAL_CURVES
 
 
 def pochhammer_rising(x, k):

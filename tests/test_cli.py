@@ -171,6 +171,25 @@ def test_limit_curve_file(tmp_path, capsys):
     assert code == 2 and "invalid curve" in err
 
 
+@pytest.mark.parametrize("argv,apex,named", [
+    (["limit", "--integral", "W"], "true", "True"),
+    (["limit", "--integral", "W"], "Infinity", "inf"),
+    (["limit", "--integral", "W"], "NaN", "nan"),
+    (["sweep", "--family", "curve-file", "--sizes", "10..12", "--out", "{tmp}/x.csv"],
+     "Infinity", "inf"),
+], ids=["limit-true", "limit-infinity", "limit-nan", "sweep-infinity"])
+def test_curve_file_refuses_bools_and_non_finite_numbers(tmp_path, capsys, argv, apex, named):
+    # JSON true would read as 1 and Infinity would reach Fraction as an
+    # OverflowError; both are invalid curve files that name the value
+    path = tmp_path / "curve.json"
+    path.write_text(f'{{"breakpoints": [[-1, 1], [0, {apex}], [1, 1]]}}')
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--curve", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "invalid curve file" in err and f"coordinate {named}" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_square_family(tmp_path, capsys):
     out_path = tmp_path / "sq.csv"
     code, _, _ = run(capsys, "sweep", "--family", "square", "--sizes", "4..30",

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -334,13 +335,109 @@ def test_float_queries_convert_no_floats_to_fractions(monkeypatch):
             hook_coordinates(curve, point)
             curve.value(point[0])
 
-    query()  # builds the float copies of the curve and of its mirror
+    query()  # builds the curve's float query table
     calls = []
     from_float = Fraction.from_float
     monkeypatch.setattr(Fraction, "from_float",
                         classmethod(lambda cls, f: calls.append(f) or from_float(f)))
     query()
     assert calls == []
+
+
+def _tie_points(xs, ys, stride):
+    """Frame points on the two diagonals through every stride-th breakpoint
+    (w, gamma(w)), where y - x = gamma(w) - w or y + x = gamma(w) + w, from x
+    at every stride-th breakpoint and at the midpoint of its segment."""
+    starts = xs[::stride] + tuple((a + b) / 2 for a, b in zip(xs[::stride], xs[1::stride]))
+    for w, g in zip(xs[::stride], ys[::stride]):
+        for x in starts:
+            yield x, x + g - w
+            yield x, g + w - x
+
+
+def _monotone(table):
+    return all(a <= b for column in table[2:] for a, b in zip(column, column[1:]))
+
+
+def _differs(query, oracle):
+    try:
+        return query() != oracle()
+    except ArithmeticError:  # a crossing solved on a segment it does not cross
+        return True
+
+
+def _query_mismatches(walk_curve, grid, exact=True):
+    """The points at which hook_distances, hook_coordinates or
+    _frame_distances differ in any bit from the linear walk: 40 random true
+    points per curve, and the tie points in floats and, on curves of at most
+    40 breakpoints, in Fractions.  Floats are compared at tie points only
+    where the float query table is monotone: where rounding makes it wobble,
+    the exits jump there and either end of the segment is a correct
+    rounding."""
+    rng = random.Random(2016)
+    bad = []
+    for curve in grid:
+        walk = walk_curve.of(curve)
+        (lo, _), (hi, _) = curve.breakpoints[0], curve.breakpoints[-1]
+        top = max(y for _, y in curve.breakpoints)
+        for _ in range(40):
+            point = (rng.uniform(lo, hi), rng.uniform(0.0, top))
+            if (_differs(lambda: hook_distances(curve, point), lambda: walk.hook_distances(point))
+                    or _differs(lambda: hook_coordinates(curve, point),
+                                lambda: walk.hook_coordinates(point))):
+                bad.append((curve, point))
+        exact_walk = walk_curve.exact(curve) if exact and len(curve.xs) <= 40 else None
+        monotone = _monotone(curve._floats()[0])
+        for x, y in _tie_points(curve.xs, curve.ys, max(1, len(curve.xs) // 10)):
+            if exact_walk and _differs(lambda: curve._frame_distances(x, y),
+                                       lambda: exact_walk.frame_distances(x, y)):
+                bad.append((curve, (x, y)))
+            x, y = float(x), float(y)
+            if monotone and _differs(lambda: curve._frame_distances(x, y),
+                                     lambda: walk.frame_distances(x, y)):
+                bad.append((curve, (x, y)))
+    return bad
+
+
+def _query_grid(general_curves):
+    yield from (partition_boundary(shape, n) for n in range(1, 9) for shape in partitions_of(n))
+    yield unit_square_curve()
+    yield flat_top_curve()
+    for curve in general_curves:
+        yield curve
+        yield curve.mirrored()
+    yield _decimal_file_curve()
+    yield partition_boundary(Partition(range(1000, 0, -1)), 500500)  # 2,001 breakpoints
+
+
+def test_queries_equal_the_linear_walk(walk_curve, general_curves):
+    grid = list(_query_grid(general_curves))
+    assert len(grid[-1].xs) == 2001
+    # every float table here is exact or monotone, so every tie point counts
+    assert all(_monotone(curve._floats()[0]) for curve in grid)
+    assert _query_mismatches(walk_curve, grid) == []
+
+
+_MUTANT_GRID = ((4, 2, 1), (3, 3, 1, 1), (5, 2, 2, 1))
+
+
+def test_arm_exit_stopping_at_equality_is_caught(monkeypatch, walk_curve):
+    # bisect_left for bisect_right on w - gamma(w): the arm stops at a
+    # breakpoint where gamma(w) - w equals y - x instead of following the
+    # diagonal along the slope +1 segment after it
+    grid = [partition_boundary(Partition(p), sum(p)) for p in _MUTANT_GRID]
+    falls = {id(curve._floats()[0][2]) for curve in grid}
+    monkeypatch.setattr(curves, "bisect_right", lambda a, x, lo=0: (
+        bisect_left if id(a) in falls else bisect_right)(a, x, lo))
+    assert _query_mismatches(walk_curve, grid, exact=False)
+
+
+def test_leg_crossing_one_segment_off_is_caught(monkeypatch, walk_curve):
+    grid = [partition_boundary(Partition(p), sum(p)) for p in _MUTANT_GRID]
+    rises = {id(curve._floats()[0][3]) for curve in grid}
+    monkeypatch.setattr(curves, "bisect_left", lambda a, x, lo=0, hi=None: bisect_left(
+        a, x, lo, len(a) if hi is None else hi) - (id(a) in rises))
+    assert _query_mismatches(walk_curve, grid, exact=False)
 
 
 # -- mirroring and equality -----------------------------------------------------

@@ -3,11 +3,11 @@
 The adaptive Gauss-Kronrod quadrature below is an independent route kept as a
 test oracle: it integrates the distance functions point by point over the
 curve's region in (x, y), where the library works in hook coordinates.  The
-quadrature oracles evaluate the curve on a float copy of its breakpoints.
+quadrature oracles evaluate the curve on the float linear-walk copy of its
+breakpoints, the `walk_curve` fixture.
 """
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -113,49 +113,6 @@ def adaptive_quad(f, a, b, tol, splits=(), max_depth=50):
     return total
 
 
-class _FloatCurve:
-    """A float copy of a curve's frame breakpoints with the evaluations the
-    quadrature oracles need: gamma and the exit along the (1, 1) diagonal."""
-
-    def __init__(self, xs, ys, scale_sq):
-        self.xs, self.ys, self.scale_sq = xs, ys, scale_sq
-        self.scale = math.sqrt(scale_sq)
-
-    @classmethod
-    def of(cls, curve):
-        return cls(tuple(float(x) for x in curve.xs), tuple(float(y) for y in curve.ys),
-                   float(curve.scale_sq))
-
-    def mirrored(self):
-        return _FloatCurve(tuple(-x for x in reversed(self.xs)), tuple(reversed(self.ys)),
-                           self.scale_sq)
-
-    def value_frame(self, x):
-        xs = self.xs
-        if not xs or x <= xs[0] or x >= xs[-1]:
-            return abs(x)
-        i = bisect_right(xs, x) - 1
-        x0, y0, x1, y1 = xs[i], self.ys[i], xs[i + 1], self.ys[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-    def value(self, x):
-        return self.value_frame(x / self.scale) * self.scale
-
-    def diag_exit(self, x, y):
-        """Largest t with (x + t, y + t) under the curve, from an interior
-        point: where gamma(w) - w, non-increasing, falls below y - x."""
-        target = y - x
-        xs, ys = self.xs, self.ys
-        prev_w, prev_v = x, self.value_frame(x) - x
-        for i in range(bisect_right(xs, x), len(xs)):
-            w, v = xs[i], ys[i] - xs[i]
-            if v < target:
-                return prev_w + (prev_v - target) * (w - prev_w) / (prev_v - v) - x
-            prev_w, prev_v = w, v
-        # beyond the polyline gamma is |w|: the span ends left of the origin
-        return -target / 2 - x
-
-
 def _area_integral(curve, frame_func, tol, critical_y=None):
     """Integral over the region of sqrt(2)*scale*frame_func, in true units."""
     if not curve.xs:
@@ -206,8 +163,7 @@ def _crossing_d(curve, x, y):
 
 
 def _area_w(curve, tol):
-    """Quadrature route to the distance integral W."""
-    curve = _FloatCurve.of(curve)
+    """Quadrature route to the distance integral W on a float walk curve."""
 
     def critical(x):
         # d(x, .) can jump where a feasibility component vanishes; those
@@ -219,8 +175,8 @@ def _area_w(curve, tol):
 
 
 def _area_form(curve):
-    """Quadrature route to (I1, I2): the exits a and l over the region."""
-    curve = _FloatCurve.of(curve)
+    """Quadrature route to (I1, I2) on a float walk curve: the exits a and l
+    over the region."""
     mirror = curve.mirrored()
 
     def exit_(source, sign):
@@ -230,26 +186,17 @@ def _area_form(curve):
     return _area_integral(curve, exit_(curve, 1), 1e-4), _area_integral(curve, exit_(mirror, -1), 1e-4)
 
 
-# Slopes strictly inside (-1, 1), so that gamma(s) on a falling s-segment and
-# gamma(t) on a rising t-segment beat the breakpoint values between them.
-GENERAL_CURVES = (
-    LimitCurve([(-2, 2), (-1, Fraction(5, 2)), (0, 2), (1, Fraction(5, 2)), (2, 2)]),
-    LimitCurve([(-1, 1), (Fraction(-1, 2), Fraction(5, 4)), (Fraction(1, 4), 1),
-                (Fraction(3, 4), Fraction(5, 4)), (2, 2)]),
-)
-
-
 def _production(curve):
     return (worst_case_integral(curve), avg_lower_integral(curve), *imbalanced_integrals(curve))
 
 
-def _oracle_curves(tmp_path):
+def _oracle_curves(tmp_path, general_curves):
     exponents = (None, ScalingExponents(Fraction(1, 3), Fraction(2, 3)), ScalingExponents(1, 0))
     yield from (partition_boundary(shape, n, e)
                 for n in range(1, 9) for shape in partitions_of(n) for e in exponents)
     yield unit_square_curve()
     yield flat_top_curve()
-    for curve in GENERAL_CURVES:
+    for curve in general_curves:
         yield curve
         yield curve.mirrored()
     # decimal files: the (4,2) boundary and the staircase 15..1, whose
@@ -260,8 +207,8 @@ def _oracle_curves(tmp_path):
         yield LimitCurve.from_file(path)
 
 
-def test_integrals_equal_fraction_oracle(tmp_path, integrals_by_fractions):
-    for curve in _oracle_curves(tmp_path):
+def test_integrals_equal_fraction_oracle(tmp_path, integrals_by_fractions, general_curves):
+    for curve in _oracle_curves(tmp_path, general_curves):
         assert _production(curve) == integrals_by_fractions(curve), curve
 
 
@@ -294,17 +241,18 @@ def test_integrals_equal_fraction_oracle_on_rational_curves(integrals_by_fractio
     assert _production(curve) == integrals_by_fractions(curve)
 
 
-def test_oracle_catches_q_forced_to_one(monkeypatch, integrals_by_fractions):
+def test_oracle_catches_q_forced_to_one(monkeypatch, integrals_by_fractions, general_curves):
     table = integrals._segment_table
     monkeypatch.setattr(integrals, "_segment_table", lambda curve: table(curve)._replace(Q=1))
-    for curve in GENERAL_CURVES:
+    for curve in general_curves:
         got, want = _production(curve), integrals_by_fractions(curve)
         assert all(g != w for g, w in zip(got, want)), (curve, got, want)
 
 
-def test_oracle_catches_log_weights_36_over_p(monkeypatch, integrals_by_fractions):
+def test_oracle_catches_log_weights_36_over_p(monkeypatch, integrals_by_fractions,
+                                              general_curves):
     monkeypatch.setattr(integrals, "_LOG_WEIGHTS", (36, 18, 12))
-    for curve in GENERAL_CURVES:
+    for curve in general_curves:
         assert avg_lower_integral(curve) != integrals_by_fractions(curve)[1], curve
 
 
@@ -346,13 +294,13 @@ def test_worst_case_integral_small_boundary_matches_identity():
             assert math.isclose(value, n + worst_case(shape), rel_tol=1e-12), shape
 
 
-def test_worst_case_integral_agrees_with_area_form():
-    for curve in GENERAL_CURVES:
-        assert abs(worst_case_integral(curve) - _area_w(curve, 1e-8)) < 1e-6, curve
+def test_worst_case_integral_agrees_with_area_form(walk_curve, general_curves):
+    for curve in general_curves:
+        assert abs(worst_case_integral(curve) - _area_w(walk_curve.of(curve), 1e-8)) < 1e-6, curve
 
 
-def test_interval_maximum_d_matches_crossing_search():
-    curves = GENERAL_CURVES + (
+def test_interval_maximum_d_matches_crossing_search(general_curves):
+    curves = general_curves + (
         unit_square_curve(), flat_top_curve(),
         partition_boundary(Partition([4, 2, 1]), 7),
         partition_boundary(Partition([6, 5, 3, 3, 1]), 18))
@@ -368,9 +316,9 @@ def test_interval_maximum_d_matches_crossing_search():
 
 
 def _midpoint_avg_lower(curve, cells=400):
-    """Second, independent scheme for the lower-bound integral: plain
-    midpoint rule over the (s, t) square in true coordinates."""
-    curve = _FloatCurve.of(curve)
+    """Second, independent scheme for the lower-bound integral on a float
+    walk curve: plain midpoint rule over the (s, t) square in true
+    coordinates."""
     lo, hi = curve.xs[0] * curve.scale, curve.xs[-1] * curve.scale
     width = hi - lo
     h = width / cells
@@ -395,22 +343,23 @@ def _midpoint_avg_lower(curve, cells=400):
     return math.sqrt(2) / 8 * total
 
 
-def test_avg_lower_integral_unit_square_two_schemes():
+def test_avg_lower_integral_unit_square_two_schemes(walk_curve):
     square = unit_square_curve()
     value = avg_lower_integral(square)
     # analytic value (2/3) ln 2 - 1/6
     assert abs(value - CN_LOWER_VALUE) < 1e-12
-    independent = _midpoint_avg_lower(square)
+    independent = _midpoint_avg_lower(walk_curve.of(square))
     assert abs(independent - CN_LOWER_VALUE) < 2e-3
     # consistency: strictly below half the worst-case integral
     assert value < worst_case_integral(square) / 2
 
 
-def test_avg_lower_integral_agrees_with_midpoint_scheme():
+def test_avg_lower_integral_agrees_with_midpoint_scheme(walk_curve, general_curves):
     # the log terms of the closed form on curves with slopes inside (-1, 1);
     # 100 midpoint cells are within 3e-3 of the limit on both
-    for curve in GENERAL_CURVES:
-        assert abs(avg_lower_integral(curve) - _midpoint_avg_lower(curve, cells=100)) < 5e-3
+    for curve in general_curves:
+        midpoint = _midpoint_avg_lower(walk_curve.of(curve), cells=100)
+        assert abs(avg_lower_integral(curve) - midpoint) < 5e-3
 
 
 def test_avg_lower_integral_positive_on_normalized_curves():
@@ -431,21 +380,21 @@ def test_imbalanced_integrals_flat_top():
     assert abs(i2 - math.sqrt(2) / 3) < 1e-15
 
 
-def test_mirror_swaps_integrals():
+def test_mirror_swaps_integrals(walk_curve):
     boundary = partition_boundary(Partition([3, 1]), 4)
     mirrored = boundary.mirrored()
     i1, i2 = imbalanced_integrals(boundary)
     m1, m2 = imbalanced_integrals(mirrored)
     assert abs(i1 - m2) < 1e-12 and abs(i2 - m1) < 1e-12
     assert abs(i1 - i2) > 0.01  # asymmetric shape separates the two
-    a1, a2 = _area_form(mirrored)
+    a1, a2 = _area_form(walk_curve.of(mirrored))
     assert abs(m1 - a1) < 2e-3 and abs(m2 - a2) < 2e-3
 
 
-def test_hook_form_agrees_with_area_form():
+def test_hook_form_agrees_with_area_form(walk_curve):
     for curve in (unit_square_curve(), flat_top_curve(),
                   partition_boundary(Partition([3, 1]), 4)):
-        a1, a2 = _area_form(curve)
+        a1, a2 = _area_form(walk_curve.of(curve))
         h1, h2 = imbalanced_integrals(curve)
         assert abs(a1 - h1) < 2e-4 and abs(a2 - h2) < 2e-4
 
