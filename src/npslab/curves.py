@@ -38,6 +38,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 
 from .partitions import Partition
 
@@ -315,9 +316,13 @@ class LimitCurve:
 
 
 def _query_table(xs, ys):
-    """(xs, ys, w - gamma(w), gamma(w) + w) at the breakpoints; the last two
-    are non-decreasing, as gamma is 1-Lipschitz."""
-    return xs, ys, tuple(x - y for x, y in zip(xs, ys)), tuple(y + x for x, y in zip(xs, ys))
+    """(xs, ys, w - gamma(w), gamma(w) + w) at the breakpoints, the third as a
+    running max from the left, the fourth as a running min from the right: so
+    both are non-decreasing, and bisection stops where a walk from x would,
+    even where rounding makes the raw values wobble by an ulp."""
+    falls = accumulate((x - y for x, y in zip(xs, ys)), max)
+    rises = accumulate((y + x for x, y in zip(reversed(xs), reversed(ys))), min)
+    return xs, ys, tuple(falls), tuple(rises)[::-1]
 
 
 def _interpolate(xs, ys, x):
@@ -336,10 +341,7 @@ def _exits(table, x, y):
     gamma(w) - w falls below y - x, the leg in the first segment left of x
     where gamma(w) + w falls below y + x.  Bisection finds both; each
     crossing is solved in the operations of a walk along the curve (for the
-    leg, along its mirror), so the floats are those of that walk.  Rounded
-    float breakpoints may make the table wobble by an ulp along a segment of
-    slope +-1; on the diagonal through it, where the exit jumps from one end
-    of the segment to the other, either end may be returned.
+    leg, along its mirror), so the floats are those of that walk.
     """
     xs, ys, falls, rises = table
     if not (xs and xs[0] < x < xs[-1] and abs(x) < y):
@@ -354,19 +356,19 @@ def _exits(table, x, y):
     if j == len(xs):  # beyond the polyline gamma is |w|: the span ends left of 0
         arm = -target / 2 - x
     else:
-        pw, pv = (x, gx - x) if j == i else (xs[j - 1], -falls[j - 1])
-        arm = pw + (pv - target) * (xs[j] - pw) / (pv + falls[j]) - x
+        pw, pv = (x, gx - x) if j == i else (xs[j - 1], ys[j - 1] - xs[j - 1])
+        arm = pw + (pv - target) * (xs[j] - pw) / (pv - (ys[j] - xs[j])) - x
     target = y + x
     last = bisect_left(xs, x) - 1  # the last breakpoint left of x
     j = bisect_left(rises, target, 0, last + 1) - 1
     if j < 0:  # beyond the polyline gamma is |w|: the span starts right of 0
         return arm, -target / 2 + x
     if j < last:
-        pw, pv = xs[j + 1], rises[j + 1]
+        pw, pv = xs[j + 1], ys[j + 1] + xs[j + 1]
     else:  # gamma(x) as the mirror interpolates it, from the segment's right end
         x0, y0, x1, y1 = xs[j], ys[j], xs[j + 1], ys[j + 1]
         pw, pv = x, y1 + (y0 - y1) * (x1 - x) / (x1 - x0) + x
-    return arm, -pw + (pv - target) * (pw - xs[j]) / (pv - rises[j]) + x
+    return arm, -pw + (pv - target) * (pw - xs[j]) / (pv - (ys[j] + xs[j])) + x
 
 
 def _stored_curve(xs, ys, scale_sq):
