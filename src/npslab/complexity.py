@@ -46,15 +46,19 @@ def _w_table(shape):
     non-corner cell lies weakly South-East of one of its two neighbours.
 
     One array of the first row's length plus one carries the row below,
-    -1 where it has no cell; the rows are filled from the last one up and
-    right to left, so w[j + 1] is already the East neighbour.
+    -1 where it has no cell.  From the last row up, a row's tail, the cells
+    with no cell below, is filled as the range w = p - 1 - j, then the cells
+    above the row below right to left: (n - c, c) costs O(c) Python steps.
     """
     w = [-1] * (shape.row(1) + 1)
     table = []
+    below = 0
     for p in reversed(shape.parts):
-        for j in range(p - 1, -1, -1):
+        w[below:p] = range(p - 1 - below, -1, -1)
+        for j in range(below - 1, -1, -1):
             w[j] = 1 + max(w[j], w[j + 1])
         table.append(w[:p])
+        below = p
     table.reverse()
     return table
 

@@ -353,16 +353,16 @@ def _exits(table, x, y):
         return None
     target = y - x
     j = bisect_right(falls, -target, i)
-    if j == len(xs):  # beyond the polyline gamma is |w|: the span ends left of 0
-        arm = -target / 2 - x
+    if j == len(xs):  # a curve ending above |x| (within a tolerance): the arm ends there
+        arm = xs[-1] - x
     else:
         pw, pv = (x, gx - x) if j == i else (xs[j - 1], ys[j - 1] - xs[j - 1])
         arm = pw + (pv - target) * (xs[j] - pw) / (pv - (ys[j] - xs[j])) - x
     target = y + x
     last = bisect_left(xs, x) - 1  # the last breakpoint left of x
     j = bisect_left(rises, target, 0, last + 1) - 1
-    if j < 0:  # beyond the polyline gamma is |w|: the span starts right of 0
-        return arm, -target / 2 + x
+    if j < 0:  # a curve starting above |x| (within a tolerance): the leg ends there
+        return arm, x - xs[0]
     if j < last:
         pw, pv = xs[j + 1], ys[j + 1] + xs[j + 1]
     else:  # gamma(x) as the mirror interpolates it, from the segment's right end

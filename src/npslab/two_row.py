@@ -1,9 +1,9 @@
 """Exact average-case formulas for two-row shapes (lam1, lam2).
 
 All representations are evaluated in exact rational arithmetic and agree with
-each other and with brute force wherever that is feasible.  Each sum is
-carried as integer numerators over one common denominator and reduced to a
-Fraction once, at the end:
+each other and with brute force wherever that is feasible.  Each sum, its
+harmonic numbers included (H_m as D H_m over D = lcm(1..M)), is one integer
+numerator over one common denominator, reduced to a Fraction once, at the end:
 
 * the closed form: a quadratic polynomial minus twice an alternating single
   sum S0 with rising-factorial denominators, evaluated as a nested ratio of
@@ -11,7 +11,7 @@ Fraction once, at the end:
 * the double-sum form: a leading harmonic term plus five double sums built
   from binomial fixed-entry counts, divided by the standard-tableau count
   that `partitions.syt_count` gives; every term is an integer over D^2 with
-  D = lcm(1..n);
+  D = lcm(1..n), its binomial part summed per k before the weight of k;
 * a nested-sum representation of S0 (one forward pass, O(lam2) operations),
   its inner sums over powers of two and its outer sums over the lcm of their
   term denominators;
@@ -21,10 +21,11 @@ Fraction once, at the end:
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 
-from .partitions import Partition, harmonic, syt_count
+from .partitions import Partition, syt_count
 
 __all__ = [
     "validate_two_row",
@@ -42,6 +43,13 @@ def validate_two_row(lam1, lam2):
         raise ValueError(f"second part {lam2} exceeds first part {lam1}")
     if lam2 < 0 or lam1 < 1:
         raise ValueError(f"({lam1},{lam2}) is not a two-row shape")
+
+
+@lru_cache(maxsize=128)
+def _scaled_harmonics(m):
+    """(D, (D H_0, ..., D H_m)) with D = lcm(1..m)."""
+    lcd = lcm(*range(1, m + 1))
+    return lcd, tuple(accumulate((lcd // k for k in range(1, m + 1)), initial=0))
 
 
 def s0_direct(lam1, lam2):
@@ -79,21 +87,24 @@ def s0_nested(lam1, lam2):
     for i, den in enumerate(dens, start=1):
         p = 2 * p + den // i
         outer += (p + 2**i) * (lcd // den)
-    big = comb(lam1 + lam2, lam2)
+    # L / C(lam1 + lam2, lam2) = lam2 L / (last denominator); D_h H_m, D_h = lcm(1..lam1)
+    lcd_h, scaled_h = _scaled_harmonics(lam1)
     excess = 1 + lam1 - lam2
-    return (
-        -Fraction(p + 2**lam2, big)
-        - Fraction(excess * outer, 2 * lcd)
-        + excess * (harmonic(lam1) + Fraction(harmonic(lam2), 2) - harmonic(lam1 - lam2))
-        + 1
-    )
+    num = ((2 * lcd - 2 * (p + 2**lam2) * lam2 * (lcd // dens[-1]) - excess * outer) * lcd_h
+           + excess * (2 * scaled_h[lam1] + scaled_h[lam2] - 2 * scaled_h[lam1 - lam2]) * lcd)
+    return Fraction(num, 2 * lcd * lcd_h)
+
+
+def _average_from_s0(lam1, lam2, s0):
+    """lam1 (lam1 - 1) / 4 + lam2 (lam2 - 3) / 4 - 2 S0, reduced once."""
+    return Fraction((lam1 * (lam1 - 1) + lam2 * (lam2 - 3)) * s0.denominator - 8 * s0.numerator,
+                    4 * s0.denominator)
 
 
 def c_closed(lam1, lam2):
     """Average exchange count of a two-row shape, in closed form."""
     validate_two_row(lam1, lam2)
-    return (Fraction(lam1 * (lam1 - 1), 4) + Fraction(lam2 * (lam2 - 3), 4)
-            - 2 * s0_direct(lam1, lam2))
+    return _average_from_s0(lam1, lam2, s0_direct(lam1, lam2))
 
 
 def c_double_sums(lam1, lam2):
@@ -101,38 +112,29 @@ def c_double_sums(lam1, lam2):
 
     Requires two genuine parts (lam2 >= 1); empty inner ranges contribute 0.
     With D = lcm(1..n), each term top C(k, choose) C(n-k, lower) H_(n-k) / k
-    is the integer top C(k, choose) C(n-k, lower) (D/k) (D H_(n-k)) over D^2,
-    so the sums are carried as one integer numerator and reduced once.
+    is the integer top C(k, choose) C(n-k, lower) (D/k) (D H_(n-k)) over D^2;
+    the binomial parts are summed per k before the weight (D/k) (D H_(n-k)),
+    and the sums and the leading term are one numerator, reduced once.
     """
     validate_two_row(lam1, lam2)
     if lam2 < 1:
         raise ValueError("double-sum representation needs lam2 >= 1")
     n = lam1 + lam2
     f = syt_count(Partition((lam1, lam2)))
-    total = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (harmonic(n) - 1)
-    lcd = lcm(*range(1, n + 1))
-    over_k = [0] + [lcd // k for k in range(1, n + 1)]   # D / k
-    scaled_h = list(accumulate(over_k))                  # D H_m
+    lcd, scaled_h = _scaled_harmonics(n)
 
-    def term(k, top, choose, lower):
-        return top * comb(k, choose) * comb(n - k, lower) * over_k[k] * scaled_h[n - k]
-
-    acc = 0   # D^2 (-s1 + s2 - s3 - s4 + s5)
-    for j in range(1, lam2 + 1):
-        for k in range(j, 2 * j):
-            top = (j - 1) * (2 * j - k)
-            acc -= term(k, top, j, lam1 - j)
-            if lam2 - j - 1 >= 0:
-                acc += term(k, top, j, lam2 - j - 1)
-    for j in range(lam2 + 1, lam1 + 1):
-        for k in range(j, lam2 + j + 1):
-            acc -= term(k, (j - 1) * (2 * j - k), j, lam1 - j)
-    for j in range(1, lam2 + 1):
+    bins = [0] * (n + 1)   # per k, the binomial part of -s1 + s2 - s3 - s4 + s5
+    for j in range(2, lam1 + 1):   # s1, s2 and s3, whose terms vanish at j = 1
+        for k in range(j, min(2 * j, lam2 + j + 1)):
+            lower = comb(n - k, lam1 - j) - (comb(n - k, lam2 - j - 1) if j < lam2 else 0)
+            bins[k] -= (j - 1) * (2 * j - k) * comb(k, j) * lower
+    for j in range(1, lam2 + 1):   # s4 and s5
         for k in range(2 * j, lam1 + j + 1):
-            acc -= term(k, j * (k - 2 * j + 2), j - 1, lam2 - j)
-        for k in range(2 * j, lam2 + j + 1):
-            acc += term(k, j * (k - 2 * j + 2), j - 1, lam1 - j + 1)
-    return total + Fraction(acc, lcd * lcd * f)
+            lower = (comb(n - k, lam1 - j + 1) if k <= lam2 + j else 0) - comb(n - k, lam2 - j)
+            bins[k] += j * (k - 2 * j + 2) * comb(k, j - 1) * lower
+    acc = sum(b * (lcd // k) * scaled_h[n - k] for k, b in enumerate(bins) if b)   # D^2 (...)
+    lead = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (scaled_h[n] - lcd) * lcd * f   # D^2 f (...)
+    return Fraction(lead + acc, lcd * lcd * f)
 
 
 def c_equal_rows(lam2):
@@ -140,9 +142,10 @@ def c_equal_rows(lam2):
     lam2(lam2-2)/2 - 2(-4^lam2/C(2 lam2, lam2) + H_lam2/2 + 1)."""
     if lam2 < 1:
         raise ValueError("equal-rows formula needs lam2 >= 1")
-    special = (-Fraction(2**(2 * lam2), comb(2 * lam2, lam2))
-               + Fraction(harmonic(lam2), 2) + 1)
-    return Fraction(lam2 * (lam2 - 2), 2) - 2 * special
+    central = comb(2 * lam2, lam2)
+    lcd_h, scaled_h = _scaled_harmonics(lam2)
+    num = (2 * central - 2**(2 * lam2 + 1)) * lcd_h + central * scaled_h[lam2]
+    return _average_from_s0(lam2, lam2, Fraction(num, 2 * central * lcd_h))
 
 
 def _s0_fixed_distance(lam2, delta):
@@ -150,7 +153,6 @@ def _s0_fixed_distance(lam2, delta):
     if lam2 < 1 or delta < 0:
         raise ValueError("fixed-distance form needs lam2 >= 1 and delta >= 0")
     central = comb(2 * lam2, lam2)
-    pow_central = Fraction(2**(2 * lam2), central)
 
     # a_i = 2^i C(i+lam2,i) / (C(i+2lam2,i) (1+i+2lam2)) and
     # b_i = C(i+2lam2,i) / (2^i C(i+lam2,i) (i+2lam2)), as integer numerators
@@ -159,8 +161,7 @@ def _s0_fixed_distance(lam2, delta):
     larges = [comb(i + 2 * lam2, i) for i in range(1, delta + 1)]
     dens_a = [large * (1 + i + 2 * lam2) for i, large in enumerate(larges, start=1)]
     dens_b = [2**i * small * (i + 2 * lam2) for i, small in enumerate(smalls, start=1)]
-    lcd_a = lcm(*dens_a)
-    lcd_b = lcm(*dens_b)
+    lcd_a, lcd_b = lcm(*dens_a), lcm(*dens_b)
     num_a = num_b = num_c = 0   # sum_c: sum_i a_i (b_1 + ... + b_i), over La Lb
     for i, (small, large, den_a, den_b) in enumerate(
             zip(smalls, larges, dens_a, dens_b), start=1):
@@ -168,28 +169,23 @@ def _s0_fixed_distance(lam2, delta):
         num_b += large * (lcd_b // den_b)
         num_a += a_i
         num_c += a_i * num_b
-    sum_a = Fraction(num_a, lcd_a)
-    sum_b = Fraction(num_b, lcd_b)
-    sum_c = Fraction(num_c, lcd_a * lcd_b)
+    # six rational terms over central (2 lam2 + 1) La Lb R, the ratio terms as Q / R with
+    # R = (1 + delta + 2 lam2) C(delta + 2 lam2, delta), Q = 2^(delta+1) (1 + delta + lam2)
+    # C(delta + lam2, delta); the harmonic numbers over 2 D_h, D_h = lcm(1..delta + 2 lam2)
     d1 = delta + 1
-    ratio = Fraction(comb(delta + lam2, delta), comb(delta + 2 * lam2, delta))
-    return (
-        (-d1 + d1 * pow_central) * sum_a
-        + Fraction(2**(delta + 2) * lam2 * (1 + delta + lam2), 1 + delta + 2 * lam2) * ratio * sum_b
-        - 2 * d1 * lam2 * sum_c
-        + Fraction(d1, 2 * lam2 + 1) * pow_central
-        + Fraction(2**(delta + 1) * (1 + delta + lam2), 1 + delta + 2 * lam2) * ratio
-        * Fraction(central - 2**(2 * lam2), central)
-        - Fraction(d1, 2 * lam2 + 1)
-        + d1 * harmonic(delta + 2 * lam2)
-        + Fraction(d1, 2) * harmonic(lam2)
-        - d1 * harmonic(2 * lam2)
-        - d1 * harmonic(delta)
-    )
+    odd = 2 * lam2 + 1
+    excess = 2**(2 * lam2) - central   # central (4^lam2 / central - 1)
+    r = (1 + delta + 2 * lam2) * comb(delta + 2 * lam2, delta)
+    q = 2**(delta + 1) * (1 + delta + lam2) * comb(delta + lam2, delta)
+    num = (d1 * r * (excess * lcd_b * (odd * num_a + lcd_a) - 2 * lam2 * central * odd * num_c)
+           + q * odd * lcd_a * (2 * lam2 * central * num_b - excess * lcd_b))
+    lcd_h, scaled_h = _scaled_harmonics(delta + 2 * lam2)
+    harmonics = d1 * (2 * (scaled_h[delta + 2 * lam2] - scaled_h[2 * lam2] - scaled_h[delta])
+                      + scaled_h[lam2])
+    den = central * odd * lcd_a * lcd_b * r
+    return Fraction(2 * lcd_h * num + harmonics * den, 2 * lcd_h * den)
 
 
 def c_fixed_distance(lam2, delta):
     """Average for (lam2 + delta, lam2) via the delta-parametrised form of S0."""
-    lam1 = lam2 + delta
-    return (Fraction(lam1 * (lam1 - 1), 4) + Fraction(lam2 * (lam2 - 3), 4)
-            - 2 * _s0_fixed_distance(lam2, delta))
+    return _average_from_s0(lam2 + delta, lam2, _s0_fixed_distance(lam2, delta))

@@ -8,10 +8,11 @@ naming the first violated invariant.  `run_suite` calls the checks with the
 """
 
 import math
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import two_row
 from .complexity import (
@@ -30,7 +31,7 @@ from .integrals import (
 )
 from .nps import nps_sort, verify_bijection
 from .partitions import Partition, conjugate, harmonic, hook_product, partitions_of, syt_count
-from .sampling import SeededStream, syt_uniformity_test
+from .sampling import syt_uniformity_test
 
 __all__ = ["CheckResult", "run_suite", "LEVELS", "CN_LOWER_VALUE", "CHI2_999_DOF4",
            "brute_table", "check_chicago", "check_worst", "check_witness_random",
@@ -89,17 +90,12 @@ def check_worst(table):
 
 
 def check_witness_random(seed, count=20, max_size=40):
-    rng = SeededStream(seed).generator()
+    rng = random.Random(seed)
     for _ in range(count):
-        n = int(rng.integers(2, max_size + 1))
-        parts = []
-        remaining = n
-        prev = n
-        while remaining:
-            p = int(rng.integers(1, min(prev, remaining) + 1))
-            parts.append(p)
-            prev = p
-            remaining -= p
+        n = rng.randint(2, max_size)
+        parts = [rng.randint(1, n)]
+        while sum(parts) < n:
+            parts.append(rng.randint(1, min(parts[-1], n - sum(parts))))
         shape = Partition(parts)
         exchanges = nps_sort(worst_case_witness(shape)).exchanges
         if exchanges != worst_case(shape):
@@ -146,20 +142,23 @@ def check_s0_representations(s0_grid, fd_grid):
             return False, f"equal-rows S0 special case fails at lam2={lam2}"
         if two_row.c_equal_rows(lam2) != two_row.c_closed(lam2, lam2):
             return False, f"equal-rows formula fails at lam2={lam2}"
-        lhs = sum(Fraction(comb(i + lam2, i), 2**i) for i in range(1, lam2 + 1))
-        if lhs != 2**lam2 - 1:
+        # in integers: b_i = C(i + lam2, i), L = lcm_i(i b_i), D = lcm(1..lam2), p_i = 2^i inner_i
+        binoms = [comb(i + lam2, i) for i in range(1, lam2 + 1)]
+        if sum(b << (lam2 - i) for i, b in enumerate(binoms, start=1)) != (2**lam2 - 1) << lam2:
             return False, f"binomial half-weight identity fails at lam2={lam2}"
-        plain = sum(Fraction(2**i, i * comb(i + lam2, i)) for i in range(1, lam2 + 1))
-        if plain != Fraction(sum(Fraction(2**i, i) for i in range(1, lam2 + 1)), 2**lam2):
+        lcd = lcm(*(i * b for i, b in enumerate(binoms, start=1)))
+        lcd_h = lcm(*range(1, lam2 + 1))
+        overs = [lcd // (i * b) for i, b in enumerate(binoms, start=1)]   # L / (i b_i)
+        powers = sum((lcd_h // i) << i for i in range(1, lam2 + 1))       # D sum 2^i / i
+        plain = sum(over << i for i, over in enumerate(overs, start=1))   # L sum 2^i / (i b_i)
+        if (plain * lcd_h) << lam2 != powers * lcd:
             return False, f"companion identity (plain sum) fails at lam2={lam2}"
-        nested = Fraction(0)
-        inner = Fraction(0)
-        for i in range(1, lam2 + 1):
-            inner += Fraction(comb(i + lam2, i), 2**i)
-            nested += Fraction(2**i, i * comb(i + lam2, i)) * inner
-        target = (-Fraction(sum(Fraction(2**i, i) for i in range(1, lam2 + 1)), 2**lam2)
-                  + 2 * harmonic(lam2))
-        if nested != target:
+        p = nested = 0
+        for b, over in zip(binoms, overs):
+            p = 2 * p + b
+            nested += p * over
+        harmonics = sum(lcd_h // i for i in range(1, lam2 + 1))           # D H_lam2
+        if (nested * lcd_h) << lam2 != ((harmonics << (lam2 + 1)) - powers) * lcd:
             return False, f"companion identity (nested sum) fails at lam2={lam2}"
     for lam2 in range(1, fd_grid + 1):
         for delta in range(0, fd_grid + 1):

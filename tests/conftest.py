@@ -412,7 +412,10 @@ class _WalkCurve:
             if v < target:
                 return prev_w + (prev_v - target) * (w - prev_w) / (prev_v - v) - x
             prev_w, prev_v = w, v
-        # beyond the polyline gamma is |w|: the span ends left of the origin
+        # beyond the polyline gamma is |w|: gamma(w) - w drops to |w| - w at the
+        # last breakpoint, then falls as -2 w to 0 at w = 0
+        if abs(prev_w) - prev_w < target:
+            return prev_w - x
         return -target / 2 - x
 
     def frame_exits(self, x, y):

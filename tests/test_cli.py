@@ -443,6 +443,18 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
+def test_verify_fast_leaves_numpy_unloaded():
+    # only the full level's sampler-uniformity check draws through numpy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys; from npslab.verify import run_suite; "
+            "results = run_suite('fast'); "
+            "print(all(r.ok for r in results), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout == "True False\n", proc.stderr
+
+
 def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"

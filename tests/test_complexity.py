@@ -8,6 +8,7 @@ import npslab
 from npslab.complexity import (
     MAX_ENUMERATION_WORK,
     MAX_SORTED_ORDERS,
+    _w_table,
     average_case_bruteforce,
     average_case_chicago,
     exchange_stats,
@@ -57,6 +58,17 @@ def test_w_recurrence_matches_corner_maximum(w_by_corners):
         expected = w_by_corners(shape)
         assert worst_case(shape) == sum(expected.values()), shape
         assert {cell: w_distance(shape, cell) for cell in expected} == expected, shape
+    # shapes whose rows are mostly tail, the cells with no cell below: two rows
+    # (n - c, c), hooks (m, 1^k), and equal rows, whose last row is all tail
+    tails = [Partition((n - c, c)) for n in range(2, 301) for c in range(1, 7) if c <= n - c]
+    tails += [Partition((m,) + (1,) * k) for m in range(1, 16) for k in range(16)]
+    tails.append(Partition((9,) * 6))
+    for shape in tails:
+        expected = w_by_corners(shape)
+        rows = _w_table(shape)
+        assert {(i, j): w for i, row in enumerate(rows, start=1)
+                for j, w in enumerate(row, start=1)} == expected, shape
+        assert worst_case(shape) == sum(expected.values()), shape
 
 
 def test_witnesses_are_pinned():

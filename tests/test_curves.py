@@ -412,6 +412,27 @@ def test_queries_equal_the_linear_walk(walk_curve, general_curves):
     assert _query_mismatches(walk_curve, grid) == []
 
 
+def test_exits_beyond_the_polyline_equal_the_linear_walk(walk_curve):
+    # a file curve ending 1e-9 above |x|, as the default tolerance admits:
+    # just above the diagonal next to that end, the arm crosses no segment and
+    # ends at the last breakpoint; on the mirror, the leg at the first
+    curve = LimitCurve.from_document(
+        {"breakpoints": [["-1", "1"], ["0", "0.000000001"], ["1", "1.000000001"]]})
+    mirror = curve.mirrored()
+    gap = Fraction(1, 2 * 10**9)
+    for x in (Fraction(1, 4), Fraction(1, 2), Fraction(999, 1000)):
+        for query, frame_x, exit_index in ((curve, x, 0), (mirror, -x, 1)):
+            walk = walk_curve.of(query)
+            for fx, fy in ((frame_x, x + gap), (float(frame_x), float(x + gap))):
+                got = query._frame_distances(fx, fy)
+                want = (walk if isinstance(fx, float) else walk_curve.exact(query)
+                        ).frame_distances(fx, fy)
+                assert got == want and got[exit_index] == 1 - abs(fx), (query, fx, got, want)
+            point = (float(frame_x), float(x + gap))
+            assert hook_distances(query, point) == walk.hook_distances(point)
+            assert hook_coordinates(query, point) == walk.hook_coordinates(point)
+
+
 _MUTANT_GRID = ((4, 2, 1), (3, 3, 1, 1), (5, 2, 2, 1))
 
 
