@@ -2,8 +2,9 @@
 
 All representations are evaluated in exact rational arithmetic and agree with
 each other and with brute force wherever that is feasible.  Each sum, its
-harmonic numbers included (H_m as D H_m over D = lcm(1..M)), is one integer
-numerator over one common denominator, reduced to a Fraction once, at the end:
+harmonic numbers included (H_m as the integer D H_m over a common multiple D
+of their denominators), is one integer numerator over one common denominator,
+reduced to a Fraction once, at the end:
 
 * the closed form: a quadratic polynomial minus twice an alternating single
   sum S0 with rising-factorial denominators, evaluated as a nested ratio of
@@ -21,11 +22,10 @@ numerator over one common denominator, reduced to a Fraction once, at the end:
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 
-from .partitions import Partition, syt_count
+from .partitions import Partition, harmonic, syt_count
 
 __all__ = [
     "validate_two_row",
@@ -45,11 +45,11 @@ def validate_two_row(lam1, lam2):
         raise ValueError(f"({lam1},{lam2}) is not a two-row shape")
 
 
-@lru_cache(maxsize=128)
-def _scaled_harmonics(m):
-    """(D, (D H_0, ..., D H_m)) with D = lcm(1..m)."""
-    lcd = lcm(*range(1, m + 1))
-    return lcd, tuple(accumulate((lcd // k for k in range(1, m + 1)), initial=0))
+def _scaled_harmonics(*indices):
+    """(D, [D H_m for m in indices]) with D the lcm of their denominators."""
+    hs = [harmonic(m) for m in indices]
+    lcd = lcm(*(h.denominator for h in hs))
+    return lcd, [lcd // h.denominator * h.numerator for h in hs]
 
 
 def s0_direct(lam1, lam2):
@@ -87,11 +87,11 @@ def s0_nested(lam1, lam2):
     for i, den in enumerate(dens, start=1):
         p = 2 * p + den // i
         outer += (p + 2**i) * (lcd // den)
-    # L / C(lam1 + lam2, lam2) = lam2 L / (last denominator); D_h H_m, D_h = lcm(1..lam1)
-    lcd_h, scaled_h = _scaled_harmonics(lam1)
+    # L / C(lam1 + lam2, lam2) = lam2 L / (last denominator); the harmonic numbers over D_h
+    lcd_h, (h1, h2, h12) = _scaled_harmonics(lam1, lam2, lam1 - lam2)
     excess = 1 + lam1 - lam2
     num = ((2 * lcd - 2 * (p + 2**lam2) * lam2 * (lcd // dens[-1]) - excess * outer) * lcd_h
-           + excess * (2 * scaled_h[lam1] + scaled_h[lam2] - 2 * scaled_h[lam1 - lam2]) * lcd)
+           + excess * (2 * h1 + h2 - 2 * h12) * lcd)
     return Fraction(num, 2 * lcd * lcd_h)
 
 
@@ -121,7 +121,9 @@ def c_double_sums(lam1, lam2):
         raise ValueError("double-sum representation needs lam2 >= 1")
     n = lam1 + lam2
     f = syt_count(Partition((lam1, lam2)))
-    lcd, scaled_h = _scaled_harmonics(n)
+    lcd = lcm(*range(1, n + 1))
+    over_k = [0] + [lcd // k for k in range(1, n + 1)]   # D / k
+    scaled_h = list(accumulate(over_k))                  # D H_m
 
     bins = [0] * (n + 1)   # per k, the binomial part of -s1 + s2 - s3 - s4 + s5
     for j in range(2, lam1 + 1):   # s1, s2 and s3, whose terms vanish at j = 1
@@ -132,7 +134,7 @@ def c_double_sums(lam1, lam2):
         for k in range(2 * j, lam1 + j + 1):
             lower = (comb(n - k, lam1 - j + 1) if k <= lam2 + j else 0) - comb(n - k, lam2 - j)
             bins[k] += j * (k - 2 * j + 2) * comb(k, j - 1) * lower
-    acc = sum(b * (lcd // k) * scaled_h[n - k] for k, b in enumerate(bins) if b)   # D^2 (...)
+    acc = sum(b * over_k[k] * scaled_h[n - k] for k, b in enumerate(bins) if b)   # D^2 (...)
     lead = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (scaled_h[n] - lcd) * lcd * f   # D^2 f (...)
     return Fraction(lead + acc, lcd * lcd * f)
 
@@ -143,8 +145,8 @@ def c_equal_rows(lam2):
     if lam2 < 1:
         raise ValueError("equal-rows formula needs lam2 >= 1")
     central = comb(2 * lam2, lam2)
-    lcd_h, scaled_h = _scaled_harmonics(lam2)
-    num = (2 * central - 2**(2 * lam2 + 1)) * lcd_h + central * scaled_h[lam2]
+    lcd_h, (h2,) = _scaled_harmonics(lam2)
+    num = (2 * central - 2**(2 * lam2 + 1)) * lcd_h + central * h2
     return _average_from_s0(lam2, lam2, Fraction(num, 2 * central * lcd_h))
 
 
@@ -161,7 +163,8 @@ def _s0_fixed_distance(lam2, delta):
     larges = [comb(i + 2 * lam2, i) for i in range(1, delta + 1)]
     dens_a = [large * (1 + i + 2 * lam2) for i, large in enumerate(larges, start=1)]
     dens_b = [2**i * small * (i + 2 * lam2) for i, small in enumerate(smalls, start=1)]
-    lcd_a, lcd_b = lcm(*dens_a), lcm(*dens_b)
+    lcd_a = lcm(*dens_a)
+    lcd_b = lcm(*dens_b)
     num_a = num_b = num_c = 0   # sum_c: sum_i a_i (b_1 + ... + b_i), over La Lb
     for i, (small, large, den_a, den_b) in enumerate(
             zip(smalls, larges, dens_a, dens_b), start=1):
@@ -171,7 +174,7 @@ def _s0_fixed_distance(lam2, delta):
         num_c += a_i * num_b
     # six rational terms over central (2 lam2 + 1) La Lb R, the ratio terms as Q / R with
     # R = (1 + delta + 2 lam2) C(delta + 2 lam2, delta), Q = 2^(delta+1) (1 + delta + lam2)
-    # C(delta + lam2, delta); the harmonic numbers over 2 D_h, D_h = lcm(1..delta + 2 lam2)
+    # C(delta + lam2, delta); the harmonic numbers over 2 D_h
     d1 = delta + 1
     odd = 2 * lam2 + 1
     excess = 2**(2 * lam2) - central   # central (4^lam2 / central - 1)
@@ -179,9 +182,8 @@ def _s0_fixed_distance(lam2, delta):
     q = 2**(delta + 1) * (1 + delta + lam2) * comb(delta + lam2, delta)
     num = (d1 * r * (excess * lcd_b * (odd * num_a + lcd_a) - 2 * lam2 * central * odd * num_c)
            + q * odd * lcd_a * (2 * lam2 * central * num_b - excess * lcd_b))
-    lcd_h, scaled_h = _scaled_harmonics(delta + 2 * lam2)
-    harmonics = d1 * (2 * (scaled_h[delta + 2 * lam2] - scaled_h[2 * lam2] - scaled_h[delta])
-                      + scaled_h[lam2])
+    lcd_h, (h_n, h_2, h_d, h_1) = _scaled_harmonics(delta + 2 * lam2, 2 * lam2, delta, lam2)
+    harmonics = d1 * (2 * (h_n - h_2 - h_d) + h_1)
     den = central * odd * lcd_a * lcd_b * r
     return Fraction(2 * lcd_h * num + harmonics * den, 2 * lcd_h * den)
 

@@ -412,11 +412,9 @@ class _WalkCurve:
             if v < target:
                 return prev_w + (prev_v - target) * (w - prev_w) / (prev_v - v) - x
             prev_w, prev_v = w, v
-        # beyond the polyline gamma is |w|: gamma(w) - w drops to |w| - w at the
-        # last breakpoint, then falls as -2 w to 0 at w = 0
-        if abs(prev_w) - prev_w < target:
-            return prev_w - x
-        return -target / 2 - x
+        # beyond the polyline gamma is |w|, and |w| - w < y - x there for w >= x
+        # since y > |x|: the span ends at the last breakpoint
+        return prev_w - x
 
     def frame_exits(self, x, y):
         """(a, l) in frame units at an interior point, None elsewhere."""

@@ -52,9 +52,9 @@ MUTANTS = [
     pytest.param(two_row, "c_double_sums",
                  "* comb(k, j) * lower\n", "* comb(k, j) * lower * ((j, k) != (2, 3))\n",
                  "c_double_sums_termwise", _double_sums_caught, id="double-sums-term-dropped"),
-    # the harmonic part over lcm(1..lam1 - 1), too small when lam1 is a prime power
-    pytest.param(two_row, "s0_nested", "lcd_h, scaled_h = _scaled_harmonics(lam1)\n",
-                 "lcd_h, scaled_h = _scaled_harmonics(lam1); lcd_h = lcm(*range(1, lam1))\n",
+    # the harmonic part over lcm(1..lam1 - 1) in place of the lcm of its denominators
+    pytest.param(two_row, "s0_nested", "= _scaled_harmonics(lam1, lam2, lam1 - lam2)\n",
+                 "= _scaled_harmonics(lam1, lam2, lam1 - lam2); lcd_h = lcm(*range(1, lam1))\n",
                  "s0_nested_termwise", _nested_caught, id="nested-harmonics-wrong-lcm"),
     # every row tail one higher: p - j in place of p - 1 - j
     pytest.param(complexity, "_w_table",
