@@ -2,9 +2,8 @@
 
 All representations are evaluated in exact rational arithmetic and agree with
 each other and with brute force wherever that is feasible.  Each sum, its
-harmonic numbers included (H_m as the integer D H_m over a common multiple D
-of their denominators), is one integer numerator over one common denominator,
-reduced to a Fraction once, at the end:
+harmonic numbers included (as the integers D H_m), is one integer numerator
+over one common denominator, reduced to a Fraction once, at the end:
 
 * the closed form: a quadratic polynomial minus twice an alternating single
   sum S0 with rising-factorial denominators, evaluated as a nested ratio of
