@@ -116,13 +116,10 @@ def _emit(args, document, text_lines):
 
 
 def _exact_methods(shape, cutoff):
-    two_parts = len(shape.parts) <= 2 and shape.size >= 1
     methods = {"brute": lambda: average_case_bruteforce(shape, cutoff=cutoff),
                "chicago": lambda: average_case_chicago(shape)}
-    if two_parts:
-        lam1 = shape.parts[0]
-        lam2 = shape.row(2)
-        methods["two-row"] = lambda: two_row.c_closed(lam1, lam2)
+    if 1 <= len(shape.parts) <= 2:
+        methods["two-row"] = lambda: two_row.c_closed(shape.row(1), shape.row(2))
     return methods
 
 
@@ -173,8 +170,7 @@ def _cmd_worst(args):
         witness = worst_case_witness(shape)  # self-check raises on failure
         doc["witness"] = witness.format()
         doc["exchanges"] = value
-        lines.append(witness.format())
-        lines.append(f"exchanges={value}")
+        lines += [witness.format(), f"exchanges={value}"]
     _emit(args, doc, lines)
     return 0
 
@@ -425,8 +421,9 @@ def main(argv=None):
     try:
         commands[args.command].set_defaults(**_config_defaults(_load_config(args.config), args))
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError(f"jobs must be at least 1, got {args.jobs}")
+        for name, least in (("jobs", 1), ("cutoff", 0)):
+            if getattr(args, name, least) < least:
+                raise UsageError(f"{name} must be at least {least}, got {getattr(args, name)}")
         return _HANDLERS[args.command](args)
     except (UsageError, ValueError) as exc:  # SizeGuardError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,11 @@ tableau counts, summed over the integer-coded Young-lattice table of
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, lcm
 
 from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops, slid
-from .partitions import SizeGuardError, _chain_counts, conjugate, harmonic, syt_count
+from .partitions import Partition, SizeGuardError, _chain_counts, conjugate, syt_count
 
 __all__ = [
     "w_distance",
@@ -48,15 +49,17 @@ def _w_table(shape):
     One array of the first row's length plus one carries the row below,
     -1 where it has no cell.  From the last row up, a row's tail, the cells
     with no cell below, is filled as the range w = p - 1 - j, then the cells
-    above the row below right to left: (n - c, c) costs O(c) Python steps.
+    above the row below right to left, carrying w East: (n - c, c) costs
+    O(c) Python steps.
     """
     w = [-1] * (shape.row(1) + 1)
     table = []
     below = 0
     for p in reversed(shape.parts):
         w[below:p] = range(p - 1 - below, -1, -1)
+        east = w[below]
         for j in range(below - 1, -1, -1):
-            w[j] = 1 + max(w[j], w[j + 1])
+            east = w[j] = 1 + (w[j] if w[j] > east else east)
         table.append(w[:p])
         below = p
     table.reverse()
@@ -65,11 +68,11 @@ def _w_table(shape):
 
 def w_distance(shape, cell):
     """Maximal Manhattan distance from `cell` to a cell weakly South-East of
-    it; 0 exactly on corners."""
+    it, 0 exactly on corners: w(1, 1) of the shape South-East of `cell`."""
     if cell not in shape:
         raise ValueError(f"cell {cell} outside shape {shape}")
     i, j = cell
-    return _w_table(shape)[i - 1][j - 1]
+    return _w_table(Partition(p - j + 1 for p in shape.parts[i - 1:] if p >= j))[0][0]
 
 
 def worst_case(shape):
@@ -87,48 +90,44 @@ def worst_case_witness(shape):
 
     Repeatedly take the undefined cell of maximal hook length (starting at
     (1,1)), pick a farthest South-East corner, and fill the spanned rectangle
-    with the next block of consecutive integers in processing order.  Hook
-    lengths are read once from the column heights of the conjugate and never
-    change, so one sort of the cells by (-hook, column, row) gives the
-    anchors: the first cell of it not yet filled.  The result is verified
-    against worst_case; a mismatch raises.
+    with the next block of consecutive integers in processing order, on one
+    flat list of values by row offsets, 0 where not yet filled.  Hooks never
+    change, so one sort of the keys (-hook, j, i) gives the anchors: the
+    first cell of it not yet filled.  A rectangle is free when its row slices
+    hold only 0, and each row slice is filled as one range.  The sort of the
+    result is checked against the sum of the W table; a mismatch raises.
     """
-    if not shape.parts:
+    parts = shape.parts
+    if not parts:
         raise ValueError("cannot build a witness for the empty shape")
     heights = conjugate(shape).parts
-    hooks = {(i, j): p - j + heights[j - 1] - i + 1
-             for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1)}
+    offsets = list(accumulate(parts, initial=0))
     w = _w_table(shape)
-    values = {}
     corners = shape.corners()
-    for anchor in sorted(hooks, key=lambda c: (-hooks[c], c[1], c[0])):
-        if anchor in values:
+    values = [0] * shape.size
+    filled = 0
+    for _, aj, ai in sorted((i + j - 1 - p - heights[j - 1], j, i)
+                            for i, p in enumerate(parts, start=1) for j in range(1, p + 1)):
+        if values[offsets[ai - 1] + aj - 1]:
             continue
-        ai, aj = anchor
         dist = w[ai - 1][aj - 1]
-        choices = sorted(
-            (c for c in corners
-             if c[0] >= ai and c[1] >= aj and (c[0] - ai) + (c[1] - aj) == dist),
-            key=lambda c: c[0],
-        )
-        rect = None
-        for ci, cj in choices:
-            # processing order: columns from the right, bottom to top in each
-            cells = [(i, j) for j in range(cj, aj - 1, -1) for i in range(ci, ai - 1, -1)]
-            if not any(c in values for c in cells):
-                rect = cells
+        for ci, cj in corners:
+            if (ci >= ai and cj >= aj and ci - ai + cj - aj == dist
+                    and not any(any(values[o + aj - 1:o + cj]) for o in offsets[ai - 1:ci])):
                 break
-        if rect is None:
+        else:
             raise WitnessConstructionError(
-                f"no admissible corner for anchor {anchor} of {shape}")
-        for c in rect:
-            values[c] = len(values) + 1
-    rows = [tuple(values[(i, j)] for j in range(1, shape.parts[i - 1] + 1))
-            for i in range(1, len(shape.parts) + 1)]
-    witness = Tableau(shape, rows)
+                f"no admissible corner for anchor {(ai, aj)} of {shape}")
+        # processing order: columns from the right, bottom to top in each
+        height = ci - ai + 1
+        for i, o in enumerate(offsets[ai - 1:ci], start=ai):
+            first = filled + ci - i + 1
+            values[o + aj - 1:o + cj] = range(first + (cj - aj) * height, first - 1, -height)
+        filled += height * (cj - aj + 1)
+    witness = Tableau(shape, [values[o:o + p] for o, p in zip(offsets, parts)])
     ops = shape_ops(shape)
-    achieved = ops.sort_values(ops.new_board(), [values[ops.coord[c]] for c in ops.order])
-    expected = worst_case(shape)
+    achieved = ops.sort_values(ops.new_board(), [values[c] for c in ops.order])
+    expected = sum(map(sum, w))
     if achieved != expected:
         raise WitnessConstructionError(
             f"witness for {shape} achieves {achieved} exchanges, expected {expected}")
@@ -222,7 +221,7 @@ def f_fixed_entry(shape, cell, k):
     if not 1 <= k <= shape.size:
         raise ValueError(f"entry {k} outside 1..{shape.size}")
     i, j = cell
-    (codes, sizes, corners), up, down = _chain_counts(shape)
+    (codes, sizes, corners), up, down, _ = _chain_counts(shape)
     return sum(up[code - step] * down[code]
                for code, size, mu_corners in zip(codes, sizes, corners) if size == k
                for ci, cj, step in mu_corners if ci == i and cj == j)
@@ -234,21 +233,21 @@ def average_case_chicago(shape):
         sum_x sum_k |x| f(x, k)/f * (H_n - H_{n-k} - 1),
 
     where |x| = i + j - 2 and f(x, k) counts standard tableaux with entry k at
-    cell x.  One pass over the subdiagrams mu of the shape collects, per size
-    k = |mu|, the integer sum of |x| f^(mu - x) f^(shape/mu) over the corners x
-    of mu; the chain counts come from Young's lattice.
+    cell x.  The sum over x of |x| f(x, k) is, over the subdiagrams mu of
+    size k, the sum of |x| f^(mu - x) f^(shape/mu) over the corners x of mu:
+    the downward pass of `partitions._chain_counts` collects it per k, after
+    the walk over the subdiagrams and the upward pass.  Over L = lcm(1..n)
+    the weights are integers: L (H_n - H_{n-k}) is the running sum of L/m for
+    m from n down to n - k + 1.  So the formula is one integer numerator over
+    L f, reduced to a Fraction once.
     """
     n = shape.size
     if n == 0:
         return Fraction(0)
-    (codes, sizes, corners), up, down = _chain_counts(shape)
-    numerators = [0] * (n + 1)
-    for code, size, mu_corners in zip(codes, sizes, corners):
-        weighted = 0
-        for i, j, step in mu_corners:
-            weighted += (i + j - 2) * up[code - step]
-        numerators[size] += weighted * down[code]
-    h_n = harmonic(n)
-    total = sum((numer * (h_n - harmonic(n - k) - 1)
-                 for k, numer in enumerate(numerators) if numer), Fraction(0))
-    return total / up[codes[-1]]
+    (codes, _, _), up, _, weighted = _chain_counts(shape)
+    lcd = lcm(*range(1, n + 1))
+    tail = total = 0
+    for k in range(1, n + 1):
+        tail += lcd // (n - k + 1)
+        total += weighted[k] * (tail - lcd)
+    return Fraction(total, lcd * up[codes[-1]])

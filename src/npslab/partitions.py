@@ -104,11 +104,7 @@ class Partition:
 
     def corners(self):
         """Cells with hook length 1, i.e. (i, lambda_i) with lambda_{i+1} < lambda_i."""
-        out = []
-        for i, p in enumerate(self.parts, start=1):
-            if self.row(i + 1) < p:
-                out.append((i, p))
-        return out
+        return [(i, p) for i, p in enumerate(self.parts, start=1) if self.row(i + 1) < p]
 
     def arm(self, i, j):
         return self.parts[i - 1] - j
@@ -169,7 +165,7 @@ def skew_syt_count(outer, inner):
     if not outer.contains_shape(inner):
         raise ValueError(f"{inner} is not contained in {outer}")
     base = outer.row(1) + 1
-    _, _, down = _chain_counts(outer)
+    _, _, down, _ = _chain_counts(outer)
     return down[sum(p * base**i for i, p in enumerate(inner.parts))]
 
 
@@ -264,10 +260,13 @@ def _subdiagrams(outer):
 def _chain_counts(outer):
     """Saturated-chain counts in Young's lattice below `outer`.
 
-    Returns (lattice, up, down): lattice is `_subdiagrams(outer)`, and the
-    dicts `up` and `down` are keyed by the code of every subdiagram mu:
-    up[code] counts the chains from the empty shape to mu, that is f^mu, and
-    down[code] the chains from mu to outer, f^(outer/mu).
+    Returns (lattice, up, down, weighted): lattice is `_subdiagrams(outer)`,
+    and the dicts `up` and `down` are keyed by the code of every subdiagram
+    mu.  An upward pass sets up[code] to the chains from the empty shape to
+    mu, f^mu, and a downward one down[code] to those from mu to outer,
+    f^(outer/mu).  The downward pass reaches mu with f^(outer/mu) final and
+    reads f^(mu - x) at each corner x = (i, j), so it also sums weighted[k],
+    (i + j - 2) f^(mu - x) f^(outer/mu) over the corners of each mu of size k.
     Raises SizeGuardError when outer has more than MAX_SUBDIAGRAMS subdiagrams.
     """
     count = _subdiagram_count(outer)
@@ -284,9 +283,14 @@ def _chain_counts(outer):
         up[code] = total
     down = dict.fromkeys(codes, 0)
     down[codes[-1]] = 1
+    weighted = [0] * (outer.size + 1)
     for k in range(count - 1, 0, -1):
         code = codes[k]
         chains = down[code]
-        for _, _, step in corners[k]:
-            down[code - step] += chains
-    return lattice, up, down
+        corner_sum = 0
+        for i, j, step in corners[k]:
+            below = code - step
+            down[below] += chains
+            corner_sum += (i + j - 2) * up[below]
+        weighted[sizes[k]] += corner_sum * chains
+    return lattice, up, down, weighted

@@ -7,11 +7,18 @@ from math import comb, factorial
 
 import pytest
 
-from npslab.complexity import _w_table
+from npslab.complexity import WitnessConstructionError, _w_table, worst_case
 from npslab.curves import LimitCurve, partition_boundary
 from npslab.integrals import _CELL_PROBES, _true_units
 from npslab.nps import BijectionReport, HookTableau, Tableau, shape_ops
-from npslab.partitions import Partition, harmonic, hook_product, syt_count
+from npslab.partitions import (
+    Partition,
+    _chain_counts,
+    conjugate,
+    harmonic,
+    hook_product,
+    syt_count,
+)
 from npslab.sampling import CHUNK, SeededStream
 from npslab.two_row import validate_two_row
 from npslab.verify import brute_table
@@ -60,6 +67,87 @@ def w_by_corners():
     """The South-East distance w of every cell by a maximum over the corners:
     an oracle for the recurrence that `complexity.worst_case` sums."""
     return _w_by_corners
+
+
+def _chicago_by_fractions(shape):
+    """The harmonic formula as a per-size sum of Fractions: a separate pass
+    over the corners of every subdiagram, with the chain counts of
+    `partitions._chain_counts`, weighted by H_n - H_(n-k) - 1 from `harmonic`."""
+    n = shape.size
+    if n == 0:
+        return Fraction(0)
+    (codes, sizes, corners), up, down, _ = _chain_counts(shape)
+    numerators = [0] * (n + 1)
+    for code, size, mu_corners in zip(codes, sizes, corners):
+        weighted = 0
+        for i, j, step in mu_corners:
+            weighted += (i + j - 2) * up[code - step]
+        numerators[size] += weighted * down[code]
+    h_n = harmonic(n)
+    total = sum((numer * (h_n - harmonic(n - k) - 1)
+                 for k, numer in enumerate(numerators) if numer), Fraction(0))
+    return total / up[codes[-1]]
+
+
+@pytest.fixture(scope="session")
+def chicago_by_fractions():
+    """The harmonic formula summed in Fractions in a pass of its own: an
+    oracle for the integer numerator that `average_case_chicago` collects in
+    the downward chain-count pass."""
+    return _chicago_by_fractions
+
+
+def _witness_by_cells(shape):
+    """The worst-case witness built on a dict of cells: anchors by a sort of
+    the cells keyed by (-hook, column, row), each rectangle listed cell by
+    cell in processing order, then checked against `worst_case`."""
+    if not shape.parts:
+        raise ValueError("cannot build a witness for the empty shape")
+    heights = conjugate(shape).parts
+    hooks = {(i, j): p - j + heights[j - 1] - i + 1
+             for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1)}
+    w = _w_table(shape)
+    values = {}
+    corners = shape.corners()
+    for anchor in sorted(hooks, key=lambda c: (-hooks[c], c[1], c[0])):
+        if anchor in values:
+            continue
+        ai, aj = anchor
+        dist = w[ai - 1][aj - 1]
+        choices = sorted(
+            (c for c in corners
+             if c[0] >= ai and c[1] >= aj and (c[0] - ai) + (c[1] - aj) == dist),
+            key=lambda c: c[0],
+        )
+        rect = None
+        for ci, cj in choices:
+            # processing order: columns from the right, bottom to top in each
+            cells = [(i, j) for j in range(cj, aj - 1, -1) for i in range(ci, ai - 1, -1)]
+            if not any(c in values for c in cells):
+                rect = cells
+                break
+        if rect is None:
+            raise WitnessConstructionError(
+                f"no admissible corner for anchor {anchor} of {shape}")
+        for c in rect:
+            values[c] = len(values) + 1
+    rows = [tuple(values[(i, j)] for j in range(1, shape.parts[i - 1] + 1))
+            for i in range(1, len(shape.parts) + 1)]
+    witness = Tableau(shape, rows)
+    ops = shape_ops(shape)
+    achieved = ops.sort_values(ops.new_board(), [values[ops.coord[c]] for c in ops.order])
+    expected = worst_case(shape)
+    if achieved != expected:
+        raise WitnessConstructionError(
+            f"witness for {shape} achieves {achieved} exchanges, expected {expected}")
+    return witness
+
+
+@pytest.fixture(scope="session")
+def witness_by_cells():
+    """The worst-case witness on a dict keyed by cells: an oracle for the
+    flat row-offset list that `complexity.worst_case_witness` fills."""
+    return _witness_by_cells
 
 
 def _cellwise_by_fractions(shape):

@@ -354,10 +354,15 @@ def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
     (["sweep", "--family", "curve-file", "--curve", "flat", "--sizes", "0",
       "--out", "{tmp}/x.csv"], None, "size 0 "),
     (["sweep", "--family", "square", "--sizes=-4..4", "--out", "{tmp}/x.csv"], None, "size -4 "),
+    (["exact", "--shape", "5,5", "--cutoff", "-3", "--all"], None,
+     "cutoff must be at least 0, got -3"),
+    (["exact", "--shape", "5,5", "--all"], "enumeration_cutoff = -3\n",
+     "cutoff must be at least 0, got -3"),
 ], ids=["reversed-range", "sweep-jobs-0", "sweep-jobs-negative", "verify-jobs-0",
         "verify-jobs-negative", "config-jobs-0", "config-jobs-negative",
         "config-samples-unparsable", "square-size-0", "staircase-size-0", "two-row-size-0",
-        "curve-file-size-0", "square-size-negative"])
+        "curve-file-size-0", "square-size-negative", "exact-cutoff-negative",
+        "config-cutoff-negative"])
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config, named):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if config is not None:

@@ -51,6 +51,7 @@ def test_worst_case_examples():
 def test_w_recurrence_matches_corner_maximum(w_by_corners):
     shapes = [shape for n in range(13) for shape in partitions_of(n)]
     shapes.append(Partition(range(30, 0, -1)))
+    shapes.append(Partition((40,) * 40))
     for seed in range(3):
         rng = random.Random(seed)
         shapes.append(Partition(sorted((rng.randint(1, 40) for _ in range(30)), reverse=True)))
@@ -121,6 +122,29 @@ def test_witness_on_assorted_shapes():
         shape = Partition(parts)
         witness = worst_case_witness(shape)
         assert nps_sort(witness).exchanges == worst_case(shape)
+
+
+# The witness shapes of the perfbench `exact` workload at seed 1.
+PERFBENCH_WITNESS_SHAPES = [
+    tuple(range(30, 0, -1)),
+    (28, 26, 25, 25, 23, 23, 22, 21, 20, 17, 15, 15, 12, 11, 10, 10, 9, 9, 9, 9, 8, 6, 6, 6, 6,
+     4, 3, 3, 1, 1),
+    (29, 27, 26, 24, 24, 23, 20, 17, 16, 16, 15, 14, 14, 13, 13, 11, 10, 9, 9, 8, 7, 7, 6, 5, 4,
+     4, 2, 1, 1, 1),
+    (29, 27, 26, 26, 24, 23, 22, 22, 22, 21, 21, 21, 19, 18, 17, 17, 17, 15, 14, 14, 13, 11, 10,
+     8, 8, 7, 5, 2, 2, 1),
+]
+
+
+def test_witness_matches_cell_dict_route(witness_by_cells):
+    shapes = [shape for n in range(1, 11) for shape in partitions_of(n)]
+    shapes += [Partition(parts) for parts in PERFBENCH_WITNESS_SHAPES]
+    rng = random.Random(2015)
+    for _ in range(200):
+        rows = rng.randint(1, 30)
+        shapes.append(Partition(sorted((rng.randint(1, 30) for _ in range(rows)), reverse=True)))
+    for shape in shapes:
+        assert worst_case_witness(shape).format() == witness_by_cells(shape).format(), shape
 
 
 def test_witness_reads_no_column_heights(monkeypatch):
@@ -324,6 +348,13 @@ def _chicago_by_determinant(shape, aitken, subpartitions):
 def test_chicago_matches_determinant_route_beyond_brute_force(parts, aitken, subpartitions):
     shape = Partition(parts)
     assert average_case_chicago(shape) == _chicago_by_determinant(shape, aitken, subpartitions)
+
+
+def test_chicago_matches_per_size_fractions(chicago_by_fractions):
+    shapes = [shape for n in range(11) for shape in partitions_of(n)]
+    shapes.append(Partition((1,) * 1500))
+    for shape in shapes:
+        assert average_case_chicago(shape) == chicago_by_fractions(shape), shape
 
 
 def test_chicago_on_a_column_deeper_than_the_recursion_limit():

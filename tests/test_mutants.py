@@ -1,18 +1,22 @@
 """Named mutants of the fast paths.
 
 Each row rewrites one line of a function's source, installs the rewritten
-function with monkeypatch, and asserts that an independent oracle from
-`conftest.py` tells it apart.  Before the rewrite the same comparison must
-find nothing, so a row cannot pass because its comparison is blind.
+function with monkeypatch in every module that imported it, and asserts
+that an independent oracle from `conftest.py` tells it apart.  Before the
+rewrite the same comparison must find nothing, so a row cannot pass because
+its comparison is blind.
 """
 
 import inspect
+import sys
 import textwrap
 
 import pytest
 
-from npslab import complexity, two_row, verify
+from npslab import complexity, partitions, two_row, verify
 from npslab.partitions import partitions_of
+
+SMALL_SHAPES = [shape for n in range(1, 8) for shape in partitions_of(n)]
 
 
 def _rewrite(module, name, old, new):
@@ -38,11 +42,45 @@ def _nested_caught(oracle):
 
 
 def _w_table_caught(oracle):
-    for shape in (s for n in range(1, 8) for s in partitions_of(n)):
+    for shape in SMALL_SHAPES:
         rows = complexity._w_table(shape)
         cells = {(i, j): w for i, row in enumerate(rows, start=1)
                  for j, w in enumerate(row, start=1)}
         if cells != oracle(shape):
+            return True
+    return False
+
+
+def _chicago_caught(oracle):
+    return any(complexity.average_case_chicago(shape) != oracle(shape) for shape in SMALL_SHAPES)
+
+
+def _corner_sums_caught(oracle):
+    """Whether the per-size sums of the downward pass differ from the sum of
+    |x| = i + j - 2 over the cells x holding k, tallied over the standard
+    fillings among all fillings of each shape of size 6 or less."""
+    for shape in (s for n in range(1, 7) for s in partitions_of(n)):
+        sums = [0] * (shape.size + 1)
+        for filling in oracle(shape):
+            rows = filling.rows
+            if (all(a < b for row in rows for a, b in zip(row, row[1:]))
+                    and all(a < b for high, low in zip(rows, rows[1:])
+                            for a, b in zip(high, low))):
+                for i, row in enumerate(rows):
+                    for j, k in enumerate(row):
+                        sums[k] += i + j
+        if partitions._chain_counts(shape)[3] != sums:
+            return True
+    return False
+
+
+def _witness_caught(oracle):
+    for shape in SMALL_SHAPES:
+        try:
+            witness = complexity.worst_case_witness(shape)
+        except complexity.WitnessConstructionError:
+            return True  # the oracle builds a witness here, and the route does not
+        if witness.format() != oracle(shape).format():
             return True
     return False
 
@@ -60,6 +98,23 @@ MUTANTS = [
     pytest.param(complexity, "_w_table",
                  "range(p - 1 - below, -1, -1)", "range(p - below, 0, -1)",
                  "w_by_corners", _w_table_caught, id="w-row-tail-off-by-one"),
+    # the smaller of w South and w East kept in place of the larger
+    pytest.param(complexity, "_w_table", "w[j] if w[j] > east else east",
+                 "w[j] if w[j] < east else east",
+                 "w_by_corners", _w_table_caught, id="w-smaller-neighbour"),
+    # the corner weight i + j - 1 in place of |x| = i + j - 2 in the downward
+    # pass.  C itself stays the same: a constant added to |x| adds
+    # f sum_k (H_n - H_(n-k) - 1) = 0, so the per-size sums are compared.
+    pytest.param(partitions, "_chain_counts", "(i + j - 2) *", "(i + j - 1) *",
+                 "tableaux", _corner_sums_caught, id="chicago-corner-weight"),
+    # the harmonic tail L/(n - k) in place of L/(n - k + 1), kept finite at k = n
+    pytest.param(complexity, "average_case_chicago", "lcd // (n - k + 1)",
+                 "lcd // max(n - k, 1)",
+                 "chicago_by_fractions", _chicago_caught, id="chicago-harmonic-tail"),
+    # each rectangle column filled top to bottom in place of bottom to top
+    pytest.param(complexity, "worst_case_witness", "first = filled + ci - i + 1",
+                 "first = filled + i - ai + 1",
+                 "witness_by_cells", _witness_caught, id="witness-top-down"),
 ]
 
 
@@ -67,5 +122,9 @@ MUTANTS = [
 def test_mutant_is_caught(monkeypatch, request, module, name, old, new, oracle, caught):
     oracle = request.getfixturevalue(oracle)
     assert not caught(oracle)
-    monkeypatch.setattr(module, name, _rewrite(module, name, old, new))
+    original = getattr(module, name)
+    mutant = _rewrite(module, name, old, new)
+    for loaded in list(sys.modules.values()):
+        if loaded.__name__.startswith("npslab") and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, mutant)
     assert caught(oracle)
