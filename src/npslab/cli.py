@@ -170,7 +170,8 @@ def _cmd_worst(args):
         witness = worst_case_witness(shape)  # self-check raises on failure
         doc["witness"] = witness.format()
         doc["exchanges"] = value
-        lines += [witness.format(), f"exchanges={value}"]
+        lines.append(witness.format())
+        lines.append(f"exchanges={value}")
     _emit(args, doc, lines)
     return 0
 

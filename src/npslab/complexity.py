@@ -97,17 +97,16 @@ def worst_case_witness(shape):
     hold only 0, and each row slice is filled as one range.  The sort of the
     result is checked against the sum of the W table; a mismatch raises.
     """
-    parts = shape.parts
-    if not parts:
+    if not shape.parts:
         raise ValueError("cannot build a witness for the empty shape")
     heights = conjugate(shape).parts
-    offsets = list(accumulate(parts, initial=0))
+    offsets = list(accumulate(shape.parts, initial=0))
     w = _w_table(shape)
     corners = shape.corners()
     values = [0] * shape.size
     filled = 0
-    for _, aj, ai in sorted((i + j - 1 - p - heights[j - 1], j, i)
-                            for i, p in enumerate(parts, start=1) for j in range(1, p + 1)):
+    for _, aj, ai in sorted((-(p - j + heights[j - 1] - i + 1), j, i)
+                            for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1)):
         if values[offsets[ai - 1] + aj - 1]:
             continue
         dist = w[ai - 1][aj - 1]
@@ -124,7 +123,7 @@ def worst_case_witness(shape):
             first = filled + ci - i + 1
             values[o + aj - 1:o + cj] = range(first + (cj - aj) * height, first - 1, -height)
         filled += height * (cj - aj + 1)
-    witness = Tableau(shape, [values[o:o + p] for o, p in zip(offsets, parts)])
+    witness = Tableau(shape, [values[o:o + p] for o, p in zip(offsets, shape.parts)])
     ops = shape_ops(shape)
     achieved = ops.sort_values(ops.new_board(), [values[c] for c in ops.order])
     expected = sum(map(sum, w))

@@ -124,7 +124,7 @@ def test_mutant_is_caught(monkeypatch, request, module, name, old, new, oracle, 
     assert not caught(oracle)
     original = getattr(module, name)
     mutant = _rewrite(module, name, old, new)
-    for loaded in list(sys.modules.values()):
-        if loaded.__name__.startswith("npslab") and getattr(loaded, name, None) is original:
+    for key, loaded in list(sys.modules.items()):
+        if key.startswith("npslab") and getattr(loaded, name, None) is original:
             monkeypatch.setattr(loaded, name, mutant)
     assert caught(oracle)
