@@ -8,6 +8,10 @@ an entry drops from (i, j) to (i', j'), the hook tableau column segment below
 the start cell shifts up with a decrement and the landing row records the
 column displacement j' - j.
 
+`_ShapeOps.sort_values` is the one step-by-step sift: `nps_sort` builds the
+hooks and the trace from its landing cells, and still checks its output
+with `is_standard` and the constructors, which refuse non-integer entries.
+
 The two n! routes, `verify_bijection` and `complexity.exchange_stats`, go
 level by level and merge the prefixes that sift to the same board.  They
 read that path once per sorted board as the slide chain of the start cell,
@@ -22,7 +26,7 @@ from itertools import accumulate
 from math import factorial
 from typing import NamedTuple
 
-from .partitions import (Partition, SizeGuardError, conjugate, hook_product,
+from .partitions import (Partition, SizeGuardError, _integers, conjugate, hook_product,
                          reverse_lex_cells, syt_count)
 
 __all__ = [
@@ -39,23 +43,47 @@ __all__ = [
 DEFAULT_ENUMERATION_CUTOFF = 9
 
 
-class Tableau:
-    """A bijective filling of a Young diagram with the numbers 1..n."""
+class _Filling:
+    """Integer rows on the cells of a shape, immutable and equal by rows to
+    a filling of the same type."""
 
     __slots__ = ("shape", "rows")
 
     def __init__(self, shape, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(_integers(row, "entry", i) for i, row in enumerate(rows, start=1))
         if tuple(len(r) for r in rows) != shape.parts:
             raise ValueError(f"rows {rows} do not match shape {shape}")
-        values = sorted(v for row in rows for v in row)
-        if values != list(range(1, shape.size + 1)):
-            raise ValueError("entries are not a bijection onto 1..n")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def entry(self, i, j):
+        return self.rows[i - 1][j - 1]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def format(self):
+        return ";".join(",".join(str(v) for v in row) for row in self.rows)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.format()!r})"
+
+
+class Tableau(_Filling):
+    """A bijective filling of a Young diagram with the numbers 1..n."""
+
+    __slots__ = ()
+
+    def __init__(self, shape, rows):
+        super().__init__(shape, rows)
+        if sorted(v for row in self.rows for v in row) != list(range(1, shape.size + 1)):
+            raise ValueError("entries are not a bijection onto 1..n")
 
     @classmethod
     def from_rows(cls, rows):
@@ -68,12 +96,6 @@ class Tableau:
         rows = [[int(v) for v in row.split(",")] for row in text.strip().split(";") if row.strip()]
         return cls.from_rows(rows)
 
-    def format(self):
-        return ";".join(",".join(str(v) for v in row) for row in self.rows)
-
-    def entry(self, i, j):
-        return self.rows[i - 1][j - 1]
-
     def is_standard(self):
         for i, row in enumerate(self.rows):
             for j, v in enumerate(row):
@@ -83,51 +105,22 @@ class Tableau:
                     return False
         return True
 
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Tableau({self.format()!r})"
-
-
-class HookTableau:
+class HookTableau(_Filling):
     """An integer filling with -leg(i,j) <= H(i,j) <= arm(i,j) at every cell.
 
     Not a tableau: entries repeat and may be negative.
     """
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ()
 
     def __init__(self, shape, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if tuple(len(r) for r in rows) != shape.parts:
-            raise ValueError(f"rows {rows} do not match shape {shape}")
+        super().__init__(shape, rows)
         heights = conjugate(shape).parts
-        for i, row in enumerate(rows, start=1):
+        for i, row in enumerate(self.rows, start=1):
             for j, v in enumerate(row, start=1):
                 if not i - heights[j - 1] <= v <= len(row) - j:
                     raise ValueError(f"entry {v} at ({i},{j}) outside [-leg, arm]")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HookTableau is immutable")
-
-    def entry(self, i, j):
-        return self.rows[i - 1][j - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, HookTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        rows = ";".join(",".join(str(v) for v in row) for row in self.rows)
-        return f"HookTableau({rows!r})"
 
 
 class EntryTrace(NamedTuple):
@@ -186,14 +179,15 @@ class _ShapeOps:
         parts = self.shape.parts
         return tuple(tuple(board[k:k + p]) for k, p in zip(accumulate(parts, initial=0), parts))
 
-    def sort_values(self, board, values):
+    def sort_values(self, board, values, landed=None):
         """Sift values[t] from the t-th processed cell for every t, in place,
         returning the number of exchanges.  No fill pass runs first: a sift
         reads only cells processed before its own, so the board's earlier
         contents never matter.  The moving value is written once, at its
         landing cell, and the exchanges of a sift are the rise of the depth
         i + j from its start to its landing, so the total is the sum of the
-        landing depths less that of all cells."""
+        landing depths less that of all cells.  When `landed` is a list, the
+        landing cell of each sift is appended to it, in processing order."""
         south = self.south
         east = self.east
         depth = self.depth
@@ -216,6 +210,8 @@ class _ShapeOps:
                     c = e
             board[c] = v
             total += depth[c]
+            if landed is not None:
+                landed.append(c)
         return total
 
     def slide_chain(self, board, start):
@@ -295,33 +291,18 @@ def shape_ops(shape):
 
 def nps_sort(tableau):
     """Sort a tableau into a standard one, returning the standard output, the
-    hook tableau, the exchange count and the per-entry drop trace."""
+    hook tableau, the exchange count and the per-entry drop trace, from the
+    landing cells of one `sort_values` call."""
     ops = shape_ops(tableau.shape)
-    south, east, coord = ops.south, ops.east, ops.coord
+    south, coord = ops.south, ops.coord
+    flat = [v for row in tableau.rows for v in row]
+    values = [flat[c] for c in ops.order]
     board = ops.new_board()
-    board[:ops.n] = [v for row in tableau.rows for v in row]
+    landed = []
+    total = ops.sort_values(board, values, landed)
     hooks = [0] * ops.n
-    total = 0
     trace = []
-    for start in ops.order:
-        v = board[start]
-        c = start
-        while True:
-            s = south[c]
-            e = east[c]
-            sv = board[s]
-            ev = board[e]
-            if sv < ev:
-                if sv > v:
-                    break
-                board[c] = sv
-                c = s
-            else:
-                if ev > v:
-                    break
-                board[c] = ev
-                c = e
-        board[c] = v
+    for start, c, v in zip(ops.order, landed, values):
         # the hooks of the column segment below the start shift up with a
         # decrement, and the landing row records the column displacement
         (i0, j0), (i1, j1) = coord[start], coord[c]
@@ -331,9 +312,7 @@ def nps_sort(tableau):
             hooks[walk] = hooks[nxt] - 1
             walk = nxt
         hooks[walk] = j1 - j0
-        swaps = (i1 - i0) + (j1 - j0)
-        total += swaps
-        trace.append(EntryTrace(v, coord[start], coord[c], swaps))
+        trace.append(EntryTrace(v, coord[start], coord[c], (i1 - i0) + (j1 - j0)))
     output = Tableau(tableau.shape, ops.rows_from_board(board))
     hook_tableau = HookTableau(tableau.shape, ops.rows_from_board(hooks))
     if not output.is_standard():

@@ -15,6 +15,7 @@ row subtracts a power of the base, and no subdiagram is built as a
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
+from operator import index
 
 __all__ = [
     "Partition",
@@ -33,6 +34,19 @@ class SizeGuardError(ValueError):
     """A size guard refused an input before the work that it would cost."""
 
 
+def _integers(values, what, row=None):
+    """`values` as a tuple of ints by `operator.index`, which refuses 2.7 or
+    "3" where int() would read 2 or 3.  The ValueError names the first
+    refused value, and its cell (row, k) when `row` is given."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        k = next(k for k, v in enumerate(values, 1) if not hasattr(type(v), "__index__"))
+        at = f" at ({row},{k})" if row else ""
+        raise ValueError(f"{what} {values[k - 1]!r}{at} is not an integer") from None
+
+
 class Partition:
     """A weakly decreasing sequence of positive integers, identified with its
     Young diagram of cells (i, j), both indices 1-based."""
@@ -40,7 +54,7 @@ class Partition:
     __slots__ = ("parts", "size")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = _integers(parts, "part")
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")

@@ -277,6 +277,78 @@ def sort_filling():
     return _sort_filling
 
 
+def _kernel_mismatch(shape, fillings):
+    """The first filling on which `sort_values`, run on one board that is
+    never cleared, differs from `_sort_filling` in exchanges or final board;
+    None when there is none."""
+    ops = shape_ops(shape)
+    board = ops.new_board()
+    for values in fillings:
+        count = ops.sort_values(board, values)
+        if (count, board) != _sort_filling(shape, values):
+            return values
+    return None
+
+
+@pytest.fixture(scope="session")
+def kernel_mismatch():
+    """`kernel_mismatch(shape, fillings)`: the first value sequence on which
+    the fused kernel `_ShapeOps.sort_values` differs from the swap-by-swap
+    sort of `sort_filling`, or None."""
+    return _kernel_mismatch
+
+
+def _naive_sort(tableau):
+    """Second, independent implementation of the sort: dict-based, literal
+    locate/compare/exchange steps, with the same hook bookkeeping.  Returns
+    (exchanges, output rows, hook rows, trace), the trace a (value, start,
+    end, exchanges) tuple per entry in processing order."""
+    shape = tableau.shape
+    cells = shape.cells()
+    order = sorted(cells, key=lambda c: (c[1], c[0]), reverse=True)
+    entries = {(i, j): tableau.entry(i, j) for (i, j) in cells}
+    hooks = {c: 0 for c in cells}
+    exchanges = 0
+    trace = []
+    for cell in order:
+        value = entries[cell]
+        pos = next(c for c, v in entries.items() if v == value)
+        start = pos
+        moves = 0
+        while True:
+            i, j = pos
+            neighbours = [c for c in ((i + 1, j), (i, j + 1)) if c in entries]
+            if not neighbours:
+                break
+            smallest = min(entries[c] for c in neighbours)
+            if value < smallest:
+                break
+            target = next(c for c in neighbours if entries[c] == smallest)
+            entries[pos], entries[target] = smallest, value
+            pos = target
+            moves += 1
+        exchanges += moves
+        trace.append((value, start, pos, moves))
+        (i0, j0), (i1, j1) = start, pos
+        previous = dict(hooks)
+        for s in range(i0, i1):
+            hooks[(s, j0)] = previous[(s + 1, j0)] - 1
+        hooks[(i1, j0)] = j1 - j0
+    out_rows = tuple(tuple(entries[(i, j)] for j in range(1, shape.parts[i - 1] + 1))
+                     for i in range(1, len(shape.parts) + 1))
+    hook_rows = tuple(tuple(hooks[(i, j)] for j in range(1, shape.parts[i - 1] + 1))
+                      for i in range(1, len(shape.parts) + 1))
+    return exchanges, out_rows, hook_rows, tuple(trace)
+
+
+@pytest.fixture(scope="session")
+def naive_sort():
+    """The sort on a dict of cells, one literal exchange at a time, with its
+    own hook and trace bookkeeping: an oracle for `nps_sort`, which builds
+    its hooks and trace from the landing cells of `sort_values`."""
+    return _naive_sort
+
+
 def _plain_exchange_stats(shape):
     """(sum, max) of exchange counts by sorting each of the n! fillings."""
     ops = shape_ops(shape)

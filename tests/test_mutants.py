@@ -1,32 +1,58 @@
 """Named mutants of the fast paths.
 
-Each row rewrites one line of a function's source, installs the rewritten
-function with monkeypatch in every module that imported it, and asserts
-that an independent oracle from `conftest.py` tells it apart.  Before the
-rewrite the same comparison must find nothing, so a row cannot pass because
-its comparison is blind.
+Each row rewrites one line of a function's source, or of a method's, installs
+the rewritten function with monkeypatch on its class or in every module that
+imported it, and asserts that each of its checks, an independent oracle from
+`conftest.py` and a comparison, tells it apart.  Before the rewrite every
+check must find nothing, so a row cannot pass because a comparison is blind.
 """
 
 import inspect
 import sys
 import textwrap
+from itertools import accumulate, permutations
 
 import pytest
 
-from npslab import complexity, partitions, two_row, verify
+from npslab import complexity, nps, partitions, two_row, verify
 from npslab.partitions import partitions_of
 
 SMALL_SHAPES = [shape for n in range(1, 8) for shape in partitions_of(n)]
+SIFT_SHAPES = [shape for n in range(1, 6) for shape in partitions_of(n)]
 
 
-def _rewrite(module, name, old, new):
-    """The function `name` of `module`, compiled from its source with the one
-    occurrence of `old` replaced by `new`, reading the module's globals."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def _rewrite(owner, name, old, new):
+    """The function `name` of `owner`, a module or a class, compiled from its
+    source with the one occurrence of `old` replaced by `new`, reading the
+    globals of the module that defines it."""
+    module = inspect.getmodule(owner)
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1, (name, old)
     namespace = {}
     exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), namespace)
     return namespace[name]
+
+
+def _kernel_caught(kernel_mismatch):
+    return any(kernel_mismatch(shape, permutations(range(1, shape.size + 1)))
+               for shape in SIFT_SHAPES)
+
+
+def _nps_caught(naive_sort):
+    """Whether `nps_sort` differs from the naive sort in exchanges, output,
+    hooks or trace on some filling of size 5 or less; a raise counts."""
+    for shape in SIFT_SHAPES:
+        offsets = list(accumulate(shape.parts, initial=0))
+        for perm in permutations(range(1, shape.size + 1)):
+            tableau = nps.Tableau(shape, [perm[k:k + p] for k, p in zip(offsets, shape.parts)])
+            try:
+                outcome = nps.nps_sort(tableau)
+            except (ValueError, AssertionError):  # the output checks of `nps_sort`
+                return True
+            if (outcome.exchanges, outcome.output.rows, outcome.hooks.rows,
+                    outcome.trace) != naive_sort(tableau):
+                return True
+    return False
 
 
 def _double_sums_caught(oracle):
@@ -89,42 +115,58 @@ MUTANTS = [
     # the s1 and s2 terms at (j, k) = (2, 3) dropped from the bucket of k = 3
     pytest.param(two_row, "c_double_sums",
                  "* comb(k, j) * lower\n", "* comb(k, j) * lower * ((j, k) != (2, 3))\n",
-                 "c_double_sums_termwise", _double_sums_caught, id="double-sums-term-dropped"),
+                 (("c_double_sums_termwise", _double_sums_caught),), id="double-sums-term-dropped"),
     # the harmonic part over lcm(1..lam1 - 1) in place of the lcm of its denominators
     pytest.param(two_row, "s0_nested", "= _scaled_harmonics(lam1, lam2, lam1 - lam2)\n",
                  "= _scaled_harmonics(lam1, lam2, lam1 - lam2); lcd_h = lcm(*range(1, lam1))\n",
-                 "s0_nested_termwise", _nested_caught, id="nested-harmonics-wrong-lcm"),
+                 (("s0_nested_termwise", _nested_caught),), id="nested-harmonics-wrong-lcm"),
     # every row tail one higher: p - j in place of p - 1 - j
     pytest.param(complexity, "_w_table",
                  "range(p - 1 - below, -1, -1)", "range(p - below, 0, -1)",
-                 "w_by_corners", _w_table_caught, id="w-row-tail-off-by-one"),
+                 (("w_by_corners", _w_table_caught),), id="w-row-tail-off-by-one"),
     # the smaller of w South and w East kept in place of the larger
     pytest.param(complexity, "_w_table", "w[j] if w[j] > east else east",
                  "w[j] if w[j] < east else east",
-                 "w_by_corners", _w_table_caught, id="w-smaller-neighbour"),
+                 (("w_by_corners", _w_table_caught),), id="w-smaller-neighbour"),
     # the corner weight i + j - 1 in place of |x| = i + j - 2 in the downward
     # pass.  C itself stays the same: a constant added to |x| adds
     # f sum_k (H_n - H_(n-k) - 1) = 0, so the per-size sums are compared.
     pytest.param(partitions, "_chain_counts", "(i + j - 2) *", "(i + j - 1) *",
-                 "tableaux", _corner_sums_caught, id="chicago-corner-weight"),
+                 (("tableaux", _corner_sums_caught),), id="chicago-corner-weight"),
     # the harmonic tail L/(n - k) in place of L/(n - k + 1), kept finite at k = n
     pytest.param(complexity, "average_case_chicago", "lcd // (n - k + 1)",
                  "lcd // max(n - k, 1)",
-                 "chicago_by_fractions", _chicago_caught, id="chicago-harmonic-tail"),
+                 (("chicago_by_fractions", _chicago_caught),), id="chicago-harmonic-tail"),
     # each rectangle column filled top to bottom in place of bottom to top
     pytest.param(complexity, "worst_case_witness", "first = filled + ci - i + 1",
                  "first = filled + i - ai + 1",
-                 "witness_by_cells", _witness_caught, id="witness-top-down"),
+                 (("witness_by_cells", _witness_caught),), id="witness-top-down"),
+    # the kernel writes the moving value, not the neighbour it passes, into
+    # the cell it leaves: v lands twice and the smaller neighbour is lost
+    pytest.param(nps._ShapeOps, "sort_values", "board[c] = sv", "board[c] = v",
+                 (("kernel_mismatch", _kernel_caught), ("naive_sort", _nps_caught)),
+                 id="kernel-double-write"),
+    # the kernel moves East whenever the East neighbour is below the value,
+    # even when the South neighbour is smaller still
+    pytest.param(nps._ShapeOps, "sort_values", "if sv < ev:", "if ev > v:",
+                 (("kernel_mismatch", _kernel_caught), ("naive_sort", _nps_caught)),
+                 id="kernel-east-first"),
+    # the column segment below the start shifts up without its decrement
+    pytest.param(nps, "nps_sort", "hooks[nxt] - 1", "hooks[nxt]",
+                 (("naive_sort", _nps_caught),), id="hook-shift-without-decrement"),
 ]
 
 
-@pytest.mark.parametrize("module, name, old, new, oracle, caught", MUTANTS)
-def test_mutant_is_caught(monkeypatch, request, module, name, old, new, oracle, caught):
-    oracle = request.getfixturevalue(oracle)
-    assert not caught(oracle)
-    original = getattr(module, name)
-    mutant = _rewrite(module, name, old, new)
+@pytest.mark.parametrize("owner, name, old, new, checks", MUTANTS)
+def test_mutant_is_caught(monkeypatch, request, owner, name, old, new, checks):
+    checks = [(request.getfixturevalue(oracle), caught) for oracle, caught in checks]
+    for oracle, caught in checks:
+        assert not caught(oracle), caught.__name__
+    original = getattr(owner, name)
+    mutant = _rewrite(owner, name, old, new)
+    monkeypatch.setattr(owner, name, mutant)
     for key, loaded in list(sys.modules.items()):
         if key.startswith("npslab") and getattr(loaded, name, None) is original:
             monkeypatch.setattr(loaded, name, mutant)
-    assert caught(oracle)
+    for oracle, caught in checks:
+        assert caught(oracle), caught.__name__

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -96,6 +97,14 @@ def test_parse_and_str_round_trip():
 @pytest.mark.parametrize("bad", [(1, 2), (3, 0), (2, -1)])
 def test_invalid_parts_rejected(bad):
     with pytest.raises(ValueError):
+        Partition(bad)
+
+
+@pytest.mark.parametrize("bad, part", [((2.7, 1.2), "2.7"), ((2, 1.0), "1.0"), (("3",), "'3'")],
+                         ids=["float", "integral-float", "string"])
+def test_non_integral_parts_rejected_by_name(bad, part):
+    # int() would accept these as 2,1, 2,1 and 3
+    with pytest.raises(ValueError, match=re.escape(f"part {part} is not an integer")):
         Partition(bad)
 
 
