@@ -34,6 +34,8 @@ def _rewrite(owner, name, old, new):
 
 
 def _kernel_caught(kernel_mismatch):
+    """Whether `sort_values` differs from the swap-by-swap sort on some
+    filling of size 5 or less."""
     return any(kernel_mismatch(shape, permutations(range(1, shape.size + 1)))
                for shape in SIFT_SHAPES)
 
