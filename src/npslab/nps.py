@@ -22,23 +22,15 @@ arrays by integer codes, sum value * (n + 2)^index.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial
 from typing import NamedTuple
 
-from .partitions import (Partition, SizeGuardError, _integers, conjugate, hook_product,
+from .partitions import (Partition, SizeGuardError, _arms_legs, _integers, hook_product,
                          reverse_lex_cells, syt_count)
 
-__all__ = [
-    "Tableau",
-    "HookTableau",
-    "EntryTrace",
-    "NpsOutcome",
-    "BijectionReport",
-    "nps_sort",
-    "verify_bijection",
-    "DEFAULT_ENUMERATION_CUTOFF",
-]
+__all__ = ["Tableau", "HookTableau", "EntryTrace", "NpsOutcome", "BijectionReport", "nps_sort",
+           "verify_bijection", "DEFAULT_ENUMERATION_CUTOFF"]
 
 DEFAULT_ENUMERATION_CUTOFF = 9
 
@@ -116,11 +108,10 @@ class HookTableau(_Filling):
 
     def __init__(self, shape, rows):
         super().__init__(shape, rows)
-        heights = conjugate(shape).parts
-        for i, row in enumerate(self.rows, start=1):
-            for j, v in enumerate(row, start=1):
-                if not i - heights[j - 1] <= v <= len(row) - j:
-                    raise ValueError(f"entry {v} at ({i},{j}) outside [-leg, arm]")
+        ops = shape_ops(shape)
+        for (i, j), v, (arm, leg) in zip(ops.coord, chain.from_iterable(self.rows), ops.arms_legs):
+            if not -leg <= v <= arm:
+                raise ValueError(f"entry {v} at ({i},{j}) outside [-leg, arm]")
 
 
 class EntryTrace(NamedTuple):
@@ -153,9 +144,10 @@ class _ShapeOps:
 
     Cells map to indices offsets[i-1] + (j-1); index n is a sentinel holding
     a value larger than every entry, so missing neighbours never win a swap.
+    `arms_legs` is `partitions._arms_legs(shape)`, in the same cell order.
     """
 
-    __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum")
+    __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum", "arms_legs")
 
     def __init__(self, shape):
         n = shape.size
@@ -169,6 +161,7 @@ class _ShapeOps:
         self.coord = coord
         self.depth = [i + j for i, j in coord]
         self.depth_sum = sum(self.depth)
+        self.arms_legs = _arms_legs(shape)
 
     def new_board(self):
         board = [0] * (self.n + 1)

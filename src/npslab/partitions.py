@@ -17,17 +17,8 @@ from itertools import accumulate
 from math import factorial, prod
 from operator import index
 
-__all__ = [
-    "Partition",
-    "conjugate",
-    "reverse_lex_cells",
-    "syt_count",
-    "skew_syt_count",
-    "hook_product",
-    "harmonic",
-    "partitions_of",
-    "SizeGuardError",
-]
+__all__ = ["Partition", "conjugate", "reverse_lex_cells", "syt_count", "skew_syt_count",
+           "hook_product", "harmonic", "partitions_of", "SizeGuardError"]
 
 
 class SizeGuardError(ValueError):
@@ -154,13 +145,17 @@ def reverse_lex_cells(shape):
     return [(i, j) for j in range(len(heights), 0, -1) for i in range(heights[j - 1], 0, -1)]
 
 
-def hook_product(shape):
-    """Product of all hook lengths; counts the hook tableaux of the shape.
-
-    Column heights are read once from the conjugate."""
+def _arms_legs(shape):
+    """(arm, leg) of every cell in row-major order from the column heights:
+    arm = lambda_i - j, leg = lambda'_j - i, and the hook is arm + leg + 1."""
     heights = conjugate(shape).parts
-    return prod(p - j + heights[j - 1] - i + 1
-                for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1))
+    return [(p - j, heights[j - 1] - i)
+            for i, p in enumerate(shape.parts, start=1) for j in range(1, p + 1)]
+
+
+def hook_product(shape):
+    """Product of all hook lengths; counts the hook tableaux of the shape."""
+    return prod(arm + leg + 1 for arm, leg in _arms_legs(shape))
 
 
 def syt_count(shape):
@@ -179,7 +174,7 @@ def skew_syt_count(outer, inner):
     if not outer.contains_shape(inner):
         raise ValueError(f"{inner} is not contained in {outer}")
     base = outer.row(1) + 1
-    _, _, down, _ = _chain_counts(outer)
+    _, _, down, _ = _cached_chain_counts(outer)
     return down[sum(p * base**i for i, p in enumerate(inner.parts))]
 
 
@@ -213,6 +208,8 @@ def partitions_of(n):
 
 
 MAX_SUBDIAGRAMS = 10**6
+MAX_CACHED_SUBDIAGRAMS = 10**5  # 9x9 has 48,620 subdiagrams, 10x10 184,756
+_LAST_CHAINS = {}
 
 
 def _subdiagram_count(shape):
@@ -308,3 +305,16 @@ def _chain_counts(outer):
             corner_sum += (i + j - 2) * up[below]
         weighted[sizes[k]] += corner_sum * chains
     return lattice, up, down, weighted
+
+
+def _cached_chain_counts(shape):
+    """`_chain_counts(shape)`, kept for later calls on the same shape when it
+    has at most MAX_CACHED_SUBDIAGRAMS subdiagrams; another shape drops it."""
+    key = shape.parts
+    if key not in _LAST_CHAINS:
+        _LAST_CHAINS.clear()
+        counts = _chain_counts(shape)
+        if len(counts[0][0]) > MAX_CACHED_SUBDIAGRAMS:
+            return counts
+        _LAST_CHAINS[key] = counts
+    return _LAST_CHAINS[key]

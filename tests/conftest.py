@@ -472,6 +472,14 @@ def tableaux():
     return _enumerate_tableaux
 
 
+@pytest.fixture(scope="session")
+def arms_legs_by_cells():
+    """(arm, leg) of each cell in row-major order from `Partition.arm` and
+    `Partition.leg`, which counts the column height per cell: an oracle for
+    the hook rule of `partitions._arms_legs`."""
+    return lambda shape: [(shape.arm(i, j), shape.leg(i, j)) for i, j in shape.cells()]
+
+
 def _enumerate_hook_tableaux(shape):
     """All hook tableaux: independent entry ranges [-leg, arm] per cell."""
     cells = shape.cells()

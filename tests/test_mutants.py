@@ -11,6 +11,7 @@ import inspect
 import sys
 import textwrap
 from itertools import accumulate, permutations
+from math import prod
 
 import pytest
 
@@ -102,6 +103,50 @@ def _corner_sums_caught(oracle):
     return False
 
 
+def _bijection_caught(oracle):
+    """Whether the report of `verify_bijection` differs from the sift walk's
+    on some shape of size 5 or less."""
+    return any(nps.verify_bijection(shape) != oracle(shape) for shape in SIFT_SHAPES)
+
+
+def _fixed_entry_caught(tableaux):
+    """Whether f(x, k) summed over k differs at some cell from the number of
+    standard fillings among all fillings, on the shapes of size 5 or less
+    called in turn, so that shapes of one size follow each other."""
+    for shape in SIFT_SHAPES:
+        standard = sum(1 for filling in tableaux(shape) if filling.is_standard())
+        entries = range(1, shape.size + 1)
+        for cell in shape.cells():
+            if sum(complexity.f_fixed_entry(shape, cell, k) for k in entries) != standard:
+                return True
+    return False
+
+
+def _hook_product_caught(arms_legs_by_cells):
+    return any(partitions.hook_product(shape) != prod(arm + leg + 1 for arm, leg in
+                                                      arms_legs_by_cells(shape))
+               for shape in SMALL_SHAPES)
+
+
+def _hook_range_caught(arms_legs_by_cells):
+    """Whether the `HookTableau` constructor refuses -leg or arm, or accepts
+    -leg - 1 or arm + 1, at some cell of a shape of size 7 or less, with 0
+    at every other cell."""
+    for shape in SMALL_SHAPES:
+        for (i, j), (arm, leg) in zip(shape.cells(), arms_legs_by_cells(shape)):
+            for v in (-leg - 1, -leg, arm, arm + 1):
+                rows = [[0] * p for p in shape.parts]
+                rows[i - 1][j - 1] = v
+                try:
+                    nps.HookTableau(shape, rows)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                if accepted != (-leg <= v <= arm):
+                    return True
+    return False
+
+
 def _witness_caught(oracle):
     for shape in SMALL_SHAPES:
         try:
@@ -156,6 +201,18 @@ MUTANTS = [
     # the column segment below the start shifts up without its decrement
     pytest.param(nps, "nps_sort", "hooks[nxt] - 1", "hooks[nxt]",
                  (("naive_sort", _nps_caught),), id="hook-shift-without-decrement"),
+    # the same in the per-prefix hook shift of the n! route: two fillings of
+    # (1,1) then reach one (output, hooks) pair
+    pytest.param(nps, "verify_bijection", "h[col] = hooks[nxt] - 1", "h[col] = hooks[nxt]",
+                 (("bijection_by_sifts", _bijection_caught),),
+                 id="bijection-hook-shift-without-decrement"),
+    # every leg one longer: hooks grow, and -leg - 1 passes the range check
+    pytest.param(partitions, "_arms_legs", "heights[j - 1] - i)", "heights[j - 1] - i + 1)",
+                 (("arms_legs_by_cells", _hook_product_caught),
+                  ("arms_legs_by_cells", _hook_range_caught)), id="leg-off-by-one"),
+    # the lattice kept for the last shape looked up by size, not by parts
+    pytest.param(partitions, "_cached_chain_counts", "key = shape.parts", "key = shape.size",
+                 (("tableaux", _fixed_entry_caught),), id="lattice-cache-keyed-by-size"),
 ]
 
 
@@ -170,5 +227,8 @@ def test_mutant_is_caught(monkeypatch, request, owner, name, old, new, checks):
     for key, loaded in list(sys.modules.items()):
         if key.startswith("npslab") and getattr(loaded, name, None) is original:
             monkeypatch.setattr(loaded, name, mutant)
+    # per-shape tables that the original code built must not hide the mutant
+    monkeypatch.setattr(nps, "_OPS_CACHE", {})
+    monkeypatch.setattr(partitions, "_LAST_CHAINS", {})
     for oracle, caught in checks:
         assert caught(oracle), caught.__name__
