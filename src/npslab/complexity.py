@@ -15,8 +15,7 @@ from itertools import accumulate
 from math import factorial, lcm
 
 from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops, slid
-from .partitions import (Partition, SizeGuardError, _arms_legs, _cached_chain_counts,
-                         _chain_counts, syt_count)
+from .partitions import Partition, SizeGuardError, _arms_legs, _chain_counts, syt_count
 
 __all__ = [
     "w_distance",
@@ -100,14 +99,13 @@ def worst_case_witness(shape):
     """
     if not shape.parts:
         raise ValueError("cannot build a witness for the empty shape")
-    ops = shape_ops(shape)
     offsets = list(accumulate(shape.parts, initial=0))
     w = _w_table(shape)
     corners = shape.corners()
     values = [0] * shape.size
     filled = 0
     for _, aj, ai in sorted((-(arm + leg + 1), j, i)
-                            for (i, j), (arm, leg) in zip(ops.coord, ops.arms_legs)):
+                            for (i, j), (arm, leg) in zip(shape.cells(), _arms_legs(shape))):
         if values[offsets[ai - 1] + aj - 1]:
             continue
         dist = w[ai - 1][aj - 1]
@@ -125,6 +123,7 @@ def worst_case_witness(shape):
             values[o + aj - 1:o + cj] = range(first + (cj - aj) * height, first - 1, -height)
         filled += height * (cj - aj + 1)
     witness = Tableau(shape, [values[o:o + p] for o, p in zip(offsets, shape.parts)])
+    ops = shape_ops(shape)
     achieved = ops.sort_values(ops.new_board(), [values[c] for c in ops.order])
     expected = sum(map(sum, w))
     if achieved != expected:
@@ -213,7 +212,7 @@ def f_fixed_entry(shape, cell, k):
     if not 1 <= k <= shape.size:
         raise ValueError(f"entry {k} outside 1..{shape.size}")
     i, j = cell
-    (codes, sizes, corners), up, down, _ = _cached_chain_counts(shape)
+    (codes, sizes, corners), up, down, _ = _chain_counts(shape)
     return sum(up[code - step] * down[code]
                for code, size, mu_corners in zip(codes, sizes, corners) if size == k
                for ci, cj, step in mu_corners if ci == i and cj == j)

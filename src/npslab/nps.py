@@ -29,8 +29,16 @@ from typing import NamedTuple
 from .partitions import (Partition, SizeGuardError, _arms_legs, _integers, hook_product,
                          reverse_lex_cells, syt_count)
 
-__all__ = ["Tableau", "HookTableau", "EntryTrace", "NpsOutcome", "BijectionReport", "nps_sort",
-           "verify_bijection", "DEFAULT_ENUMERATION_CUTOFF"]
+__all__ = [
+    "Tableau",
+    "HookTableau",
+    "EntryTrace",
+    "NpsOutcome",
+    "BijectionReport",
+    "nps_sort",
+    "verify_bijection",
+    "DEFAULT_ENUMERATION_CUTOFF",
+]
 
 DEFAULT_ENUMERATION_CUTOFF = 9
 
@@ -108,8 +116,8 @@ class HookTableau(_Filling):
 
     def __init__(self, shape, rows):
         super().__init__(shape, rows)
-        ops = shape_ops(shape)
-        for (i, j), v, (arm, leg) in zip(ops.coord, chain.from_iterable(self.rows), ops.arms_legs):
+        cells = shape.cells()
+        for (i, j), v, (arm, leg) in zip(cells, chain.from_iterable(self.rows), _arms_legs(shape)):
             if not -leg <= v <= arm:
                 raise ValueError(f"entry {v} at ({i},{j}) outside [-leg, arm]")
 
@@ -144,10 +152,9 @@ class _ShapeOps:
 
     Cells map to indices offsets[i-1] + (j-1); index n is a sentinel holding
     a value larger than every entry, so missing neighbours never win a swap.
-    `arms_legs` is `partitions._arms_legs(shape)`, in the same cell order.
     """
 
-    __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum", "arms_legs")
+    __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum")
 
     def __init__(self, shape):
         n = shape.size
@@ -161,7 +168,6 @@ class _ShapeOps:
         self.coord = coord
         self.depth = [i + j for i, j in coord]
         self.depth_sum = sum(self.depth)
-        self.arms_legs = _arms_legs(shape)
 
     def new_board(self):
         board = [0] * (self.n + 1)

@@ -17,8 +17,17 @@ from itertools import accumulate
 from math import factorial, prod
 from operator import index
 
-__all__ = ["Partition", "conjugate", "reverse_lex_cells", "syt_count", "skew_syt_count",
-           "hook_product", "harmonic", "partitions_of", "SizeGuardError"]
+__all__ = [
+    "Partition",
+    "conjugate",
+    "reverse_lex_cells",
+    "syt_count",
+    "skew_syt_count",
+    "hook_product",
+    "harmonic",
+    "partitions_of",
+    "SizeGuardError",
+]
 
 
 class SizeGuardError(ValueError):
@@ -174,7 +183,7 @@ def skew_syt_count(outer, inner):
     if not outer.contains_shape(inner):
         raise ValueError(f"{inner} is not contained in {outer}")
     base = outer.row(1) + 1
-    _, _, down, _ = _cached_chain_counts(outer)
+    _, _, down, _ = _chain_counts(outer)
     return down[sum(p * base**i for i, p in enumerate(inner.parts))]
 
 
@@ -208,8 +217,6 @@ def partitions_of(n):
 
 
 MAX_SUBDIAGRAMS = 10**6
-MAX_CACHED_SUBDIAGRAMS = 10**5  # 9x9 has 48,620 subdiagrams, 10x10 184,756
-_LAST_CHAINS = {}
 
 
 def _subdiagram_count(shape):
@@ -305,16 +312,3 @@ def _chain_counts(outer):
             corner_sum += (i + j - 2) * up[below]
         weighted[sizes[k]] += corner_sum * chains
     return lattice, up, down, weighted
-
-
-def _cached_chain_counts(shape):
-    """`_chain_counts(shape)`, kept for later calls on the same shape when it
-    has at most MAX_CACHED_SUBDIAGRAMS subdiagrams; another shape drops it."""
-    key = shape.parts
-    if key not in _LAST_CHAINS:
-        _LAST_CHAINS.clear()
-        counts = _chain_counts(shape)
-        if len(counts[0][0]) > MAX_CACHED_SUBDIAGRAMS:
-            return counts
-        _LAST_CHAINS[key] = counts
-    return _LAST_CHAINS[key]

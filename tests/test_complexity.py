@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import npslab
-from npslab import partitions
 from npslab.complexity import (
     MAX_ENUMERATION_WORK,
     MAX_SORTED_ORDERS,
@@ -24,11 +23,9 @@ from npslab.nps import nps_sort, verify_bijection
 from npslab.partitions import (
     Partition,
     SizeGuardError,
-    _subdiagram_count,
     harmonic,
     hook_product,
     partitions_of,
-    skew_syt_count,
     syt_count,
 )
 from npslab.sampling import syt_uniformity_test
@@ -277,30 +274,10 @@ def test_f_fixed_entry_examples():
 
 
 def test_f_fixed_entry_normalization():
-    # every call builds the lattice from a cold cache, then the same calls
-    # read it warm
     for shape in (s for n in range(1, 9) for s in partitions_of(n)):
-        entries = range(1, shape.size + 1)
         for cell in shape.cells():
-            cold = []
-            for k in entries:
-                partitions._LAST_CHAINS.clear()
-                cold.append(f_fixed_entry(shape, cell, k))
-            warm = [f_fixed_entry(shape, cell, k) for k in entries]
-            assert sum(cold) == syt_count(shape) and warm == cold, (shape, cell)
-
-
-def test_lattice_cache_keeps_only_the_last_shape_below_its_bound(monkeypatch):
-    small, large = Partition([3, 1]), Partition([3, 3])
-    assert _subdiagram_count(small) == 7 and _subdiagram_count(large) == 10
-    monkeypatch.setattr(partitions, "MAX_CACHED_SUBDIAGRAMS", 9)
-    monkeypatch.setattr(partitions, "_LAST_CHAINS", {})
-    f_fixed_entry(small, (1, 1), 1)
-    assert list(partitions._LAST_CHAINS) == [small.parts]
-    assert skew_syt_count(large, small) == 1
-    assert partitions._LAST_CHAINS == {}
-    assert f_fixed_entry(large, (2, 3), 6) == syt_count(large)
-    assert partitions._LAST_CHAINS == {}
+            total = sum(f_fixed_entry(shape, cell, k) for k in range(1, shape.size + 1))
+            assert total == syt_count(shape), (shape, cell)
 
 
 def _remove_corner(mu, i):

@@ -6,8 +6,7 @@ Each line is one loop and its seconds:
 
 - `f_fixed_entry` at all 1,296 (cell, k) pairs of the 6x6 square and
   `skew_syt_count` on the 95 inner shapes of size <= 9 of the 8x8 square,
-  one pass each, in order, from a fresh process: the first call on each
-  shape builds its Young-lattice table;
+  one pass each: every call builds the Young-lattice table of its shape;
 - `nps_sort` on 210 seeded fillings of 7x7, best of 5, where the hook
   tableau's range check runs after every sort;
 - `worst_case_witness` on the four witness shapes of perfbench `exact` at
