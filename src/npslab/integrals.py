@@ -29,11 +29,9 @@ ln(V / L): both divisions round correctly, so the floats equal those of
 the same sums taken in Fractions.  The `tol` arguments are accepted for
 compatibility and unused.
 
-The cell-wise identity checks d at five probes per cell through the float
-copy of the balanced boundary scaled by K = 240.  That boundary has integer
-breakpoints and slopes +-1, so with the probes scaled to even integers every
-value the float query forms is an integer below 2^53, which IEEE-754
-arithmetic returns exactly: the probes stay exact without Fractions.
+The cell-wise identity sums 2 (w + 1) over the cells of a partition and
+certifies the sum against the exact frame-unit W integral of its balanced
+boundary, the Fraction that `worst_case_integral` scales to true units.
 """
 
 import math
@@ -41,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .complexity import _w_table
-from .curves import _rational_sqrt, _stored_curve, partition_boundary
+from .curves import _rational_sqrt, partition_boundary
 
 __all__ = [
     "worst_case_integral",
@@ -145,8 +143,14 @@ def worst_case_integral(curve, tol=DEFAULT_TOL):
 
     For the boundary curve of a partition of n, n^(3/2) times this integral
     is exactly n plus the worst-case exchange count (the cell-wise identity).
-    In units of 1 / (2 Q L), d is 2 top - y2, where y2 is twice the point's
-    height and top is the largest candidate for gamma on [s, t].
+    """
+    return _true_units(curve, _distance_frame_integral(curve))
+
+
+def _distance_frame_integral(curve):
+    """The integral of d over the curve's region in frame units, as an exact
+    Fraction.  In units of 1 / (2 Q L), d is 2 top - y2, where y2 is twice
+    the point's height and top is the largest candidate for gamma on [s, t].
     """
     table = _segment_table(curve)
     Q, X, Y, G, C = table.Q, table.X, table.Y, table.G, table.C
@@ -171,7 +175,7 @@ def worst_case_integral(curve, tol=DEFAULT_TOL):
                         piece = _clip(piece, [a - b for a, b in zip(top, other)])
                 moments = _moments(piece)
             total += e * sum((2 * a - b) * w for a, b, w in zip(top, y2, moments))
-    return _true_units(curve, Fraction(total, 24 * Q**3 * table.L**3))
+    return Fraction(total, 24 * Q**3 * table.L**3)
 
 
 def imbalanced_integrals(curve, tol=DEFAULT_TOL):
@@ -236,80 +240,21 @@ def avg_lower_integral(curve, tol=DEFAULT_TOL):
     return _true_units(curve, (rational + math.fsum(logs)) / 4)
 
 
-_CELL_PROBES = (
-    (Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(1, 3), Fraction(1, 4)),
-    (Fraction(3, 4), Fraction(1, 3)),
-    (Fraction(1, 5), Fraction(4, 5)),
-    (Fraction(7, 8), Fraction(5, 6)),
-)
-
-# The probes in units of 1/_K: 240 = 2 lcm(2, 3, 4, 5, 6, 8) makes every
-# offset an integer and du + dv, du - dv even.
-_K = 240
-_SCALED_PROBES = tuple((int(_K * du), int(_K * dv)) for du, dv in _CELL_PROBES)
-if any((_K * du, _K * dv) != probe or sum(probe) % 2
-       for (du, dv), probe in zip(_CELL_PROBES, _SCALED_PROBES)):
-    raise AssertionError(f"K = {_K} does not scale the cell probes to even integer sums")
-
-
-def _scaled_boundary(shape):
-    """The balanced boundary of a partition with its frame breakpoints
-    multiplied by _K, as ints, so that its float copy is exact."""
-    curve = partition_boundary(shape, shape.size)
-    if any(v.denominator != 1 for v in curve.xs + curve.ys):
-        raise ValueError(f"boundary of {shape} has non-integer frame breakpoints")
-    xs = tuple(_K * int(x) for x in curve.xs)
-    ys = tuple(_K * int(y) for y in curve.ys)
-    if xs and (xs[-1] - xs[0]) ** 2 >= 2**52:
-        raise ValueError(f"{shape} is too wide for exact float distance probes")
-    return _stored_curve(xs, ys, curve.scale_sq / _K**2)
-
-
 def distance_integral_cellwise(shape):
     """Exact frame-unit integral of the rectangle-distance function over the
     balanced boundary of a partition, evaluated cell by cell.
 
-    On the open cell (i, j) the frame distance equals
-    w(i, j) + i + j - (u + v); the affine form is certified by evaluating the
-    geometric distance at five interior probes, and each cell then
-    contributes exactly 2 (w(i, j) + 1).  Returns (per-cell map, total).  In
-    true units the integral is total / (2 n^(3/2)), so
-    n^(3/2) * integral = total / 2 = n + sum of w.
-
-    The probes read the float copy of the boundary scaled by K = 240
-    (`_scaled_boundary`), and that is exact.  The balanced boundary has
-    integer breakpoints and slopes +-1, so after scaling every breakpoint,
-    and every entry w -+ gamma(w) of the query table, is a multiple of K,
-    and every probe's frame (x, y) is an even integer.  gamma at an even
-    integer is even.  The arm crosses y - x on a slope -1 segment, where
-    gamma(w) - w drops by twice the distance travelled, so its crossing
-    (pv - target) (w - pw) / (pv - v) is the integer (pv - target) / 2 of
-    two even values; the leg's crossing on a slope +1 segment is the same.
-    So s, t, gamma(s), gamma(t) and d are integers.  Every product has two
-    factors of at most the span (pv - target < gamma(pw) - y for the
-    crossings), and the span check keeps the span's square below 2^52, so
-    every value the query forms is an integer below 2^52.  IEEE-754 rounds
-    each operation correctly, so the float query returns those integers
-    exactly, and d is compared exactly with K (w + i + j) - (u + v), u and v
-    in units of 1/K.
+    On the open cell (i, j) the frame distance is w(i, j) + i + j - (u + v),
+    so each cell contributes 2 (w(i, j) + 1).  The total is certified against
+    the exact integral of the boundary; a mismatch raises AssertionError.
+    Returns (per-cell map, total).  In true units the integral is
+    total / (2 n^(3/2)), so n^(3/2) * integral = total / 2 = n + sum of w.
     """
-    curve = _scaled_boundary(shape)
     w_rows = _w_table(shape)
-    per_cell = {}
-    total = Fraction(0)
-    for (i, j) in shape.cells():
-        w = w_rows[i - 1][j - 1]
-        for (a, b), (du, dv) in zip(_SCALED_PROBES, _CELL_PROBES):
-            u = _K * (j - 1) + a
-            v = _K * (i - 1) + b
-            _, _, d = curve._frame_distances(float(u - v), float(u + v))
-            expected = _K * (w + i + j) - (u + v)
-            if d != expected:
-                raise AssertionError(
-                    f"distance at cell ({i},{j}) probe ({du},{dv}) of {shape}: "
-                    f"got {Fraction(d) / _K}, affine form gives {Fraction(expected, _K)}")
-        contribution = Fraction(2) * (w + 1)
-        per_cell[(i, j)] = contribution
-        total += contribution
+    per_cell = {(i, j): Fraction(2 * (w_rows[i - 1][j - 1] + 1)) for i, j in shape.cells()}
+    total = Fraction(sum(v.numerator for v in per_cell.values()))
+    exact = _distance_frame_integral(partition_boundary(shape, shape.size))
+    if total != exact:
+        raise AssertionError(f"cell-wise distance integral of {shape} is {total}, "
+                             f"the exact integral of its boundary is {exact}")
     return per_cell, total

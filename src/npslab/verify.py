@@ -50,7 +50,7 @@ LEVELS = {
     "fast": dict(size_cap=6, bijection_cap=5, grid=15, s0_grid=20, fd_grid=12,
                  identity_cap=6, uniformity=False),
     "full": dict(size_cap=8, bijection_cap=7, grid=30, s0_grid=50, fd_grid=25,
-                 identity_cap=8, uniformity=True),
+                 identity_cap=10, uniformity=True),
 }
 
 
@@ -196,9 +196,9 @@ def check_conjugation(table):
 
 def check_wn_identity(cap):
     """The discrete identity n^(3/2) * integral of d = n + W on every shape
-    up to the cap.  The certificate is the probes: `distance_integral_cellwise`
-    raises when d is not affine on a cell, and its total is 2 (n + W) by
-    construction once they pass."""
+    up to the cap.  `distance_integral_cellwise` raises when its cell sum
+    differs from the exact integral of the boundary, and that sum must be
+    2 (n + W) with W from `worst_case`."""
     for n in range(1, cap + 1):
         for shape in partitions_of(n):
             _, total = distance_integral_cellwise(shape)

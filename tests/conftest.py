@@ -9,7 +9,7 @@ import pytest
 
 from npslab.complexity import WitnessConstructionError, _w_table, worst_case
 from npslab.curves import LimitCurve, partition_boundary
-from npslab.integrals import _CELL_PROBES, _true_units
+from npslab.integrals import _true_units
 from npslab.nps import BijectionReport, HookTableau, Tableau, shape_ops
 from npslab.partitions import (
     Partition,
@@ -150,31 +150,39 @@ def witness_by_cells():
     return _witness_by_cells
 
 
+# Five interior points of a cell, as offsets (du, dv) from its corner.
+_CELL_PROBES = (
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(1, 4)),
+    (Fraction(3, 4), Fraction(1, 3)),
+    (Fraction(1, 5), Fraction(4, 5)),
+    (Fraction(7, 8), Fraction(5, 6)),
+)
+
+
 def _cellwise_by_fractions(shape):
-    """The cell-wise distance certificate on the unscaled balanced boundary,
-    every probe evaluated in Fractions: (per-cell map, total, distances),
-    where distances maps (cell, probe) to the exact (a, l, d)."""
+    """The cell-wise distance certificate on the balanced boundary, d read
+    in Fractions at five probes per cell and asserted affine there:
+    (per-cell map, total)."""
     curve = partition_boundary(shape, shape.size)
     w_rows = _w_table(shape)
     per_cell = {}
-    distances = {}
     for (i, j) in shape.cells():
         w = w_rows[i - 1][j - 1]
         for du, dv in _CELL_PROBES:
             u = j - 1 + du
             v = i - 1 + dv
-            a_l_d = curve._frame_distances(u - v, u + v)
-            assert a_l_d[2] == w + i + j - (u + v), (shape, (i, j), (du, dv), a_l_d)
-            distances[(i, j), (du, dv)] = a_l_d
+            d = curve._frame_distances(u - v, u + v)[2]
+            assert d == w + i + j - (u + v), (shape, (i, j), (du, dv), d)
         per_cell[(i, j)] = Fraction(2) * (w + 1)
-    return per_cell, sum(per_cell.values(), Fraction(0)), distances
+    return per_cell, sum(per_cell.values(), Fraction(0))
 
 
 @pytest.fixture(scope="session")
 def cellwise_by_fractions():
     """The cell-wise identity with its probes in exact rational arithmetic:
-    an oracle for the float probes on the scaled boundary that
-    `integrals.distance_integral_cellwise` reads."""
+    the per-cell certificate for `integrals.distance_integral_cellwise`,
+    which certifies only the total."""
     return _cellwise_by_fractions
 
 

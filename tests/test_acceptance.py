@@ -83,7 +83,7 @@ def test_criterion_06_specific_values():
 
 
 def test_criterion_07_distance_integral_identity():
-    report(7, verify.check_wn_identity(8), verify.check_square_family())
+    report(7, verify.check_wn_identity(10), verify.check_square_family())
 
 
 def test_criterion_08_average_lower_bound():

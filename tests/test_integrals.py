@@ -14,9 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from npslab import integrals
-from npslab.cli import main
-from npslab.complexity import _w_table, worst_case
+from npslab.complexity import worst_case
 from npslab.curves import (
     LimitCurve,
     ScalingExponents,
@@ -25,8 +23,6 @@ from npslab.curves import (
     unit_square_curve,
 )
 from npslab.integrals import (
-    _K,
-    _scaled_boundary,
     _segment_table,
     avg_lower_integral,
     distance_integral_cellwise,
@@ -241,21 +237,6 @@ def test_integrals_equal_fraction_oracle_on_rational_curves(integrals_by_fractio
     assert _production(curve) == integrals_by_fractions(curve)
 
 
-def test_oracle_catches_q_forced_to_one(monkeypatch, integrals_by_fractions, general_curves):
-    table = integrals._segment_table
-    monkeypatch.setattr(integrals, "_segment_table", lambda curve: table(curve)._replace(Q=1))
-    for curve in general_curves:
-        got, want = _production(curve), integrals_by_fractions(curve)
-        assert all(g != w for g, w in zip(got, want)), (curve, got, want)
-
-
-def test_oracle_catches_log_weights_36_over_p(monkeypatch, integrals_by_fractions,
-                                              general_curves):
-    monkeypatch.setattr(integrals, "_LOG_WEIGHTS", (36, 18, 12))
-    for curve in general_curves:
-        assert avg_lower_integral(curve) != integrals_by_fractions(curve)[1], curve
-
-
 def test_adaptive_quad_basics():
     assert math.isclose(adaptive_quad(math.sin, 0, math.pi, 1e-10), 2.0, abs_tol=1e-9)
     assert math.isclose(adaptive_quad(abs, -1, 1, 1e-12, splits=(0,)), 1.0, abs_tol=1e-11)
@@ -419,42 +400,6 @@ def _probe_shapes():
                 Partition([10, 1]), Partition([40, 1]))
 
 
-def test_scaled_probes_match_fraction_probes(cellwise_by_fractions):
+def test_cellwise_matches_fraction_probes(cellwise_by_fractions):
     for shape in _probe_shapes():
-        per_cell, total, distances = cellwise_by_fractions(shape)
-        assert distance_integral_cellwise(shape) == (per_cell, total), shape
-        curve = _scaled_boundary(shape)
-        for ((i, j), (du, dv)), exact in distances.items():
-            u = _K * (j - 1 + du)
-            v = _K * (i - 1 + dv)
-            scaled = curve._frame_distances(float(u - v), float(u + v))
-            for got, want in zip(scaled, exact):
-                assert type(got) is float and got.is_integer(), (shape, (i, j), (du, dv))
-                assert got == _K * want, (shape, (i, j), (du, dv), scaled, exact)
-
-
-def test_scaled_probes_stay_exact_up_to_the_span_limit():
-    # a row of 279,619 cells has span K * 279,620 with square just below
-    # 2^52: the largest products of the float query are still exact
-    row = 279_619
-    curve = _scaled_boundary(Partition([row]))
-    for j in (1, row // 2, row):
-        u, v = _K * (j - 1) + 120, 120
-        _, _, d = curve._frame_distances(float(u - v), float(u + v))
-        assert d == _K * (row - j + 1 + j) - (u + v), j
-    with pytest.raises(ValueError, match="too wide"):
-        _scaled_boundary(Partition([row + 1]))
-
-
-def test_wrong_cell_distance_is_caught(capsys, monkeypatch):
-    def off_by_one(shape):
-        rows = _w_table(shape)
-        rows[0][0] += 1
-        return rows
-
-    monkeypatch.setattr(integrals, "_w_table", off_by_one)
-    with pytest.raises(AssertionError, match=r"cell \(1,1\) probe \(1/2,1/2\) of 2,1"):
-        distance_integral_cellwise(Partition([2, 1]))
-    assert main(["verify", "--level", "fast"]) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] distance-integral-identity" in out and "cell (1,1)" in out
+        assert distance_integral_cellwise(shape) == cellwise_by_fractions(shape), shape

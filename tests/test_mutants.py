@@ -4,7 +4,8 @@ Each row rewrites one line of a function's source, or of a method's, installs
 the rewritten function with monkeypatch on its class or in every module that
 imported it, and asserts that each of its checks, an independent oracle from
 `conftest.py` and a comparison, tells it apart.  Before the rewrite every
-check must find nothing, so a row cannot pass because a comparison is blind.
+check must find nothing, so a row cannot pass because a comparison is blind;
+a check shared by several rows runs on the unmutated code once.
 """
 
 import inspect
@@ -15,7 +16,7 @@ from math import prod
 
 import pytest
 
-from npslab import complexity, nps, partitions, two_row, verify
+from npslab import complexity, integrals, nps, partitions, two_row, verify
 from npslab.partitions import partitions_of
 
 SMALL_SHAPES = [shape for n in range(1, 8) for shape in partitions_of(n)]
@@ -145,6 +146,45 @@ def _witness_caught(oracle):
     return False
 
 
+@pytest.fixture(scope="session")
+def integrals_on_general_curves(integrals_by_fractions, general_curves):
+    """Each general curve with its (W, C, I1, I2) from the Fraction oracle."""
+    return [(curve, integrals_by_fractions(curve)) for curve in general_curves]
+
+
+def _every_integral_caught(expected):
+    """Whether each of W, C, I1 and I2 differs from the Fraction oracle on
+    every general curve."""
+    return all(got != want for curve, wants in expected for got, want in zip(
+        (integrals.worst_case_integral(curve), integrals.avg_lower_integral(curve),
+         *integrals.imbalanced_integrals(curve)), wants))
+
+
+def _c_integral_caught(expected):
+    """Whether C differs from the Fraction oracle on every general curve."""
+    return all(integrals.avg_lower_integral(curve) != wants[1] for curve, wants in expected)
+
+
+def _cellwise_caught(oracle):
+    """Whether the certificate of `distance_integral_cellwise` raises on some
+    shape of size 4 or less, and `check_wn_identity(6)` fails; a raise
+    counts, as `verify` reports it.  A value that the certificate lets
+    through must equal the oracle's."""
+    for shape in (s for n in range(1, 5) for s in partitions_of(n)):
+        try:
+            got = integrals.distance_integral_cellwise(shape)
+        except AssertionError:
+            break
+        assert got == oracle(shape), shape
+    else:
+        return False
+    try:
+        ok, _ = verify.check_wn_identity(6)
+    except AssertionError:
+        ok = False
+    return not ok
+
+
 MUTANTS = [
     # the s1 and s2 terms at (j, k) = (2, 3) dropped from the bucket of k = 3
     pytest.param(two_row, "c_double_sums",
@@ -197,14 +237,32 @@ MUTANTS = [
     pytest.param(partitions, "_arms_legs", "heights[j - 1] - i)", "heights[j - 1] - i + 1)",
                  (("arms_legs_by_cells", _hook_product_caught),
                   ("arms_legs_by_cells", _hook_range_caught)), id="leg-off-by-one"),
+    # the slope denominator read as 1 while G and C stay scaled by Q
+    pytest.param(integrals, "_segment_table", "return _Segments(L, Q,", "return _Segments(L, 1,",
+                 (("integrals_on_general_curves", _every_integral_caught),),
+                 id="segment-q-forced-to-one"),
+    # the log terms' rational parts weighted 36 / p in place of 36 / p^2
+    pytest.param(integrals, "avg_lower_integral", "_LOG_WEIGHTS[p - 1]", "(36, 18, 12)[p - 1]",
+                 (("integrals_on_general_curves", _c_integral_caught),), id="log-weights-36-over-p"),
+    # cell (1,1) contributes one more than 2 (w + 1)
+    pytest.param(integrals, "distance_integral_cellwise", "2 * (w_rows[i - 1][j - 1] + 1)",
+                 "2 * (w_rows[i - 1][j - 1] + 1) + ((i, j) == (1, 1))",
+                 (("cellwise_by_fractions", _cellwise_caught),), id="cell-distance-off-by-one"),
 ]
 
 
+@pytest.fixture(scope="session")
+def clean_checks():
+    """The (oracle, check) pairs that found nothing on the unmutated code."""
+    return set()
+
+
 @pytest.mark.parametrize("owner, name, old, new, checks", MUTANTS)
-def test_mutant_is_caught(monkeypatch, request, owner, name, old, new, checks):
+def test_mutant_is_caught(monkeypatch, request, clean_checks, owner, name, old, new, checks):
+    for key in set(checks) - clean_checks:
+        assert not key[1](request.getfixturevalue(key[0])), key[1].__name__
+        clean_checks.add(key)
     checks = [(request.getfixturevalue(oracle), caught) for oracle, caught in checks]
-    for oracle, caught in checks:
-        assert not caught(oracle), caught.__name__
     original = getattr(owner, name)
     mutant = _rewrite(owner, name, old, new)
     monkeypatch.setattr(owner, name, mutant)
