@@ -24,6 +24,7 @@ from .complexity import (
     worst_case_witness,
 )
 from .curves import (
+    FILE_TOLERANCE,
     LimitCurve,
     ScalingExponents,
     _deepest_cells,
@@ -214,7 +215,7 @@ def _sweep_family(args):
         if not args.curve:
             raise UsageError("curve-file family needs --curve")
         curve = _load_curve(args.curve)
-        if abs(curve.area - 1) > 1e-9:  # the loader's tolerance, which decimal files need
+        if abs(curve.area - 1) > FILE_TOLERANCE:
             raise UsageError(f"curve {args.curve!r} has area {float(curve.area):.12g}, not 1")
         shape_for = partial(_deepest_cells, curve)
     exponent = float(ScalingExponents.balanced().growth_exponent)

@@ -141,8 +141,8 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     The loop keeps, per relative order keyed by its integer code
     sum rank * (n + 2)^index, the number of fillings reaching it and their
     exchange sum and maximum.  Each state reads its `landings` once: rank r
-    of the next value lands at the first chain index m whose prefix-maximum
-    rank exceeds r, after m exchanges, so the sums shift once per landing
+    of the next value lands at the first chain index m whose rank exceeds
+    r, after m exchanges, so the sums shift once per landing
     index, and a child's board is built only when its code is new.  A shape
     above MAX_SORTED_ORDERS sorted orders or MAX_ENUMERATION_WORK units of
     work f^shape n^2 is refused before any sift.
@@ -184,7 +184,7 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
 def average_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """Average exchange count over all fillings, as an exact Fraction."""
     total, _ = exchange_stats(shape, cutoff=cutoff)
-    return Fraction(total, factorial(shape.size)) if shape.size else Fraction(0)
+    return Fraction(total, factorial(shape.size))
 
 
 def max_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
@@ -233,8 +233,6 @@ def average_case_chicago(shape):
     L f, reduced to a Fraction once.
     """
     n = shape.size
-    if n == 0:
-        return Fraction(0)
     (codes, _, _), up, _, weighted = _chain_counts(shape)
     lcd = lcm(*range(1, n + 1))
     tail = total = 0

@@ -52,6 +52,10 @@ __all__ = [
     "hook_coordinates",
 ]
 
+# The inequality tolerance of a curve read from a document or a file, which
+# decimal coordinates need.
+FILE_TOLERANCE = Fraction(1, 10**9)
+
 
 class ScalingExponents:
     """Rescaling exponents (alpha, beta) = (1/p, 1/q) with alpha + beta = 1.
@@ -97,10 +101,6 @@ class ScalingExponents:
 
 def _exact_rational_power(n, exponent):
     """n**exponent as an exact Fraction, or None when it is irrational."""
-    if exponent == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(1)
     num, den = exponent.numerator, exponent.denominator
     root = round(n ** (1.0 / den))
     for candidate in (root - 1, root, root + 1):
@@ -142,12 +142,6 @@ class LimitCurve:
             for x, y in pts:
                 if y + tol < abs(x):
                     raise ValueError(f"curve dips below |x| at x={x}")
-            if pts[0][0] < 0 < pts[-1][0]:
-                i = bisect_right([p[0] for p in pts], 0) - 1
-                (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-                y_at_zero = y0 + (y1 - y0) * (0 - x0) / (x1 - x0)
-                if y_at_zero + tol < 0:
-                    raise ValueError("curve dips below |x| at x=0")
         self._store(tuple(p[0] for p in pts), tuple(p[1] for p in pts), scale_sq)
 
     def _store(self, xs, ys, scale_sq):
@@ -206,25 +200,18 @@ class LimitCurve:
         return [(float(x) * s, float(y) * s) for x, y in zip(self.xs, self.ys)]
 
     def area_frame(self):
-        """Exact integral of (curve - |x|) over the frame axis."""
-        total = Fraction(0)
-        for (x0, y0), (x1, y1) in self._segments():
-            pieces = [(x0, y0, x1, y1)]
-            if x0 < 0 < x1:
-                ym = y0 + (y1 - y0) * (0 - x0) / (x1 - x0)
-                pieces = [(x0, y0, Fraction(0), ym), (Fraction(0), ym, x1, y1)]
-            for a, ya, b, yb in pieces:
-                total += Fraction(ya + yb, 2) * (b - a)
-                total -= Fraction(abs(a) + abs(b), 2) * (b - a)
-        return total
+        """Exact integral of (curve - |x|) over the frame axis: the trapezoids
+        under the breakpoints less the integral of |x| over their span,
+        (x_N |x_N| - x_0 |x_0|) / 2."""
+        xs, ys = self.xs, self.ys
+        lo, hi = self.span
+        twice = sum((y0 + y1) * (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]))
+        return (twice - (hi * abs(hi) - lo * abs(lo))) / 2
 
     @property
     def area(self):
         """Exact integral of (gamma(x) - |x|) dx in true coordinates."""
         return self.scale_sq * self.area_frame()
-
-    def _segments(self):
-        return list(zip(zip(self.xs, self.ys), zip(self.xs[1:], self.ys[1:])))
 
     def mirrored(self):
         """The reflection across x = 0, which swaps the two diagonal directions
@@ -293,7 +280,7 @@ class LimitCurve:
             fh.write("\n")
 
     @classmethod
-    def from_document(cls, doc, tolerance=Fraction(1, 10**9)):
+    def from_document(cls, doc):
         if not isinstance(doc, dict) or "breakpoints" not in doc:
             raise ValueError('curve document must carry a "breakpoints" field')
         raw = doc["breakpoints"]
@@ -302,13 +289,13 @@ class LimitCurve:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ValueError(f"breakpoint {entry!r} is not an [x, y] pair")
             pts.append(tuple(_parse_number(v) for v in entry))
-        return cls(pts, Fraction(1), tolerance=tolerance)
+        return cls(pts, Fraction(1), tolerance=FILE_TOLERANCE)
 
     @classmethod
-    def from_file(cls, path, tolerance=Fraction(1, 10**9)):
+    def from_file(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls.from_document(doc, tolerance=tolerance)
+        return cls.from_document(doc)
 
     def __repr__(self):
         pts = ", ".join(f"({x},{y})" for x, y in zip(self.xs, self.ys))

@@ -16,12 +16,15 @@ The two n! routes, `verify_bijection` and `complexity.exchange_stats`, go
 level by level and merge the prefixes that sift to the same board.  They
 read that path once per sorted board as the slide chain of the start cell,
 which does not depend on the entry: an entry lands at the first chain cell
-whose successor's prefix-maximum rank exceeds it.  They key boards and hook
+whose successor's rank exceeds it.  Ranks rise strictly along the chain,
+because the processed cells of a sorted board form a standard filling, the
+invariant behind the NPS bijection.  They key boards and hook
 arrays by integer codes, sum value * (n + 2)^index.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
 from math import factorial
 from typing import NamedTuple
@@ -43,11 +46,14 @@ __all__ = [
 DEFAULT_ENUMERATION_CUTOFF = 9
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class _Filling:
     """Integer rows on the cells of a shape, immutable and equal by rows to
     a filling of the same type."""
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ("shape", "rows")  # by hand, as for `Partition`
+    shape: Partition
+    rows: tuple
 
     def __init__(self, shape, rows):
         rows = tuple(_integers(row, "entry", i) for i, row in enumerate(rows, start=1))
@@ -56,17 +62,8 @@ class _Filling:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def entry(self, i, j):
         return self.rows[i - 1][j - 1]
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def format(self):
         return ";".join(",".join(str(v) for v in row) for row in self.rows)
@@ -158,7 +155,7 @@ class _ShapeOps:
 
     def __init__(self, shape):
         n = shape.size
-        coord = tuple((i, j) for i, p in enumerate(shape.parts, 1) for j in range(1, p + 1))
+        coord = tuple(shape.cells())
         flat = {c: idx for idx, c in enumerate(coord)}
         self.shape = shape
         self.n = n
@@ -218,8 +215,9 @@ class _ShapeOps:
         each the smaller of the South and East neighbours of the one before,
         up to the sentinel, with ranks[k] = board[p(k+1)] (the sentinel's
         last).  A value v sifted from `start` slides p1..pm up one step and
-        lands at pm after m exchanges, for the first m whose prefix-maximum
-        rank exceeds v: the rule of `sort_values`, for every v at once."""
+        lands at pm after m exchanges, for the first m whose rank exceeds v:
+        the rule of `sort_values`, for every v at once.  The ranks rise
+        strictly, as the chain runs South and East over processed cells."""
         south = self.south
         east = self.east
         n = self.n
@@ -239,7 +237,7 @@ class _ShapeOps:
         """Land each rank r = 1..t + 1 of a new value at the t-th processed
         cell on its `slide_chain`, grouped by landing index: a list of
         (cells, m, r0, codes), rank r0 + k landing at cells[m], the first m
-        whose prefix-maximum rank is at least it, with child code codes[k],
+        whose rank is at least it, with child code codes[k],
         the sum board[c] * powers[c] of a board whose own code is `code`.
         The board is only read: in the child the ranks r and above move up
         by one (`slid` builds it), so `cell_of[k]`, the cell of rank k,
@@ -252,14 +250,11 @@ class _ShapeOps:
             shift += powers[c]
         groups = []
         m = 0
-        peak = ranks[0]
         for r in range(1, t + 2):
-            if peak < r or not groups:
-                while peak < r:
+            if ranks[m] < r or not groups:
+                while ranks[m] < r:
                     shift += ranks[m] * (powers[cells[m]] - powers[cells[m + 1]])
                     m += 1
-                    if peak < ranks[m]:
-                        peak = ranks[m]
                 codes = []
                 groups.append((cells, m, r, codes))
             codes.append(shift + r * powers[cells[m]])
@@ -278,14 +273,7 @@ def slid(board, cells, m, r):
     return board
 
 
-_OPS_CACHE = {}
-
-
-def shape_ops(shape):
-    ops = _OPS_CACHE.get(shape.parts)
-    if ops is None:
-        ops = _OPS_CACHE[shape.parts] = _ShapeOps(shape)
-    return ops
+shape_ops = lru_cache(maxsize=128)(_ShapeOps)
 
 
 def nps_sort(tableau):

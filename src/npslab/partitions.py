@@ -12,6 +12,7 @@ row subtracts a power of the base, and no subdiagram is built as a
 `Partition`.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, prod
@@ -47,11 +48,16 @@ def _integers(values, what, row=None):
         raise ValueError(f"{what} {values[k - 1]!r}{at} is not an integer") from None
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Partition:
     """A weakly decreasing sequence of positive integers, identified with its
     Young diagram of cells (i, j), both indices 1-based."""
 
+    # slots by hand: with slots=True, Python 3.11 raises TypeError, not
+    # AttributeError, on assigning to a name that is not a field
     __slots__ = ("parts", "size")
+    parts: tuple
+    size: int
 
     def __init__(self, parts=()):
         parts = _integers(parts, "part")
@@ -62,9 +68,6 @@ class Partition:
             raise ValueError(f"parts must be positive, got {parts}")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "size", sum(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def __reduce__(self):
         return (Partition, (self.parts,))
@@ -77,17 +80,9 @@ class Partition:
             return cls(())
         return cls(int(p) for p in text.split(","))
 
-    @property
-    def rows(self):
-        return len(self.parts)
-
     def row(self, i):
         """Length of row i (0 when i exceeds the number of rows)."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
-    def col(self, j):
-        """Height of column j, i.e. the j-th part of the conjugate."""
-        return sum(1 for p in self.parts if p >= j)
 
     def __contains__(self, cell):
         i, j = cell
@@ -98,12 +93,6 @@ class Partition:
 
     def __len__(self):
         return len(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"Partition({list(self.parts)})"
@@ -119,15 +108,6 @@ class Partition:
     def corners(self):
         """Cells with hook length 1, i.e. (i, lambda_i) with lambda_{i+1} < lambda_i."""
         return [(i, p) for i, p in enumerate(self.parts, start=1) if self.row(i + 1) < p]
-
-    def arm(self, i, j):
-        return self.parts[i - 1] - j
-
-    def leg(self, i, j):
-        return self.col(j) - i
-
-    def hook(self, i, j):
-        return self.arm(i, j) + self.leg(i, j) + 1
 
     def contains_shape(self, other):
         """Whether the diagram of `other` fits inside this one."""
@@ -212,7 +192,7 @@ def partitions_of(n):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    for parts in rec(n, n if n else 1):
+    for parts in rec(n, n):
         yield Partition(parts)
 
 

@@ -102,7 +102,6 @@ def _average_from_s0(lam1, lam2, s0):
 
 def c_closed(lam1, lam2):
     """Average exchange count of a two-row shape, in closed form."""
-    validate_two_row(lam1, lam2)
     return _average_from_s0(lam1, lam2, s0_direct(lam1, lam2))
 
 
@@ -131,7 +130,7 @@ def c_double_sums(lam1, lam2):
             bins[k] -= (j - 1) * (2 * j - k) * comb(k, j) * lower
     for j in range(1, lam2 + 1):   # s4 and s5
         for k in range(2 * j, lam1 + j + 1):
-            lower = (comb(n - k, lam1 - j + 1) if k <= lam2 + j else 0) - comb(n - k, lam2 - j)
+            lower = comb(n - k, lam1 - j + 1) - comb(n - k, lam2 - j)
             bins[k] += j * (k - 2 * j + 2) * comb(k, j - 1) * lower
     acc = sum(b * over_k[k] * scaled_h[n - k] for k, b in enumerate(bins) if b)   # D^2 (...)
     lead = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (scaled_h[n] - lcd) * lcd * f   # D^2 f (...)

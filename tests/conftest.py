@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,9 @@ from math import comb, factorial
 import pytest
 
 from npslab.complexity import WitnessConstructionError, _w_table, worst_case
-from npslab.curves import LimitCurve, partition_boundary
+from npslab import curves
+from npslab.curves import (LimitCurve, ScalingExponents, hook_coordinates, hook_distances,
+                           partition_boundary)
 from npslab.integrals import _true_units
 from npslab.nps import BijectionReport, HookTableau, Tableau, shape_ops
 from npslab.partitions import (
@@ -17,6 +20,7 @@ from npslab.partitions import (
     conjugate,
     harmonic,
     hook_product,
+    partitions_of,
     syt_count,
 )
 from npslab.sampling import CHUNK, SeededStream
@@ -480,18 +484,24 @@ def tableaux():
     return _enumerate_tableaux
 
 
+def _arms_legs_by_cells(shape):
+    """(arm, leg) of each cell in row-major order, the column height counted
+    per cell: arm = lambda_i - j and leg = #{rows of length >= j} - i."""
+    return [(shape.parts[i - 1] - j, sum(1 for p in shape.parts if p >= j) - i)
+            for i, j in shape.cells()]
+
+
 @pytest.fixture(scope="session")
 def arms_legs_by_cells():
-    """(arm, leg) of each cell in row-major order from `Partition.arm` and
-    `Partition.leg`, which counts the column height per cell: an oracle for
-    the hook rule of `partitions._arms_legs`."""
-    return lambda shape: [(shape.arm(i, j), shape.leg(i, j)) for i, j in shape.cells()]
+    """(arm, leg) of each cell, counted per cell: an oracle for the hook rule
+    of `partitions._arms_legs`."""
+    return _arms_legs_by_cells
 
 
 def _enumerate_hook_tableaux(shape):
     """All hook tableaux: independent entry ranges [-leg, arm] per cell."""
     cells = shape.cells()
-    ranges = [range(-shape.leg(i, j), shape.arm(i, j) + 1) for (i, j) in cells]
+    ranges = [range(-leg, arm + 1) for arm, leg in _arms_legs_by_cells(shape)]
     for combo in itertools.product(*ranges):
         rows = [[0] * p for p in shape.parts]
         for (i, j), v in zip(cells, combo):
@@ -628,6 +638,92 @@ def walk_curve():
     `walk_curve.exact(curve)` in Fractions: an oracle for the bisections of
     `curves._exits`, and the float curve of the quadrature oracles."""
     return _WalkCurve
+
+
+def _tie_points(xs, ys, stride):
+    """Frame points on the two diagonals through every stride-th breakpoint
+    (w, gamma(w)), where y - x = gamma(w) - w or y + x = gamma(w) + w, from x
+    at every stride-th breakpoint and at the midpoint of its segment."""
+    starts = xs[::stride] + tuple((a + b) / 2 for a, b in zip(xs[::stride], xs[1::stride]))
+    for w, g in zip(xs[::stride], ys[::stride]):
+        for x in starts:
+            yield x, x + g - w
+            yield x, g + w - x
+
+
+def _differs(query, oracle):
+    try:
+        return query() != oracle()
+    except ArithmeticError:  # a crossing solved on a segment it does not cross
+        return True
+
+
+def _query_mismatches(grid, exact=True):
+    """The points at which hook_distances, hook_coordinates or
+    _frame_distances differ in any bit from the linear walk: 40 random true
+    points per curve, and the tie points in floats and, on curves of at most
+    40 breakpoints, in Fractions."""
+    rng = random.Random(2016)
+    bad = []
+    for curve in grid:
+        walk = _WalkCurve.of(curve)
+        (lo, _), (hi, _) = curve.breakpoints[0], curve.breakpoints[-1]
+        top = max(y for _, y in curve.breakpoints)
+        for _ in range(40):
+            point = (rng.uniform(lo, hi), rng.uniform(0.0, top))
+            if (_differs(lambda: hook_distances(curve, point), lambda: walk.hook_distances(point))
+                    or _differs(lambda: hook_coordinates(curve, point),
+                                lambda: walk.hook_coordinates(point))):
+                bad.append((curve, point))
+        exact_walk = _WalkCurve.exact(curve) if exact and len(curve.xs) <= 40 else None
+        for x, y in _tie_points(curve.xs, curve.ys, max(1, len(curve.xs) // 10)):
+            if exact_walk and _differs(lambda: curve._frame_distances(x, y),
+                                       lambda: exact_walk.frame_distances(x, y)):
+                bad.append((curve, (x, y)))
+            x, y = float(x), float(y)
+            if _differs(lambda: curve._frame_distances(x, y),
+                        lambda: walk.frame_distances(x, y)):
+                bad.append((curve, (x, y)))
+    return bad
+
+
+@pytest.fixture(scope="session")
+def query_mismatches():
+    """`query_mismatches(grid, exact=True)`, the points of the curves in
+    `grid` where a curve query differs from the linear walk: the walk as an
+    oracle for the bisections of `curves._exits`."""
+    return _query_mismatches
+
+
+def _boundary_refusals():
+    """The (shape, exponents) cases whose `partition_boundary` the checked
+    constructor, at tolerance 0, refuses or rebuilds as another curve: every
+    shape of size <= 10 under balanced, (1/3, 2/3) and (1, 0) exponents, and
+    (4,3,2,1) under (2/5, 3/5).  Most (1/3, 2/3) cases and the last one have
+    a float-derived rho.  The boundary is read from the module, so that a
+    rewritten `partition_boundary` is the one checked."""
+    exponents = (ScalingExponents.balanced(), ScalingExponents(Fraction(1, 3), Fraction(2, 3)),
+                 ScalingExponents(1, 0))
+    cases = [(shape, e) for n in range(1, 11) for shape in partitions_of(n) for e in exponents]
+    cases.append((Partition([4, 3, 2, 1]), ScalingExponents(Fraction(2, 5), Fraction(3, 5))))
+    refused = []
+    for shape, e in cases:
+        curve = curves.partition_boundary(shape, shape.size, e)
+        try:
+            same = LimitCurve(list(zip(curve.xs, curve.ys)), curve.scale_sq).same_curve(curve)
+        except ValueError:
+            same = False
+        if not same:
+            refused.append((shape, e))
+    return refused
+
+
+@pytest.fixture(scope="session")
+def boundary_refusals():
+    """`boundary_refusals()`, the partition boundaries that the checked
+    `LimitCurve` constructor refuses: the constructor as an oracle for the
+    construction of `partition_boundary`."""
+    return _boundary_refusals
 
 
 # Slopes strictly inside (-1, 1), so that gamma(s) on a falling s-segment and

@@ -19,7 +19,8 @@ from npslab.complexity import (
     worst_case,
     worst_case_witness,
 )
-from npslab.nps import nps_sort, verify_bijection
+from npslab import partitions
+from npslab.nps import nps_sort, shape_ops, verify_bijection
 from npslab.partitions import (
     Partition,
     SizeGuardError,
@@ -93,25 +94,30 @@ def test_witness_examples():
         worst_case_witness(Partition([]))
 
 
-def test_hook_sums_read_no_column_heights(monkeypatch):
+def _count_conjugates(monkeypatch):
+    """The shapes passed to `partitions.conjugate` from now on."""
     calls = []
-    original = Partition.col
-    monkeypatch.setattr(Partition, "col", lambda shape, j: calls.append(j) or original(shape, j))
+    original = partitions.conjugate
+    monkeypatch.setattr(partitions, "conjugate", lambda shape: calls.append(shape) or original(shape))
+    return calls
+
+
+def test_hook_sums_take_one_conjugate_each(monkeypatch):
+    calls = _count_conjugates(monkeypatch)
     square = Partition([7] * 7)
     syt_count(square)
     expected_hook_abs(square)
-    assert calls == []
+    assert calls == [square, square]
 
 
-def test_hook_sums_match_cellwise_hooks():
+def test_hook_sums_match_cellwise_hooks(arms_legs_by_cells):
     shapes = [shape for n in range(11) for shape in partitions_of(n)]
     for shape in shapes + [Partition([100] * 100)]:
         product = 1
         mean = Fraction(0)
-        for i, j in shape.cells():
-            arm, leg = shape.arm(i, j), shape.leg(i, j)
-            product *= shape.hook(i, j)
-            mean += Fraction(arm * arm + arm + leg * leg + leg, 2 * shape.hook(i, j))
+        for arm, leg in arms_legs_by_cells(shape):
+            product *= arm + leg + 1
+            mean += Fraction(arm * arm + arm + leg * leg + leg, 2 * (arm + leg + 1))
         assert hook_product(shape) == product, shape
         assert expected_hook_abs(shape) == mean, shape
 
@@ -147,20 +153,14 @@ def test_witness_matches_cell_dict_route(witness_by_cells):
         assert worst_case_witness(shape).format() == witness_by_cells(shape).format(), shape
 
 
-def test_witness_reads_no_column_heights(monkeypatch):
-    calls = []
-    original = Partition.col
-
-    def counted(shape, j):
-        calls.append(j)
-        return original(shape, j)
-
-    monkeypatch.setattr(Partition, "col", counted)
-    # start from no cached sort tables, so building them is counted too
-    monkeypatch.setattr("npslab.nps._OPS_CACHE", {})
+def test_witness_takes_two_conjugates(monkeypatch):
+    # start from no cached sort tables, so building them is counted too:
+    # one conjugate for the hooks and one for the processing order
+    shape_ops.cache_clear()
+    calls = _count_conjugates(monkeypatch)
     staircase = Partition(range(30, 0, -1))
     worst_case_witness(staircase)
-    assert calls == []
+    assert calls == [staircase, staircase]
 
 
 def test_average_examples():

@@ -2,14 +2,12 @@ import copy
 import math
 import pickle
 import random
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npslab import curves
 from npslab.curves import (
     LimitCurve,
     ScalingExponents,
@@ -131,31 +129,8 @@ def test_partition_boundary_always_normalized(parts):
     assert partition_boundary(shape, shape.size).area == 1
 
 
-def _check_boundaries_with_constructor():
-    """Every boundary of size <= 10 under balanced, (1/3, 2/3) and (1, 0)
-    exponents, and (4,3,2,1) under (2/5, 3/5), rebuilt through the checked
-    constructor at tolerance 0.  Most (1/3, 2/3) cases and the last one have
-    a float-derived rho."""
-    exponents = (ScalingExponents.balanced(), ScalingExponents(Fraction(1, 3), Fraction(2, 3)),
-                 ScalingExponents(1, 0))
-    cases = [(shape, e) for n in range(1, 11) for shape in partitions_of(n) for e in exponents]
-    cases.append((Partition([4, 3, 2, 1]), ScalingExponents(Fraction(2, 5), Fraction(3, 5))))
-    for shape, e in cases:
-        curve = partition_boundary(shape, shape.size, e)
-        checked = LimitCurve(list(zip(curve.xs, curve.ys)), curve.scale_sq)
-        assert checked.same_curve(curve), (shape, e)
-
-
-def test_partition_boundaries_pass_the_constructor_checks():
-    _check_boundaries_with_constructor()
-
-
-def test_constructor_check_rejects_a_boundary_missing_its_last_point(monkeypatch):
-    stored = curves._stored_curve
-    monkeypatch.setattr(curves, "_stored_curve",
-                        lambda xs, ys, scale_sq: stored(xs[:-1], ys[:-1], scale_sq))
-    with pytest.raises(ValueError, match="endpoint"):
-        _check_boundaries_with_constructor()
+def test_partition_boundaries_pass_the_constructor_checks(boundary_refusals):
+    assert boundary_refusals() == []
 
 
 def test_imbalanced_boundary_normalized_exactly():
@@ -344,53 +319,6 @@ def test_float_queries_convert_no_floats_to_fractions(monkeypatch):
     assert calls == []
 
 
-def _tie_points(xs, ys, stride):
-    """Frame points on the two diagonals through every stride-th breakpoint
-    (w, gamma(w)), where y - x = gamma(w) - w or y + x = gamma(w) + w, from x
-    at every stride-th breakpoint and at the midpoint of its segment."""
-    starts = xs[::stride] + tuple((a + b) / 2 for a, b in zip(xs[::stride], xs[1::stride]))
-    for w, g in zip(xs[::stride], ys[::stride]):
-        for x in starts:
-            yield x, x + g - w
-            yield x, g + w - x
-
-
-def _differs(query, oracle):
-    try:
-        return query() != oracle()
-    except ArithmeticError:  # a crossing solved on a segment it does not cross
-        return True
-
-
-def _query_mismatches(walk_curve, grid, exact=True):
-    """The points at which hook_distances, hook_coordinates or
-    _frame_distances differ in any bit from the linear walk: 40 random true
-    points per curve, and the tie points in floats and, on curves of at most
-    40 breakpoints, in Fractions."""
-    rng = random.Random(2016)
-    bad = []
-    for curve in grid:
-        walk = walk_curve.of(curve)
-        (lo, _), (hi, _) = curve.breakpoints[0], curve.breakpoints[-1]
-        top = max(y for _, y in curve.breakpoints)
-        for _ in range(40):
-            point = (rng.uniform(lo, hi), rng.uniform(0.0, top))
-            if (_differs(lambda: hook_distances(curve, point), lambda: walk.hook_distances(point))
-                    or _differs(lambda: hook_coordinates(curve, point),
-                                lambda: walk.hook_coordinates(point))):
-                bad.append((curve, point))
-        exact_walk = walk_curve.exact(curve) if exact and len(curve.xs) <= 40 else None
-        for x, y in _tie_points(curve.xs, curve.ys, max(1, len(curve.xs) // 10)):
-            if exact_walk and _differs(lambda: curve._frame_distances(x, y),
-                                       lambda: exact_walk.frame_distances(x, y)):
-                bad.append((curve, (x, y)))
-            x, y = float(x), float(y)
-            if _differs(lambda: curve._frame_distances(x, y),
-                        lambda: walk.frame_distances(x, y)):
-                bad.append((curve, (x, y)))
-    return bad
-
-
 def _query_grid(general_curves):
     yield from (partition_boundary(shape, n) for n in range(1, 9) for shape in partitions_of(n))
     # rounded float breakpoints: gamma(w) +- w wobbles by an ulp on +-1 slopes
@@ -406,10 +334,10 @@ def _query_grid(general_curves):
     yield partition_boundary(Partition(range(1000, 0, -1)), 500500)  # 2,001 breakpoints
 
 
-def test_queries_equal_the_linear_walk(walk_curve, general_curves):
+def test_queries_equal_the_linear_walk(query_mismatches, general_curves):
     grid = list(_query_grid(general_curves))
     assert len(grid[-1].xs) == 2001
-    assert _query_mismatches(walk_curve, grid) == []
+    assert query_mismatches(grid) == []
 
 
 def test_exits_beyond_the_polyline_equal_the_linear_walk(walk_curve):
@@ -431,28 +359,6 @@ def test_exits_beyond_the_polyline_equal_the_linear_walk(walk_curve):
             point = (float(frame_x), float(x + gap))
             assert hook_distances(query, point) == walk.hook_distances(point)
             assert hook_coordinates(query, point) == walk.hook_coordinates(point)
-
-
-_MUTANT_GRID = ((4, 2, 1), (3, 3, 1, 1), (5, 2, 2, 1))
-
-
-def test_arm_exit_stopping_at_equality_is_caught(monkeypatch, walk_curve):
-    # bisect_left for bisect_right on w - gamma(w): the arm stops at a
-    # breakpoint where gamma(w) - w equals y - x instead of following the
-    # diagonal along the slope +1 segment after it
-    grid = [partition_boundary(Partition(p), sum(p)) for p in _MUTANT_GRID]
-    falls = {id(curve._floats()[0][2]) for curve in grid}
-    monkeypatch.setattr(curves, "bisect_right", lambda a, x, lo=0: (
-        bisect_left if id(a) in falls else bisect_right)(a, x, lo))
-    assert _query_mismatches(walk_curve, grid, exact=False)
-
-
-def test_leg_crossing_one_segment_off_is_caught(monkeypatch, walk_curve):
-    grid = [partition_boundary(Partition(p), sum(p)) for p in _MUTANT_GRID]
-    rises = {id(curve._floats()[0][3]) for curve in grid}
-    monkeypatch.setattr(curves, "bisect_left", lambda a, x, lo=0, hi=None: bisect_left(
-        a, x, lo, len(a) if hi is None else hi) - (id(a) in rises))
-    assert _query_mismatches(walk_curve, grid, exact=False)
 
 
 # -- mirroring and equality -----------------------------------------------------

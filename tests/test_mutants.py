@@ -16,8 +16,8 @@ from math import prod
 
 import pytest
 
-from npslab import complexity, integrals, nps, partitions, two_row, verify
-from npslab.partitions import partitions_of
+from npslab import complexity, curves, integrals, nps, partitions, two_row, verify
+from npslab.partitions import Partition, partitions_of
 
 SMALL_SHAPES = [shape for n in range(1, 8) for shape in partitions_of(n)]
 SIFT_SHAPES = [shape for n in range(1, 6) for shape in partitions_of(n)]
@@ -110,6 +110,12 @@ def _bijection_caught(oracle):
     return any(nps.verify_bijection(shape) != oracle(shape) for shape in SIFT_SHAPES)
 
 
+def _stats_caught(oracle):
+    """Whether `exchange_stats` differs from the plain n! loop on some shape
+    of size 5 or less."""
+    return any(complexity.exchange_stats(shape) != oracle(shape) for shape in SIFT_SHAPES)
+
+
 def _hook_product_caught(arms_legs_by_cells):
     return any(partitions.hook_product(shape) != prod(arm + leg + 1 for arm, leg in
                                                       arms_legs_by_cells(shape))
@@ -144,6 +150,29 @@ def _witness_caught(oracle):
         if witness.format() != oracle(shape).format():
             return True
     return False
+
+
+@pytest.fixture(scope="session")
+def balanced_boundaries():
+    """The boundary of every shape of size 8 or less, balanced exponents."""
+    return [curves.partition_boundary(shape, n) for n in range(1, 9) for shape in partitions_of(n)]
+
+
+def _area_caught(boundaries):
+    """Whether some balanced boundary has an area other than 1."""
+    return any(curve.area != 1 for curve in boundaries)
+
+
+def _boundary_caught(boundary_refusals):
+    return bool(boundary_refusals())
+
+
+def _exits_caught(query_mismatches):
+    """Whether a float curve query differs from the linear walk on the
+    boundary of (4,2,1), (3,3,1,1) or (5,2,2,1)."""
+    grid = [curves.partition_boundary(Partition(p), sum(p))
+            for p in ((4, 2, 1), (3, 3, 1, 1), (5, 2, 2, 1))]
+    return bool(query_mismatches(grid, exact=False))
 
 
 @pytest.fixture(scope="session")
@@ -225,6 +254,22 @@ MUTANTS = [
     pytest.param(nps._ShapeOps, "sort_values", "if sv < ev:", "if ev > v:",
                  (("kernel_mismatch", _kernel_caught), ("naive_sort", _nps_caught)),
                  id="kernel-east-first"),
+    # the slide chain follows the South neighbour while there is one,
+    # whatever its value
+    pytest.param(nps._ShapeOps, "slide_chain", "c = s if board[s] < board[e] else e",
+                 "c = s if s != n else e",
+                 (("plain_stats", _stats_caught), ("bijection_by_sifts", _bijection_caught)),
+                 id="chain-south-first"),
+    # every slide chain longer than its start loses its last cell
+    pytest.param(nps._ShapeOps, "slide_chain", "return cells, ranks",
+                 "return (cells[:-1], ranks[:-2] + ranks[-1:]) if len(cells) > 1 "
+                 "else (cells, ranks)",
+                 (("plain_stats", _stats_caught), ("bijection_by_sifts", _bijection_caught)),
+                 id="chain-ending-early"),
+    # a rank equal to the next chain rank slides past it
+    pytest.param(nps._ShapeOps, "landings", "while ranks[m] < r:", "while ranks[m] <= r:",
+                 (("plain_stats", _stats_caught), ("bijection_by_sifts", _bijection_caught)),
+                 id="landing-past-equal-rank"),
     # the column segment below the start shifts up without its decrement
     pytest.param(nps, "nps_sort", "hooks[nxt] - 1", "hooks[nxt]",
                  (("naive_sort", _nps_caught),), id="hook-shift-without-decrement"),
@@ -248,6 +293,23 @@ MUTANTS = [
     pytest.param(integrals, "distance_integral_cellwise", "2 * (w_rows[i - 1][j - 1] + 1)",
                  "2 * (w_rows[i - 1][j - 1] + 1) + ((i, j) == (1, 1))",
                  (("cellwise_by_fractions", _cellwise_caught),), id="cell-distance-off-by-one"),
+    # the integral of |x| over the span without its left end
+    pytest.param(curves.LimitCurve, "area_frame", " - lo * abs(lo)", "",
+                 (("balanced_boundaries", _area_caught),), id="area-without-left-end"),
+    # the boundary without its last breakpoint
+    pytest.param(curves, "partition_boundary", "_stored_curve(xs, ys, scale / 2)",
+                 "_stored_curve(xs[:-1], ys[:-1], scale / 2)",
+                 (("boundary_refusals", _boundary_caught),), id="boundary-missing-last-point"),
+    # bisect_left for bisect_right on w - gamma(w): the arm stops at a
+    # breakpoint where gamma(w) - w equals y - x instead of following the
+    # diagonal along the slope +1 segment after it
+    pytest.param(curves, "_exits", "j = bisect_right(falls, -target, i)",
+                 "j = bisect_left(falls, -target, i)",
+                 (("query_mismatches", _exits_caught),), id="arm-exit-at-equality"),
+    # the leg crossing solved on the segment left of the one it crosses
+    pytest.param(curves, "_exits", "j = bisect_left(rises, target, 0, last + 1) - 1",
+                 "j = bisect_left(rises, target, 0, last + 1) - 2",
+                 (("query_mismatches", _exits_caught),), id="leg-crossing-one-segment-off"),
 ]
 
 

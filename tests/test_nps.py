@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npslab import partitions
-from npslab.complexity import exchange_stats, worst_case
+from npslab.complexity import worst_case
 from npslab.nps import (
     BijectionReport,
     HookTableau,
     Tableau,
     nps_sort,
-    _ShapeOps,
+    shape_ops,
     verify_bijection,
 )
 from npslab.sampling import _chunked_boards
@@ -304,43 +304,18 @@ def test_bijection_at_the_cutoff():
     assert set(report.each_syt_count.values()) == {8640}
 
 
-def _south_first_chain(self, board, start):
-    # follows the South neighbour while there is one, whatever its value
-    cells, ranks = [start], []
-    c = start
-    while True:
-        c = self.south[c] if self.south[c] != self.n else self.east[c]
-        ranks.append(board[c])
-        if c == self.n:
-            return cells, ranks
-        cells.append(c)
+def test_sort_tables_of_the_last_128_shapes_are_kept():
+    shape_ops.cache_clear()
+    shapes = [shape for n in range(1, 13) for shape in partitions_of(n)][:200]
+    for shape in shapes:
+        nps_sort(_tableau_from_values(shape, range(shape.size, 0, -1)))
+    assert shape_ops.cache_info().currsize == 128
 
 
-_slide_chain = _ShapeOps.slide_chain
-
-
-def _chain_ending_early(self, board, start):
-    # drops the last cell of every chain longer than its start
-    cells, ranks = _slide_chain(self, board, start)
-    if len(cells) > 1:
-        del cells[-1], ranks[-2]
-    return cells, ranks
-
-
-def test_wrong_sift_rule_is_caught(monkeypatch):
-    shape = Partition([2, 2])
-    assert exchange_stats(shape) == (44, 4)
-    monkeypatch.setattr(_ShapeOps, "slide_chain", _south_first_chain)
-    report = verify_bijection(shape)
-    assert not report.injective and not report.uniform
-    assert exchange_stats(shape) == (40, 4)
-
-
-def test_chain_ending_early_is_caught(monkeypatch, plain_stats):
-    shape = Partition([3, 2])
-    expected = plain_stats(shape)
-    assert exchange_stats(shape) == expected
-    monkeypatch.setattr(_ShapeOps, "slide_chain", _chain_ending_early)
-    report = verify_bijection(shape)
-    assert not (report.injective and report.uniform)
-    assert exchange_stats(shape) != expected
+def test_one_sort_table_per_shape():
+    shape_ops.cache_clear()
+    tableau = _tableau_from_values(Partition([3, 2, 2]), [7, 1, 5, 2, 6, 3, 4])
+    for _ in range(1000):
+        nps_sort(tableau)
+    info = shape_ops.cache_info()
+    assert (info.misses, info.hits) == (1, 999)

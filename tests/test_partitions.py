@@ -108,16 +108,16 @@ def test_non_integral_parts_rejected_by_name(bad, part):
         Partition(bad)
 
 
-def test_membership_and_stats():
+def test_membership_and_stats(arms_legs_by_cells):
     assert (1, 4) in FIG_SHAPE
     assert (2, 5) not in FIG_SHAPE
     assert (7, 1) not in FIG_SHAPE
     assert (3, 3) not in FIG_SHAPE
-    assert (FIG_SHAPE.arm(1, 1), FIG_SHAPE.leg(1, 1), FIG_SHAPE.hook(1, 1)) == (3, 5, 9)
-    assert (FIG_SHAPE.arm(2, 4), FIG_SHAPE.leg(2, 4), FIG_SHAPE.hook(2, 4)) == (0, 0, 1)
+    arms_legs = dict(zip(FIG_SHAPE.cells(), arms_legs_by_cells(FIG_SHAPE)))
+    assert arms_legs[1, 1] == (3, 5) and arms_legs[2, 4] == (0, 0)
     assert FIG_SHAPE.corners() == [(2, 4), (3, 2), (6, 1)]
     single = Partition([1])
-    assert (single.arm(1, 1), single.leg(1, 1), single.hook(1, 1)) == (0, 0, 1)
+    assert arms_legs_by_cells(single) == [(0, 0)]
     assert single.corners() == [(1, 1)]
 
 
