@@ -49,10 +49,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt_fraction(value):
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
 def _fmt_float(value):
     return f"{value:.12g}"
 
@@ -133,17 +129,16 @@ def _cmd_exact(args):
         values = {name: fn() for name, fn in methods.items()
                   if name != "brute" or shape.size <= cutoff}
         if len(set(values.values())) > 1:
-            print("method disagreement: "
-                  + ", ".join(f"{k}={_fmt_fraction(v)}" for k, v in values.items()),
+            print("method disagreement: " + ", ".join(f"{k}={v}" for k, v in values.items()),
                   file=sys.stderr)
             return 1
         bound = expected_hook_abs(shape)
         doc = {"shape": str(shape),
-               "methods": {k: _fmt_fraction(v) for k, v in values.items()},
-               "expected_abs_hook": _fmt_fraction(bound)}
-        lines = [f"{name}: {_fmt_fraction(v)} (~ {_fmt_float(float(v))})"
+               "methods": {k: str(v) for k, v in values.items()},
+               "expected_abs_hook": str(bound)}
+        lines = [f"{name}: {v} (~ {_fmt_float(float(v))})"
                  for name, v in values.items()]
-        lines.append(f"e-abs-h (lower bound): {_fmt_fraction(bound)} (~ {_fmt_float(float(bound))})")
+        lines.append(f"e-abs-h (lower bound): {bound} (~ {_fmt_float(float(bound))})")
         _emit(args, doc, lines)
         return 0
     method = args.method or "chicago"
@@ -153,9 +148,9 @@ def _cmd_exact(args):
         value = methods[method]()
     else:
         raise UsageError(f"method {method!r} not applicable to shape {shape}")
-    doc = {"shape": str(shape), "method": method, "value": _fmt_fraction(value),
+    doc = {"shape": str(shape), "method": method, "value": str(value),
            "decimal": float(value)}
-    _emit(args, doc, [f"{_fmt_fraction(value)} (~ {_fmt_float(float(value))})"])
+    _emit(args, doc, [f"{value} (~ {_fmt_float(float(value))})"])
     return 0
 
 

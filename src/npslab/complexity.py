@@ -12,10 +12,11 @@ tableau counts, summed over the integer-coded Young-lattice table of
 
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, lcm
+from math import factorial
 
 from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops, slid
-from .partitions import Partition, SizeGuardError, _arms_legs, _chain_counts, syt_count
+from .partitions import (Partition, SizeGuardError, _arms_legs, _chain_counts,
+                         _harmonic_numerators, syt_count)
 
 __all__ = [
     "w_distance",
@@ -228,15 +229,12 @@ def average_case_chicago(shape):
     size k, the sum of |x| f^(mu - x) f^(shape/mu) over the corners x of mu:
     the downward pass of `partitions._chain_counts` collects it per k, after
     the walk over the subdiagrams and the upward pass.  Over L = lcm(1..n)
-    the weights are integers: L (H_n - H_{n-k}) is the running sum of L/m for
-    m from n down to n - k + 1.  So the formula is one integer numerator over
-    L f, reduced to a Fraction once.
+    the weights are the integers L H_n - L H_{n-k} - L of
+    `partitions._harmonic_numerators`, so the formula is one integer
+    numerator over L f, reduced to a Fraction once.
     """
     n = shape.size
     (codes, _, _), up, _, weighted = _chain_counts(shape)
-    lcd = lcm(*range(1, n + 1))
-    tail = total = 0
-    for k in range(1, n + 1):
-        tail += lcd // (n - k + 1)
-        total += weighted[k] * (tail - lcd)
+    lcd, h = _harmonic_numerators(n)
+    total = sum(weighted[k] * (h[n] - h[n - k] - lcd) for k in range(1, n + 1))
     return Fraction(total, lcd * up[codes[-1]])

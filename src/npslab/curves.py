@@ -404,10 +404,10 @@ def partition_boundary(shape, n, exponents=None):
 
     Under exponents (alpha, beta) the row direction shrinks by n^alpha and
     the column direction by n^beta; the balanced case is alpha = beta = 1/2.
-    The result integrates to exactly 1 whenever the relative scale
-    n^(beta - alpha) is rational (always true in the balanced case and when
-    one exponent is 0 or 1); otherwise the nearest float-derived rational is
-    used and normalization is approximate.
+    With rho = n^(beta - alpha) and alpha + beta = 1, the squared scale
+    n^(-2 beta) is 1 / (n rho), so the result integrates to exactly 1.  rho is
+    exact when rational (always in the balanced case and when one exponent is
+    0 or 1); otherwise it is the nearest float and the breakpoints approximate.
     """
     if shape.size != n:
         raise ValueError(f"shape {shape} has size {shape.size}, not {n}")
@@ -418,9 +418,7 @@ def partition_boundary(shape, n, exponents=None):
     rho = _exact_rational_power(n, exponents.beta - exponents.alpha)
     if rho is None:
         rho = Fraction(float(n) ** float(exponents.beta - exponents.alpha))
-    scale = _exact_rational_power(n, -2 * exponents.beta)
-    if scale is None:
-        scale = Fraction(float(n) ** float(-2 * exponents.beta))
+    scale = 1 / (n * rho)
     # The profile's corners (u, v), row lengths u and row indices v, run from
     # (0, rows) to (lambda_1, 0); a point is (rho u - v, rho u + v) in the
     # frame, rho = p / q.  For any rho > 0 the steps have slopes +-1 and

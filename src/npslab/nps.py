@@ -62,6 +62,9 @@ class _Filling:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
+    def __reduce__(self):
+        return (type(self), (self.shape, self.rows))
+
     def entry(self, i, j):
         return self.rows[i - 1][j - 1]
 

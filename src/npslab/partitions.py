@@ -15,7 +15,7 @@ row subtracts a power of the base, and no subdiagram is built as a
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import index
 
 __all__ = [
@@ -167,16 +167,20 @@ def skew_syt_count(outer, inner):
     return down[sum(p * base**i for i, p in enumerate(inner.parts))]
 
 
-_HARMONIC = [Fraction(0)]
+def _harmonic_numerators(n):
+    """(D, [D H_0, D H_1, ..., D H_n]) with D = lcm(1..n): the harmonic
+    numbers up to H_n as integers over one common denominator, each the
+    running sum of the integers D/k."""
+    lcd = lcm(*range(1, n + 1))
+    return lcd, list(accumulate((lcd // k for k in range(1, n + 1)), initial=0))
 
 
 def harmonic(n):
-    """n-th harmonic number 1 + 1/2 + ... + 1/n as an exact Fraction; H_0 = 0."""
+    """H_n = 1 + 1/2 + ... + 1/n as an exact Fraction (H_0 = 0): D H_n over D = lcm(1..n)."""
     if n < 0:
         raise ValueError("harmonic number of negative index")
-    while len(_HARMONIC) <= n:
-        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
-    return _HARMONIC[n]
+    lcd, scaled = _harmonic_numerators(n)
+    return Fraction(scaled[n], lcd)
 
 
 def partitions_of(n):

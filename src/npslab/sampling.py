@@ -1,9 +1,9 @@
 """Seeded random tableau generation and Monte Carlo estimation.
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream
-id): identical keys reproduce identical draws, distinct stream ids are
-independent, and chunked stream allocation keeps every statistic a pure
-function of (shape, m, seed) regardless of how work is distributed.
+id): identical keys reproduce identical draws and distinct stream ids are
+independent.  Draws are taken CHUNK = 512 per stream id, a layout kept so
+that the draws of every (shape, m, seed) stay bit-identical.
 """
 
 import math

@@ -21,10 +21,9 @@ over one common denominator, reduced to a Fraction once, at the end:
 """
 
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, lcm
 
-from .partitions import Partition, harmonic, syt_count
+from .partitions import Partition, _harmonic_numerators, syt_count
 
 __all__ = [
     "validate_two_row",
@@ -42,13 +41,6 @@ def validate_two_row(lam1, lam2):
         raise ValueError(f"second part {lam2} exceeds first part {lam1}")
     if lam2 < 0 or lam1 < 1:
         raise ValueError(f"({lam1},{lam2}) is not a two-row shape")
-
-
-def _scaled_harmonics(*indices):
-    """(D, [D H_m for m in indices]) with D the lcm of their denominators."""
-    hs = [harmonic(m) for m in indices]
-    lcd = lcm(*(h.denominator for h in hs))
-    return lcd, [lcd // h.denominator * h.numerator for h in hs]
 
 
 def s0_direct(lam1, lam2):
@@ -87,10 +79,10 @@ def s0_nested(lam1, lam2):
         p = 2 * p + den // i
         outer += (p + 2**i) * (lcd // den)
     # L / C(lam1 + lam2, lam2) = lam2 L / (last denominator); the harmonic numbers over D_h
-    lcd_h, (h1, h2, h12) = _scaled_harmonics(lam1, lam2, lam1 - lam2)
+    lcd_h, h = _harmonic_numerators(lam1)
     excess = 1 + lam1 - lam2
     num = ((2 * lcd - 2 * (p + 2**lam2) * lam2 * (lcd // dens[-1]) - excess * outer) * lcd_h
-           + excess * (2 * h1 + h2 - 2 * h12) * lcd)
+           + excess * (2 * h[lam1] + h[lam2] - 2 * h[lam1 - lam2]) * lcd)
     return Fraction(num, 2 * lcd * lcd_h)
 
 
@@ -119,9 +111,8 @@ def c_double_sums(lam1, lam2):
         raise ValueError("double-sum representation needs lam2 >= 1")
     n = lam1 + lam2
     f = syt_count(Partition((lam1, lam2)))
-    lcd = lcm(*range(1, n + 1))
+    lcd, scaled_h = _harmonic_numerators(n)              # D H_m
     over_k = [0] + [lcd // k for k in range(1, n + 1)]   # D / k
-    scaled_h = list(accumulate(over_k))                  # D H_m
 
     bins = [0] * (n + 1)   # per k, the binomial part of -s1 + s2 - s3 - s4 + s5
     for j in range(2, lam1 + 1):   # s1, s2 and s3, whose terms vanish at j = 1
@@ -143,8 +134,8 @@ def c_equal_rows(lam2):
     if lam2 < 1:
         raise ValueError("equal-rows formula needs lam2 >= 1")
     central = comb(2 * lam2, lam2)
-    lcd_h, (h2,) = _scaled_harmonics(lam2)
-    num = (2 * central - 2**(2 * lam2 + 1)) * lcd_h + central * h2
+    lcd_h, h = _harmonic_numerators(lam2)
+    num = (2 * central - 2**(2 * lam2 + 1)) * lcd_h + central * h[lam2]
     return _average_from_s0(lam2, lam2, Fraction(num, 2 * central * lcd_h))
 
 
@@ -180,8 +171,8 @@ def _s0_fixed_distance(lam2, delta):
     q = 2**(delta + 1) * (1 + delta + lam2) * comb(delta + lam2, delta)
     num = (d1 * r * (excess * lcd_b * (odd * num_a + lcd_a) - 2 * lam2 * central * odd * num_c)
            + q * odd * lcd_a * (2 * lam2 * central * num_b - excess * lcd_b))
-    lcd_h, (h_n, h_2, h_d, h_1) = _scaled_harmonics(delta + 2 * lam2, 2 * lam2, delta, lam2)
-    harmonics = d1 * (2 * (h_n - h_2 - h_d) + h_1)
+    lcd_h, h = _harmonic_numerators(delta + 2 * lam2)
+    harmonics = d1 * (2 * (h[delta + 2 * lam2] - h[2 * lam2] - h[delta]) + h[lam2])
     den = central * odd * lcd_a * lcd_b * r
     return Fraction(2 * lcd_h * num + harmonics * den, 2 * lcd_h * den)
 

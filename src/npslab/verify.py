@@ -30,7 +30,8 @@ from .integrals import (
     worst_case_integral,
 )
 from .nps import nps_sort, verify_bijection
-from .partitions import Partition, conjugate, harmonic, hook_product, partitions_of, syt_count
+from .partitions import (Partition, _harmonic_numerators, conjugate, harmonic, hook_product,
+                         partitions_of, syt_count)
 from .sampling import syt_uniformity_test
 
 __all__ = ["CheckResult", "run_suite", "LEVELS", "CN_LOWER_VALUE", "CHI2_999_DOF4",
@@ -147,7 +148,7 @@ def check_s0_representations(s0_grid, fd_grid):
         if sum(b << (lam2 - i) for i, b in enumerate(binoms, start=1)) != (2**lam2 - 1) << lam2:
             return False, f"binomial half-weight identity fails at lam2={lam2}"
         lcd = lcm(*(i * b for i, b in enumerate(binoms, start=1)))
-        lcd_h = lcm(*range(1, lam2 + 1))
+        lcd_h, scaled_h = _harmonic_numerators(lam2)
         overs = [lcd // (i * b) for i, b in enumerate(binoms, start=1)]   # L / (i b_i)
         powers = sum((lcd_h // i) << i for i in range(1, lam2 + 1))       # D sum 2^i / i
         plain = sum(over << i for i, over in enumerate(overs, start=1))   # L sum 2^i / (i b_i)
@@ -157,8 +158,7 @@ def check_s0_representations(s0_grid, fd_grid):
         for b, over in zip(binoms, overs):
             p = 2 * p + b
             nested += p * over
-        harmonics = sum(lcd_h // i for i in range(1, lam2 + 1))           # D H_lam2
-        if (nested * lcd_h) << lam2 != ((harmonics << (lam2 + 1)) - powers) * lcd:
+        if (nested * lcd_h) << lam2 != ((scaled_h[lam2] << (lam2 + 1)) - powers) * lcd:
             return False, f"companion identity (nested sum) fails at lam2={lam2}"
     for lam2 in range(1, fd_grid + 1):
         for delta in range(0, fd_grid + 1):

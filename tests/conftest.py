@@ -18,7 +18,6 @@ from npslab.partitions import (
     Partition,
     _chain_counts,
     conjugate,
-    harmonic,
     hook_product,
     partitions_of,
     syt_count,
@@ -73,10 +72,29 @@ def w_by_corners():
     return _w_by_corners
 
 
+_HARMONIC_SUMS = [Fraction(0)]
+
+
+def _harmonic_sum(m):
+    """H_m as a running sum of Fractions, sharing no code with `partitions`.
+    The sums are kept: the oracles ask for every m up to 1,500 many times."""
+    while len(_HARMONIC_SUMS) <= m:
+        _HARMONIC_SUMS.append(_HARMONIC_SUMS[-1] + Fraction(1, len(_HARMONIC_SUMS)))
+    return _HARMONIC_SUMS[m]
+
+
+@pytest.fixture(scope="session")
+def harmonic_sum():
+    """H_m summed term by term in Fractions: an oracle for `harmonic` and for
+    the integers D H_m of `partitions._harmonic_numerators`."""
+    return _harmonic_sum
+
+
 def _chicago_by_fractions(shape):
     """The harmonic formula as a per-size sum of Fractions: a separate pass
     over the corners of every subdiagram, with the chain counts of
-    `partitions._chain_counts`, weighted by H_n - H_(n-k) - 1 from `harmonic`."""
+    `partitions._chain_counts`, weighted by H_n - H_(n-k) - 1 from
+    `_harmonic_sum`."""
     n = shape.size
     if n == 0:
         return Fraction(0)
@@ -87,8 +105,8 @@ def _chicago_by_fractions(shape):
         for i, j, step in mu_corners:
             weighted += (i + j - 2) * up[code - step]
         numerators[size] += weighted * down[code]
-    h_n = harmonic(n)
-    total = sum((numer * (h_n - harmonic(n - k) - 1)
+    h_n = _harmonic_sum(n)
+    total = sum((numer * (h_n - _harmonic_sum(n - k) - 1)
                  for k, numer in enumerate(numerators) if numer), Fraction(0))
     return total / up[codes[-1]]
 
@@ -782,10 +800,10 @@ def _c_double_sums_termwise(lam1, lam2):
         raise ValueError("double-sum representation needs lam2 >= 1")
     n = lam1 + lam2
     f = syt_count(Partition((lam1, lam2)))
-    total = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (harmonic(n) - 1)
+    total = (comb(lam1, 2) + comb(lam2 + 1, 2)) * (_harmonic_sum(n) - 1)
 
     def term(j, k, top, choose, lower):
-        return Fraction(top * comb(k, choose) * comb(n - k, lower), k) * harmonic(n - k)
+        return Fraction(top * comb(k, choose) * comb(n - k, lower), k) * _harmonic_sum(n - k)
 
     s1 = Fraction(0)
     s2 = Fraction(0)
@@ -836,7 +854,8 @@ def _s0_nested_termwise(lam1, lam2):
         -Fraction(2**lam2, big) * (inner + 1)
         - Fraction(excess, 2) * sum_weighted
         - Fraction(excess, 2) * sum_plain
-        + excess * (harmonic(lam1) + Fraction(harmonic(lam2), 2) - harmonic(lam1 - lam2))
+        + excess * (_harmonic_sum(lam1) + Fraction(_harmonic_sum(lam2), 2)
+                    - _harmonic_sum(lam1 - lam2))
         + 1
     )
 
@@ -878,10 +897,10 @@ def _s0_fixed_distance_termwise(lam2, delta):
         + Fraction(2**(delta + 1) * (1 + delta + lam2), 1 + delta + 2 * lam2) * ratio
         * Fraction(central - 2**(2 * lam2), central)
         - Fraction(d1, 2 * lam2 + 1)
-        + d1 * harmonic(delta + 2 * lam2)
-        + Fraction(d1, 2) * harmonic(lam2)
-        - d1 * harmonic(2 * lam2)
-        - d1 * harmonic(delta)
+        + d1 * _harmonic_sum(delta + 2 * lam2)
+        + Fraction(d1, 2) * _harmonic_sum(lam2)
+        - d1 * _harmonic_sum(2 * lam2)
+        - d1 * _harmonic_sum(delta)
     )
 
 

@@ -8,6 +8,7 @@ brute-force table fails when the table is wrong, and the last tests run the
 README's library example and its command lines.
 """
 
+import dataclasses
 import re
 import shlex
 from fractions import Fraction
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from npslab import verify
+from npslab import two_row, verify
 from npslab.cli import main
 from npslab.complexity import (
     average_case_bruteforce,
@@ -134,6 +135,94 @@ def test_check_fails_on_corrupted_brute_table(brute, check, field):
     ok, detail = check({**brute, shape: tuple(stats)})
     assert not ok
     assert re.search(r"(?<![\d,])3,1(?!,?\d)", detail), detail
+
+
+def _off_at(fn, point):
+    """`fn` with its value one higher at the arguments `point` only."""
+    return lambda *args: fn(*args) + (args == point)
+
+
+def _swapped_at(fn, point, args):
+    """`fn` called with `args` in place of the arguments `point`."""
+    return lambda *given: fn(*(args if given == point else given))
+
+
+def _harmonic_off_at(fn, n):
+    """`_harmonic_numerators` with D H_n one higher when called with `n`."""
+    def off(m):
+        lcd, scaled = fn(m)
+        return lcd, scaled[:-1] + [scaled[-1] + (m == n)]
+    return off
+
+
+def _pairs_short_at(fn, shape):
+    """`verify_bijection` reporting one distinct pair fewer on `shape`."""
+    def short(s):
+        report = fn(s)
+        return dataclasses.replace(report, distinct_pairs=report.distinct_pairs - (s == shape))
+    return short
+
+
+def _one_more_exchange_at(fn, shape):
+    """`nps_sort` reporting one more exchange on fillings of `shape`."""
+    def more(tableau):
+        outcome = fn(tableau)
+        return dataclasses.replace(outcome, exchanges=outcome.exchanges + (tableau.shape == shape))
+    return more
+
+
+_S0_CLEAN = "S0 representations, equal-rows, fixed-distance and sum identities agree"
+
+
+@pytest.mark.parametrize("check, clean, owner, name, fault, named", [
+    (lambda: verify.check_s0_representations(5, 4), _S0_CLEAN, two_row, "s0_nested",
+     lambda fn: _off_at(fn, (4, 2)), "nested S0 differ at (4,2)"),
+    (lambda: verify.check_s0_representations(5, 4), _S0_CLEAN, two_row, "c_equal_rows",
+     lambda fn: _off_at(fn, (3,)), "equal-rows formula fails at lam2=3"),
+    (lambda: verify.check_s0_representations(5, 4), _S0_CLEAN, two_row, "c_fixed_distance",
+     lambda fn: _off_at(fn, (2, 3)), "fixed-distance formula fails at (lam2=2, delta=3)"),
+    (lambda: verify.check_s0_representations(5, 4), _S0_CLEAN, verify, "harmonic",
+     lambda fn: _off_at(fn, (3,)), "equal-rows S0 special case fails at lam2=3"),
+    (lambda: verify.check_s0_representations(5, 4), _S0_CLEAN, verify, "_harmonic_numerators",
+     lambda fn: _harmonic_off_at(fn, 3), "companion identity (nested sum) fails at lam2=3"),
+    (lambda: verify.check_bijection(5), "bijection certified on 18 shapes up to size 5", verify,
+     "verify_bijection", lambda fn: _pairs_short_at(fn, Partition([3, 1, 1])),
+     "bijection certification failed on 3,1,1:"),
+    # the last of the 20 shapes that seed 20170515 draws
+    (lambda: verify.check_witness_random(20170515),
+     "witness construction verified on 20 random shapes up to size 40", verify, "nps_sort",
+     lambda fn: _one_more_exchange_at(fn, Partition([6, 3, 2, 2, 1, 1, 1, 1])),
+     "not W, on 6,3,2,2,1,1,1,1"),
+    (verify.check_square_family, "square family trend and unit-square integral verified",
+     verify, "worst_case", lambda fn: _off_at(fn, (Partition([3, 3, 3]),)),
+     "square worst case 19 != m^3 - m^2 at m=3"),
+    (verify.check_square_family, "square family trend and unit-square integral verified",
+     verify, "partition_boundary",
+     lambda fn: _swapped_at(fn, (Partition([3, 3, 3]), 9), (Partition([4, 3, 2]), 9)),
+     "3x3 boundary does not collapse"),
+    (verify.check_square_family, "square family trend and unit-square integral verified",
+     verify, "worst_case_integral", lambda fn: lambda curve: fn(curve) + 1e-9,
+     "unit-square distance integral"),
+    (lambda: verify.check_wn_identity(4),
+     "discrete distance identity exact for all shapes up to size 4", verify, "worst_case",
+     lambda fn: _off_at(fn, (Partition([2, 1]),)), "cell-wise integral 8 != 10 on 2,1"),
+    (verify.check_cn_value, "lower-bound integral = 0.29543", verify, "avg_lower_integral",
+     lambda fn: lambda curve: fn(curve) + 1e-9, "lower-bound integral 0.2954"),
+    (verify.check_cw_imbalanced, "imbalanced ratio 0.499995, integrals (0.5000, 0.5000)", verify,
+     "imbalanced_integrals", lambda fn: lambda curve: [v + 1e-9 for v in fn(curve)],
+     "unit-square diagonal integrals"),
+    (lambda: verify.check_uniformity((1,)), "chi-square 2.310 below 18.467 with dof 4", verify,
+     "syt_uniformity_test", lambda fn: lambda shape, draws, seed: (100.0, 4),
+     "chi-square 100.0 at seed 1 above"),
+], ids=["s0-nested", "equal-rows", "fixed-distance", "equal-rows-harmonic",
+        "companion-nested-harmonic", "bijection", "witness-random", "square-worst",
+        "square-boundary", "square-integral", "wn-identity", "cn-value", "imbalanced",
+        "uniformity"])
+def test_verify_check_fails_on_faulty_route(monkeypatch, check, clean, owner, name, fault, named):
+    assert check() == (True, clean)
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    ok, detail = check()
+    assert ok is False and named in detail, detail
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from npslab import cli
 from npslab.cli import main
-from npslab.complexity import WitnessConstructionError, worst_case
+from npslab.complexity import WitnessConstructionError, average_case_chicago, worst_case
 from npslab.curves import LimitCurve, partition_boundary
 from npslab.integrals import avg_lower_integral, worst_case_integral
 from npslab.partitions import Partition
@@ -358,11 +359,20 @@ def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
      "cutoff must be at least 0, got -3"),
     (["exact", "--shape", "5,5", "--all"], "enumeration_cutoff = -3\n",
      "cutoff must be at least 0, got -3"),
+    (["verify"], "jobs 2\n", "bad config line 'jobs 2'"),
+    (["sweep", "--family", "two-row", "--param", "0", "--sizes", "4", "--out", "{tmp}/x.csv"],
+     None, "--param >= 1"),
+    (["sweep", "--family", "curve-file", "--sizes", "4", "--out", "{tmp}/x.csv"], None,
+     "needs --curve"),
+    (["sweep", "--family", "square", "--sizes", "4..x", "--out", "{tmp}/x.csv"], None,
+     "cannot parse sizes '4..x'"),
+    (["exact", "--shape", "3,x"], None, "'x'"),
 ], ids=["reversed-range", "sweep-jobs-0", "sweep-jobs-negative", "verify-jobs-0",
         "verify-jobs-negative", "config-jobs-0", "config-jobs-negative",
         "config-samples-unparsable", "square-size-0", "staircase-size-0", "two-row-size-0",
         "curve-file-size-0", "square-size-negative", "exact-cutoff-negative",
-        "config-cutoff-negative"])
+        "config-cutoff-negative", "config-line-without-equals", "two-row-param-0",
+        "curve-file-without-curve", "sizes-unparsable", "shape-unparsable"])
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config, named):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if config is not None:
@@ -374,6 +384,54 @@ def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config, named):
     assert not (tmp_path / "x.csv").exists()
     if named is not None:
         assert named in err
+
+
+def _witness_keys(out, err, tmp_path):
+    doc = json.loads(out)
+    assert (doc["witness"], doc["exchanges"], doc["worst_case"]) == ("4,2;3,1", 4, 4)
+
+
+def _exact_to_limit(out, err, tmp_path):
+    """Rows up to --exact-limit carry the exact C and no stderr; n = 36 is sampled."""
+    assert out == f"wrote 5 rows to {tmp_path / 'sq.csv'}\n"
+    lines = (tmp_path / "sq.csv").read_text().splitlines()
+    rows = {int(r[0]): r for r in (line.split(",") for line in lines[1:])}
+    assert sorted(rows) == [4, 9, 16, 25, 36]
+    for n in (4, 9, 16, 25):
+        m = math.isqrt(n)
+        exact = float(average_case_chicago(Partition([m] * m)))
+        assert (rows[n][4], rows[n][5]) == (f"{exact:.12g}", ""), n
+    assert rows[36][5] != ""
+
+
+def _disagreement(out, err, tmp_path):
+    assert out == "" and err.startswith("method disagreement: brute=11/6, chicago=0, ")
+
+
+@pytest.mark.parametrize("argv, patch, code, expect", [
+    (["exact", "--shape", "3,1", "--method", "e-abs-h"], None, 0, "3/2 (~ 1.5)\n"),
+    (["--format", "json", "worst", "--shape", "2,2", "--witness"], None, 0, _witness_keys),
+    # CN_LOWER_VALUE to 12 digits
+    (["limit", "--curve", "square", "--integral", "C"], None, 0, "0.295431453707\n"),
+    (["limit", "--curve", "square", "--integral", "I1"], None, 0, "0.5\n"),
+    (["limit", "--curve", "square", "--integral", "I2"], None, 0, "0.5\n"),
+    (["sample", "--shape", "2,1", "--draws", "2000", "--seed", "3", "--uniformity"], None, 0,
+     "chi_square=0.072 dof=1\n"),
+    (["sweep", "--family", "square", "--sizes", "4..36", "--exact-limit", "30",
+      "--out", "{tmp}/sq.csv"], None, 0, _exact_to_limit),
+    (["exact", "--shape", "2,2", "--all"], ("average_case_chicago", lambda shape: Fraction(0)),
+     1, _disagreement),
+], ids=["e-abs-h", "json-witness", "limit-c", "limit-i1", "limit-i2", "sample-uniformity",
+        "sweep-exact-limit", "exact-all-disagreement"])
+def test_command_output(tmp_path, capsys, monkeypatch, argv, patch, code, expect):
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    got, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert got == code, err
+    if callable(expect):
+        expect(out, err, tmp_path)
+    else:
+        assert out == expect
 
 
 def test_verify_fast(capsys):

@@ -24,7 +24,6 @@ from npslab.nps import nps_sort, shape_ops, verify_bijection
 from npslab.partitions import (
     Partition,
     SizeGuardError,
-    harmonic,
     hook_product,
     partitions_of,
     syt_count,
@@ -330,13 +329,13 @@ def test_chicago_small_values():
     assert average_case_chicago(Partition([2, 2])) == Fraction(11, 6)
 
 
-def _chicago_by_determinant(shape, aitken, subpartitions):
+def _chicago_by_determinant(shape, aitken, subpartitions, harmonic_sum):
     """The harmonic-number formula with each skew count f^(shape/mu) from the
     Aitken determinant and each f^(mu - x) from the hook-length formula."""
     n = shape.size
     total = Fraction(0)
     for mu in subpartitions(shape):
-        weight = harmonic(n) - harmonic(n - mu.size) - 1
+        weight = harmonic_sum(n) - harmonic_sum(n - mu.size) - 1
         skew = aitken(shape, mu)
         for (i, j) in mu.corners():
             total += (i + j - 2) * syt_count(_remove_corner(mu, i)) * skew * weight
@@ -344,9 +343,11 @@ def _chicago_by_determinant(shape, aitken, subpartitions):
 
 
 @pytest.mark.parametrize("parts", [(6,) * 6, (6, 5, 4, 3, 2, 1)], ids=["6x6", "staircase-6"])
-def test_chicago_matches_determinant_route_beyond_brute_force(parts, aitken, subpartitions):
+def test_chicago_matches_determinant_route_beyond_brute_force(parts, aitken, subpartitions,
+                                                              harmonic_sum):
     shape = Partition(parts)
-    assert average_case_chicago(shape) == _chicago_by_determinant(shape, aitken, subpartitions)
+    assert average_case_chicago(shape) == _chicago_by_determinant(shape, aitken, subpartitions,
+                                                                  harmonic_sum)
 
 
 def test_chicago_matches_per_size_fractions(chicago_by_fractions):

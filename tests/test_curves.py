@@ -17,6 +17,7 @@ from npslab.curves import (
     partition_boundary,
     unit_square_curve,
 )
+from npslab.nps import Tableau, nps_sort
 from npslab.partitions import Partition, conjugate, partitions_of
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -46,6 +47,10 @@ def test_immutable_values_survive_pickling():
     assert shape == Partition([3, 1]) and shape.size == 4
     exponents = pickle.loads(pickle.dumps(ScalingExponents.from_pq(3, Fraction(3, 2))))
     assert (exponents.alpha, exponents.beta) == (Fraction(1, 3), Fraction(2, 3))
+    outcome = nps_sort(Tableau.parse("6,2,5;4,1;3"))
+    for value in (outcome.output, outcome.hooks):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value) and clone == value and clone.shape == value.shape
 
 
 def _steep_file_curve():
@@ -139,6 +144,9 @@ def test_imbalanced_boundary_normalized_exactly():
     assert boundary.area == 1
     balanced = partition_boundary(shape, 1000)
     assert balanced.area == 1
+    # 10^(1/3) is irrational: rho is a float's value, and the scale 1 / (n rho) follows it
+    irrational = partition_boundary(Partition([4, 3, 2, 1]), 10, ScalingExponents.from_pq(3, 1.5))
+    assert irrational.area == 1
 
 
 def test_staircases_approach_flat_top(sup_distance):

@@ -219,10 +219,15 @@ MUTANTS = [
     pytest.param(two_row, "c_double_sums",
                  "* comb(k, j) * lower\n", "* comb(k, j) * lower * ((j, k) != (2, 3))\n",
                  (("c_double_sums_termwise", _double_sums_caught),), id="double-sums-term-dropped"),
-    # the harmonic part over lcm(1..lam1 - 1) in place of the lcm of its denominators
-    pytest.param(two_row, "s0_nested", "= _scaled_harmonics(lam1, lam2, lam1 - lam2)\n",
-                 "= _scaled_harmonics(lam1, lam2, lam1 - lam2); lcd_h = lcm(*range(1, lam1))\n",
+    # the harmonic part over lcm(1..lam1 - 1) in place of lcm(1..lam1)
+    pytest.param(two_row, "s0_nested", "lcd_h, h = _harmonic_numerators(lam1)\n",
+                 "lcd_h, h = _harmonic_numerators(lam1); lcd_h = lcm(*range(1, lam1))\n",
                  (("s0_nested_termwise", _nested_caught),), id="nested-harmonics-wrong-lcm"),
+    # every harmonic term shifted by one: D/(k + 1) in place of D/k, so D H_m
+    # reads D (H_(m+1) - 1) in every caller
+    pytest.param(partitions, "_harmonic_numerators", "lcd // k for k", "lcd // (k + 1) for k",
+                 (("chicago_by_fractions", _chicago_caught),
+                  ("s0_nested_termwise", _nested_caught)), id="harmonic-terms-shifted"),
     # every row tail one higher: p - j in place of p - 1 - j
     pytest.param(complexity, "_w_table",
                  "range(p - 1 - below, -1, -1)", "range(p - below, 0, -1)",
@@ -236,9 +241,9 @@ MUTANTS = [
     # f sum_k (H_n - H_(n-k) - 1) = 0, so the per-size sums are compared.
     pytest.param(partitions, "_chain_counts", "(i + j - 2) *", "(i + j - 1) *",
                  (("tableaux", _corner_sums_caught),), id="chicago-corner-weight"),
-    # the harmonic tail L/(n - k) in place of L/(n - k + 1), kept finite at k = n
-    pytest.param(complexity, "average_case_chicago", "lcd // (n - k + 1)",
-                 "lcd // max(n - k, 1)",
+    # the weight of size k read at H_(n-k+1) in place of H_(n-k)
+    pytest.param(complexity, "average_case_chicago", "h[n] - h[n - k] - lcd",
+                 "h[n] - h[n - k + 1] - lcd",
                  (("chicago_by_fractions", _chicago_caught),), id="chicago-harmonic-tail"),
     # each rectangle column filled top to bottom in place of bottom to top
     pytest.param(complexity, "worst_case_witness", "first = filled + ci - i + 1",

@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from npslab.partitions import (
     MAX_SUBDIAGRAMS,
     Partition,
+    _harmonic_numerators,
     _subdiagram_count,
     conjugate,
     harmonic,
@@ -237,12 +238,17 @@ def test_two_row_binomial_count_grid():
 # -- scalars --------------------------------------------------------------
 
 
-def test_harmonic():
+def test_harmonic(harmonic_sum):
     assert harmonic(0) == 0
     assert harmonic(3) == Fraction(11, 6)
     assert harmonic(5) == Fraction(137, 60)
     with pytest.raises(ValueError):
         harmonic(-1)
+    assert all(harmonic(m) == harmonic_sum(m) for m in range(201))
+    for n in range(61):
+        lcd, scaled = _harmonic_numerators(n)
+        assert lcd == lcm(*range(1, n + 1)) and len(scaled) == n + 1, n
+        assert all(Fraction(d, lcd) == harmonic_sum(m) for m, d in enumerate(scaled)), n
 
 
 def test_pochhammer(rising_factorial):

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from npslab.complexity import average_case_bruteforce, average_case_chicago, worst_case
-from npslab.partitions import Partition, harmonic, syt_count
+from npslab.partitions import Partition, syt_count
 from npslab.two_row import (
     _s0_fixed_distance,
     c_closed,
@@ -55,10 +55,10 @@ def test_s0_dispatcher():
         s0_nested(3, 0)
 
 
-def test_s0_equal_rows_special_case():
+def test_s0_equal_rows_special_case(harmonic_sum):
     # -4^m / C(2m, m) + H_m / 2 + 1 agrees with the direct sum
     for m in range(1, 20):
-        special = -Fraction(4**m, comb(2 * m, m)) + Fraction(harmonic(m), 2) + 1
+        special = -Fraction(4**m, comb(2 * m, m)) + Fraction(harmonic_sum(m), 2) + 1
         assert s0_direct(m, m) == special == s0_nested(m, m)
 
 
