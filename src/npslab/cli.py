@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import two_row
 from .complexity import (
@@ -323,7 +323,11 @@ def _cmd_limit(args):
 # -- parser --------------------------------------------------------------
 
 
-def _build_parser():
+@cache
+def _parser():
+    """The argument parser, built on the first call in a process and never
+    changed afterwards: flags that a config file may supply default to
+    None, and `main` fills them in on the parsed arguments."""
     parser = argparse.ArgumentParser(
         prog="npslab",
         description="Exact and asymptotic complexity laboratory for the "
@@ -337,7 +341,7 @@ def _build_parser():
     p_exact.add_argument("--method", choices=("brute", "chicago", "two-row", "e-abs-h"))
     p_exact.add_argument("--all", action="store_true",
                          help="run every applicable method and assert agreement")
-    p_exact.add_argument("--cutoff", type=int, default=DEFAULT_ENUMERATION_CUTOFF)
+    p_exact.add_argument("--cutoff", type=int)
 
     p_worst = sub.add_parser("worst", help="worst-case value and witness")
     p_worst.add_argument("--shape", required=True)
@@ -351,16 +355,16 @@ def _build_parser():
                          help="fixed second part for the two-row family")
     p_sweep.add_argument("--curve", help="curve file for the curve-file family")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--samples", type=int, default=200)
+    p_sweep.add_argument("--samples", type=int)
     p_sweep.add_argument("--exact-limit", type=int, default=30,
                          help="largest n computed exactly instead of sampled")
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--tol", type=float)
+    p_sweep.add_argument("--jobs", type=int)
     p_sweep.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--level", choices=("fast", "full"), default="fast")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int)
 
     p_sample = sub.add_parser("sample", help="Monte Carlo estimation")
     p_sample.add_argument("--shape", required=True)
@@ -373,8 +377,8 @@ def _build_parser():
     p_limit.add_argument("--curve", required=True,
                          help='curve file, or builtin "square"/"flat"')
     p_limit.add_argument("--integral", required=True, choices=("W", "C", "I1", "I2"))
-    p_limit.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    return parser, sub.choices
+    p_limit.add_argument("--tol", type=float)
+    return parser
 
 
 _HANDLERS = {
@@ -387,37 +391,39 @@ _HANDLERS = {
 }
 
 
-# Config keys map to argument names.  Each value that applies to the
-# chosen command becomes a default of its subparser, so a flag given in any
-# form argparse accepts wins over it.
+# Config keys map to an argument name, its type and its built-in default.
+# Each of these flags defaults to None in the parser, so a flag given in any
+# form argparse accepts is not None and wins over the config file.
 _CONFIG_KEYS = {
-    "tol": ("tol", float),
-    "jobs": ("jobs", int),
-    "samples": ("samples", int),
-    "enumeration_cutoff": ("cutoff", int),
+    "tol": ("tol", float, DEFAULT_TOL),
+    "jobs": ("jobs", int, 1),
+    "samples": ("samples", int, 200),
+    "enumeration_cutoff": ("cutoff", int, DEFAULT_ENUMERATION_CUTOFF),
 }
 
 
-def _config_defaults(settings, args):
-    defaults = {}
+def _fill_defaults(args, settings):
+    """Set each config flag of the command that no flag gave: from the
+    config settings when they name it, else to its built-in default."""
+    values = {name: default for name, _, default in _CONFIG_KEYS.values()}
     for key, raw in settings.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
-        name, cast = _CONFIG_KEYS[key]
+        name, cast, _ = _CONFIG_KEYS[key]
         if hasattr(args, name):
             try:
-                defaults[name] = cast(raw)
+                values[name] = cast(raw)
             except ValueError:
                 raise UsageError(f"config key {key!r} needs {cast.__name__}, got {raw!r}") from None
-    return defaults
+    for name, value in values.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
 
 
 def main(argv=None):
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        commands[args.command].set_defaults(**_config_defaults(_load_config(args.config), args))
-        args = parser.parse_args(argv)
+        _fill_defaults(args, _load_config(args.config))
         for name, least in (("jobs", 1), ("cutoff", 0)):
             if getattr(args, name, least) < least:
                 raise UsageError(f"{name} must be at least {least}, got {getattr(args, name)}")

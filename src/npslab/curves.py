@@ -37,8 +37,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate
+from functools import cache, lru_cache
+from itertools import accumulate, groupby
 
 from .partitions import Partition
 
@@ -219,22 +219,12 @@ class LimitCurve:
         return _stored_curve(tuple(-x for x in reversed(self.xs)), self.ys[::-1], self.scale_sq)
 
     def _canonical(self):
-        pts = list(zip(self.xs, self.ys))
-        kept = []
-        for p in pts:
-            while len(kept) >= 2:
-                (x0, y0), (x1, y1) = kept[-2], kept[-1]
-                if (y1 - y0) * (p[0] - x1) == (p[1] - y1) * (x1 - x0):
-                    kept.pop()
-                else:
-                    break
-            kept.append(p)
         q = self.scale_sq
 
         def key(v):
             return (v > 0) - (v < 0), v * v * q
 
-        return tuple((key(x), key(y)) for x, y in kept)
+        return tuple((key(x), key(y)) for x, y in zip(*_corners(self.xs, self.ys)))
 
     def same_curve(self, other):
         """Exact equality as curves in true coordinates, frame-independent."""
@@ -358,6 +348,19 @@ def _exits(table, x, y):
     return arm, -pw + (pv - target) * (pw - xs[j]) / (pv - (ys[j] + xs[j])) + x
 
 
+def _corners(xs, ys):
+    """The breakpoints (xs, ys) less each one collinear with its neighbours."""
+    kept = []
+    for p in zip(xs, ys):
+        while len(kept) >= 2:
+            (x0, y0), (x1, y1) = kept[-2], kept[-1]
+            if (y1 - y0) * (p[0] - x1) != (p[1] - y1) * (x1 - x0):
+                break
+            kept.pop()
+        kept.append(p)
+    return tuple(x for x, _ in kept), tuple(y for _, y in kept)
+
+
 def _stored_curve(xs, ys, scale_sq):
     """The curve on frame breakpoints, without the constructor's checks: the
     breakpoints come from a curve that passed them, possibly under a
@@ -419,24 +422,30 @@ def partition_boundary(shape, n, exponents=None):
     if rho is None:
         rho = Fraction(float(n) ** float(exponents.beta - exponents.alpha))
     scale = 1 / (n * rho)
-    # The profile's corners (u, v), row lengths u and row indices v, run from
-    # (0, rows) to (lambda_1, 0); a point is (rho u - v, rho u + v) in the
+    # The profile runs from (0, rows) to (lambda_1, 0) in (row length u, row
+    # index v).  A run of k equal rows of length u, ending at row v, gives
+    # its two corners (u, v) and (u, v - k); the points between them are
+    # collinear and left out.  A point is (rho u - v, rho u + v) in the
     # frame, rho = p / q.  For any rho > 0 the steps have slopes +-1 and
     # strictly increasing x and the ends lie on |x|, so the constructor's
     # checks hold by construction.
     p, q = rho.numerator, rho.denominator
-    ell = len(shape.parts)
-    profile = [(0, ell)]
-    prev_u = 0
-    for i in range(ell, 0, -1):
-        u = shape.parts[i - 1]
-        if u != prev_u:
-            profile.append((u, i))
-            prev_u = u
-        profile.append((u, i - 1))
+    v = len(shape.parts)
+    profile = [(0, v)]
+    for u, run in groupby(reversed(shape.parts)):
+        k = len(list(run))
+        profile += [(u, v), (u, v - k)]
+        v -= k
     xs = tuple(Fraction(p * u - q * v, q) for u, v in profile)
     ys = tuple(Fraction(p * u + q * v, q) for u, v in profile)
     return _stored_curve(xs, ys, scale / 2)
+
+
+@lru_cache(maxsize=1)
+def _corner_curve(curve):
+    """The curve on its corners alone, with its float table once built; kept
+    for the last curve asked, as a sweep fits one curve at every size."""
+    return _stored_curve(*_corners(curve.xs, curve.ys), curve.scale_sq)
 
 
 def _deepest_cells(curve, n):
@@ -446,7 +455,10 @@ def _deepest_cells(curve, n):
     smaller i + j, then i.  A South or East step never raises phi, as gamma
     is 1-Lipschitz, so these cells form a Young diagram.  A heap of the
     addable cells takes them one at a time, so the result is a partition of
-    n whatever the float rounding."""
+    n whatever the float rounding.  gamma is read from the curve's corners:
+    a collinear breakpoint would change its rounding, and with it how ties
+    fall, so curves that are the same give the same partitions."""
+    curve = _corner_curve(curve)
     unit = 1.0 / math.sqrt(2.0 * n)
     gamma = cache(lambda d: curve.value(d * unit))  # one read per diagonal j - i
 

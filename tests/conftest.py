@@ -6,10 +6,11 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from npslab.complexity import WitnessConstructionError, _w_table, worst_case
-from npslab import curves
+from npslab import curves, sampling
 from npslab.curves import (LimitCurve, ScalingExponents, hook_coordinates, hook_distances,
                            partition_boundary)
 from npslab.integrals import _true_units
@@ -928,8 +929,20 @@ def _boards_per_draw(shape, m, seed):
 @pytest.fixture(scope="session")
 def boards_per_draw():
     """The Monte Carlo draws one `permutation` at a time: an oracle for the
-    blocks of rows that `sampling._chunked_boards` shuffles at once."""
+    blocks of rows that `sampling._draw_blocks` shuffles at once."""
     return _boards_per_draw
+
+
+def _one_row_blocks(shape, m, seed):
+    for values in _boards_per_draw(shape, m, seed):
+        yield np.array([values], dtype=np.int64).reshape(1, shape.size)
+
+
+@pytest.fixture(scope="session")
+def one_row_blocks():
+    """The draws of `boards_per_draw` as blocks of one row each, in the form
+    `sampling._draw_blocks` yields."""
+    return _one_row_blocks
 
 
 _HALF = Fraction(1, 2)
@@ -1014,7 +1027,7 @@ def _w_by_fractions(curve):
                 if other is not top:
                     piece = _clip_fractions(piece, _lin((1, top), (-1, other)))
             total += element * _affine_integral(piece, _lin((1, top), (-1, y)))
-    return _true_units(curve, total)
+    return total
 
 
 def _c_by_fractions(curve):
@@ -1046,14 +1059,27 @@ def _i_by_fractions(curve):
         for k, sign in enumerate((1, -1)):
             exit_ = _lin((_HALF, _T_MINUS_S), (sign * _HALF, gt), (-sign * _HALF, gs))
             totals[k] += element * _affine_integral(poly, exit_)
-    return _true_units(curve, totals[0]), _true_units(curve, totals[1])
+    return tuple(totals)
+
+
+def _frame_integrals_by_fractions(curve):
+    """(W, I1, I2) in frame units, as exact Fractions."""
+    return (_w_by_fractions(curve), *_i_by_fractions(curve))
+
+
+@pytest.fixture(scope="session")
+def frame_integrals_by_fractions():
+    """The exact frame-unit W, I1 and I2 of a curve, pair by pair in
+    Fractions: equal on two breakpoint lists of the same curve."""
+    return _frame_integrals_by_fractions
 
 
 def _integrals_by_fractions(curve):
     """(W, C, I1, I2) with every pair of segments integrated in frame
     Fractions over its polygon, affine functions as coefficient triples and
     each log term rounded from its Fraction."""
-    return (_w_by_fractions(curve), _c_by_fractions(curve), *_i_by_fractions(curve))
+    w, i1, i2 = (_true_units(curve, v) for v in _frame_integrals_by_fractions(curve))
+    return w, _c_by_fractions(curve), i1, i2
 
 
 @pytest.fixture(scope="session")
@@ -1062,3 +1088,57 @@ def integrals_by_fractions():
     for the scaled integer segment table that `integrals` reads, which must
     give the same floats."""
     return _integrals_by_fractions
+
+
+def _full_profile_boundary(shape):
+    """The balanced boundary of a partition with a breakpoint at every unit
+    step of its profile, the collinear ones between the corners of a run of
+    equal rows included, through the checked constructor."""
+    ell = len(shape.parts)
+    profile = [(0, ell)]
+    prev_u = 0
+    for i in range(ell, 0, -1):
+        u = shape.parts[i - 1]
+        if u != prev_u:
+            profile.append((u, i))
+            prev_u = u
+        profile.append((u, i - 1))
+    return LimitCurve([(u - v, u + v) for u, v in profile], Fraction(1, 2 * shape.size))
+
+
+@pytest.fixture(scope="session")
+def full_profile_boundary():
+    """The boundary with every profile step as a breakpoint: an oracle for
+    `partition_boundary`, which keeps the corners only."""
+    return _full_profile_boundary
+
+
+def _uniformity_by_counter(shape, m, seed):
+    """`syt_uniformity_test` with the draws tallied by filling as tuples in a
+    `Counter` when n! <= m, one sort per distinct filling, and one sort per
+    draw otherwise."""
+    count = syt_count(shape)
+    n = shape.size
+    ops = shape_ops(shape)
+    board = ops.new_board()
+    draws = (row for block in sampling._draw_blocks(shape, m, seed) for row in block.tolist())
+    if factorial(n) <= m:
+        draws = Counter(map(tuple, draws)).items()
+    else:
+        draws = ((values, 1) for values in draws)
+    tally = {}
+    for values, k in draws:
+        ops.sort_values(board, values)
+        key = tuple(board[:n])
+        tally[key] = tally.get(key, 0) + k
+    expected = m / count
+    chi_square = sum((obs - expected) ** 2 for obs in tally.values()) / expected
+    chi_square += (count - len(tally)) * expected
+    return chi_square, count - 1
+
+
+@pytest.fixture(scope="session")
+def uniformity_by_counter():
+    """The chi-square with the distinct fillings found by a `Counter` of
+    tuples: an oracle for the integer-coded tally of `syt_uniformity_test`."""
+    return _uniformity_by_counter

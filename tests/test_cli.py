@@ -13,7 +13,8 @@ from npslab import cli
 from npslab.cli import main
 from npslab.complexity import WitnessConstructionError, average_case_chicago, worst_case
 from npslab.curves import LimitCurve, partition_boundary
-from npslab.integrals import avg_lower_integral, worst_case_integral
+from npslab.integrals import DEFAULT_TOL, avg_lower_integral, worst_case_integral
+from npslab.nps import DEFAULT_ENUMERATION_CUTOFF
 from npslab.partitions import Partition
 
 
@@ -127,7 +128,7 @@ def test_sample_commands(capsys):
     assert "dof=1" in out
 
 
-def test_block_draws_keep_monte_carlo_output(tmp_path, capsys, monkeypatch, boards_per_draw):
+def test_block_draws_keep_monte_carlo_output(tmp_path, capsys, monkeypatch, one_row_blocks):
     runs = [
         ["sample", "--shape", "3,2", "--draws", "2000", "--seed", "3"],
         ["sample", "--shape", "3,2", "--draws", "2000", "--seed", "3", "--uniformity"],
@@ -139,7 +140,7 @@ def test_block_draws_keep_monte_carlo_output(tmp_path, capsys, monkeypatch, boar
         return [run(capsys, *argv) for argv in runs] + [(tmp_path / "x.csv").read_bytes()]
 
     blocks = outputs()
-    monkeypatch.setattr("npslab.sampling._chunked_boards", boards_per_draw)
+    monkeypatch.setattr("npslab.sampling._draw_blocks", one_row_blocks)
     assert blocks == outputs()
     rows = [row.split(b",") for row in blocks[-1].splitlines()]
     assert rows[0][5] == b"C_stderr" and any(row[5] for row in rows[1:])  # Monte Carlo rows
@@ -320,6 +321,63 @@ def test_config_loses_to_explicit_flag_in_any_form(tmp_path, capsys):
     cfg.write_text("samples = many\n")
     code, _, err = run(capsys, "--config", str(cfg), *sweep, "--out", str(tmp_path / "x.csv"))
     assert code == 2 and err.startswith("error: ") and "'samples'" in err and "'many'" in err
+
+
+CONFIGURABLE = {
+    "sweep": ["sweep", "--family", "square", "--sizes", "4", "--out", "x.csv"],
+    "verify": ["verify"],
+    "exact": ["exact", "--shape", "1"],
+    "limit": ["limit", "--curve", "square", "--integral", "W"],
+}
+
+
+def _configured(capsys, monkeypatch, *prefix):
+    """Per command, the values main hands it for the four config flags."""
+    seen = {}
+
+    def record(args):
+        seen[args.command] = {k: getattr(args, k, None) for k in ("tol", "jobs", "samples", "cutoff")}
+        return 0
+
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(CONFIGURABLE, record))
+    for argv in CONFIGURABLE.values():
+        assert run(capsys, *prefix, *argv)[0] == 0
+    return seen
+
+
+def test_config_does_not_outlive_its_call(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("tol = 0.5\njobs = 3\nsamples = 7\nenumeration_cutoff = 4\n")
+    defaults = _configured(capsys, monkeypatch)
+    assert _configured(capsys, monkeypatch, "--config", str(cfg)) == {
+        "sweep": {"tol": 0.5, "jobs": 3, "samples": 7, "cutoff": None},
+        "verify": {"tol": None, "jobs": 3, "samples": None, "cutoff": None},
+        "exact": {"tol": None, "jobs": None, "samples": None, "cutoff": 4},
+        "limit": {"tol": 0.5, "jobs": None, "samples": None, "cutoff": None}}
+    assert _configured(capsys, monkeypatch) == defaults == {
+        "sweep": {"tol": DEFAULT_TOL, "jobs": 1, "samples": 200, "cutoff": None},
+        "verify": {"tol": None, "jobs": 1, "samples": None, "cutoff": None},
+        "exact": {"tol": None, "jobs": None, "samples": None, "cutoff": DEFAULT_ENUMERATION_CUTOFF},
+        "limit": {"tol": DEFAULT_TOL, "jobs": None, "samples": None, "cutoff": None}}
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("tol = 0.5\njobs = 3\nsamples = 7\nenumeration_cutoff = 4\n")
+    cli._parser.cache_clear()
+    try:
+        for k in range(20):
+            config = ["--config", str(cfg)] if k % 2 else []
+            assert run(capsys, *config, "exact", "--shape", "2,1", "--method", "brute")[0] == 0
+        assert cli._parser.cache_info().misses == 1
+        # the parser the calls used still parses as a new one does
+        used, new = cli._parser(), cli._parser.__wrapped__()
+        for argv in CONFIGURABLE.values():
+            parsed = vars(used.parse_args(argv))
+            assert parsed == vars(new.parse_args(argv))
+            assert all(parsed.get(k) is None for k in ("tol", "jobs", "samples", "cutoff"))
+    finally:
+        cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [

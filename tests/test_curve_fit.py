@@ -56,3 +56,13 @@ def test_sup_distance_falls_as_one_over_root_n(curve, sup_distance):
 def test_fit_is_a_partition_of_n(curve):
     for n in range(1, 401):
         assert _deepest_cells(curve, n).size == n
+
+
+@pytest.mark.parametrize("parts", [(6, 5, 3, 3, 1), (3, 3, 3)], ids=str)
+def test_fit_ignores_collinear_breakpoints(parts, full_profile_boundary):
+    # the boundary keeps only the profile's corners; the fit reads the same
+    # partitions from the boundary with every profile step as a breakpoint
+    corners, full = boundary(parts), full_profile_boundary(Partition(parts))
+    assert len(corners.xs) < len(full.xs)
+    for n in range(1, 201):
+        assert _deepest_cells(corners, n) == _deepest_cells(full, n), n

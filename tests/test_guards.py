@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from npslab import sampling, two_row
@@ -22,8 +23,8 @@ def _uniformity_of_one_repeated_filling():
     """chi^2 of m = 50 draws of (3,2) that all sort to one standard filling:
     the other four classes, never observed, count m / 5 each."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampling, "_chunked_boards",
-                      lambda shape, m, seed: ([5, 4, 3, 2, 1] for _ in range(m)))
+        patch.setattr(sampling, "_draw_blocks",
+                      lambda shape, m, seed: iter([np.array([[5, 4, 3, 2, 1]] * m)]))
         return sampling.syt_uniformity_test(Partition([3, 2]), 50, 0)
 
 

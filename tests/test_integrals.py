@@ -23,6 +23,7 @@ from npslab.curves import (
     unit_square_curve,
 )
 from npslab.integrals import (
+    _distance_frame_integral,
     _segment_table,
     avg_lower_integral,
     distance_integral_cellwise,
@@ -235,6 +236,28 @@ def rational_curves(draw):
 def test_integrals_equal_fraction_oracle_on_rational_curves(integrals_by_fractions, curve):
     assert _segment_table(curve).Q > 1
     assert _production(curve) == integrals_by_fractions(curve)
+
+
+def _collinear_triples(curve):
+    points = list(zip(curve.xs, curve.ys))
+    return [q for p, q, r in zip(points, points[1:], points[2:])
+            if (q[1] - p[1]) * (r[0] - q[0]) == (r[1] - q[1]) * (q[0] - p[0])]
+
+
+def test_boundary_corners_keep_every_integral(full_profile_boundary, frame_integrals_by_fractions,
+                                              integrals_by_fractions):
+    shapes = [shape for n in range(1, 11) for shape in partitions_of(n)]
+    shapes += [Partition([30] * 30), Partition([40] * 10 + [20] * 10)]
+    for shape in shapes:
+        curve, full = partition_boundary(shape, shape.size), full_profile_boundary(shape)
+        assert curve.same_curve(full) and curve.scale_sq == full.scale_sq, shape
+        assert not _collinear_triples(curve), shape
+        assert _distance_frame_integral(curve) == _distance_frame_integral(full), shape
+        assert frame_integrals_by_fractions(curve) == frame_integrals_by_fractions(full), shape
+        assert ([v.hex() for v in _production(curve)] == [v.hex() for v in _production(full)]
+                ), shape
+        assert (integrals_by_fractions(curve)[1].hex() == integrals_by_fractions(full)[1].hex()
+                == avg_lower_integral(curve).hex()), shape
 
 
 def test_adaptive_quad_basics():

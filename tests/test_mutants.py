@@ -12,11 +12,11 @@ import inspect
 import sys
 import textwrap
 from itertools import accumulate, permutations
-from math import prod
+from math import factorial, prod
 
 import pytest
 
-from npslab import complexity, curves, integrals, nps, partitions, two_row, verify
+from npslab import complexity, curves, integrals, nps, partitions, sampling, two_row, verify
 from npslab.partitions import Partition, partitions_of
 
 SMALL_SHAPES = [shape for n in range(1, 8) for shape in partitions_of(n)]
@@ -167,6 +167,26 @@ def _boundary_caught(boundary_refusals):
     return bool(boundary_refusals())
 
 
+def _corners_caught(full_profile_boundary):
+    """Whether some balanced boundary of a shape of size 8 or less is not
+    the curve through every step of its profile."""
+    return any(not curves.partition_boundary(shape, n).same_curve(full_profile_boundary(shape))
+               for n in range(1, 9) for shape in partitions_of(n))
+
+
+def _uniformity_caught(oracle):
+    """Whether the chi-square of `syt_uniformity_test` differs in some bit
+    from the `Counter` tally's on (3,2), (2,2,1) or (4,3), n! <= m, at one
+    of five seeds."""
+    for parts in ((3, 2), (2, 2, 1), (4, 3)):
+        shape = Partition(parts)
+        m = 3 * factorial(shape.size) + 7
+        for seed in range(5):
+            if sampling.syt_uniformity_test(shape, m, seed)[0].hex() != oracle(shape, m, seed)[0].hex():
+                return True
+    return False
+
+
 def _exits_caught(query_mismatches):
     """Whether a float curve query differs from the linear walk on the
     boundary of (4,2,1), (3,3,1,1) or (5,2,2,1)."""
@@ -305,6 +325,16 @@ MUTANTS = [
     pytest.param(curves, "partition_boundary", "_stored_curve(xs, ys, scale / 2)",
                  "_stored_curve(xs[:-1], ys[:-1], scale / 2)",
                  (("boundary_refusals", _boundary_caught),), id="boundary-missing-last-point"),
+    # the lower corner of a run of two or more equal rows dropped, as if it
+    # were collinear with its neighbours
+    pytest.param(curves, "partition_boundary", "profile += [(u, v), (u, v - k)]",
+                 "profile += [(u, v)] * (k == 1) + [(u, v - k)]",
+                 (("full_profile_boundary", _corners_caught),), id="boundary-run-corner-dropped"),
+    # the distinct fillings tallied in code order, not in the order of their
+    # first draw: the same counts, summed into the chi-square in another order
+    pytest.param(sampling, "_distinct_draws", "tally[:, np.argsort(tally[1])]",
+                 "tally[:, np.argsort(tally[0])]",
+                 (("uniformity_by_counter", _uniformity_caught),), id="tally-in-code-order"),
     # bisect_left for bisect_right on w - gamma(w): the arm stops at a
     # breakpoint where gamma(w) - w equals y - x instead of following the
     # diagonal along the slope +1 segment after it

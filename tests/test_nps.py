@@ -18,7 +18,7 @@ from npslab.nps import (
     shape_ops,
     verify_bijection,
 )
-from npslab.sampling import _chunked_boards
+from npslab.sampling import _draw_blocks
 from npslab.partitions import Partition, hook_product, partitions_of, syt_count
 
 
@@ -198,7 +198,7 @@ def test_sort_values_matches_swap_sort_on_every_small_filling(kernel_mismatch):
                          ids=["10x10", "20x20", "hook-200"])
 def test_sort_values_matches_swap_sort_on_seeded_fillings(parts, kernel_mismatch):
     shape = Partition(parts)
-    fillings = _chunked_boards(shape, 30, seed=5)
+    fillings = (row for block in _draw_blocks(shape, 30, seed=5) for row in block.tolist())
     assert kernel_mismatch(shape, fillings) is None
 
 

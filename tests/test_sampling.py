@@ -2,14 +2,16 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from npslab import sampling
 from npslab.complexity import worst_case
 from npslab.nps import _ShapeOps, nps_sort
 from npslab.partitions import Partition, syt_count
 from npslab.sampling import (
     SeededStream,
-    _chunked_boards,
+    _draw_blocks,
     estimate_avg_case,
     random_tableau,
     syt_uniformity_test,
@@ -23,7 +25,7 @@ from npslab.sampling import (
 def test_block_draws_match_per_draw_permutations(parts, m, boards_per_draw):
     shape = Partition(parts)
     for seed in (0, 11):
-        blocks = list(_chunked_boards(shape, m, seed))
+        blocks = [row for block in _draw_blocks(shape, m, seed) for row in block.tolist()]
         assert len(blocks) == m
         assert blocks == list(boards_per_draw(shape, m, seed))
         assert all(type(v) is int for v in blocks[0])
@@ -153,3 +155,43 @@ def test_monte_carlo_equals_oracle_loop(parts, m, seed, boards_per_draw, sort_fi
     # with n! <= m each distinct filling is sorted once
     memo = math.factorial(shape.size) <= m
     assert len(sorts) == (len(set(sorts)) if memo else m)
+
+
+def _tally_cases():
+    """(shape, m, seed): the least m the test admits, and m below and above
+    n! where the shape has both, at three seeds; one run of (3,2) spans
+    several merges of the coded tally."""
+    cases = []
+    for parts in [(1,), (2, 1), (3, 1), (2, 2), (3, 2), (2, 2, 1), (4, 3)]:
+        shape = Partition(parts)
+        least, fillings = 10 * syt_count(shape), math.factorial(shape.size)
+        for m in sorted({least, max(least, fillings - 1), max(least, fillings), 3 * fillings + 7}):
+            cases += [(shape, m, seed) for seed in (0, 1, 7)]
+    cases.append((Partition([3, 2]), 2 * sampling._TALLY_CODES + 5_000, 3))
+    return cases
+
+
+def test_uniformity_equals_counter_tally(uniformity_by_counter):
+    cases = _tally_cases()
+    assert {math.factorial(s.size) <= m for s, m, _ in cases} == {True, False}
+    for shape, m, seed in cases:
+        chi2, dof = syt_uniformity_test(shape, m, seed)
+        want, want_dof = uniformity_by_counter(shape, m, seed)
+        assert (chi2.hex(), dof) == (want.hex(), want_dof), (shape, m, seed)
+
+
+def test_draw_codes_fit_int64(monkeypatch):
+    # a filling of size n is coded as sum_k v_k (n + 1)^k with 1 <= v_k <= n,
+    # so its code is at most (n + 1)^n - 1
+    top = np.iinfo(np.int64).max
+    n = sampling._CODED_SIZE
+    assert (n + 1) ** n - 1 <= top < (n + 2) ** (n + 1) - 1
+    values = np.arange(1, n + 1, dtype=np.int64)  # the largest code of a filling of size n
+    powers = (n + 1) ** np.arange(n, dtype=np.int64)
+    assert int(values @ powers) == sum(v * (n + 1) ** k for k, v in enumerate(range(1, n + 1)))
+    # a size above _CODED_SIZE is tallied draw by draw, whatever m is
+    shape = Partition([3, 2])
+    coded = syt_uniformity_test(shape, 200, 1)
+    monkeypatch.setattr(sampling, "_CODED_SIZE", 4)
+    monkeypatch.setattr(sampling, "_distinct_draws", None)
+    assert syt_uniformity_test(shape, 200, 1) == coded
