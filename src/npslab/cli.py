@@ -2,9 +2,9 @@
 sweeps, verification suites, Monte Carlo sampling and curve integrals.
 
 Exit codes: 0 success, 1 verification failure or program fault (one line,
-no traceback), 2 usage error.  All output is deterministic given flags and
-seed; CSV uses '.' decimals and stable float formatting, and JSON carries
-exact fractions as "p/q" strings.
+no traceback), 2 usage error or size guard.  All output is deterministic
+given flags and seed; CSV uses '.' decimals and stable float formatting, and
+JSON carries exact fractions as "p/q" strings.
 """
 
 import argparse
@@ -38,7 +38,7 @@ from .integrals import (
     worst_case_integral,
 )
 from .nps import DEFAULT_ENUMERATION_CUTOFF
-from .partitions import Partition
+from .partitions import Partition, SizeGuardError
 from .sampling import estimate_avg_case, syt_uniformity_test
 from .verify import run_suite
 
@@ -428,7 +428,7 @@ def main(argv=None):
             if getattr(args, name, least) < least:
                 raise UsageError(f"{name} must be at least {least}, got {getattr(args, name)}")
         return _HANDLERS[args.command](args)
-    except (UsageError, ValueError) as exc:  # SizeGuardError is a ValueError
+    except (UsageError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, WitnessConstructionError) as exc:

@@ -99,7 +99,7 @@ def worst_case_witness(shape):
     result is checked against the sum of the W table; a mismatch raises.
     """
     if not shape.parts:
-        raise ValueError("cannot build a witness for the empty shape")
+        raise SizeGuardError("cannot build a witness for the empty shape")
     offsets = list(accumulate(shape.parts, initial=0))
     w = _w_table(shape)
     corners = shape.corners()

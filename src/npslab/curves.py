@@ -12,7 +12,7 @@ breakpoints are irrational - e.g. the unit-square curve has true apex
 
 Queries answer in the type they are asked in.  A float query (``value``,
 ``hook_distances``, ``hook_coordinates``, or a frame method given a float)
-reads one float table per curve, built once on first use: the breakpoints
+reads one float table per curve, built with the curve: the breakpoints
 and the two non-decreasing sequences w - gamma(w) and gamma(w) + w.  A
 Fraction (or int) query builds the same table exactly and stays exact.  A
 point query evaluates gamma(x) once, finds both diagonal exits by bisection
@@ -37,7 +37,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache, lru_cache
+from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, groupby
 
 from .partitions import Partition
@@ -57,6 +58,7 @@ __all__ = [
 FILE_TOLERANCE = Fraction(1, 10**9)
 
 
+@dataclass(frozen=True)
 class ScalingExponents:
     """Rescaling exponents (alpha, beta) = (1/p, 1/q) with alpha + beta = 1.
 
@@ -64,21 +66,16 @@ class ScalingExponents:
     antidiagonal (column) direction; beta = 0 encodes q = infinity.
     """
 
-    __slots__ = ("alpha", "beta")
+    alpha: Fraction
+    beta: Fraction
 
-    def __init__(self, alpha, beta):
-        alpha = Fraction(alpha)
-        beta = Fraction(beta)
+    def __post_init__(self):
+        alpha = Fraction(self.alpha)
+        beta = Fraction(self.beta)
         if alpha + beta != 1 or alpha < 0 or beta < 0:
             raise ValueError(f"exponents must be nonnegative with sum 1, got {alpha}, {beta}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalingExponents is immutable")
-
-    def __reduce__(self):
-        return (ScalingExponents, (self.alpha, self.beta))
 
     @classmethod
     def balanced(cls):
@@ -95,9 +92,6 @@ class ScalingExponents:
         """Exponent of the leading complexity term, 1 + max(alpha, beta)."""
         return 1 + max(self.alpha, self.beta)
 
-    def __repr__(self):
-        return f"ScalingExponents({self.alpha}, {self.beta})"
-
 
 def _exact_rational_power(n, exponent):
     """n**exponent as an exact Fraction, or None when it is irrational."""
@@ -112,7 +106,7 @@ def _exact_rational_power(n, exponent):
 class LimitCurve:
     """A 1-Lipschitz piecewise-linear curve equal to |x| outside its span."""
 
-    __slots__ = ("xs", "ys", "scale_sq", "_float_cache")
+    __slots__ = ("xs", "ys", "scale_sq", "scale", "_float_table")
 
     def __init__(self, points, scale_sq=Fraction(1), tolerance=Fraction(0)):
         """`points` are frame breakpoints; true coords are sqrt(scale_sq)
@@ -145,10 +139,14 @@ class LimitCurve:
         self._store(tuple(p[0] for p in pts), tuple(p[1] for p in pts), scale_sq)
 
     def _store(self, xs, ys, scale_sq):
+        """Set the exact breakpoints and squared scale, the float scale
+        sqrt(scale_sq) from frame to true units, and the float query table."""
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "scale_sq", scale_sq)
-        object.__setattr__(self, "_float_cache", None)
+        object.__setattr__(self, "scale", math.sqrt(scale_sq))
+        object.__setattr__(self, "_float_table",
+                           _query_table(tuple(map(float, xs)), tuple(map(float, ys))))
 
     def __setattr__(self, name, value):
         raise AttributeError("LimitCurve is immutable")
@@ -163,29 +161,15 @@ class LimitCurve:
         """Frame interval outside which the curve equals |x|."""
         return (self.xs[0], self.xs[-1]) if self.xs else (Fraction(0), Fraction(0))
 
-    @property
-    def scale(self):
-        """Frame-to-true scale factor sqrt(scale_sq), as a float."""
-        return self._floats()[1]
-
-    def _floats(self):
-        """The float query table and the float scale, built on first use."""
-        floats = self._float_cache
-        if floats is None:
-            floats = (_query_table(tuple(map(float, self.xs)), tuple(map(float, self.ys))),
-                      math.sqrt(float(self.scale_sq)))
-            object.__setattr__(self, "_float_cache", floats)
-        return floats
-
     def _table(self, x):
         """The query table in the type of the query x: the float one for a
         float, the exact one, built per query, for a Fraction or int."""
-        return self._floats()[0] if isinstance(x, float) else _query_table(self.xs, self.ys)
+        return self._float_table if isinstance(x, float) else _query_table(self.xs, self.ys)
 
     def value_frame(self, x):
         """Curve value at frame abscissa x: float arithmetic on the float copy
         of the breakpoints for a float x, exact for a Fraction or int x."""
-        xs, ys = self._floats()[0][:2] if isinstance(x, float) else (self.xs, self.ys)
+        xs, ys = self._float_table[:2] if isinstance(x, float) else (self.xs, self.ys)
         return _interpolate(xs, ys, x)
 
     def value(self, x):
@@ -441,29 +425,41 @@ def partition_boundary(shape, n, exponents=None):
     return _stored_curve(xs, ys, scale / 2)
 
 
-@lru_cache(maxsize=1)
-def _corner_curve(curve):
-    """The curve on its corners alone, with its float table once built; kept
-    for the last curve asked, as a sweep fits one curve at every size."""
-    return _stored_curve(*_corners(curve.xs, curve.ys), curve.scale_sq)
-
-
 def _deepest_cells(curve, n):
     """The partition of n made of the n cells deepest below the curve in
     balanced scaling: cell (i, j) scores phi = gamma(x) - y at its centre,
-    x = (j - i)/sqrt(2n) and y = (i + j - 1)/sqrt(2n), and ties go to the
-    smaller i + j, then i.  A South or East step never raises phi, as gamma
-    is 1-Lipschitz, so these cells form a Young diagram.  A heap of the
-    addable cells takes them one at a time, so the result is a partition of
-    n whatever the float rounding.  gamma is read from the curve's corners:
-    a collinear breakpoint would change its rounding, and with it how ties
-    fall, so curves that are the same give the same partitions."""
-    curve = _corner_curve(curve)
-    unit = 1.0 / math.sqrt(2.0 * n)
-    gamma = cache(lambda d: curve.value(d * unit))  # one read per diagonal j - i
+    x = (j - i)/sqrt(2n) and y = (i + j - 1)/sqrt(2n), and exact ties go to
+    the smaller i + j, then i.  A South or East step never raises phi, as
+    gamma is 1-Lipschitz, so these cells form a Young diagram, which a heap
+    of the addable cells takes one at a time whatever the float rounding.
+
+    With R = sqrt(2n scale_sq), R phi over the frame scale is
+    A R + s d - (i + j - 1) on the frame line y = A + s x under the diagonal
+    d = j - i, and |d| - (i + j - 1) off the span.  Cells with equal A differ
+    by a rational, an int ratio that one division rounds correctly; when R
+    is irrational, cells with different A cannot tie and A R is one float
+    per A, else it joins the rational.  So exact ties give equal floats,
+    also across collinear breakpoints, which share a line."""
+    r2 = 2 * n * curve.scale_sq
+    root = _rational_sqrt(r2)
+    xs, ys = curve.xs, curve.ys
+    cuts = [x * abs(x) * r2 for x in xs]  # x <= d / R exactly when x|x| R^2 <= d|d|
+    lines = [(0.0, 0, None)]  # (A R as a float, A R as a Fraction, s); s = None off the span
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+        s = (y1 - y0) / (x1 - x0)
+        a = y1 - s * x1
+        lines.append((0.0, a * root, s) if root is not None else (float(a) * math.sqrt(r2), 0, s))
+    lines.append(lines[0])
+
+    @cache
+    def diagonal(d):
+        f, exact, s = lines[bisect_right(cuts, d * abs(d))]
+        q = exact + (abs(d) if s is None else s * d)
+        return f, q.numerator, q.denominator
 
     def entry(i, j):
-        return ((i + j - 1) * unit - gamma(j - i), i + j, i, j)
+        f, num, den = diagonal(j - i)
+        return ((i + j - 1) * den - num) / den - f, i + j, i, j
 
     rows = [0] * (n + 1)  # rows[i - 1] is the length of row i
     heap = [entry(1, 1)]

@@ -32,7 +32,8 @@ __all__ = [
 
 
 class SizeGuardError(ValueError):
-    """A size guard refused an input before the work that it would cost."""
+    """A size guard refused an input: too large for the work that it would
+    cost, or too small for the result asked (too few draws, an empty shape)."""
 
 
 def _integers(values, what, row=None):

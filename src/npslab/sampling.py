@@ -113,7 +113,7 @@ def estimate_avg_case(shape, m, seed):
     the unbiased sample variance.
     """
     if m < 2:
-        raise ValueError("need at least two samples")
+        raise SizeGuardError("need at least two samples")
     ops = shape_ops(shape)
     board = ops.new_board()
     total = 0
@@ -142,7 +142,7 @@ def syt_uniformity_test(shape, m, seed):
     if count > 10**4:
         raise SizeGuardError(f"{count} standard tableaux is too many to tabulate")
     if m < 10 * count:
-        raise ValueError(f"need m >= {10 * count} draws for {count} classes")
+        raise SizeGuardError(f"need m >= {10 * count} draws for {count} classes")
     ops = shape_ops(shape)
     n = shape.size
     board = ops.new_board()

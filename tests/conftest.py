@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -1111,6 +1112,61 @@ def full_profile_boundary():
     """The boundary with every profile step as a breakpoint: an oracle for
     `partition_boundary`, which keeps the corners only."""
     return _full_profile_boundary
+
+
+def _surd_sign(a, b, m):
+    """The sign of a + b sqrt(m), for integers a, b and m >= 0."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * ((a * a > b * b * m) - (a * a < b * b * m))
+
+
+def _deepest_cells_by_depth(curve, n):
+    """The first n of the cells with i j <= n (every cell of a partition of n
+    is one), as a set, ordered by depth below the curve in balanced scaling,
+    deepest first, then by i + j, then by i.  With d = j - i and
+    R = sqrt(2n scale_sq) = sqrt(m) / k, R times the depth of (i, j) over the
+    frame scale is s d - (i + j - 1) + A R on the frame segment y = A + s x
+    that holds d / R, and |d| - (i + j - 1) off the span.  Over a common
+    denominator each depth is a + b sqrt(m) in integers, compared exactly."""
+    q = 2 * n * curve.scale_sq
+    m, k = q.numerator * q.denominator, q.denominator
+    segments = list(zip(curve.xs, curve.ys, curve.xs[1:], curve.ys[1:]))
+
+    def beyond(d, x):  # the sign of d / R - x, times x.denominator sqrt(m)
+        return _surd_sign(d * k * x.denominator, -x.numerator, m)
+
+    def line(d):  # (s d, A / k)
+        for x0, y0, x1, y1 in segments:
+            if beyond(d, x0) >= 0 >= beyond(d, x1):
+                s = (y1 - y0) / (x1 - x0)
+                return s * d, (y0 - s * x0) / k
+        return Fraction(abs(d)), Fraction(0)
+
+    lines = {d: line(d) for d in range(1 - n, n)}
+    scale = math.lcm(*(v.denominator for pair in lines.values() for v in pair))
+    lines = {d: (int(a * scale), int(b * scale)) for d, (a, b) in lines.items()}
+
+    def order(c1, c2):
+        (i1, j1), (i2, j2) = c1, c2
+        (a1, b1), (a2, b2) = lines[j1 - i1], lines[j2 - i2]
+        deeper = _surd_sign(a2 - a1 + (i1 + j1 - i2 - j2) * scale, b2 - b1, m)
+        return deeper or (-1 if (i1 + j1, i1) < (i2 + j2, i2) else 1)
+
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n // i + 1)]
+    return set(sorted(cells, key=functools.cmp_to_key(order))[:n])
+
+
+@pytest.fixture(scope="session")
+def fits_by_depth():
+    """(curve, n, cells) for n <= 60 on the unit square, the flat top and the
+    boundaries of (4,2), (3,3,3), (6,5,3,3,1) and (10,1), the cells from a
+    sort of every cell by exact depth: an oracle for `_deepest_cells`."""
+    grid = [curves.unit_square_curve(), curves.flat_top_curve()]
+    grid += [partition_boundary(Partition(p), sum(p))
+             for p in ((4, 2), (3, 3, 3), (6, 5, 3, 3, 1), (10, 1))]
+    return [(curve, n, _deepest_cells_by_depth(curve, n)) for curve in grid for n in range(1, 61)]
 
 
 def _uniformity_by_counter(shape, m, seed):

@@ -25,6 +25,7 @@ from npslab.complexity import (
     max_case_bruteforce,
     worst_case,
 )
+from npslab.curves import LimitCurve, flat_top_curve
 from npslab.partitions import Partition
 from npslab.sampling import estimate_avg_case
 from npslab.two_row import c_closed, c_double_sums, c_equal_rows, c_fixed_distance
@@ -171,7 +172,13 @@ def _one_more_exchange_at(fn, shape):
     return more
 
 
+def _swapped_fn_at(fn, shape, other):
+    """`fn` with `other` called in its place on `shape` only."""
+    return lambda s: other(s) if s == shape else fn(s)
+
+
 _S0_CLEAN = "S0 representations, equal-rows, fixed-distance and sum identities agree"
+_EH_CLEAN = "lower bound holds, strict off hooks; 10 equality shapes, all hooks"
 
 
 @pytest.mark.parametrize("check, clean, owner, name, fault, named", [
@@ -214,15 +221,70 @@ _S0_CLEAN = "S0 representations, equal-rows, fixed-distance and sum identities a
     (lambda: verify.check_uniformity((1,)), "chi-square 2.310 below 18.467 with dof 4", verify,
      "syt_uniformity_test", lambda fn: lambda shape, draws, seed: (100.0, 4),
      "chi-square 100.0 at seed 1 above"),
+    # C(4, 1) is the first binomial of lam2 = 3 and no binomial of a smaller lam2
+    (lambda: verify.check_s0_representations(5, 4), _S0_CLEAN, verify, "comb",
+     lambda fn: _off_at(fn, (4, 1)), "binomial half-weight identity fails at lam2=3"),
+    # L = lcm(1 C(3, 1), 2 C(4, 2)) = 12 at lam2 = 2; 13 leaves L / (i b_i) inexact
+    (lambda: verify.check_s0_representations(5, 4), _S0_CLEAN, verify, "lcm",
+     lambda fn: _off_at(fn, (3, 12)), "companion identity (plain sum) fails at lam2=2"),
+    (lambda: verify.check_eh_bound(verify.brute_table(4)), _EH_CLEAN, verify,
+     "expected_hook_abs", lambda fn: _off_at(fn, (Partition([2, 1]),)),
+     "average 2/3 below expected |H| 5/3 on 2,1"),
+    (lambda: verify.check_eh_bound(verify.brute_table(4)), _EH_CLEAN, verify,
+     "expected_hook_abs", lambda fn: lambda shape: fn(shape) - (shape == Partition([3, 1])),
+     "expected equality on the hook shape 3,1"),
+    (lambda: verify.check_eh_bound(verify.brute_table(4)), _EH_CLEAN, verify,
+     "expected_hook_abs", lambda fn: _swapped_fn_at(fn, Partition([2, 2]), average_case_chicago),
+     "strictness fails on shapes containing a 2x2 box: [Partition([2, 2])]"),
+    (verify.check_cn_value, "lower-bound integral = 0.29543", verify, "worst_case_integral",
+     lambda fn: lambda curve: 0.5, "lower bound not below half the worst-case integral"),
+    (verify.check_cw_imbalanced, "imbalanced ratio 0.499995, integrals (0.5000, 0.5000)", verify,
+     "worst_case", lambda fn: lambda shape: 2 * fn(shape), "not within 0.01 of 1/2"),
+    # the mirror of the unit square read as the flat top, whose integrals are sqrt(2)/3
+    (verify.check_cw_imbalanced, "imbalanced ratio 0.499995, integrals (0.5000, 0.5000)",
+     LimitCurve, "mirrored", lambda fn: lambda curve: flat_top_curve(),
+     "mirroring does not swap the diagonal integrals"),
+    (lambda: verify.check_uniformity((1,)), "chi-square 2.310 below 18.467 with dof 4", verify,
+     "syt_uniformity_test", lambda fn: lambda shape, draws, seed: (2.0, 3), "unexpected dof 3"),
 ], ids=["s0-nested", "equal-rows", "fixed-distance", "equal-rows-harmonic",
         "companion-nested-harmonic", "bijection", "witness-random", "square-worst",
         "square-boundary", "square-integral", "wn-identity", "cn-value", "imbalanced",
-        "uniformity"])
+        "uniformity", "binomial-half-weight", "companion-plain", "eh-below", "eh-hook-strict",
+        "eh-box-equality", "cn-not-below-half-w", "imbalanced-ratio", "imbalanced-mirror",
+        "uniformity-dof"])
 def test_verify_check_fails_on_faulty_route(monkeypatch, check, clean, owner, name, fault, named):
     assert check() == (True, clean)
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     ok, detail = check()
     assert ok is False and named in detail, detail
+
+
+def test_run_suite_refuses_an_unknown_level():
+    with pytest.raises(ValueError, match="unknown level 'medium'"):
+        verify.run_suite("medium")
+
+
+def test_run_suite_reports_a_crash_as_a_failure(monkeypatch):
+    def crash(*args):
+        raise RuntimeError("lost state")
+
+    monkeypatch.setattr(verify, "check_cn_value", crash)
+    results = {r.name: r for r in verify.run_suite("fast")}
+    assert (results["average-lower-integral"].ok,
+            results["average-lower-integral"].detail) == (False, "RuntimeError: lost state")
+    assert all(r.ok for name, r in results.items() if name != "average-lower-integral")
+
+
+def test_run_suite_full_level_runs_every_check():
+    results = verify.run_suite("full")
+    assert [r.name for r in results] == [
+        "harmonic-formula-oracle", "worst-case-tightness", "worst-case-witness-random",
+        "bijection-certification", "two-row-theorem", "s0-representations",
+        "expected-hook-lower-bound", "conjugation-symmetry", "distance-integral-identity",
+        "square-family-trend", "average-lower-integral", "imbalanced-scaling",
+        "sampler-uniformity"]
+    assert all(r.ok for r in results), [r.detail for r in results if not r.ok]
+    assert results[-1].detail == "chi-square 2.310 below 18.467 with dof 4"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -425,12 +425,20 @@ def test_unopenable_file_is_usage_error(tmp_path, capsys, argv):
     (["sweep", "--family", "square", "--sizes", "4..x", "--out", "{tmp}/x.csv"], None,
      "cannot parse sizes '4..x'"),
     (["exact", "--shape", "3,x"], None, "'x'"),
+    (["sample", "--shape", "3,2", "--draws", "1"], None, "error: need at least two samples\n"),
+    (["sample", "--shape", "3,2", "--uniformity", "--draws", "49"], None,
+     "error: need m >= 50 draws for 5 classes\n"),
+    (["sweep", "--family", "square", "--sizes", "36", "--exact-limit", "20", "--samples", "1",
+      "--out", "{tmp}/x.csv"], None, "error: need at least two samples\n"),
+    (["worst", "--shape", "", "--witness"], None,
+     "error: cannot build a witness for the empty shape\n"),
 ], ids=["reversed-range", "sweep-jobs-0", "sweep-jobs-negative", "verify-jobs-0",
         "verify-jobs-negative", "config-jobs-0", "config-jobs-negative",
         "config-samples-unparsable", "square-size-0", "staircase-size-0", "two-row-size-0",
         "curve-file-size-0", "square-size-negative", "exact-cutoff-negative",
         "config-cutoff-negative", "config-line-without-equals", "two-row-param-0",
-        "curve-file-without-curve", "sizes-unparsable", "shape-unparsable"])
+        "curve-file-without-curve", "sizes-unparsable", "shape-unparsable", "sample-one-draw",
+        "uniformity-too-few-draws", "sweep-one-sample", "empty-shape-witness"])
 def test_bad_argument_is_usage_error(tmp_path, capsys, argv, config, named):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if config is not None:
@@ -537,6 +545,16 @@ def test_program_fault_exits_1_in_one_line(capsys, monkeypatch, error, line):
     code, out, err = run(capsys, "worst", "--shape", "2,2")
     assert (code, out, err) == (1, "", line + "\n")
     assert "Traceback" not in err
+
+
+def test_library_value_error_is_a_program_fault(capsys, monkeypatch):
+    # only a usage error or a size guard exits 2; any other ValueError is a fault
+    def broken(shape):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "worst_case", broken)
+    code, out, err = run(capsys, "worst", "--shape", "2,2")
+    assert (code, out, err) == (1, "", "error: internal: ValueError: boom\n")
 
 
 def test_cli_import_leaves_process_pool_unloaded(tmp_path):

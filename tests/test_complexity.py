@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 import npslab
+from npslab import complexity
 from npslab.complexity import (
     MAX_ENUMERATION_WORK,
+    WitnessConstructionError,
     MAX_SORTED_ORDERS,
     _w_table,
     average_case_bruteforce,
@@ -80,6 +82,31 @@ def test_witnesses_are_pinned():
     text = "".join(f"{shape}:{worst_case_witness(shape).format()}\n" for shape in shapes)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "f49c37c04733fa7aa82ef1fdb2b9485cb5bb7e137597ac158375462e57a9f5d8")
+
+
+def _w_table_with(cell, value):
+    """`_w_table` with w(cell) read as `value`."""
+    def table(shape):
+        rows = [list(row) for row in _w_table(shape)]
+        rows[cell[0] - 1][cell[1] - 1] = value
+        return rows
+    return table
+
+
+@pytest.mark.parametrize("cell, value, message", [
+    # no corner of (2,1) lies at distance 0 from (1,1)
+    ((1, 1), 0, "no admissible corner for anchor (1, 1) of 2,1"),
+    # (1,2) is filled with the rectangle of (1,1), so its w is never read as
+    # an anchor's; only the expected sum sees it
+    ((1, 2), 5, "witness for 2,1 achieves 1 exchanges, expected 6"),
+], ids=["no-corner", "sum-mismatch"])
+def test_witness_construction_error_names_the_fault(monkeypatch, cell, value, message):
+    shape = Partition([2, 1])
+    assert worst_case_witness(shape).format() == "2,1;3"
+    monkeypatch.setattr(complexity, "_w_table", _w_table_with(cell, value))
+    with pytest.raises(WitnessConstructionError) as info:
+        worst_case_witness(shape)
+    assert str(info.value) == message
 
 
 def test_witness_examples():

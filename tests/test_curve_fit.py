@@ -66,3 +66,14 @@ def test_fit_ignores_collinear_breakpoints(parts, full_profile_boundary):
     assert len(corners.xs) < len(full.xs)
     for n in range(1, 201):
         assert _deepest_cells(corners, n) == _deepest_cells(full, n), n
+
+
+def test_exact_ties_go_to_the_smaller_i():
+    # at n = 11 the seven cells with max(i, j) = 4 tie on the unit square;
+    # (1,4) and (4,1) come first, by i + j, and (1,4) before (4,1), by i
+    assert _deepest_cells(unit_square_curve(), 11).parts == (4, 3, 3, 1)
+
+
+def test_fit_takes_the_cells_first_in_exact_depth_order(fits_by_depth):
+    assert [(curve, n) for curve, n, cells in fits_by_depth
+            if set(_deepest_cells(curve, n).cells()) != cells] == []

@@ -42,6 +42,15 @@ def test_scaling_exponents():
         ScalingExponents(Fraction(1, 2), Fraction(1, 3))
 
 
+def test_equal_exponents_are_one_value():
+    one_sided = ScalingExponents(1, 0)
+    assert one_sided == ScalingExponents.from_pq(1, math.inf)
+    assert hash(one_sided) == hash(ScalingExponents.from_pq(1, "inf"))
+    assert len({ScalingExponents.balanced(), ScalingExponents(Fraction(1, 2), 0.5)}) == 1
+    with pytest.raises(AttributeError):
+        one_sided.alpha = Fraction(1, 2)
+
+
 def test_immutable_values_survive_pickling():
     shape = pickle.loads(pickle.dumps(Partition([3, 1])))
     assert shape == Partition([3, 1]) and shape.size == 4

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from npslab import integrals
 from npslab.complexity import worst_case
 from npslab.curves import (
     LimitCurve,
@@ -408,6 +409,18 @@ def test_distance_integral_cellwise_examples():
     assert per_cell[(1, 1)] == 4  # 2 (w + 1) with w = 1
     assert per_cell[(1, 2)] == 2 and per_cell[(2, 1)] == 2
     assert total == 8 == 2 * (3 + worst_case(Partition([2, 1])))
+
+
+def test_distance_integral_cellwise_certificate_raises_on_a_mismatch(monkeypatch):
+    shape = Partition([2, 1])
+    assert distance_integral_cellwise(shape)[1] == 8
+    w_table = integrals._w_table
+    monkeypatch.setattr(integrals, "_w_table",
+                        lambda s: [[w + 1 for w in row] for row in w_table(s)])
+    with pytest.raises(AssertionError) as info:
+        distance_integral_cellwise(shape)
+    assert str(info.value) == ("cell-wise distance integral of 2,1 is 14, "
+                               "the exact integral of its boundary is 8")
 
 
 def test_distance_integral_cellwise_up_to_6():

@@ -234,6 +234,13 @@ def _cellwise_caught(oracle):
     return not ok
 
 
+def _fit_caught(expected):
+    """Whether the fit differs from the exact depth order at some n <= 60 on
+    the square, the flat top or one of four partition boundaries."""
+    return any(set(curves._deepest_cells(curve, n).cells()) != cells
+               for curve, n, cells in expected)
+
+
 MUTANTS = [
     # the s1 and s2 terms at (j, k) = (2, 3) dropped from the bucket of k = 3
     pytest.param(two_row, "c_double_sums",
@@ -345,6 +352,9 @@ MUTANTS = [
     pytest.param(curves, "_exits", "j = bisect_left(rises, target, 0, last + 1) - 1",
                  "j = bisect_left(rises, target, 0, last + 1) - 2",
                  (("query_mismatches", _exits_caught),), id="leg-crossing-one-segment-off"),
+    # exact depth ties broken toward the larger i
+    pytest.param(curves, "_deepest_cells", "f, i + j, i, j", "f, i + j, -i, i, j",
+                 (("fits_by_depth", _fit_caught),), id="fit-ties-to-larger-i"),
 ]
 
 
