@@ -44,6 +44,10 @@ from .verify import run_suite
 
 __all__ = ["main"]
 
+# The most sizes one sweep admits, counted before any work: a two-row sweep
+# of 2..20001 took 8.8 s on a 2-vCPU Xeon, and the cost per size grows with n.
+MAX_SWEEP_SIZES = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -62,16 +66,17 @@ def _parse_shape(text):
 
 def _parse_sizes(text):
     text = text.strip()
+    ranged = ".." in text
     try:
-        if ".." in text:
-            lo, hi = (int(v) for v in text.split(".."))
-            if hi < lo:
-                raise UsageError("sizes must be strictly ascending")
-            sizes = list(range(lo, hi + 1))
-        elif text:
-            sizes = [int(v) for v in text.split(",")]
-        else:
-            sizes = []
+        lo, hi = (int(v) for v in text.split("..")) if ranged else (1, text.count(",") + bool(text))
+    except ValueError:
+        raise UsageError(f"cannot parse sizes {text!r}") from None
+    if ranged and hi < lo:
+        raise UsageError("sizes must be strictly ascending")
+    if hi - lo + 1 > MAX_SWEEP_SIZES:
+        raise SizeGuardError(f"{hi - lo + 1} sizes exceed the sweep budget of {MAX_SWEEP_SIZES}")
+    try:
+        sizes = list(range(lo, hi + 1)) if ranged else [int(v) for v in text.split(",") if text]
     except ValueError:
         raise UsageError(f"cannot parse sizes {text!r}") from None
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -229,8 +234,8 @@ def _row_c_value(shape, samples, seed, exact_limit):
 
 
 def _cmd_sweep(args):
-    shape_for, exponent, w_pred, c_pred = _sweep_family(args)
     sizes = _parse_sizes(args.sizes)
+    shape_for, exponent, w_pred, c_pred = _sweep_family(args)
     rows = [["n", "W", "W_scaled", "W_integral", "C", "C_stderr", "C_integral", "C_over_W"]]
     for n in sizes:
         shape = shape_for(n)

@@ -8,7 +8,9 @@ ones.  Because every quantity of interest is either scale-invariant (slopes,
 Lipschitz checks) or scales by a known power of sqrt(scale_sq) (lengths,
 areas), this keeps all structural checks exact even when the true
 breakpoints are irrational - e.g. the unit-square curve has true apex
-(0, sqrt(2)) but frame apex (0, 2) with scale_sq = 1/2.
+(0, sqrt(2)) but frame apex (0, 2) with scale_sq = 1/2.  Exact work per segment
+reads one integer table of the frame breakpoints, `_segment_table`: the
+limit integrals of `integrals.py`, the curve-file fit and `same_curve`.
 
 Queries answer in the type they are asked in.  A float query (``value``,
 ``hook_distances``, ``hook_coordinates``, or a frame method given a float)
@@ -36,6 +38,7 @@ import heapq
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from dataclasses import dataclass
 from functools import cache
@@ -203,12 +206,15 @@ class LimitCurve:
         return _stored_curve(tuple(-x for x in reversed(self.xs)), self.ys[::-1], self.scale_sq)
 
     def _canonical(self):
-        q = self.scale_sq
+        """The breakpoints where the slope changes, as signs and true squares."""
+        L, _, X, Y, G, _ = _segment_table(self)
+        p, q = self.scale_sq.numerator, self.scale_sq.denominator * L * L
 
         def key(v):
-            return (v > 0) - (v < 0), v * v * q
+            return (v > 0) - (v < 0), Fraction(v * v * p, q)
 
-        return tuple((key(x), key(y)) for x, y in zip(*_corners(self.xs, self.ys)))
+        return tuple((key(x), key(y)) for x, y, g0, g1 in
+                     zip(X, Y, [None, *G], [*G, None]) if g0 != g1)
 
     def same_curve(self, other):
         """Exact equality as curves in true coordinates, frame-independent."""
@@ -332,17 +338,27 @@ def _exits(table, x, y):
     return arm, -pw + (pv - target) * (pw - xs[j]) / (pv - (ys[j] + xs[j])) + x
 
 
-def _corners(xs, ys):
-    """The breakpoints (xs, ys) less each one collinear with its neighbours."""
-    kept = []
-    for p in zip(xs, ys):
-        while len(kept) >= 2:
-            (x0, y0), (x1, y1) = kept[-2], kept[-1]
-            if (y1 - y0) * (p[0] - x1) != (p[1] - y1) * (x1 - x0):
-                break
-            kept.pop()
-        kept.append(p)
-    return tuple(x for x, _ in kept), tuple(y for _, y in kept)
+_Segments = namedtuple("_Segments", "L Q X Y G C")
+
+
+def _segment_table(curve):
+    """The curve's segments in integers.  L is the lcm of the breakpoint
+    denominators and Q that of the slope denominators; breakpoint k is
+    (X[k], Y[k]) / L, and on segment k, Q L gamma(S / L) = G[k] S + C[k]
+    with G[k] = Q slope and C[k] = Q Y[k] - G[k] X[k]."""
+    xs, ys = curve.xs, curve.ys
+    L = math.lcm(*(v.denominator for v in xs), *(v.denominator for v in ys))
+    X = [v.numerator * (L // v.denominator) for v in xs]
+    Y = [v.numerator * (L // v.denominator) for v in ys]
+    slopes = []
+    for k in range(len(X) - 1):
+        dy, dx = Y[k + 1] - Y[k], X[k + 1] - X[k]
+        g = math.gcd(dy, dx)
+        slopes.append((dy // g, dx // g))
+    Q = math.lcm(*(den for _, den in slopes))
+    G = [num * (Q // den) for num, den in slopes]
+    C = [Q * y - g * x for x, y, g in zip(X, Y, G)]
+    return _Segments(L, Q, X, Y, G, C)
 
 
 def _stored_curve(xs, ys, scale_sq):
@@ -435,30 +451,30 @@ def _deepest_cells(curve, n):
 
     With R = sqrt(2n scale_sq), R phi over the frame scale is
     A R + s d - (i + j - 1) on the frame line y = A + s x under the diagonal
-    d = j - i, and |d| - (i + j - 1) off the span.  Cells with equal A differ
-    by a rational, an int ratio that one division rounds correctly; when R
-    is irrational, cells with different A cannot tie and A R is one float
-    per A, else it joins the rational.  So exact ties give equal floats,
+    d = j - i, A = C / (Q L) and s = G / Q in the segment table, and
+    |d| - (i + j - 1) off the span.  Cells with equal A differ by an int
+    ratio that one division rounds correctly; when R is irrational, cells
+    with different A cannot tie and A R is one float per A, else A R joins
+    the ratio over Q L rd, R = rn / rd.  So exact ties give equal floats,
     also across collinear breakpoints, which share a line."""
-    r2 = 2 * n * curve.scale_sq
+    L, Q, X, _, G, C = _segment_table(curve)
+    r2 = 2 * n * curve.scale_sq  # R^2 = p / q
     root = _rational_sqrt(r2)
-    xs, ys = curve.xs, curve.ys
-    cuts = [x * abs(x) * r2 for x in xs]  # x <= d / R exactly when x|x| R^2 <= d|d|
-    lines = [(0.0, 0, None)]  # (A R as a float, A R as a Fraction, s); s = None off the span
-    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
-        s = (y1 - y0) / (x1 - x0)
-        a = y1 - s * x1
-        lines.append((0.0, a * root, s) if root is not None else (float(a) * math.sqrt(r2), 0, s))
+    rn, rd = (root.numerator, root.denominator) if root is not None else (0, 1)
+    den = Q * L * rd
+    cuts = [x * abs(x) * r2.numerator for x in X]  # X / L <= d / R iff X|X| p <= d|d| L^2 q
+    lines = [(0.0, 0, None)]  # (A R as a float, A R den, s den); s den = None off the span
+    lines += [(0.0 if root is not None else c / (Q * L) * math.sqrt(r2), c * rn, g * L * rd)
+              for g, c in zip(G, C)]
     lines.append(lines[0])
 
     @cache
     def diagonal(d):
-        f, exact, s = lines[bisect_right(cuts, d * abs(d))]
-        q = exact + (abs(d) if s is None else s * d)
-        return f, q.numerator, q.denominator
+        f, a, g = lines[bisect_right(cuts, d * abs(d) * L * L * r2.denominator)]
+        return f, abs(d) * den if g is None else a + g * d
 
     def entry(i, j):
-        f, num, den = diagonal(j - i)
+        f, num = diagonal(j - i)
         return ((i + j - 1) * den - num) / den - f, i + j, i, j
 
     rows = [0] * (n + 1)  # rows[i - 1] is the length of row i

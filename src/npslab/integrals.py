@@ -15,10 +15,11 @@ segments gamma(s), gamma(t) and the point are affine in (s, t).
 * C lower bound: gamma(t) - gamma(s) = gamma'(t) (t - s) + K(s) with K affine,
   so the integrand is affine plus K(s)^2 / (t - s), with elementary log terms.
 
-Each integral reads one integer segment table of the curve
-(`_segment_table`): the breakpoints times L, the lcm of their denominators,
-and the slopes times Q, the lcm of theirs.  The area element of a pair is
-then E / (2 Q^2) with E an integer, and an affine integrand over the pair's
+Each integral reads the curve's one integer segment table
+(`curves._segment_table`, which the curve-file fit and `same_curve` read
+too): the breakpoints times L, the lcm of their denominators, and the
+slopes times Q, the lcm of theirs.  The area element of a pair is then
+E / (2 Q^2) with E an integer, and an affine integrand over the pair's
 rectangle or triangle is its area times its value at the centroid, all in
 ints.  Each integral sums one integer numerator over a fixed denominator
 (24 Q^3 L^3 for W and I, 72 Q^4 L^3 for the rational part of C) and divides
@@ -35,11 +36,10 @@ boundary, the Fraction that `worst_case_integral` scales to true units.
 """
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .complexity import _w_table
-from .curves import _rational_sqrt, partition_boundary
+from .curves import _rational_sqrt, _segment_table, partition_boundary
 
 __all__ = [
     "worst_case_integral",
@@ -53,28 +53,6 @@ DEFAULT_TOL = 1e-4
 
 # The weights 36 / p^2 of the log terms' rational parts, p = 1, 2, 3.
 _LOG_WEIGHTS = (36, 9, 4)
-
-_Segments = namedtuple("_Segments", "L Q X Y G C")
-
-
-def _segment_table(curve):
-    """The curve's segments in integers.  L is the lcm of the breakpoint
-    denominators and Q that of the slope denominators; breakpoint k is
-    (X[k], Y[k]) / L, and on segment k, Q L gamma(S / L) = G[k] S + C[k]
-    with G[k] = Q slope and C[k] = Q Y[k] - G[k] X[k]."""
-    xs, ys = curve.xs, curve.ys
-    L = math.lcm(*(v.denominator for v in xs), *(v.denominator for v in ys))
-    X = [v.numerator * (L // v.denominator) for v in xs]
-    Y = [v.numerator * (L // v.denominator) for v in ys]
-    slopes = []
-    for k in range(len(X) - 1):
-        dy, dx = Y[k + 1] - Y[k], X[k + 1] - X[k]
-        g = math.gcd(dy, dx)
-        slopes.append((dy // g, dx // g))
-    Q = math.lcm(*(den for _, den in slopes))
-    G = [num * (Q // den) for num, den in slopes]
-    C = [Q * y - g * x for x, y, g in zip(X, Y, G)]
-    return _Segments(L, Q, X, Y, G, C)
 
 
 def _hook_pairs(table):

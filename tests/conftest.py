@@ -1,4 +1,5 @@
 import functools
+import heapq
 import itertools
 import math
 import random
@@ -1160,13 +1161,73 @@ def _deepest_cells_by_depth(curve, n):
 
 @pytest.fixture(scope="session")
 def fits_by_depth():
-    """(curve, n, cells) for n <= 60 on the unit square, the flat top and the
-    boundaries of (4,2), (3,3,3), (6,5,3,3,1) and (10,1), the cells from a
-    sort of every cell by exact depth: an oracle for `_deepest_cells`."""
+    """(curve, n, cells) for n <= 60 on the unit square, the flat top, the
+    boundaries of (4,2), (3,3,3), (6,5,3,3,1), (10,1) and the staircase
+    15..1, and the mirror of the (6,5,3,3,1) boundary, the cells from a sort
+    of every cell by exact depth: an oracle for `_deepest_cells`."""
     grid = [curves.unit_square_curve(), curves.flat_top_curve()]
     grid += [partition_boundary(Partition(p), sum(p))
-             for p in ((4, 2), (3, 3, 3), (6, 5, 3, 3, 1), (10, 1))]
+             for p in ((4, 2), (3, 3, 3), (6, 5, 3, 3, 1), (10, 1), tuple(range(15, 0, -1)))]
+    grid.append(grid[4].mirrored())
     return [(curve, n, _deepest_cells_by_depth(curve, n)) for curve in grid for n in range(1, 61)]
+
+
+def _deepest_cells_by_fractions(curve, n):
+    """The partition of n made of the n cells deepest below the curve in
+    balanced scaling: cell (i, j) scores phi = gamma(x) - y at its centre,
+    x = (j - i)/sqrt(2n) and y = (i + j - 1)/sqrt(2n), and exact ties go to
+    the smaller i + j, then i.  A South or East step never raises phi, as
+    gamma is 1-Lipschitz, so these cells form a Young diagram, which a heap
+    of the addable cells takes one at a time whatever the float rounding.
+
+    With R = sqrt(2n scale_sq), R phi over the frame scale is
+    A R + s d - (i + j - 1) on the frame line y = A + s x under the diagonal
+    d = j - i, and |d| - (i + j - 1) off the span.  Cells with equal A differ
+    by a rational, an int ratio that one division rounds correctly; when R
+    is irrational, cells with different A cannot tie and A R is one float
+    per A, else it joins the rational.  So exact ties give equal floats,
+    also across collinear breakpoints, which share a line."""
+    r2 = 2 * n * curve.scale_sq
+    root = curves._rational_sqrt(r2)
+    xs, ys = curve.xs, curve.ys
+    cuts = [x * abs(x) * r2 for x in xs]  # x <= d / R exactly when x|x| R^2 <= d|d|
+    lines = [(0.0, 0, None)]  # (A R as a float, A R as a Fraction, s); s = None off the span
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+        s = (y1 - y0) / (x1 - x0)
+        a = y1 - s * x1
+        lines.append((0.0, a * root, s) if root is not None else (float(a) * math.sqrt(r2), 0, s))
+    lines.append(lines[0])
+
+    @functools.cache
+    def diagonal(d):
+        f, exact, s = lines[bisect_right(cuts, d * abs(d))]
+        q = exact + (abs(d) if s is None else s * d)
+        return f, q.numerator, q.denominator
+
+    def entry(i, j):
+        f, num, den = diagonal(j - i)
+        return ((i + j - 1) * den - num) / den - f, i + j, i, j
+
+    rows = [0] * (n + 1)  # rows[i - 1] is the length of row i
+    heap = [entry(1, 1)]
+    for _ in range(n):
+        *_, i, j = heapq.heappop(heap)
+        rows[i - 1] = j
+        if i == 1 or rows[i - 2] > j:
+            heapq.heappush(heap, entry(i, j + 1))
+        if rows[i] == j - 1:
+            heapq.heappush(heap, entry(i + 1, j))
+    return Partition(r for r in rows if r)
+
+
+@pytest.fixture(scope="session")
+def fit_by_fractions():
+    """The curve-file fit with each segment's line built in Fractions: an
+    oracle for the integer lines that `_deepest_cells` reads from the
+    segment table.  It rounds as the fit does, so it also serves on decimal
+    files, whose exact ties follow their float rounding and which the
+    exact-depth oracle cannot judge."""
+    return _deepest_cells_by_fractions
 
 
 def _uniformity_by_counter(shape, m, seed):

@@ -280,6 +280,31 @@ def test_sweep_rejects_unsorted_sizes(tmp_path, capsys):
     assert code == 2 and "ascending" in err
 
 
+@pytest.mark.parametrize("sizes", ["1..11", "1,2,3,4,5,6,7,8,9,10,11", "5..1000000000000000"])
+def test_sweep_refuses_sizes_over_the_budget(tmp_path, capsys, monkeypatch, sizes):
+    # the sizes are counted before any list of them is built and before the
+    # family's integrals: a budget of 10, a range that refuses to hold more
+    # than 10 values and a family that must not be built
+    def bounded_range(*args):
+        values = range(*args)
+        assert len(values) <= 10, "built a range of sizes over the budget"
+        return values
+
+    family = cli._sweep_family
+    monkeypatch.setattr(cli, "MAX_SWEEP_SIZES", 10, raising=False)
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    monkeypatch.setattr(cli, "_sweep_family", lambda args: pytest.fail("family built first"))
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sweep", "--family", "square", "--sizes", sizes,
+                         "--out", str(out_path))
+    assert code == 2 and out == "" and "sizes exceed the sweep budget of 10" in err, err
+    assert not out_path.exists()
+    monkeypatch.setattr(cli, "_sweep_family", family)
+    code, _, _ = run(capsys, "sweep", "--family", "square", "--sizes", "1..10",
+                     "--out", str(out_path))
+    assert code == 0 and out_path.read_text().count("\n") == 4
+
+
 def test_config_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("tol = 0.01\n# comment\nsamples = 10\n")

@@ -77,3 +77,19 @@ def test_exact_ties_go_to_the_smaller_i():
 def test_fit_takes_the_cells_first_in_exact_depth_order(fits_by_depth):
     assert [(curve, n) for curve, n, cells in fits_by_depth
             if set(_deepest_cells(curve, n).cells()) != cells] == []
+
+
+# n <= 300: every n <= 30, a stride above, and each n at which R is rational
+# on some curve of the grid below, whose lines then join A R to the ratio
+FRACTION_SIZES = sorted({*range(1, 31), *range(31, 301, 29), *(2 * k * k for k in range(1, 13)),
+                         *(6 * k * k for k in range(1, 8)), 30, 120, 270})
+
+
+def test_fit_matches_the_fraction_lines(fit_by_fractions):
+    # the boundaries of (4,2), (6,5,3,3,1) and the staircase 15..1, their
+    # decimal files and the mirrors of all six
+    exact = [boundary(parts) for parts in ((4, 2), (6, 5, 3, 3, 1), tuple(range(15, 0, -1)))]
+    grid = exact + [LimitCurve.from_document({"breakpoints": c.breakpoints}) for c in exact]
+    grid += [curve.mirrored() for curve in grid]
+    assert [(curve, n) for curve in grid for n in FRACTION_SIZES
+            if _deepest_cells(curve, n) != fit_by_fractions(curve, n)] == []

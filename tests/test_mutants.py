@@ -234,6 +234,32 @@ def _cellwise_caught(oracle):
     return not ok
 
 
+def _skew_count_caught(aitken):
+    """Whether `skew_syt_count`, which codes the inner shape in its own base,
+    differs from the Aitken determinant, or raises, on some pair of shapes
+    of size 5 or less."""
+    for outer in SIFT_SHAPES:
+        for inner in (s for k in range(outer.size + 1) for s in partitions_of(k)):
+            if outer.contains_shape(inner):
+                try:
+                    if partitions.skew_syt_count(outer, inner) != aitken(outer, inner):
+                        return True
+                except KeyError:
+                    return True
+    return False
+
+
+def _blocks_caught(boards_per_draw):
+    """Whether the block draws differ from one `permutation` per draw on
+    (3,2) or (2,2,1)."""
+    for parts in ((3, 2), (2, 2, 1)):
+        shape = Partition(parts)
+        blocks = [row for block in sampling._draw_blocks(shape, 40, 7) for row in block.tolist()]
+        if blocks != list(boards_per_draw(shape, 40, 7)):
+            return True
+    return False
+
+
 def _fit_caught(expected):
     """Whether the fit differs from the exact depth order at some n <= 60 on
     the square, the flat top or one of four partition boundaries."""
@@ -315,7 +341,7 @@ MUTANTS = [
                  (("arms_legs_by_cells", _hook_product_caught),
                   ("arms_legs_by_cells", _hook_range_caught)), id="leg-off-by-one"),
     # the slope denominator read as 1 while G and C stay scaled by Q
-    pytest.param(integrals, "_segment_table", "return _Segments(L, Q,", "return _Segments(L, 1,",
+    pytest.param(curves, "_segment_table", "return _Segments(L, Q,", "return _Segments(L, 1,",
                  (("integrals_on_general_curves", _every_integral_caught),),
                  id="segment-q-forced-to-one"),
     # the log terms' rational parts weighted 36 / p in place of 36 / p^2
@@ -355,6 +381,23 @@ MUTANTS = [
     # exact depth ties broken toward the larger i
     pytest.param(curves, "_deepest_cells", "f, i + j, i, j", "f, i + j, -i, i, j",
                  (("fits_by_depth", _fit_caught),), id="fit-ties-to-larger-i"),
+    # the cut key without q, the denominator of R^2: the diagonal is placed
+    # on the wrong segment wherever q != 1, as on partition boundaries
+    pytest.param(curves, "_deepest_cells", " * r2.denominator", "",
+                 (("fits_by_depth", _fit_caught),), id="fit-cut-without-q"),
+    # every breakpoint kept, collinear ones included: the boundary through
+    # the profile's corners no longer equals the one through every step
+    pytest.param(curves.LimitCurve, "_canonical", " if g0 != g1", "",
+                 (("full_profile_boundary", _corners_caught),), id="canonical-keeps-collinear"),
+    # subdiagrams coded in base lambda_1 - 1: (1,1) and (3,0) share a code
+    # in (3,1), and no code matches the base lambda_1 + 1 of skew_syt_count
+    pytest.param(partitions, "_subdiagrams", "base = outer.row(1) + 1", "base = outer.row(1) - 1",
+                 (("aitken", _skew_count_caught),), id="subdiagram-codes-base-lambda1-minus-1"),
+    # one permutation repeated for every row of a block
+    pytest.param(sampling, "_draw_blocks",
+                 "yield rng.permuted(np.broadcast_to(values, (rows, n)), axis=1)",
+                 "yield np.broadcast_to(rng.permutation(values), (rows, n))",
+                 (("boards_per_draw", _blocks_caught),), id="block-rows-share-one-permutation"),
 ]
 
 
