@@ -39,6 +39,12 @@ __all__ = [
 # (270,1) about 0.7 s.
 MAX_SORTED_ORDERS = 50_000
 MAX_ENUMERATION_WORK = 2 * 10**7
+# The W table holds one int per cell: at 10**6 cells, the 1000 x 1000 square
+# and (10**6) take 0.1 s each and a traced peak of 39 and 56 MB.  The witness
+# of (4472), W = 9,997,156, takes 0.84 s with its self-check sort, on the
+# same machine.
+MAX_WORST_CELLS = 10**6
+MAX_WITNESS_EXCHANGES = 10**7
 
 
 def _w_table(shape):
@@ -51,8 +57,11 @@ def _w_table(shape):
     -1 where it has no cell.  From the last row up, a row's tail, the cells
     with no cell below, is filled as the range w = p - 1 - j, then the cells
     above the row below right to left, carrying w East: (n - c, c) costs
-    O(c) Python steps.
+    O(c) Python steps.  A shape above MAX_WORST_CELLS cells is refused first.
     """
+    if shape.size > MAX_WORST_CELLS:
+        raise SizeGuardError(f"{shape} has {shape.size} cells, above the worst-case budget of "
+                             f"{MAX_WORST_CELLS}")
     w = [-1] * (shape.row(1) + 1)
     table = []
     below = 0
@@ -96,17 +105,25 @@ def worst_case_witness(shape):
     change, so one sort of the keys (-hook, j, i) gives the anchors: the
     first cell of it not yet filled.  A rectangle is free when its row slices
     hold only 0, and each row slice is filled as one range.  The sort of the
-    result is checked against the sum of the W table; a mismatch raises.
+    result is checked against the sum of the W table; a mismatch raises.  A
+    shape whose W exceeds MAX_WITNESS_EXCHANGES is refused before the
+    construction and its sort.
     """
     if not shape.parts:
         raise SizeGuardError("cannot build a witness for the empty shape")
-    offsets = list(accumulate(shape.parts, initial=0))
     w = _w_table(shape)
+    expected = sum(map(sum, w))
+    if expected > MAX_WITNESS_EXCHANGES:
+        raise SizeGuardError(f"{shape} needs W = {expected} exchanges, above the witness "
+                             f"budget of {MAX_WITNESS_EXCHANGES}")
+    ops = shape_ops(shape)
+    offsets = list(accumulate(shape.parts, initial=0))
     corners = shape.corners()
     values = [0] * shape.size
     filled = 0
-    for _, aj, ai in sorted((-(arm + leg + 1), j, i)
-                            for (i, j), (arm, leg) in zip(shape.cells(), _arms_legs(shape))):
+    # arm + leg, the hook less one, is the width of the range of H
+    for _, aj, ai in sorted((low - high, j, i)
+                            for (i, j), low, high in zip(ops.coord, ops.min_hooks, ops.max_hooks)):
         if values[offsets[ai - 1] + aj - 1]:
             continue
         dist = w[ai - 1][aj - 1]
@@ -124,9 +141,7 @@ def worst_case_witness(shape):
             values[o + aj - 1:o + cj] = range(first + (cj - aj) * height, first - 1, -height)
         filled += height * (cj - aj + 1)
     witness = Tableau(shape, [values[o:o + p] for o, p in zip(offsets, shape.parts)])
-    ops = shape_ops(shape)
     achieved = ops.sort_values(ops.new_board(), [values[c] for c in ops.order])
-    expected = sum(map(sum, w))
     if achieved != expected:
         raise WitnessConstructionError(
             f"witness for {shape} achieves {achieved} exchanges, expected {expected}")
@@ -144,7 +159,9 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     exchange sum and maximum.  Each state reads its `landings` once: rank r
     of the next value lands at the first chain index m whose rank exceeds
     r, after m exchanges, so the sums shift once per landing
-    index, and a child's board is built only when its code is new.  A shape
+    index, and a child's board is built only when its code is new.  The last
+    level, as in `verify_bijection`, builds no board: it merges no children
+    and adds each landing group's exchanges once per child.  A shape
     above MAX_SORTED_ORDERS sorted orders or MAX_ENUMERATION_WORK units of
     work f^shape n^2 is refused before any sift.
     """
@@ -158,12 +175,14 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     if f * n * n > MAX_ENUMERATION_WORK:
         raise SizeGuardError(f"{shape} needs f n^2 = {f * n * n} units of work, above the "
                              f"enumeration budget of {MAX_ENUMERATION_WORK}")
+    if not n:
+        return 0, 0
     ops = shape_ops(shape)
     powers = [(n + 2)**k for k in range(n)]
     # boards hold ranks 1..t on the processed cells, 0 on the others and a
     # sentinel above every rank at index n
     states = {0: [ops.new_board(), 1, 0, 0]}
-    for t in range(n):
+    for t in range(n - 1):
         merged = {}
         for code, (board, count, total, best) in states.items():
             for cells, m, r0, codes in ops.landings(board, t, code, powers):
@@ -178,8 +197,12 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
                         if seen[3] < top:
                             seen[3] = top
         states = merged
-    return (sum(total for _, _, total, _ in states.values()),
-            max(best for _, _, _, best in states.values()))
+    total = best = 0
+    for code, (board, count, sub, top) in states.items():
+        for _, m, _, codes in ops.landings(board, n - 1, code, powers):
+            total += len(codes) * (sub + count * m)
+            best = max(best, top + m)
+    return total, best
 
 
 def average_case_bruteforce(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):

@@ -4,13 +4,18 @@ hook-tableau bookkeeping, and bijection certification over all n! fillings.
 Entries are processed cell by cell, rightmost column first and bottom to top
 within a column.  Each entry is repeatedly exchanged with the smaller of its
 South/East neighbours until both are larger (or it sits in a corner).  While
-an entry drops from (i, j) to (i', j'), the hook tableau column segment below
-the start cell shifts up with a decrement and the landing row records the
-column displacement j' - j.
+an entry drops from (i0, j0) to (i1, j1), the hook tableau column segment
+below the start cell shifts up with a decrement and the landing row records
+the column displacement j1 - j0.  In e(i, j) = H(i, j) - i the decremented
+shift leaves e unchanged, so the sift inserts the value j1 - j0 - i1 at
+index i1 - i0 of the list of e over the processed cells of column j0, top
+row first: the insertion rule.
 
 `_ShapeOps.sort_values` is the one step-by-step sift: `nps_sort` builds the
-hooks and the trace from its landing cells, and still checks its output
-with `is_standard` and the constructors, which refuse non-integer entries.
+hooks by the insertion rule and the trace from its landing cells, and still
+checks its output with `is_standard`, the range [-leg, arm] of the hooks on
+bounds kept with the shape's ops, and the constructors, which refuse
+non-integer entries.
 
 The two n! routes, `verify_bijection` and `complexity.exchange_stats`, go
 level by level and merge the prefixes that sift to the same board.  They
@@ -18,15 +23,17 @@ read that path once per sorted board as the slide chain of the start cell,
 which does not depend on the entry: an entry lands at the first chain cell
 whose successor's rank exceeds it.  Ranks rise strictly along the chain,
 because the processed cells of a sorted board form a standard filling, the
-invariant behind the NPS bijection.  They key boards and hook
-arrays by integer codes, sum value * (n + 2)^index.
+invariant behind the NPS bijection.  They key boards by integer codes, sum
+value * (n + 2)^index.  `verify_bijection` keeps each prefix as one integer
+hook code in the same base, in which the insertion rule inserts a digit.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import factorial
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .partitions import (Partition, SizeGuardError, _arms_legs, _integers, hook_product,
@@ -154,7 +161,8 @@ class _ShapeOps:
     a value larger than every entry, so missing neighbours never win a swap.
     """
 
-    __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum")
+    __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum",
+                 "starts", "min_hooks", "max_hooks", "heights", "by_columns", "rows_of")
 
     def __init__(self, shape):
         n = shape.size
@@ -168,6 +176,18 @@ class _ShapeOps:
         self.coord = coord
         self.depth = [i + j for i, j in coord]
         self.depth_sum = sum(self.depth)
+        # what `nps_sort` reads besides the sift: the start cell of each sift,
+        # the range [-leg, arm] of H, the column heights (one more than the
+        # legs of the first row), each cell's index in the column-major order
+        # and its row
+        self.starts = tuple(coord[c] for c in self.order)
+        arms_legs = _arms_legs(shape)
+        self.min_hooks = [-leg for _, leg in arms_legs]
+        self.max_hooks = [arm for arm, _ in arms_legs]
+        self.heights = [leg + 1 for _, leg in arms_legs[:shape.row(1)]]
+        tops = list(accumulate(self.heights, initial=0))
+        self.by_columns = [tops[j - 1] + i - 1 for i, j in coord]
+        self.rows_of = [i for i, _ in coord]
 
     def new_board(self):
         board = [0] * (self.n + 1)
@@ -284,29 +304,34 @@ def nps_sort(tableau):
     hook tableau, the exchange count and the per-entry drop trace, from the
     landing cells of one `sort_values` call."""
     ops = shape_ops(tableau.shape)
-    south, coord = ops.south, ops.coord
+    coord = ops.coord
     flat = [v for row in tableau.rows for v in row]
     values = [flat[c] for c in ops.order]
     board = ops.new_board()
     landed = []
     total = ops.sort_values(board, values, landed)
-    hooks = [0] * ops.n
-    trace = []
-    for start, c, v in zip(ops.order, landed, values):
-        # the hooks of the column segment below the start shift up with a
-        # decrement, and the landing row records the column displacement
-        (i0, j0), (i1, j1) = coord[start], coord[c]
-        walk = start
-        for _ in range(i1 - i0):
-            nxt = south[walk]
-            hooks[walk] = hooks[nxt] - 1
-            walk = nxt
-        hooks[walk] = j1 - j0
-        trace.append(EntryTrace(v, coord[start], coord[c], (i1 - i0) + (j1 - j0)))
+    ends = list(map(coord.__getitem__, landed))
+    # e = H - i down each column, top row first: a sift from (i0, j0) to
+    # (i1, j1) inserts j1 - j0 - i1 at index i1 - i0 of its start column
+    columns = [[] for _ in ops.heights]
+    for (i0, j0), (i1, j1) in zip(ops.starts, ends):
+        columns[j0 - 1].insert(i1 - i0, j1 - j0 - i1)
+    e = list(chain.from_iterable(columns))
+    hooks = list(map(add, map(e.__getitem__, ops.by_columns), ops.rows_of))
+    if not all(map(le, ops.min_hooks, hooks)) or not all(map(le, hooks, ops.max_hooks)):
+        k = next(k for k, v in enumerate(hooks) if not ops.min_hooks[k] <= v <= ops.max_hooks[k])
+        i, j = coord[k]
+        raise ValueError(f"entry {hooks[k]} at ({i},{j}) outside [-leg, arm]")
+    # the HookTableau constructor, less the range check made above
+    hook_tableau = object.__new__(HookTableau)
+    _Filling.__init__(hook_tableau, tableau.shape, ops.rows_from_board(hooks))
     output = Tableau(tableau.shape, ops.rows_from_board(board))
-    hook_tableau = HookTableau(tableau.shape, ops.rows_from_board(hooks))
     if not output.is_standard():
         raise AssertionError(f"sort produced a non-standard tableau from {tableau}")
+    # trace entries made by tuple.__new__, without a Python-level call each
+    depth = ops.depth.__getitem__
+    exchanges = map(sub, map(depth, landed), map(depth, ops.order))
+    trace = map(tuple.__new__, repeat(EntryTrace), zip(values, ops.starts, ends, exchanges))
     return NpsOutcome(output, hook_tableau, total, tuple(trace))
 
 
@@ -315,64 +340,64 @@ def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     (standard tableau, hook tableau) pairs by injectivity and cardinality.
 
     As in `exchange_stats`, each level keeps one state per sorted board,
-    with the hooks of every prefix that reaches it: the board's `landings`
-    and children are made once, and only the hook shift over the start
-    column runs per prefix.  A full filling is the output code sum
-    rank * B^index, B = n + 2, plus the hook code sum H * B^(n + index);
-    H lies in [-leg, arm], fewer than B values, so the signed digits decode
-    uniquely.  The last level builds no board.  Each output code is decoded
-    to its flattened rows once, as a key of `each_syt_count`."""
+    with the hook code of every prefix that reaches it: the board's
+    `landings` and children are made once, and a landing group makes one
+    code per prefix, shared by the group's children.  A hook code has one
+    base-B digit H + leg, in [0, hook), per processed cell, B = n + 2: the
+    current column's from its start cell down, then the finished columns
+    from the left, each top row first.  Within a column H + leg = e + the
+    column height, so the insertion rule of `nps_sort` is an insertion of
+    one digit into the code, the finished columns moving up with the digits
+    below it.  The last level builds no board: it keeps one set of hook
+    codes per output code, whose sizes sum to the distinct pairs, and
+    decodes each output code to its flattened rows once, as a key of
+    `each_syt_count`."""
     n = shape.size
     if n > cutoff:
         raise SizeGuardError(f"size {n} exceeds enumeration cutoff {cutoff}")
     ops = shape_ops(shape)
-    coord, south = ops.coord, ops.south
+    coord, heights = ops.coord, ops.heights
     base = n + 2
-    powers = [base**k for k in range(2 * n)]
-    pairs, tally = set(), Counter()
+    powers = [base**k for k in range(n + 1)]
+    found, tally = {}, Counter()
     if not n:
-        pairs.add(0)
+        found[0] = {0}
         tally[0] = 1
-    # each sorted board by its code, with the hooks and hook code of every
-    # prefix that reaches it: a list, so a faulty sift shows as a collision
-    states = {0: (ops.new_board(), [([0] * n, 0)])}
+    # each sorted board by its code, with the hook code of every prefix that
+    # reaches it: a list, so a faulty sift shows as a collision
+    states = {0: (ops.new_board(), [0])}
     for t, start in enumerate(ops.order):
         i0, j0 = coord[start]
+        height = heights[j0 - 1]
         leaf = t + 1 == n
         merged = {}
         for out, (board, prefixes) in states.items():
-            groups = ops.landings(board, t, out, powers)
-            for cells, m, r0, codes in groups:
+            for cells, m, r0, codes in ops.landings(board, t, out, powers):
+                i1, j1 = coord[cells[m]]
+                k = i1 - i0
+                low, high = powers[k], powers[k + 1]
+                digit = (j1 - j0 - i1 + height) * low
+                if k:
+                    hooks = [r + digit + q * high for q, r in map(divmod, prefixes, repeat(low))]
+                else:  # a landing in the start row: every digit moves up one place
+                    hooks = [digit + q * high for q in prefixes]
+                if leaf:
+                    for child in codes:
+                        found.setdefault(child, set()).update(hooks)
+                        tally[child] += len(hooks)
+                    continue
                 for r, child in enumerate(codes, r0):
-                    if leaf:
-                        tally[child] += len(prefixes)
-                    elif child not in merged:
-                        merged[child] = (slid(board, cells, m, r), [])
-            for hooks, hook_code in prefixes:
-                # the children landing at one chain index share one update
-                # of the hooks over the start column, made in place
-                h = hooks[:]
-                col = start
-                for cells, m, r0, codes in groups:
-                    i1, j1 = coord[cells[m]]
-                    while coord[col][0] < i1:
-                        nxt = south[col]
-                        h[col] = hooks[nxt] - 1
-                        hook_code += (h[col] - hooks[col]) * powers[n + col]
-                        col = nxt
-                    h[col] = j1 - j0
-                    child_hooks = hook_code + (h[col] - hooks[col]) * powers[n + col]
-                    if leaf:
-                        pairs.update(map(child_hooks.__add__, codes))
+                    state = merged.get(child)
+                    if state is None:
+                        merged[child] = (slid(board, cells, m, r), hooks[:])
                     else:
-                        prefix = (h[:], child_hooks)
-                        for child in codes:
-                            merged[child][1].append(prefix)
+                        state[1].extend(hooks)
         states = merged
     expected = factorial(n)
     hooks_count = hook_product(shape)
-    injective = len(pairs) == expected
+    pairs = sum(map(len, found.values()))
+    injective = pairs == expected
     uniform = (len(tally) == syt_count(shape)
                and all(v == hooks_count for v in tally.values()))
     each = {tuple(code // powers[k] % base for k in range(n)): v for code, v in tally.items()}
-    return BijectionReport(shape, len(pairs), expected, injective, each, uniform)
+    return BijectionReport(shape, pairs, expected, injective, each, uniform)

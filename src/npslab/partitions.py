@@ -177,11 +177,12 @@ def _harmonic_numerators(n):
 
 
 def harmonic(n):
-    """H_n = 1 + 1/2 + ... + 1/n as an exact Fraction (H_0 = 0): D H_n over D = lcm(1..n)."""
+    """H_n = 1 + 1/2 + ... + 1/n as an exact Fraction (H_0 = 0): the sum of
+    the integers D/k over D = lcm(1..n), with no other numerator kept."""
     if n < 0:
         raise ValueError("harmonic number of negative index")
-    lcd, scaled = _harmonic_numerators(n)
-    return Fraction(scaled[n], lcd)
+    lcd = lcm(*range(1, n + 1))
+    return Fraction(sum(lcd // k for k in range(1, n + 1)), lcd)
 
 
 def partitions_of(n):

@@ -90,7 +90,14 @@ def test_exact_brute_refuses_too_much_work():
      "2704156 subdiagrams, exceeding the limit 1000000"),
     (["sample", "--shape", "5,4,3,2", "--uniformity", "--draws", "10"],
      "48048 standard tableaux is too many to tabulate"),
-], ids=["enumeration-cutoff", "sorted-orders", "work", "subdiagrams", "uniformity-classes"])
+    # refused before a table of 10**9 cells
+    (["worst", "--shape", "1000000000"],
+     "1000000000 has 1000000000 cells, above the worst-case budget of 1000000"),
+    # the table of 10**5 cells is built, the witness refused before its sort
+    (["worst", "--shape", "100000", "--witness"],
+     "100000 needs W = 4999950000 exchanges, above the witness budget of 10000000"),
+], ids=["enumeration-cutoff", "sorted-orders", "work", "subdiagrams", "uniformity-classes",
+        "worst-cells", "worst-witness-exchanges"])
 def test_size_guards_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

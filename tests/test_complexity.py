@@ -234,6 +234,36 @@ def test_work_guard_bounds_long_hooks_before_enumerating(monkeypatch):
         exchange_stats(Partition([271, 1]), cutoff=1000)
 
 
+def test_worst_case_budgets_refuse_by_name_before_any_sort(monkeypatch):
+    def no_sort(shape):
+        raise AssertionError(f"sorted a witness of {shape}")
+
+    shape = Partition([3, 1])  # 4 cells, W = 2 + 1 + 0 + 0 = 3
+    monkeypatch.setattr(complexity, "MAX_WORST_CELLS", 4)
+    monkeypatch.setattr(complexity, "MAX_WITNESS_EXCHANGES", 3)
+    assert worst_case(shape) == 3
+    assert nps_sort(worst_case_witness(shape)).exchanges == 3
+    monkeypatch.setattr(complexity, "MAX_WITNESS_EXCHANGES", 2)
+    monkeypatch.setattr(complexity, "shape_ops", no_sort)
+    with pytest.raises(SizeGuardError, match=r"^3,1 needs W = 3 exchanges, above the witness "
+                                             r"budget of 2$"):
+        worst_case_witness(shape)
+    monkeypatch.setattr(complexity, "MAX_WORST_CELLS", 3)
+    for call in (worst_case, worst_case_witness, lambda s: w_distance(s, (1, 1))):
+        with pytest.raises(SizeGuardError, match=r"^3,1 has 4 cells, above the worst-case "
+                                                 r"budget of 3$"):
+            call(shape)
+
+
+def test_worst_case_budgets_admit_every_thirty_row_witness():
+    # every shape with at most 30 rows and parts up to 30 lies in the square,
+    # and W only grows with the shape: the 30-row witnesses of the benchmark
+    # and the README's shapes are admitted
+    square = Partition([30] * 30)
+    assert worst_case(square) == 26100 <= complexity.MAX_WITNESS_EXCHANGES
+    assert nps_sort(worst_case_witness(square)).exchanges == 26100
+
+
 def test_work_budget_admits_every_sorted_order_budget_shape_up_to_20():
     admitted = 0
     for n in range(1, 21):

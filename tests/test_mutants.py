@@ -328,14 +328,31 @@ MUTANTS = [
     pytest.param(nps._ShapeOps, "landings", "while ranks[m] < r:", "while ranks[m] <= r:",
                  (("plain_stats", _stats_caught), ("bijection_by_sifts", _bijection_caught)),
                  id="landing-past-equal-rank"),
-    # the column segment below the start shifts up without its decrement
-    pytest.param(nps, "nps_sort", "hooks[nxt] - 1", "hooks[nxt]",
-                 (("naive_sort", _nps_caught),), id="hook-shift-without-decrement"),
-    # the same in the per-prefix hook shift of the n! route: two fillings of
-    # (1,1) then reach one (output, hooks) pair
-    pytest.param(nps, "verify_bijection", "h[col] = hooks[nxt] - 1", "h[col] = hooks[nxt]",
+    # the landing row records the whole drop j1 - j0 + i1 - i0 in place of
+    # the column displacement j1 - j0: the value j1 - j0 - i0 inserted as e
+    pytest.param(nps, "nps_sort", "j1 - j0 - i1)", "j1 - j0 - i0)",
+                 (("naive_sort", _nps_caught),), id="hook-insertion-records-drop"),
+    # the n! route's digit records the row displacement i1 - i0 in place of
+    # the column displacement j1 - j0: two landings in one row share a digit.
+    # (A digit that stays injective in the landing cell, as j1 - j0 - i0
+    # would, leaves every count of the report as it is.)
+    pytest.param(nps, "verify_bijection", "(j1 - j0 - i1 + height)", "(i1 - i0 - i1 + height)",
                  (("bijection_by_sifts", _bijection_caught),),
-                 id="bijection-hook-shift-without-decrement"),
+                 id="bijection-digit-records-row-drop"),
+    # the landing value inserted one index lower in its column: one row
+    # below the landing, or after the last row
+    pytest.param(nps, "nps_sort", "insert(i1 - i0,", "insert(i1 - i0 + 1,",
+                 (("naive_sort", _nps_caught),), id="hook-insertion-one-index-lower"),
+    # the digits below an insertion, the finished columns among them, kept
+    # in place: the new digit is added onto the one at its place
+    pytest.param(nps, "verify_bijection", "low, high = powers[k], powers[k + 1]",
+                 "low, high = powers[k], powers[k]",
+                 (("bijection_by_sifts", _bijection_caught),), id="bijection-insertion-without-shift"),
+    # the last level pools the hook codes of every output into one set, so
+    # two fillings with the same hooks and different outputs count once
+    pytest.param(nps, "verify_bijection", "found.setdefault(child, set())",
+                 "found.setdefault(0, set())",
+                 (("bijection_by_sifts", _bijection_caught),), id="bijection-leaf-pools-outputs"),
     # every leg one longer: hooks grow, and -leg - 1 passes the range check
     pytest.param(partitions, "_arms_legs", "heights[j - 1] - i)", "heights[j - 1] - i + 1)",
                  (("arms_legs_by_cells", _hook_product_caught),

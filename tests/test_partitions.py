@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -249,6 +250,20 @@ def test_harmonic(harmonic_sum):
         lcd, scaled = _harmonic_numerators(n)
         assert lcd == lcm(*range(1, n + 1)) and len(scaled) == n + 1, n
         assert all(Fraction(d, lcd) == harmonic_sum(m) for m, d in enumerate(scaled)), n
+
+
+def test_harmonic_reads_one_numerator():
+    for n in range(301):
+        lcd, scaled = _harmonic_numerators(n)
+        assert harmonic(n) == Fraction(scaled[n], lcd), n
+    # the n + 1 numerators of _harmonic_numerators(10_000) peak at about 20 MB
+    tracemalloc.start()
+    try:
+        harmonic(10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_pochhammer(rising_factorial):

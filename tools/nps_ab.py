@@ -1,0 +1,123 @@
+"""Time the four operations of a perfbench `sift` pass in one process, two
+checkouts in alternation.
+
+    python3 tools/nps_ab.py PARENT CHANGE [--rounds 20] [--seed 1]
+
+PARENT and CHANGE are checkouts (repository roots).  Each one's
+`src/npslab` is loaded under its own package name, `npslab_a` and
+`npslab_b`, which works because every import inside the package is
+relative.  A round times one pass of each side over the four operations of
+a `sift` pass at its default length, in the order A, B on even rounds and
+B, A on odd ones:
+
+- `verify_bijection` on every shape of size 7;
+- `nps_sort(random_tableau(7x7, SeededStream(seed, i)))` for i < 210;
+- `estimate_avg_case` on 7x7 with 5,600 draws;
+- `exchange_stats` on every shape of size <= 7.
+
+For each operation and for the whole pass it prints the median and the
+quartiles of the per-round ratio B / A, then the same for an A/A batch, in
+which the parent is timed against itself: the spread that the host alone
+gives.  Outputs are compared between the sides once, before timing.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+SIZE = 7
+SORTS = 30 * SIZE
+DRAWS = 800 * SIZE
+
+
+def load(checkout, name):
+    """The package `src/npslab` of `checkout`, imported as `name`."""
+    root = Path(checkout) / "src" / "npslab"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def operations(pkg, seed):
+    """The four operations of a pass over `pkg`, by name, each a function of
+    no arguments that returns its outputs."""
+    exchange_stats = importlib.import_module(pkg.__name__ + ".complexity").exchange_stats
+    shapes = list(pkg.partitions_of(SIZE))
+    smaller = [s for n in range(1, SIZE + 1) for s in pkg.partitions_of(n)]
+    square = pkg.Partition((SIZE,) * SIZE)
+    fillings = [pkg.random_tableau(square, pkg.SeededStream(seed, i)) for i in range(SORTS)]
+    return {
+        "verify_bijection": lambda: [pkg.verify_bijection(s) for s in shapes],
+        "nps_sort": lambda: [pkg.nps_sort(f) for f in fillings],
+        "estimate_avg_case": lambda: pkg.estimate_avg_case(square, DRAWS, seed),
+        "exchange_stats": lambda: [exchange_stats(s) for s in smaller],
+    }
+
+
+def comparable(name, outputs):
+    """The outputs with their package's types read as plain values."""
+    if name == "verify_bijection":
+        return [(r.shape.parts, r.distinct_pairs, r.expected, r.injective, r.each_syt_count,
+                 r.uniform) for r in outputs]
+    if name == "nps_sort":
+        return [(o.output.rows, o.hooks.rows, o.exchanges, [tuple(e) for e in o.trace])
+                for o in outputs]
+    return outputs
+
+
+def timed_pass(ops):
+    times = {}
+    for name, op in ops.items():
+        start = perf_counter()
+        op()
+        times[name] = perf_counter() - start
+    times["pass"] = sum(times.values())
+    return times
+
+
+def ratios(a_ops, b_ops, rounds):
+    """Per name, the ratio B / A of every round."""
+    out = {}
+    for k in range(rounds):
+        first, second = (a_ops, b_ops) if k % 2 == 0 else (b_ops, a_ops)
+        t_first, t_second = timed_pass(first), timed_pass(second)
+        t_a, t_b = (t_first, t_second) if k % 2 == 0 else (t_second, t_first)
+        for name in t_a:
+            out.setdefault(name, []).append(t_b[name] / t_a[name])
+    return out
+
+
+def report(title, table):
+    print(title)
+    for name, values in table.items():
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        wins = sum(v < 1 for v in values)
+        print(f"  {name:18s} median {median:.3f}  quartiles {q1:.3f}..{q3:.3f}  "
+              f"B faster in {wins}/{len(values)}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    a_ops = operations(load(args.parent, "npslab_a"), args.seed)
+    b_ops = operations(load(args.change, "npslab_b"), args.seed)
+    for name in a_ops:
+        if comparable(name, a_ops[name]()) != comparable(name, b_ops[name]()):
+            sys.exit(f"{name}: the outputs of the two checkouts differ")
+    report(f"B / A, {args.rounds} rounds, seed {args.seed}", ratios(a_ops, b_ops, args.rounds))
+    report(f"A / A, {args.rounds} rounds", ratios(a_ops, a_ops, args.rounds))
+
+
+if __name__ == "__main__":
+    main()
