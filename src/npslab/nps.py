@@ -11,11 +11,16 @@ shift leaves e unchanged, so the sift inserts the value j1 - j0 - i1 at
 index i1 - i0 of the list of e over the processed cells of column j0, top
 row first: the insertion rule.
 
-`_ShapeOps.sort_values` is the one step-by-step sift: `nps_sort` builds the
-hooks by the insertion rule and the trace from its landing cells, and still
-checks its output with `is_standard`, the range [-leg, arm] of the hooks on
-bounds kept with the shape's ops, and the constructors, which refuse
-non-integer entries.
+The step-by-step sift has two forms.  `_ShapeOps.sort_values` sifts one
+draw on a flat list board whose neighbours come from the ops tables:
+`nps_sort` builds the hooks by the insertion rule and the trace from its
+landing cells, and checks its output by comparing each entry with its South
+and East neighbours through those tables, by the sorted entries 1..n, by the
+range [-leg, arm] of the hooks on bounds kept with the shape's ops, and by
+the constructors' integer checks.  `_ShapeOps.sort_lanes` sifts a 2-D array
+of draws at once in numpy, one padded board per draw, and returns the same
+counts and boards; the Monte Carlo routines of `sampling` use it on runs of
+many draws.
 
 The two n! routes, `verify_bijection` and `complexity.exchange_stats`, go
 level by level and merge the prefixes that sift to the same board.  They
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import factorial
-from operator import add, le, sub
+from operator import add, le, lt, sub
 from typing import NamedTuple
 
 from .partitions import (Partition, SizeGuardError, _arms_legs, _integers, hook_product,
@@ -233,6 +238,47 @@ class _ShapeOps:
                 landed.append(c)
         return total
 
+    def sort_lanes(self, values):
+        """The sift of `sort_values` on many boards at once: each row of the
+        2-D int array `values` is one draw in processing order, sifted on a
+        board of its own, a lane.  Returns the exchange count of each draw
+        and its sorted board, one row of the n cell values per draw.
+
+        A lane is a padded grid of (rows + 1) x (lambda_1 + 1) entries of the
+        smallest unsigned type that holds the sentinel n + 2 (one byte up to
+        n = 253, which keeps a batch's memory small), with the sentinel off
+        the shape, so South is p + W and East p + 1.  Each processed cell
+        runs one loop over the lanes still sifting it: a lane whose smaller
+        neighbour exceeds its value writes the value, adds the step index
+        (each step raises i + j by one) and drops out; the others write that
+        neighbour and step to it."""
+        import numpy as np  # here, not at module level: the scalar sift needs none
+        width = self.shape.row(1) + 1
+        size = (len(self.shape.parts) + 1) * width
+        cells = [(i - 1) * width + j - 1 for i, j in self.coord]
+        lanes = len(values)
+        board = np.full(lanes * size, self.n + 2, dtype=np.min_scalar_type(self.n + 2))
+        counts = np.zeros(lanes, dtype=np.int64)
+        base = np.arange(0, lanes * size, size)
+        for t, c in enumerate(self.order):
+            v = values[:, t]
+            p = base + cells[c]
+            k = 0
+            while True:
+                south = board[p + width]
+                east = board[p + 1]
+                m = np.minimum(south, east)
+                move = m < v
+                board[p] = np.where(move, m, v)
+                counts[p[~move] // size] += k
+                go = np.flatnonzero(move)
+                if not len(go):
+                    break
+                p = p[go] + (width - (width - 1) * (east[go] < south[go]))
+                v = v[go]
+                k += 1
+        return counts, board.reshape(lanes, size)[:, cells]
+
     def slide_chain(self, board, start):
         """The smaller-neighbour chain from `start`: cells p0 = start, p1, ...,
         each the smaller of the South and East neighbours of the one before,
@@ -325,9 +371,16 @@ def nps_sort(tableau):
     # the HookTableau constructor, less the range check made above
     hook_tableau = object.__new__(HookTableau)
     _Filling.__init__(hook_tableau, tableau.shape, ops.rows_from_board(hooks))
-    output = Tableau(tableau.shape, ops.rows_from_board(board))
-    if not output.is_standard():
+    # `Tableau.is_standard` and the bijection check of its constructor, in
+    # C-level passes: each entry below its South and East neighbours (the
+    # sentinel n + 2 where there is none), and the entries 1..n
+    sorted_board = board[:ops.n]
+    if (not all(map(lt, sorted_board, map(board.__getitem__, ops.south)))
+            or not all(map(lt, sorted_board, map(board.__getitem__, ops.east)))
+            or sorted(sorted_board) != list(range(1, ops.n + 1))):
         raise AssertionError(f"sort produced a non-standard tableau from {tableau}")
+    output = object.__new__(Tableau)
+    _Filling.__init__(output, tableau.shape, ops.rows_from_board(board))
     # trace entries made by tuple.__new__, without a Python-level call each
     depth = ops.depth.__getitem__
     exchanges = map(sub, map(depth, landed), map(depth, ops.order))

@@ -8,6 +8,7 @@ that the draws of every (shape, m, seed) stay bit-identical.
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .nps import Tableau, shape_ops
 from .partitions import SizeGuardError, syt_count
@@ -21,7 +22,17 @@ __all__ = [
 ]
 
 CHUNK = 512
+# The largest run, in draws x cells, that `estimate_avg_case` and
+# `syt_uniformity_test` take on.  At the lane sift's fastest measured rate,
+# about 1.5e7 draw entries/s on (3,2) on a 2-vCPU Intel Xeon, a run of that
+# size takes about 65 s.
+MAX_DRAW_ENTRIES = 10**9
 _BLOCK_ENTRIES = 2**12
+# The lane sift takes a run of at least _MIN_LANES draws whose batches hold
+# at least that many padded boards within _LANE_ENTRIES entries; below
+# either, numpy's fixed cost per step outweighs the lanes.
+_MIN_LANES = 2**10
+_LANE_ENTRIES = 2**18
 _TALLY_CODES = 2**12
 # The largest n with (n + 1)^n <= 2^63, so that a draw's code fits an int64.
 _CODED_SIZE = 15
@@ -106,23 +117,77 @@ def _distinct_draws(shape, m, seed):
     return zip((codes[:, None] // powers % (n + 1)).tolist(), counts.tolist())
 
 
+def _check_draw_budget(shape, m):
+    if m * shape.size > MAX_DRAW_ENTRIES:
+        raise SizeGuardError(f"{m} draws of {shape.size} cells exceed the budget of "
+                             f"MAX_DRAW_ENTRIES = {MAX_DRAW_ENTRIES} draw entries")
+
+
+def _lane_batches(shape, m, seed, lanes):
+    """The draws of `_draw_blocks` as arrays of `lanes` rows, the last one
+    shorter, in the smallest unsigned type that holds n; one buffer is
+    filled again for each batch."""
+    import numpy as np
+    batch = np.empty((min(m, lanes), shape.size), dtype=np.min_scalar_type(shape.size))
+    filled = 0
+    for block in _draw_blocks(shape, m, seed):
+        while len(block):
+            take = min(len(block), len(batch) - filled)
+            batch[filled:filled + take] = block[:take]
+            block = block[take:]
+            filled += take
+            if filled == len(batch):
+                yield batch
+                filled = 0
+    if filled:
+        yield batch[:filled]
+
+
+def _sort_draws(shape, m, seed, tally=None):
+    """Sort each of the m draws; return the sum of their exchange counts and
+    the sum of the squares, as ints.  When `tally` is a dict, each sorted
+    board, a tuple of its cell values, is counted in it in draw order.
+
+    A run of at least _MIN_LANES draws goes through `sort_lanes` in batches
+    of as many padded boards as _LANE_ENTRIES entries hold, when that is at
+    least _MIN_LANES; any other run through `sort_values`, one draw at a
+    time.  Both give the same counts and boards."""
+    ops = shape_ops(shape)
+    n = shape.size
+    lanes = _LANE_ENTRIES // ((len(shape.parts) + 1) * (shape.row(1) + 1))
+    total = total_sq = 0
+    if m < _MIN_LANES or lanes < _MIN_LANES:
+        board = ops.new_board()
+        for block in _draw_blocks(shape, m, seed):
+            for values in block.tolist():
+                count = ops.sort_values(board, values)
+                total += count
+                total_sq += count * count
+                if tally is not None:
+                    key = tuple(board[:n])
+                    tally[key] = tally.get(key, 0) + 1
+        return total, total_sq
+    for batch in _lane_batches(shape, m, seed, lanes):
+        counts, boards = ops.sort_lanes(batch)
+        counts = counts.tolist()
+        total += sum(counts)
+        total_sq += sum(map(mul, counts, counts))
+        if tally is not None:
+            for key in map(tuple, boards.tolist()):
+                tally[key] = tally.get(key, 0) + 1
+    return total, total_sq
+
+
 def estimate_avg_case(shape, m, seed):
     """Monte Carlo estimate of the average exchange count.
 
     Returns (mean, stderr) over m independent uniform fillings; stderr uses
-    the unbiased sample variance.
+    the unbiased sample variance.  Refuses a run above MAX_DRAW_ENTRIES.
     """
     if m < 2:
         raise SizeGuardError("need at least two samples")
-    ops = shape_ops(shape)
-    board = ops.new_board()
-    total = 0
-    total_sq = 0
-    for block in _draw_blocks(shape, m, seed):
-        for values in block.tolist():
-            count = ops.sort_values(board, values)
-            total += count
-            total_sq += count * count
+    _check_draw_budget(shape, m)
+    total, total_sq = _sort_draws(shape, m, seed)
     mean = total / m
     variance = (total_sq - total * total / m) / (m - 1)
     return mean, math.sqrt(max(variance, 0.0) / m)
@@ -132,29 +197,29 @@ def syt_uniformity_test(shape, m, seed):
     """Pearson chi-square of the sorted outputs against uniformity.
 
     Requires the standard tableau count to be small enough to tabulate
-    (<= 10^4) and m at least ten times that count; returns (chi_square, dof)
-    with dof = count - 1.  When n! <= m (and n <= 15) the draws are tallied
-    by an integer code of their filling first, so each distinct filling is
-    sorted once; the outputs are tallied in the order of their first draw
-    either way.
+    (<= 10^4), m at least ten times that count and m draws within
+    MAX_DRAW_ENTRIES; returns (chi_square, dof) with dof = count - 1.  When
+    n! <= m (and n <= 15) the draws are tallied by an integer code of their
+    filling first, so each distinct filling is sorted once; the outputs are
+    tallied in the order of their first draw either way.
     """
     count = syt_count(shape)
     if count > 10**4:
         raise SizeGuardError(f"{count} standard tableaux is too many to tabulate")
     if m < 10 * count:
         raise SizeGuardError(f"need m >= {10 * count} draws for {count} classes")
-    ops = shape_ops(shape)
+    _check_draw_budget(shape, m)
     n = shape.size
-    board = ops.new_board()
     tally = {}
     if n <= _CODED_SIZE and math.factorial(n) <= m:
-        draws = _distinct_draws(shape, m, seed)
+        ops = shape_ops(shape)
+        board = ops.new_board()
+        for values, k in _distinct_draws(shape, m, seed):
+            ops.sort_values(board, values)
+            key = tuple(board[:n])
+            tally[key] = tally.get(key, 0) + k
     else:
-        draws = ((values, 1) for block in _draw_blocks(shape, m, seed) for values in block.tolist())
-    for values, k in draws:
-        ops.sort_values(board, values)
-        key = tuple(board[:n])
-        tally[key] = tally.get(key, 0) + k
+        _sort_draws(shape, m, seed, tally)
     expected = m / count
     chi_square = sum((obs - expected) ** 2 for obs in tally.values()) / expected
     chi_square += (count - len(tally)) * expected  # classes never observed

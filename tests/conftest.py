@@ -331,6 +331,28 @@ def kernel_mismatch():
     return _kernel_mismatch
 
 
+def _lanes_mismatch(shape, fillings):
+    """The first filling on which `sort_lanes`, given all the fillings as the
+    lanes of one call, differs from `_sort_filling` in exchanges or sorted
+    board; None when there is none."""
+    fillings = [list(values) for values in fillings]
+    values = np.array(fillings, dtype=np.int64).reshape(len(fillings), shape.size)
+    counts, boards = shape_ops(shape).sort_lanes(values)
+    for values, count, board in zip(fillings, counts.tolist(), boards.tolist()):
+        want, want_board = _sort_filling(shape, values)
+        if (count, board) != (want, want_board[:shape.size]):
+            return values
+    return None
+
+
+@pytest.fixture(scope="session")
+def lanes_mismatch():
+    """`lanes_mismatch(shape, fillings)`: the first value sequence on which
+    the lane sift `_ShapeOps.sort_lanes` differs from the swap-by-swap sort
+    of `sort_filling`, or None."""
+    return _lanes_mismatch
+
+
 def _naive_sort(tableau):
     """Second, independent implementation of the sort: dict-based, literal
     locate/compare/exchange steps, with the same hook bookkeeping.  Returns

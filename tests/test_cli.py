@@ -104,6 +104,22 @@ def test_size_guards_exit_2(capsys, argv, message):
     assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--shape", "3,2", "--draws", "201"],
+    ["sample", "--shape", "3,2", "--draws", "201", "--uniformity"],
+    # the 4x4 row is sampled, above --exact-limit
+    ["sweep", "--family", "square", "--sizes", "16", "--samples", "63", "--exact-limit", "4"],
+], ids=["sample", "sample-uniformity", "sweep-samples"])
+def test_draw_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr("npslab.sampling.MAX_DRAW_ENTRIES", 1_000)
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.rstrip("\n").endswith(
+        "exceed the budget of MAX_DRAW_ENTRIES = 1000 draw entries")
+
+
 def test_exact_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "exact", "--shape", "2,1",
                        "--method", "chicago")

@@ -42,6 +42,13 @@ def _kernel_caught(kernel_mismatch):
                for shape in SIFT_SHAPES)
 
 
+def _lanes_caught(lanes_mismatch):
+    """Whether `sort_lanes` differs from the swap-by-swap sort on some
+    filling of size 5 or less, all fillings of a shape in one call."""
+    return any(lanes_mismatch(shape, permutations(range(1, shape.size + 1)))
+               for shape in SIFT_SHAPES)
+
+
 def _nps_caught(naive_sort):
     """Whether `nps_sort` differs from the naive sort in exchanges, output,
     hooks or trace on some filling of size 5 or less; a raise counts."""
@@ -312,6 +319,18 @@ MUTANTS = [
     pytest.param(nps._ShapeOps, "sort_values", "if sv < ev:", "if ev > v:",
                  (("kernel_mismatch", _kernel_caught), ("naive_sort", _nps_caught)),
                  id="kernel-east-first"),
+    # the lanes step East where South is smaller and South where East is
+    pytest.param(nps._ShapeOps, "sort_lanes", "(width - (width - 1) * (east[go] < south[go]))",
+                 "(1 + (width - 1) * (east[go] < south[go]))",
+                 (("lanes_mismatch", _lanes_caught),), id="lanes-strides-swapped"),
+    # a lane that stops counts one exchange more than its steps
+    pytest.param(nps._ShapeOps, "sort_lanes", "counts[p[~move] // size] += k",
+                 "counts[p[~move] // size] += k + 1",
+                 (("lanes_mismatch", _lanes_caught),), id="lanes-count-off-by-one"),
+    # a lane that stops leaves the cell it stops at as it was
+    pytest.param(nps._ShapeOps, "sort_lanes", "board[p] = np.where(move, m, v)",
+                 "board[p[move]] = m[move]",
+                 (("lanes_mismatch", _lanes_caught),), id="lanes-stopped-not-written"),
     # the slide chain follows the South neighbour while there is one,
     # whatever its value
     pytest.param(nps._ShapeOps, "slide_chain", "c = s if board[s] < board[e] else e",

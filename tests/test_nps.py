@@ -4,6 +4,7 @@ from math import factorial
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from npslab.nps import (
     BijectionReport,
     HookTableau,
     Tableau,
+    _ShapeOps,
     nps_sort,
     shape_ops,
     verify_bijection,
@@ -200,6 +202,67 @@ def test_sort_values_matches_swap_sort_on_seeded_fillings(parts, kernel_mismatch
     shape = Partition(parts)
     fillings = (row for block in _draw_blocks(shape, 30, seed=5) for row in block.tolist())
     assert kernel_mismatch(shape, fillings) is None
+
+
+def _lanes_against_sort_values(shape, values):
+    """Whether `sort_lanes` on the rows of `values` gives each row's count and
+    board from `sort_values`, run draw by draw on one board."""
+    ops = shape_ops(shape)
+    counts, boards = ops.sort_lanes(values)
+    assert counts.shape == (len(values),) and boards.shape == (len(values), shape.size)
+    board = ops.new_board()
+    return all(ops.sort_values(board, row) == count and board[:shape.size] == sorted_board
+               for row, count, sorted_board in zip(values.tolist(), counts.tolist(),
+                                                   boards.tolist()))
+
+
+def test_sort_lanes_matches_sort_values_up_to_8():
+    # every filling up to size 6, 1,000 seeded draws of each shape of 7 and 8
+    for n in range(0, 9):
+        for shape in partitions_of(n):
+            if n <= 6:
+                values = np.array(list(itertools.permutations(range(1, n + 1))))
+                values = values.reshape(factorial(n), n)
+            else:
+                values = np.concatenate(list(_draw_blocks(shape, 1_000, seed=n)))
+            assert _lanes_against_sort_values(shape, values), shape
+
+
+@pytest.mark.parametrize("parts", [(12,) * 12, (30,), (1,) * 30],
+                         ids=["12x12", "row-30", "column-30"])
+def test_sort_lanes_matches_sort_values_on_seeded_draws(parts):
+    shape = Partition(parts)
+    assert _lanes_against_sort_values(shape, np.concatenate(list(_draw_blocks(shape, 300, seed=3))))
+
+
+def _unsorted(self, board, values, landed=None):
+    """A kernel that writes each value where it starts."""
+    for c, v in zip(self.order, values):
+        board[c] = v
+        if landed is not None:
+            landed.append(c)
+    return 0
+
+
+def _sorted_with_2_for_3(self, board, values, landed=None):
+    """The sort, then 3 replaced by 2: on (2,2) a board that rises along
+    every row and column but holds 2 twice."""
+    count = _SORT_VALUES(self, board, values, landed)
+    board[board.index(3)] = 2
+    return count
+
+
+_SORT_VALUES = _ShapeOps.sort_values
+
+
+@pytest.mark.parametrize("kernel, text", [(_unsorted, "2,1"), (_unsorted, "2,3;1"),
+                                          (_sorted_with_2_for_3, "4,3;2,1"),
+                                          (_sorted_with_2_for_3, "1,2;3,4")],
+                         ids=["unsorted-row", "unsorted-column", "duplicate", "duplicate-standard"])
+def test_nps_sort_refuses_a_faulty_kernel(monkeypatch, kernel, text):
+    monkeypatch.setattr(_ShapeOps, "sort_values", kernel)
+    with pytest.raises(AssertionError, match="sort produced a non-standard tableau from"):
+        nps_sort(Tableau.parse(text))
 
 
 # -- enumeration -------------------------------------------------------------

@@ -133,8 +133,13 @@ def _uniformity_by_oracle(shape, m, seed, draws, sort_filling):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("parts, m", [((3, 2), 60), ((3, 2), 2_000), ((3, 2, 1), 300),
-                                      ((3, 2, 1), 3_000), ((4, 3, 1), 700)])
+@pytest.mark.parametrize("parts, m", [
+    ((3, 2), 60), ((3, 2), 2_000), ((3, 2, 1), 300), ((3, 2, 1), 3_000), ((4, 3, 1), 700),
+    # above the lane floor with n! > m: the plain uniformity path on lanes
+    ((4, 3, 1), 1_500),
+    # one row, one column and a hook, below and above the floor
+    ((7,), 300), ((7,), 1_200), ((1,) * 7, 1_200), ((4, 1, 1, 1), 500), ((4, 1, 1, 1), 1_200),
+])
 def test_monte_carlo_equals_oracle_loop(parts, m, seed, boards_per_draw, sort_filling,
                                         monkeypatch):
     shape = Partition(parts)
@@ -142,12 +147,18 @@ def test_monte_carlo_equals_oracle_loop(parts, m, seed, boards_per_draw, sort_fi
                 _uniformity_by_oracle(shape, m, seed, boards_per_draw, sort_filling))
     sorts = []
     sort_values = _ShapeOps.sort_values
+    sort_lanes = _ShapeOps.sort_lanes
 
     def counted(self, board, values):
         sorts.append(tuple(values))
         return sort_values(self, board, values)
 
+    def counted_lanes(self, values):
+        sorts.extend(map(tuple, values.tolist()))
+        return sort_lanes(self, values)
+
     monkeypatch.setattr(_ShapeOps, "sort_values", counted)
+    monkeypatch.setattr(_ShapeOps, "sort_lanes", counted_lanes)
     assert estimate_avg_case(shape, m, seed) == expected[0]
     assert len(sorts) == m
     del sorts[:]
@@ -195,3 +206,85 @@ def test_draw_codes_fit_int64(monkeypatch):
     monkeypatch.setattr(sampling, "_CODED_SIZE", 4)
     monkeypatch.setattr(sampling, "_distinct_draws", None)
     assert syt_uniformity_test(shape, 200, 1) == coded
+
+
+def _outputs_by_hex(shape, m, seed):
+    """`estimate_avg_case` and, where the shape admits it, the chi-square of
+    `syt_uniformity_test`, each float by its `float.hex`."""
+    outputs = [x.hex() for x in estimate_avg_case(shape, m, seed)]
+    if syt_count(shape) <= 10**4 and m >= 10 * syt_count(shape):
+        chi2, dof = syt_uniformity_test(shape, m, seed)
+        outputs += [chi2.hex(), dof]
+    return outputs
+
+
+@pytest.mark.parametrize("lanes", [None, 3], ids=["one-batch", "batches-of-3"])
+@pytest.mark.parametrize("parts, m, seed", [
+    ((2, 1), 2, 0), ((2, 1), 3, 1), ((5,), 50, 2), ((1,) * 6, 100, 3), ((4, 3, 1), 700, 4),
+    ((3, 3, 2), 2_000, 5), ((4, 1, 1, 1), 999, 6), ((7,) * 7, 300, 7), ((12,) * 12, 40, 8),
+    ((), 5, 9),
+])
+def test_lane_and_scalar_sifts_give_identical_outputs(parts, m, seed, lanes, monkeypatch):
+    # the floor at 2 sends every run to the lanes, at m + 1 to `sort_values`;
+    # a budget of three padded boards cuts the run into batches of three
+    shape = Partition(parts)
+    if lanes:
+        board_entries = (len(parts) + 1) * ((parts[0] if parts else 0) + 1)
+        monkeypatch.setattr(sampling, "_LANE_ENTRIES", lanes * board_entries)
+    outputs = []
+    for floor in (2, m + 1):
+        monkeypatch.setattr(sampling, "_MIN_LANES", floor)
+        outputs.append(_outputs_by_hex(shape, m, seed))
+    assert outputs[0] == outputs[1]
+
+
+def test_lane_path_is_taken_by_the_floor_and_the_entry_budget(monkeypatch):
+    calls = []
+    sort_lanes = _ShapeOps.sort_lanes
+
+    def counted(self, values):
+        calls.append(len(values))
+        return sort_lanes(self, values)
+
+    monkeypatch.setattr(_ShapeOps, "sort_lanes", counted)
+    floor = sampling._MIN_LANES
+    estimate_avg_case(Partition([4, 3, 1]), floor - 1, 0)
+    assert calls == []
+    estimate_avg_case(Partition([4, 3, 1]), floor, 0)
+    assert calls == [floor]
+    del calls[:]
+    # 15x15 fills 256 entries a board: 2^18 entries hold 1,024 of them; 16x16 does not fit
+    estimate_avg_case(Partition([15] * 15), floor + 1, 0)
+    assert calls == [floor, 1]
+    del calls[:]
+    estimate_avg_case(Partition([16] * 16), floor, 0)
+    assert calls == []
+
+
+def test_sample_output_of_7x7_is_pinned(capsys):
+    from npslab.cli import main
+    assert main(["sample", "--shape", "7,7,7,7,7,7,7", "--draws", "5600", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "mean=118.1625 stderr=0.166434630458\n"
+
+
+def test_draw_budget_refuses_by_name_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before the budget check")
+
+    monkeypatch.setattr(sampling, "MAX_DRAW_ENTRIES", 1_000)
+    monkeypatch.setattr(sampling, "_draw_blocks", no_draws)
+    shape = Partition([3, 2])
+    for run in (estimate_avg_case, syt_uniformity_test):
+        with pytest.raises(sampling.SizeGuardError, match="MAX_DRAW_ENTRIES = 1000"):
+            run(shape, 201, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(sampling, "MAX_DRAW_ENTRIES", 1_000)
+    estimate_avg_case(shape, 200, 0)  # 200 draws of 5 cells: at the budget
+    syt_uniformity_test(shape, 200, 0)
+
+
+def test_draw_budget_admits_every_readme_and_benchmark_run():
+    # the benchmark's 7x7 estimate and (3,2) uniformity run, the README and
+    # `verify` uniformity runs and a sweep row of 200 draws of 100 cells
+    for m, cells in [(5_600, 49), (14_000, 5), (10_000, 5), (50_000, 5), (200, 100)]:
+        assert m * cells <= sampling.MAX_DRAW_ENTRIES

@@ -1,4 +1,4 @@
-"""Time the four operations of a perfbench `sift` pass in one process, two
+"""Time the five operations of a perfbench `sift` pass in one process, two
 checkouts in alternation.
 
     python3 tools/nps_ab.py PARENT CHANGE [--rounds 20] [--seed 1]
@@ -6,13 +6,14 @@ checkouts in alternation.
 PARENT and CHANGE are checkouts (repository roots).  Each one's
 `src/npslab` is loaded under its own package name, `npslab_a` and
 `npslab_b`, which works because every import inside the package is
-relative.  A round times one pass of each side over the four operations of
+relative.  A round times one pass of each side over the five operations of
 a `sift` pass at its default length, in the order A, B on even rounds and
 B, A on odd ones:
 
 - `verify_bijection` on every shape of size 7;
 - `nps_sort(random_tableau(7x7, SeededStream(seed, i)))` for i < 210;
 - `estimate_avg_case` on 7x7 with 5,600 draws;
+- `syt_uniformity_test` on (3,2) with 14,000 draws;
 - `exchange_stats` on every shape of size <= 7.
 
 For each operation and for the whole pass it prints the median and the
@@ -32,6 +33,7 @@ from time import perf_counter
 SIZE = 7
 SORTS = 30 * SIZE
 DRAWS = 800 * SIZE
+TESTS = 2000 * SIZE
 
 
 def load(checkout, name):
@@ -46,7 +48,7 @@ def load(checkout, name):
 
 
 def operations(pkg, seed):
-    """The four operations of a pass over `pkg`, by name, each a function of
+    """The five operations of a pass over `pkg`, by name, each a function of
     no arguments that returns its outputs."""
     exchange_stats = importlib.import_module(pkg.__name__ + ".complexity").exchange_stats
     shapes = list(pkg.partitions_of(SIZE))
@@ -57,6 +59,7 @@ def operations(pkg, seed):
         "verify_bijection": lambda: [pkg.verify_bijection(s) for s in shapes],
         "nps_sort": lambda: [pkg.nps_sort(f) for f in fillings],
         "estimate_avg_case": lambda: pkg.estimate_avg_case(square, DRAWS, seed),
+        "syt_uniformity_test": lambda: pkg.syt_uniformity_test(pkg.Partition((3, 2)), TESTS, seed),
         "exchange_stats": lambda: [exchange_stats(s) for s in smaller],
     }
 
@@ -99,7 +102,7 @@ def report(title, table):
     for name, values in table.items():
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         wins = sum(v < 1 for v in values)
-        print(f"  {name:18s} median {median:.3f}  quartiles {q1:.3f}..{q3:.3f}  "
+        print(f"  {name:19s} median {median:.3f}  quartiles {q1:.3f}..{q3:.3f}  "
               f"B faster in {wins}/{len(values)}")
 
 
