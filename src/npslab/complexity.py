@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 
-from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, shape_ops, slid
+from .nps import DEFAULT_ENUMERATION_CUTOFF, Tableau, _prefix_walk, shape_ops
 from .partitions import (Partition, SizeGuardError, _arms_legs, _chain_counts,
                          _harmonic_numerators, syt_count)
 
@@ -151,19 +151,11 @@ def worst_case_witness(shape):
 def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     """(sum, max) of exchange counts over all n! fillings of the shape.
 
-    Sifting the t-th processed cell reads and writes only cells processed
-    before it and only compares values, so the exchanges so far and the
-    sifted board depend only on the relative order of the first t values.
-    The loop keeps, per relative order keyed by its integer code
-    sum rank * (n + 2)^index, the number of fillings reaching it and their
-    exchange sum and maximum.  Each state reads its `landings` once: rank r
-    of the next value lands at the first chain index m whose rank exceeds
-    r, after m exchanges, so the sums shift once per landing
-    index, and a child's board is built only when its code is new.  The last
-    level, as in `verify_bijection`, builds no board: it merges no children
-    and adds each landing group's exchanges once per child.  A shape
-    above MAX_SORTED_ORDERS sorted orders or MAX_ENUMERATION_WORK units of
-    work f^shape n^2 is refused before any sift.
+    A sift reads and writes only cells processed before its own, so the
+    exchanges and the board depend only on the relative order of the prefix:
+    this folds the last landing groups of `nps._prefix_walk`.  A shape above
+    MAX_SORTED_ORDERS sorted orders or MAX_ENUMERATION_WORK units of work
+    f^shape n^2 is refused before any sift.
     """
     n = shape.size
     if n > cutoff:
@@ -175,33 +167,11 @@ def exchange_stats(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
     if f * n * n > MAX_ENUMERATION_WORK:
         raise SizeGuardError(f"{shape} needs f n^2 = {f * n * n} units of work, above the "
                              f"enumeration budget of {MAX_ENUMERATION_WORK}")
-    if not n:
-        return 0, 0
-    ops = shape_ops(shape)
-    powers = [(n + 2)**k for k in range(n)]
-    # boards hold ranks 1..t on the processed cells, 0 on the others and a
-    # sentinel above every rank at index n
-    states = {0: [ops.new_board(), 1, 0, 0]}
-    for t in range(n - 1):
-        merged = {}
-        for code, (board, count, total, best) in states.items():
-            for cells, m, r0, codes in ops.landings(board, t, code, powers):
-                sub, top = total + count * m, best + m
-                for r, child in enumerate(codes, r0):
-                    seen = merged.get(child)
-                    if seen is None:
-                        merged[child] = [slid(board, cells, m, r), count, sub, top]
-                    else:
-                        seen[1] += count
-                        seen[2] += sub
-                        if seen[3] < top:
-                            seen[3] = top
-        states = merged
     total = best = 0
-    for code, (board, count, sub, top) in states.items():
-        for _, m, _, codes in ops.landings(board, n - 1, code, powers):
-            total += len(codes) * (sub + count * m)
-            best = max(best, top + m)
+    for codes, _, sub, top, _ in _prefix_walk(shape_ops(shape)):
+        total += len(codes) * sub
+        if best < top:
+            best = top
     return total, best
 
 

@@ -22,18 +22,21 @@ of draws at once in numpy, one padded board per draw, and returns the same
 counts and boards; the Monte Carlo routines of `sampling` use it on runs of
 many draws.
 
-The two n! routes, `verify_bijection` and `complexity.exchange_stats`, go
-level by level and merge the prefixes that sift to the same board.  They
-read that path once per sorted board as the slide chain of the start cell,
-which does not depend on the entry: an entry lands at the first chain cell
-whose successor's rank exceeds it.  Ranks rise strictly along the chain,
-because the processed cells of a sorted board form a standard filling, the
-invariant behind the NPS bijection.  They key boards by integer codes, sum
-value * (n + 2)^index.  `verify_bijection` keeps each prefix as one integer
-hook code in the same base, in which the insertion rule inserts a digit.
+The two n! routes, `verify_bijection` and `complexity.exchange_stats`, fold
+the last level of one walk, `_prefix_walk`, which goes level by level and
+merges the prefixes that sift to the same board, keyed by the integer code
+sum value * (n + 2)^index, with their count, exchange sum and maximum.  It
+reads the sift path once per sorted board as the slide chain of the start
+cell, which does not depend on the entry: an entry lands at the first chain
+cell whose successor's rank exceeds it.  Ranks rise strictly along the
+chain, because the processed cells of a sorted board form a standard
+filling, the invariant behind the NPS bijection.  `verify_bijection` gives
+the walk a payload, one integer hook code per prefix in the same base, in
+which the insertion rule inserts a digit; its last-level sets, decoded,
+are the (output, hooks) pairs of `nps_sort`.
 """
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -56,6 +59,11 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CUTOFF = 9
+# `verify_bijection` holds the hook code of every filling at the last level,
+# n! codes: (4,3,2,1) takes about 0.8 s and a peak RSS of 165 MB on a 2-vCPU
+# Xeon with Python 3.11, 149 MB above the interpreter, so a shape of size 11
+# would need about 1.7 GB and the budget admits every shape of size 10 only.
+MAX_BIJECTION_FILLINGS = factorial(10)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -388,69 +396,86 @@ def nps_sort(tableau):
     return NpsOutcome(output, hook_tableau, total, tuple(trace))
 
 
-def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
-    """Run the sort over every filling and certify the bijection onto
-    (standard tableau, hook tableau) pairs by injectivity and cardinality.
+def _prefix_walk(ops, step=None):
+    """The n! fillings of `ops.shape` level by level, one state per sorted
+    board code: the count of prefixes that reach it, their exchange sum and
+    maximum, and a list payload.  A state reads its `landings` once, a
+    landing group maps the payload once by `step(start, end, payload)` (flat
+    cells), a child's board is built only when its code is new, and merged
+    states add up and join payloads.  The last level builds no board: it
+    yields (codes, count, sum, max, payload) per landing group."""
+    n = ops.n
+    empty = [0] if step else ()
+    if not n:
+        yield [0], 1, 0, 0, empty
+        return
+    powers = [(n + 2)**k for k in range(n)]
+    # boards hold ranks 1..t on the processed cells, 0 on the others and a
+    # sentinel above every rank at index n
+    states = {0: [ops.new_board(), 1, 0, 0, empty]}
+    for t, start in enumerate(ops.order):
+        leaf = t + 1 == n
+        merged = {}
+        for code, (board, count, total, best, payload) in states.items():
+            for cells, m, r0, codes in ops.landings(board, t, code, powers):
+                sub, top = total + count * m, best + m
+                mapped = step(start, cells[m], payload) if step else payload
+                if leaf:
+                    yield codes, count, sub, top, mapped
+                    continue
+                for r, child in enumerate(codes, r0):
+                    seen = merged.get(child)
+                    if seen is None:
+                        merged[child] = [slid(board, cells, m, r), count, sub, top, mapped[:]]
+                    else:
+                        seen[1] += count
+                        seen[2] += sub
+                        if seen[3] < top:
+                            seen[3] = top
+                        seen[4] += mapped
+        states = merged
 
-    As in `exchange_stats`, each level keeps one state per sorted board,
-    with the hook code of every prefix that reaches it: the board's
-    `landings` and children are made once, and a landing group makes one
-    code per prefix, shared by the group's children.  A hook code has one
-    base-B digit H + leg, in [0, hook), per processed cell, B = n + 2: the
-    current column's from its start cell down, then the finished columns
-    from the left, each top row first.  Within a column H + leg = e + the
-    column height, so the insertion rule of `nps_sort` is an insertion of
-    one digit into the code, the finished columns moving up with the digits
-    below it.  The last level builds no board: it keeps one set of hook
-    codes per output code, whose sizes sum to the distinct pairs, and
-    decodes each output code to its flattened rows once, as a key of
-    `each_syt_count`."""
+
+def _bijection_sets(shape):
+    """Per output code, the set of hook codes of the fillings that sort to
+    it, and the number of those fillings.  A hook code has a base-(n + 2)
+    digit H + leg = e + the column height per processed cell: the current
+    column's from its start cell down, then the finished columns from the
+    left (at the end, column-major), so the insertion rule of `nps_sort`
+    inserts one digit.  Refuses n! above MAX_BIJECTION_FILLINGS first."""
+    n = shape.size
+    if factorial(n) > MAX_BIJECTION_FILLINGS:
+        raise SizeGuardError(f"{shape} has {n}! = {factorial(n)} fillings, above the "
+                             f"bijection budget of {MAX_BIJECTION_FILLINGS}")
+    ops = shape_ops(shape)
+    coord, heights = ops.coord, ops.heights
+    powers = [(n + 2)**k for k in range(n + 1)]
+
+    def step(start, end, prefixes):
+        (i0, j0), (i1, j1) = coord[start], coord[end]
+        low, high = powers[i1 - i0], powers[i1 - i0 + 1]
+        digit = (j1 - j0 - i1 + heights[j0 - 1]) * low
+        if low == 1:  # a landing in the start row: every digit moves up one place
+            return [p * high + digit for p in prefixes]
+        shift = high - low  # p = q low + r becomes r + digit + q high
+        return [p + p // low * shift + digit for p in prefixes]
+
+    found, tally = defaultdict(set), defaultdict(int)
+    for codes, count, _, _, hooks in _prefix_walk(ops, step):
+        for child in codes:
+            found[child].update(hooks)
+            tally[child] += count
+    return found, tally
+
+
+def verify_bijection(shape, cutoff=DEFAULT_ENUMERATION_CUTOFF):
+    """Certify the bijection of the sort onto (standard tableau, hook
+    tableau) pairs by injectivity and cardinality over `_bijection_sets`."""
     n = shape.size
     if n > cutoff:
         raise SizeGuardError(f"size {n} exceeds enumeration cutoff {cutoff}")
-    ops = shape_ops(shape)
-    coord, heights = ops.coord, ops.heights
-    base = n + 2
-    powers = [base**k for k in range(n + 1)]
-    found, tally = {}, Counter()
-    if not n:
-        found[0] = {0}
-        tally[0] = 1
-    # each sorted board by its code, with the hook code of every prefix that
-    # reaches it: a list, so a faulty sift shows as a collision
-    states = {0: (ops.new_board(), [0])}
-    for t, start in enumerate(ops.order):
-        i0, j0 = coord[start]
-        height = heights[j0 - 1]
-        leaf = t + 1 == n
-        merged = {}
-        for out, (board, prefixes) in states.items():
-            for cells, m, r0, codes in ops.landings(board, t, out, powers):
-                i1, j1 = coord[cells[m]]
-                k = i1 - i0
-                low, high = powers[k], powers[k + 1]
-                digit = (j1 - j0 - i1 + height) * low
-                if k:
-                    hooks = [r + digit + q * high for q, r in map(divmod, prefixes, repeat(low))]
-                else:  # a landing in the start row: every digit moves up one place
-                    hooks = [digit + q * high for q in prefixes]
-                if leaf:
-                    for child in codes:
-                        found.setdefault(child, set()).update(hooks)
-                        tally[child] += len(hooks)
-                    continue
-                for r, child in enumerate(codes, r0):
-                    state = merged.get(child)
-                    if state is None:
-                        merged[child] = (slid(board, cells, m, r), hooks[:])
-                    else:
-                        state[1].extend(hooks)
-        states = merged
-    expected = factorial(n)
-    hooks_count = hook_product(shape)
-    pairs = sum(map(len, found.values()))
-    injective = pairs == expected
-    uniform = (len(tally) == syt_count(shape)
-               and all(v == hooks_count for v in tally.values()))
-    each = {tuple(code // powers[k] % base for k in range(n)): v for code, v in tally.items()}
-    return BijectionReport(shape, pairs, expected, injective, each, uniform)
+    found, tally = _bijection_sets(shape)
+    pairs, expected, hooks_count = sum(map(len, found.values())), factorial(n), hook_product(shape)
+    uniform = len(tally) == syt_count(shape) and all(v == hooks_count for v in tally.values())
+    each = {tuple(code // (n + 2)**k % (n + 2) for k in range(n)): v for code, v in tally.items()}
+    return BijectionReport(shape, pairs, expected, pairs == expected, each, uniform)

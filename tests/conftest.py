@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from npslab.complexity import WitnessConstructionError, _w_table, worst_case
-from npslab import curves, sampling
+from npslab import curves, nps, sampling
 from npslab.curves import (LimitCurve, ScalingExponents, hook_coordinates, hook_distances,
                            partition_boundary)
 from npslab.integrals import _true_units
@@ -508,6 +508,46 @@ def bijection_by_sifts():
     """The bijection report by one sift per child and tuple-keyed leaves: an
     oracle for the slide chains and integer codes of `verify_bijection`."""
     return _bijection_by_sifts
+
+
+def _bijection_pairs_mismatch(shape):
+    """The first (output rows, hook rows) pair on which the decoded
+    last-level sets of `nps._bijection_sets` and `nps_sort` on every filling
+    of the shape differ, or None.  An output code has the digit of each cell
+    in row-major order and a hook code the digit H + leg of each cell in
+    column-major order, both in base n + 2."""
+    base = shape.size + 2
+    cells = shape.cells()
+    column_major = sorted(range(len(cells)), key=lambda k: cells[k][::-1])
+    legs = [leg for _, leg in _arms_legs_by_cells(shape)]
+
+    def rows(flat):
+        offsets = itertools.accumulate(shape.parts, initial=0)
+        return tuple(tuple(flat[k:k + p]) for k, p in zip(offsets, shape.parts))
+
+    def digits(code):
+        return [code // base**k % base for k in range(len(cells))]
+
+    decoded = set()
+    for output, hook_codes in nps._bijection_sets(shape)[0].items():
+        for code in hook_codes:
+            hooks = [0] * len(cells)
+            for k, digit in zip(column_major, digits(code)):
+                hooks[k] = digit - legs[k]
+            decoded.add((rows(digits(output)), rows(hooks)))
+    sorted_pairs = set()
+    for tableau in _enumerate_tableaux(shape):
+        outcome = nps.nps_sort(tableau)
+        sorted_pairs.add((outcome.output.rows, outcome.hooks.rows))
+    return min(decoded ^ sorted_pairs, default=None)
+
+
+@pytest.fixture(scope="session")
+def bijection_pairs_mismatch():
+    """`bijection_pairs_mismatch(shape)`: a pair found by only one of the
+    certificate's decoded last-level sets and `nps_sort` over every filling,
+    or None; ties the counting certificate to the NPS hooks themselves."""
+    return _bijection_pairs_mismatch
 
 
 def _enumerate_tableaux(shape):

@@ -117,6 +117,12 @@ def _bijection_caught(oracle):
     return any(nps.verify_bijection(shape) != oracle(shape) for shape in SIFT_SHAPES)
 
 
+def _pairs_caught(pairs_mismatch):
+    """Whether the decoded sets of `_bijection_sets` differ from the pairs
+    of `nps_sort` on some shape of size 5 or less."""
+    return any(pairs_mismatch(shape) is not None for shape in SIFT_SHAPES)
+
+
 def _stats_caught(oracle):
     """Whether `exchange_stats` differs from the plain n! loop on some shape
     of size 5 or less."""
@@ -352,26 +358,37 @@ MUTANTS = [
     pytest.param(nps, "nps_sort", "j1 - j0 - i1)", "j1 - j0 - i0)",
                  (("naive_sort", _nps_caught),), id="hook-insertion-records-drop"),
     # the n! route's digit records the row displacement i1 - i0 in place of
-    # the column displacement j1 - j0: two landings in one row share a digit.
-    # (A digit that stays injective in the landing cell, as j1 - j0 - i0
-    # would, leaves every count of the report as it is.)
-    pytest.param(nps, "verify_bijection", "(j1 - j0 - i1 + height)", "(i1 - i0 - i1 + height)",
+    # the column displacement j1 - j0: two landings in one row share a digit
+    pytest.param(nps, "_bijection_sets", "(j1 - j0 - i1 + heights[j0 - 1])",
+                 "(i1 - i0 - i1 + heights[j0 - 1])",
                  (("bijection_by_sifts", _bijection_caught),),
                  id="bijection-digit-records-row-drop"),
+    # the n! route's digit records the whole drop, j1 - j0 - i0: a digit that
+    # stays injective in the landing cell leaves every count of the report
+    # as it is, so only the decoded pairs tell it from the NPS hooks
+    pytest.param(nps, "_bijection_sets", "(j1 - j0 - i1 + heights[j0 - 1])",
+                 "(j1 - j0 - i0 + heights[j0 - 1])",
+                 (("bijection_pairs_mismatch", _pairs_caught),),
+                 id="bijection-digit-records-drop"),
     # the landing value inserted one index lower in its column: one row
     # below the landing, or after the last row
     pytest.param(nps, "nps_sort", "insert(i1 - i0,", "insert(i1 - i0 + 1,",
                  (("naive_sort", _nps_caught),), id="hook-insertion-one-index-lower"),
     # the digits below an insertion, the finished columns among them, kept
     # in place: the new digit is added onto the one at its place
-    pytest.param(nps, "verify_bijection", "low, high = powers[k], powers[k + 1]",
-                 "low, high = powers[k], powers[k]",
+    pytest.param(nps, "_bijection_sets", "low, high = powers[i1 - i0], powers[i1 - i0 + 1]",
+                 "low, high = powers[i1 - i0], powers[i1 - i0]",
                  (("bijection_by_sifts", _bijection_caught),), id="bijection-insertion-without-shift"),
     # the last level pools the hook codes of every output into one set, so
     # two fillings with the same hooks and different outputs count once
-    pytest.param(nps, "verify_bijection", "found.setdefault(child, set())",
-                 "found.setdefault(0, set())",
+    pytest.param(nps, "_bijection_sets", "found[child].update(hooks)",
+                 "found[0].update(hooks)",
                  (("bijection_by_sifts", _bijection_caught),), id="bijection-leaf-pools-outputs"),
+    # a merged state keeps the count of the last landing group that reaches
+    # it in place of the sum over all of them
+    pytest.param(nps, "_prefix_walk", "seen[1] += count", "seen[1] = count",
+                 (("plain_stats", _stats_caught), ("bijection_by_sifts", _bijection_caught)),
+                 id="walk-merge-keeps-last-count"),
     # every leg one longer: hooks grow, and -leg - 1 passes the range check
     pytest.param(partitions, "_arms_legs", "heights[j - 1] - i)", "heights[j - 1] - i + 1)",
                  (("arms_legs_by_cells", _hook_product_caught),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npslab import partitions
+from npslab import nps, partitions
 from npslab.complexity import worst_case
 from npslab.nps import (
     BijectionReport,
@@ -21,7 +21,8 @@ from npslab.nps import (
     verify_bijection,
 )
 from npslab.sampling import _draw_blocks
-from npslab.partitions import Partition, hook_product, partitions_of, syt_count
+from npslab.partitions import (Partition, SizeGuardError, hook_product, partitions_of,
+                               syt_count)
 
 
 def fillings():
@@ -365,6 +366,23 @@ def test_bijection_at_the_cutoff():
     assert report.distinct_pairs == factorial(9)
     assert len(report.each_syt_count) == 42
     assert set(report.each_syt_count.values()) == {8640}
+
+
+def test_bijection_sets_decode_to_the_nps_sort_pairs(bijection_pairs_mismatch):
+    # 8,903 fillings: the certificate's pairs are those of `nps_sort`, so it
+    # certifies the NPS hooks, not just some injective labelling
+    for n in range(7):
+        for shape in partitions_of(n):
+            assert bijection_pairs_mismatch(shape) is None, shape
+
+
+def test_bijection_budget_refuses_before_any_sift(monkeypatch):
+    monkeypatch.setattr(nps, "MAX_BIJECTION_FILLINGS", 120)
+    assert verify_bijection(Partition([4, 1])).injective  # 5! = 120, at the budget
+    monkeypatch.setattr(nps, "_prefix_walk", None)  # a sift would call it
+    message = "3,2,1 has 6! = 720 fillings, above the bijection budget of 120"
+    with pytest.raises(SizeGuardError, match=re.escape(message)):
+        verify_bijection(Partition([3, 2, 1]))
 
 
 def test_sort_tables_of_the_last_128_shapes_are_kept():
