@@ -198,6 +198,9 @@ def _sweep_family(args):
         c = args.param
         if c < 1:
             raise UsageError("two-row family needs --param >= 1")
+        if c > two_row.MAX_SECOND_PART:
+            raise SizeGuardError(f"--param {c} exceeds the two-row budget of "
+                                 f"MAX_SECOND_PART = {two_row.MAX_SECOND_PART}")
 
         def shape_for(n):
             return Partition((n - c, c)) if n >= 2 * c else None

@@ -82,6 +82,17 @@ class _Filling:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _from_flat(cls, ops, flat):
+        """A filling of `ops.shape` from its n entries in cell order, cut
+        into rows by the shape's slices, so the rows fit the shape, with the
+        integer check of the constructor made as one pass over all the
+        entries.  The checks of the subclass are the caller's."""
+        filling = object.__new__(cls)
+        object.__setattr__(filling, "shape", ops.shape)
+        object.__setattr__(filling, "rows", ops.rows_from_board(_integers(flat, "entry")))
+        return filling
+
     def __reduce__(self):
         return (type(self), (self.shape, self.rows))
 
@@ -175,7 +186,8 @@ class _ShapeOps:
     """
 
     __slots__ = ("shape", "n", "order", "south", "east", "coord", "depth", "depth_sum",
-                 "starts", "min_hooks", "max_hooks", "heights", "by_columns", "rows_of")
+                 "starts", "min_hooks", "max_hooks", "heights", "by_columns", "rows_of",
+                 "row_slices", "one_to_n")
 
     def __init__(self, shape):
         n = shape.size
@@ -201,6 +213,10 @@ class _ShapeOps:
         tops = list(accumulate(self.heights, initial=0))
         self.by_columns = [tops[j - 1] + i - 1 for i, j in coord]
         self.rows_of = [i for i, _ in coord]
+        # the cells of each row in the flat order, and the entries of a tableau
+        self.row_slices = [slice(k, k + p) for k, p in zip(accumulate(shape.parts, initial=0),
+                                                          shape.parts)]
+        self.one_to_n = list(range(1, n + 1))
 
     def new_board(self):
         board = [0] * (self.n + 1)
@@ -208,8 +224,7 @@ class _ShapeOps:
         return board
 
     def rows_from_board(self, board):
-        parts = self.shape.parts
-        return tuple(tuple(board[k:k + p]) for k, p in zip(accumulate(parts, initial=0), parts))
+        return tuple(map(tuple, map(board.__getitem__, self.row_slices)))
 
     def sort_values(self, board, values, landed=None):
         """Sift values[t] from the t-th processed cell for every t, in place,
@@ -254,37 +269,44 @@ class _ShapeOps:
 
         A lane is a padded grid of (rows + 1) x (lambda_1 + 1) entries of the
         smallest unsigned type that holds the sentinel n + 2 (one byte up to
-        n = 253, which keeps a batch's memory small), with the sentinel off
-        the shape, so South is p + W and East p + 1.  Each processed cell
-        runs one loop over the lanes still sifting it: a lane whose smaller
-        neighbour exceeds its value writes the value, adds the step index
-        (each step raises i + j by one) and drops out; the others write that
-        neighbour and step to it."""
+        n = 253, two up to 65,533), with the sentinel off the shape, so South
+        is p + W and East p + 1.  Each processed cell runs one loop over the
+        lanes still sifting it, each step a few whole-array numpy calls: the
+        smaller neighbour m is read, the cell gets min(m, v), which is m
+        where the lane moves on (m < v) and v where it stops, and the lanes
+        that move step to m's cell, compacted together with their values
+        and lane indices.  A lane's count for the cell is the number of
+        steps it moved, each raising i + j by one, added once per cell by
+        one `bincount` of the lane indices of every step."""
         import numpy as np  # here, not at module level: the scalar sift needs none
         width = self.shape.row(1) + 1
         size = (len(self.shape.parts) + 1) * width
         cells = [(i - 1) * width + j - 1 for i, j in self.coord]
         lanes = len(values)
         board = np.full(lanes * size, self.n + 2, dtype=np.min_scalar_type(self.n + 2))
+        below, right = board[width:], board[1:]  # the South and East neighbours of board[p]
         counts = np.zeros(lanes, dtype=np.int64)
         base = np.arange(0, lanes * size, size)
+        everyone = np.arange(lanes)
         for t, c in enumerate(self.order):
             v = values[:, t]
             p = base + cells[c]
-            k = 0
+            lane = everyone
+            moved = []
             while True:
-                south = board[p + width]
-                east = board[p + 1]
+                south = below[p]
+                east = right[p]
                 m = np.minimum(south, east)
-                move = m < v
-                board[p] = np.where(move, m, v)
-                counts[p[~move] // size] += k
-                go = np.flatnonzero(move)
+                go = (m < v).nonzero()[0]
+                board[p] = np.minimum(m, v)
                 if not len(go):
                     break
-                p = p[go] + (width - (width - 1) * (east[go] < south[go]))
+                p = (p + (width - (width - 1) * (east < south)))[go]
                 v = v[go]
-                k += 1
+                lane = lane[go]
+                moved.append(lane)
+            if moved:
+                counts += np.bincount(np.concatenate(moved), minlength=lanes)
         return counts, board.reshape(lanes, size)[:, cells]
 
     def slide_chain(self, board, start):
@@ -377,18 +399,16 @@ def nps_sort(tableau):
         i, j = coord[k]
         raise ValueError(f"entry {hooks[k]} at ({i},{j}) outside [-leg, arm]")
     # the HookTableau constructor, less the range check made above
-    hook_tableau = object.__new__(HookTableau)
-    _Filling.__init__(hook_tableau, tableau.shape, ops.rows_from_board(hooks))
+    hook_tableau = HookTableau._from_flat(ops, hooks)
     # `Tableau.is_standard` and the bijection check of its constructor, in
     # C-level passes: each entry below its South and East neighbours (the
     # sentinel n + 2 where there is none), and the entries 1..n
     sorted_board = board[:ops.n]
     if (not all(map(lt, sorted_board, map(board.__getitem__, ops.south)))
             or not all(map(lt, sorted_board, map(board.__getitem__, ops.east)))
-            or sorted(sorted_board) != list(range(1, ops.n + 1))):
+            or sorted(sorted_board) != ops.one_to_n):
         raise AssertionError(f"sort produced a non-standard tableau from {tableau}")
-    output = object.__new__(Tableau)
-    _Filling.__init__(output, tableau.shape, ops.rows_from_board(board))
+    output = Tableau._from_flat(ops, sorted_board)
     # trace entries made by tuple.__new__, without a Python-level call each
     depth = ops.depth.__getitem__
     exchanges = map(sub, map(depth, landed), map(depth, ops.order))

@@ -24,15 +24,20 @@ __all__ = [
 CHUNK = 512
 # The largest run, in draws x cells, that `estimate_avg_case` and
 # `syt_uniformity_test` take on.  At the lane sift's fastest measured rate,
-# about 1.5e7 draw entries/s on (3,2) on a 2-vCPU Intel Xeon, a run of that
-# size takes about 65 s.
+# about 2.4e7 draw entries/s on (4,3,1) on a 2-vCPU Intel Xeon (1.3e7 on
+# 7x7), a run of that size takes about 40 s.
 MAX_DRAW_ENTRIES = 10**9
 _BLOCK_ENTRIES = 2**12
 # The lane sift takes a run of at least _MIN_LANES draws whose batches hold
-# at least that many padded boards within _LANE_ENTRIES entries; below
-# either, numpy's fixed cost per step outweighs the lanes.
+# at least that many padded boards within _LANE_BYTES bytes; below either,
+# numpy's fixed cost per step outweighs the lanes.  1,024 boards of every
+# square up to 44x44 fit (two bytes an entry from 16x16 on).  A batch holds
+# at most _MAX_LANES boards: the step loop keeps int64 arrays of about 100
+# bytes a lane, and on 7x7 with 60,000 draws 65,536 lanes took 0.51 s and
+# 13 MB more peak RSS, against 0.24 s at 8,192.
 _MIN_LANES = 2**10
-_LANE_ENTRIES = 2**18
+_MAX_LANES = 2**13
+_LANE_BYTES = 2**22
 _TALLY_CODES = 2**12
 # The largest n with (n + 1)^n <= 2^63, so that a draw's code fits an int64.
 _CODED_SIZE = 15
@@ -56,10 +61,13 @@ def random_tableau(shape, stream):
     the cells in processing order."""
     ops = shape_ops(shape)
     perm = stream.generator().permutation(shape.size) + 1
-    board = ops.new_board()
+    board = [0] * shape.size
     for c, v in zip(ops.order, perm.tolist()):
         board[c] = v
-    return Tableau(shape, ops.rows_from_board(board))
+    # the Tableau constructor's checks, on the flat board
+    if sorted(board) != ops.one_to_n:
+        raise ValueError("entries are not a bijection onto 1..n")
+    return Tableau._from_flat(ops, board)
 
 
 def _draw_blocks(shape, m, seed):
@@ -149,12 +157,17 @@ def _sort_draws(shape, m, seed, tally=None):
     board, a tuple of its cell values, is counted in it in draw order.
 
     A run of at least _MIN_LANES draws goes through `sort_lanes` in batches
-    of as many padded boards as _LANE_ENTRIES entries hold, when that is at
-    least _MIN_LANES; any other run through `sort_values`, one draw at a
-    time.  Both give the same counts and boards."""
+    of as many padded boards as _LANE_BYTES bytes hold, a board's entries
+    taking the bytes of the smallest unsigned type that holds n + 2, up to
+    _MAX_LANES boards, when that is at least _MIN_LANES; any other run
+    through `sort_values`, one draw at a time.  Both give the same counts
+    and boards."""
+    import numpy as np
     ops = shape_ops(shape)
     n = shape.size
-    lanes = _LANE_ENTRIES // ((len(shape.parts) + 1) * (shape.row(1) + 1))
+    board_bytes = ((len(shape.parts) + 1) * (shape.row(1) + 1)
+                   * np.min_scalar_type(n + 2).itemsize)
+    lanes = min(_LANE_BYTES // board_bytes, _MAX_LANES)
     total = total_sq = 0
     if m < _MIN_LANES or lanes < _MIN_LANES:
         board = ops.new_board()

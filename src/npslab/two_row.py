@@ -23,7 +23,7 @@ over one common denominator, reduced to a Fraction once, at the end:
 from fractions import Fraction
 from math import comb, lcm
 
-from .partitions import Partition, _harmonic_numerators, syt_count
+from .partitions import Partition, SizeGuardError, _harmonic_numerators, syt_count
 
 __all__ = [
     "validate_two_row",
@@ -34,6 +34,12 @@ __all__ = [
     "c_equal_rows",
     "c_fixed_distance",
 ]
+
+# The largest lam2 that `c_closed` takes on.  Its nested ratio grows about
+# 4.4x in time per doubling of lam2: (38400, 38400) took 14 s and (75001,
+# 75001), the cheapest refused shape, 58 s on a 2-vCPU Intel Xeon with
+# Python 3.11.
+MAX_SECOND_PART = 75_000
 
 
 def validate_two_row(lam1, lam2):
@@ -93,7 +99,12 @@ def _average_from_s0(lam1, lam2, s0):
 
 
 def c_closed(lam1, lam2):
-    """Average exchange count of a two-row shape, in closed form."""
+    """Average exchange count of a two-row shape, in closed form.  Refuses
+    lam2 above MAX_SECOND_PART before any work."""
+    validate_two_row(lam1, lam2)
+    if lam2 > MAX_SECOND_PART:
+        raise SizeGuardError(f"second part {lam2} exceeds the two-row budget of "
+                             f"MAX_SECOND_PART = {MAX_SECOND_PART}")
     return _average_from_s0(lam1, lam2, s0_direct(lam1, lam2))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from npslab import cli
+from npslab import cli, two_row
 from npslab.cli import main
 from npslab.complexity import WitnessConstructionError, average_case_chicago, worst_case
 from npslab.curves import LimitCurve, partition_boundary
@@ -118,6 +118,31 @@ def test_draw_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.rstrip("\n").endswith(
         "exceed the budget of MAX_DRAW_ENTRIES = 1000 draw entries")
+
+
+@pytest.mark.parametrize("command", ["exact", "sweep"])
+def test_two_row_budget_exits_2_before_any_work(capsys, monkeypatch, tmp_path, command):
+    # a budget of 10: a second part of 11 is refused before the closed form
+    # or the sweep's integrals run, and 10 is admitted
+    out_path = tmp_path / "x.csv"
+
+    def argv(lam2):
+        if command == "exact":
+            return ["exact", "--shape", f"30,{lam2}", "--method", "two-row"]
+        return ["sweep", "--family", "two-row", "--param", str(lam2), "--sizes", "20..30",
+                "--out", str(out_path)]
+
+    monkeypatch.setattr(two_row, "MAX_SECOND_PART", 10)
+    with monkeypatch.context() as patch:
+        patch.setattr(two_row, "s0_direct", lambda *a: pytest.fail("closed form before the guard"))
+        patch.setattr(cli, "imbalanced_integrals",
+                      lambda *a, **k: pytest.fail("integrals before the guard"))
+        code, out, err = run(capsys, *argv(11))
+    assert code == 2 and out == ""
+    assert err.rstrip("\n").endswith("exceeds the two-row budget of MAX_SECOND_PART = 10"), err
+    assert not out_path.exists()
+    code, _, _ = run(capsys, *argv(10))
+    assert code == 0
 
 
 def test_exact_json(capsys):

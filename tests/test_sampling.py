@@ -223,6 +223,9 @@ def _outputs_by_hex(shape, m, seed):
     ((2, 1), 2, 0), ((2, 1), 3, 1), ((5,), 50, 2), ((1,) * 6, 100, 3), ((4, 3, 1), 700, 4),
     ((3, 3, 2), 2_000, 5), ((4, 1, 1, 1), 999, 6), ((7,) * 7, 300, 7), ((12,) * 12, 40, 8),
     ((), 5, 9),
+    # boards of two-byte entries: a square, and a shape whose draws still
+    # take one byte (n = 254, sentinel 256); and a long one-byte row
+    ((20,) * 20, 7, 10), ((16,) * 15 + (14,), 5, 11), ((200,), 4, 12),
 ])
 def test_lane_and_scalar_sifts_give_identical_outputs(parts, m, seed, lanes, monkeypatch):
     # the floor at 2 sends every run to the lanes, at m + 1 to `sort_values`;
@@ -230,7 +233,8 @@ def test_lane_and_scalar_sifts_give_identical_outputs(parts, m, seed, lanes, mon
     shape = Partition(parts)
     if lanes:
         board_entries = (len(parts) + 1) * ((parts[0] if parts else 0) + 1)
-        monkeypatch.setattr(sampling, "_LANE_ENTRIES", lanes * board_entries)
+        board_bytes = board_entries * np.min_scalar_type(shape.size + 2).itemsize
+        monkeypatch.setattr(sampling, "_LANE_BYTES", lanes * board_bytes)
     outputs = []
     for floor in (2, m + 1):
         monkeypatch.setattr(sampling, "_MIN_LANES", floor)
@@ -238,27 +242,39 @@ def test_lane_and_scalar_sifts_give_identical_outputs(parts, m, seed, lanes, mon
     assert outputs[0] == outputs[1]
 
 
-def test_lane_path_is_taken_by_the_floor_and_the_entry_budget(monkeypatch):
-    calls = []
-    sort_lanes = _ShapeOps.sort_lanes
+def test_lane_path_is_taken_by_the_floor_and_the_byte_budget(monkeypatch):
+    # both sifts stubbed to count 0: the test reads only which one each run
+    # takes and how the lanes cut it into batches
+    batches, scalar = [], []
 
-    def counted(self, values):
-        calls.append(len(values))
-        return sort_lanes(self, values)
+    def counted_lanes(self, values):
+        batches.append(len(values))
+        return np.zeros(len(values), dtype=np.int64), None
 
-    monkeypatch.setattr(_ShapeOps, "sort_lanes", counted)
+    def counted_values(self, board, values):
+        scalar.append(values)
+        return 0
+
+    monkeypatch.setattr(_ShapeOps, "sort_lanes", counted_lanes)
+    monkeypatch.setattr(_ShapeOps, "sort_values", counted_values)
+
+    def sifts(parts, m):
+        del batches[:], scalar[:]
+        estimate_avg_case(Partition(parts), m, 0)
+        return batches, len(scalar)
+
     floor = sampling._MIN_LANES
-    estimate_avg_case(Partition([4, 3, 1]), floor - 1, 0)
-    assert calls == []
-    estimate_avg_case(Partition([4, 3, 1]), floor, 0)
-    assert calls == [floor]
-    del calls[:]
-    # 15x15 fills 256 entries a board: 2^18 entries hold 1,024 of them; 16x16 does not fit
-    estimate_avg_case(Partition([15] * 15), floor + 1, 0)
-    assert calls == [floor, 1]
-    del calls[:]
-    estimate_avg_case(Partition([16] * 16), floor, 0)
-    assert calls == []
+    assert sifts([4, 3, 1], floor - 1) == ([], floor - 1)
+    assert sifts([4, 3, 1], floor) == ([floor], 0)
+    # 16x16 fills 17 x 17 entries of two bytes, (200) 2 x 201 of one byte
+    assert sifts([16] * 16, floor) == ([floor], 0)
+    assert sifts([200], floor) == ([floor], 0)
+    # 44x44: 45 x 45 two-byte entries, so 2^22 bytes hold 1,035 boards
+    assert sifts([44] * 44, 1_036) == ([1_035, 1], 0)
+    # 45x45: 1,024 boards of 46 x 46 two-byte entries exceed 2^22 bytes
+    assert sifts([45] * 45, floor) == ([], floor)
+    # small boards: batches of at most 8,192 lanes
+    assert sifts([3, 2], 8_193) == ([8_192, 1], 0)
 
 
 def test_sample_output_of_7x7_is_pinned(capsys):

@@ -3,8 +3,9 @@ from math import comb
 
 import pytest
 
+from npslab import two_row
 from npslab.complexity import average_case_bruteforce, average_case_chicago, worst_case
-from npslab.partitions import Partition, syt_count
+from npslab.partitions import Partition, SizeGuardError, syt_count
 from npslab.two_row import (
     _s0_fixed_distance,
     c_closed,
@@ -14,6 +15,18 @@ from npslab.two_row import (
     s0_direct,
     s0_nested,
 )
+
+
+def test_c_closed_refuses_a_second_part_over_the_budget(monkeypatch):
+    admitted = c_closed(30, 10)
+    monkeypatch.setattr(two_row, "MAX_SECOND_PART", 10)
+    assert c_closed(30, 10) == admitted
+    with pytest.raises(SizeGuardError, match="second part 11 exceeds the two-row budget"):
+        c_closed(30, 11)
+    # a shape that is not two-row is refused as such, whatever its size
+    with pytest.raises(ValueError, match="exceeds first part") as info:
+        c_closed(20, 30)
+    assert type(info.value) is ValueError
 
 
 def test_s0_direct_examples():

@@ -1,7 +1,7 @@
 """Time the five operations of a perfbench `sift` pass in one process, two
 checkouts in alternation.
 
-    python3 tools/nps_ab.py PARENT CHANGE [--rounds 20] [--seed 1]
+    python3 tools/nps_ab.py PARENT CHANGE [--batches 5] [--rounds 10] [--seed 1]
 
 PARENT and CHANGE are checkouts (repository roots).  Each one's
 `src/npslab` is loaded under its own package name, `npslab_a` and
@@ -16,13 +16,16 @@ B, A on odd ones:
 - `syt_uniformity_test` on (3,2) with 14,000 draws;
 - `exchange_stats` on every shape of size <= 7.
 
-For each operation and for the whole pass it prints the median and the
-quartiles of the per-round ratio B / A and the ratio of the two sides'
-minimum times, then the same for an A/A batch, in which the parent is timed
-against itself: the spread that the host alone gives.  The per-round ratio
-spreads widely on a noisy host, while the minima of interleaved runs spread
-much less, so the minimum ratio is the one to gate on.  Outputs are compared
-between the sides once, before timing.
+The rounds run in K batches, each a B/A run of the rounds followed by an
+A/A run, in which the parent is timed against itself: the spread that the
+host alone gives.  For each operation and for the whole pass it prints each
+side's median milliseconds over all rounds, the median and the quartiles of
+the per-round ratio B / A, the ratio of the two sides' minimum times in each
+batch, and the median of those batch minima, then the same for A/A.  The
+per-round ratio spreads widely on a noisy host; the minima of interleaved
+runs spread less, but one run's minimum still moves by several percent, so
+the median over the batches of each batch's minimum ratio is the one to gate
+on.  Outputs are compared between the sides once, before timing.
 """
 
 import argparse
@@ -100,22 +103,30 @@ def timings(a_ops, b_ops, rounds):
     return out
 
 
-def report(title, table):
+def report(title, batches):
+    """`batches` holds one `timings` table per batch."""
     print(title)
-    for name, pairs in table.items():
+    print(f"  {'operation':19s}  A ms     B ms     round B/A: median  quartiles     B faster"
+          f"   minima B/A per batch, median")
+    for name in batches[0]:
+        pairs = [pair for table in batches for pair in table[name]]
         values = [b / a for a, b in pairs]
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         wins = sum(v < 1 for v in values)
-        low = min(b for _, b in pairs) / min(a for a, _ in pairs)
-        print(f"  {name:19s} median {median:.3f}  quartiles {q1:.3f}..{q3:.3f}  "
-              f"minima {low:.3f}  B faster in {wins}/{len(values)}")
+        lows = [min(b for _, b in table[name]) / min(a for a, _ in table[name])
+                for table in batches]
+        a_ms, b_ms = (1e3 * statistics.median(side) for side in zip(*pairs))
+        print(f"  {name:19s} {a_ms:7.2f}  {b_ms:7.2f}  {median:17.3f}  {q1:.3f}..{q3:.3f}  "
+              f"{wins:4d}/{len(values):<4d}  {' '.join(f'{x:.3f}' for x in lows)}, "
+              f"{statistics.median(lows):.3f}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--batches", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=10, help="rounds per batch")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     a_ops = operations(load(args.parent, "npslab_a"), args.seed)
@@ -123,8 +134,13 @@ def main():
     for name in a_ops:
         if comparable(name, a_ops[name]()) != comparable(name, b_ops[name]()):
             sys.exit(f"{name}: the outputs of the two checkouts differ")
-    report(f"B / A, {args.rounds} rounds, seed {args.seed}", timings(a_ops, b_ops, args.rounds))
-    report(f"A / A, {args.rounds} rounds", timings(a_ops, a_ops, args.rounds))
+    ab, aa = [], []
+    for _ in range(args.batches):
+        ab.append(timings(a_ops, b_ops, args.rounds))
+        aa.append(timings(a_ops, a_ops, args.rounds))
+    shape = f"{args.batches} batches of {args.rounds} rounds"
+    report(f"B / A, {shape}, seed {args.seed}", ab)
+    report(f"A / A, {shape}", aa)
 
 
 if __name__ == "__main__":
