@@ -242,7 +242,8 @@ def test_lane_and_scalar_sifts_give_identical_outputs(parts, m, seed, lanes, mon
     assert outputs[0] == outputs[1]
 
 
-def test_lane_path_is_taken_by_the_floor_and_the_byte_budget(monkeypatch):
+def test_lane_path_is_taken_by_the_floor_and_the_entry_budget(monkeypatch):
+    # the entry budget counts the bytes of the padded boards (`_LANE_BYTES`)
     # both sifts stubbed to count 0: the test reads only which one each run
     # takes and how the lanes cut it into batches
     batches, scalar = [], []
