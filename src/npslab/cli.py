@@ -28,6 +28,7 @@ from .curves import (
     LimitCurve,
     ScalingExponents,
     _deepest_cells,
+    _segment_table,
     flat_top_curve,
     unit_square_curve,
 )
@@ -39,7 +40,7 @@ from .integrals import (
 )
 from .nps import DEFAULT_ENUMERATION_CUTOFF
 from .partitions import Partition, SizeGuardError
-from .sampling import estimate_avg_case, syt_uniformity_test
+from .sampling import _check_draws, estimate_avg_case, estimate_avg_cases, syt_uniformity_test
 from .verify import run_suite
 
 __all__ = ["main"]
@@ -220,32 +221,43 @@ def _sweep_family(args):
         curve = _load_curve(args.curve)
         if abs(curve.area - 1) > FILE_TOLERANCE:
             raise UsageError(f"curve {args.curve!r} has area {float(curve.area):.12g}, not 1")
-        shape_for = partial(_deepest_cells, curve)
+        shape_for = partial(_deepest_cells, curve, table=_segment_table(curve))
     exponent = float(ScalingExponents.balanced().growth_exponent)
     return (shape_for, exponent, worst_case_integral(curve, tol=tol),
             avg_lower_integral(curve, tol=tol))
 
 
-def _row_c_value(shape, samples, seed, exact_limit):
-    """(value, stderr string) of C on one sweep row: exact where feasible."""
-    if len(shape.parts) <= 2:
-        return float(two_row.c_closed(shape.parts[0], shape.row(2))), ""
-    if shape.size <= exact_limit:
-        return float(average_case_chicago(shape)), ""
-    mean, stderr = estimate_avg_case(shape, samples, seed)
-    return mean, _fmt_float(stderr)
-
-
 def _cmd_sweep(args):
+    """Write the sweep's CSV.  Each row's shape, W and route are resolved in
+    size order first: C exactly where feasible (two rows, or n up to
+    --exact-limit), else by Monte Carlo, whose draw count and budget are
+    checked at the row, so a refusal names the same row as when each row
+    ran alone, before any draw.  Then all the Monte Carlo rows are sorted
+    in one `estimate_avg_cases` call, one lane batch for the whole sweep
+    where it fits, each row's draws those of `estimate_avg_case`."""
     sizes = _parse_sizes(args.sizes)
     shape_for, exponent, w_pred, c_pred = _sweep_family(args)
-    rows = [["n", "W", "W_scaled", "W_integral", "C", "C_stderr", "C_integral", "C_over_W"]]
+    resolved, sampled = [], []
     for n in sizes:
         shape = shape_for(n)
         if shape is None:
             continue
-        c_value, c_err = _row_c_value(shape, args.samples, args.seed, args.exact_limit)
-        w = worst_case(shape)
+        if len(shape.parts) <= 2:
+            c = float(two_row.c_closed(shape.parts[0], shape.row(2))), ""
+        elif n <= args.exact_limit:
+            c = float(average_case_chicago(shape)), ""
+        else:
+            _check_draws(shape, args.samples)
+            c = None
+            sampled.append(shape)
+        resolved.append((n, worst_case(shape), c))
+    estimates = iter(estimate_avg_cases(sampled, args.samples, args.seed))
+    rows = [["n", "W", "W_scaled", "W_integral", "C", "C_stderr", "C_integral", "C_over_W"]]
+    for n, w, c in resolved:
+        if c is None:
+            mean, stderr = next(estimates)
+            c = mean, _fmt_float(stderr)
+        c_value, c_err = c
         scale = float(n) ** exponent
         rows.append([
             str(n), str(w), _fmt_float(w / scale), _fmt_float(w_pred),

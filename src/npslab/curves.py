@@ -441,7 +441,7 @@ def partition_boundary(shape, n, exponents=None):
     return _stored_curve(xs, ys, scale / 2)
 
 
-def _deepest_cells(curve, n):
+def _deepest_cells(curve, n, table=None):
     """The partition of n made of the n cells deepest below the curve in
     balanced scaling: cell (i, j) scores phi = gamma(x) - y at its centre,
     x = (j - i)/sqrt(2n) and y = (i + j - 1)/sqrt(2n), and exact ties go to
@@ -456,8 +456,9 @@ def _deepest_cells(curve, n):
     ratio that one division rounds correctly; when R is irrational, cells
     with different A cannot tie and A R is one float per A, else A R joins
     the ratio over Q L rd, R = rn / rd.  So exact ties give equal floats,
-    also across collinear breakpoints, which share a line."""
-    L, Q, X, _, G, C = _segment_table(curve)
+    also across collinear breakpoints, which share a line.  A sweep of
+    many n passes the curve's `_segment_table` as `table`, built once."""
+    L, Q, X, _, G, C = _segment_table(curve) if table is None else table
     r2 = 2 * n * curve.scale_sq  # R^2 = p / q
     root = _rational_sqrt(r2)
     rn, rd = (root.numerator, root.denominator) if root is not None else (0, 1)

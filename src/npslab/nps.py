@@ -17,10 +17,10 @@ draw on a flat list board whose neighbours come from the ops tables:
 landing cells, and checks its output by comparing each entry with its South
 and East neighbours through those tables, by the sorted entries 1..n, by the
 range [-leg, arm] of the hooks on bounds kept with the shape's ops, and by
-the constructors' integer checks.  `_ShapeOps.sort_lanes` sifts a 2-D array
-of draws at once in numpy, one padded board per draw, and returns the same
-counts and boards; the Monte Carlo routines of `sampling` use it on runs of
-many draws.
+the constructors' integer checks.  `sort_lanes` sifts a 2-D array of draws
+at once in numpy, one padded board per draw, the draws of one shape or of
+several in one batch, and returns the same counts and boards; the Monte
+Carlo routines of `sampling` use it on runs of many draws.
 
 The two n! routes, `verify_bijection` and `complexity.exchange_stats`, fold
 the last level of one walk, `_prefix_walk`, which goes level by level and
@@ -261,54 +261,6 @@ class _ShapeOps:
                 landed.append(c)
         return total
 
-    def sort_lanes(self, values):
-        """The sift of `sort_values` on many boards at once: each row of the
-        2-D int array `values` is one draw in processing order, sifted on a
-        board of its own, a lane.  Returns the exchange count of each draw
-        and its sorted board, one row of the n cell values per draw.
-
-        A lane is a padded grid of (rows + 1) x (lambda_1 + 1) entries of the
-        smallest unsigned type that holds the sentinel n + 2 (one byte up to
-        n = 253, two up to 65,533), with the sentinel off the shape, so South
-        is p + W and East p + 1.  Each processed cell runs one loop over the
-        lanes still sifting it, each step a few whole-array numpy calls: the
-        smaller neighbour m is read, the cell gets min(m, v), which is m
-        where the lane moves on (m < v) and v where it stops, and the lanes
-        that move step to m's cell, compacted together with their values
-        and lane indices.  A lane's count for the cell is the number of
-        steps it moved, each raising i + j by one, added once per cell by
-        one `bincount` of the lane indices of every step."""
-        import numpy as np  # here, not at module level: the scalar sift needs none
-        width = self.shape.row(1) + 1
-        size = (len(self.shape.parts) + 1) * width
-        cells = [(i - 1) * width + j - 1 for i, j in self.coord]
-        lanes = len(values)
-        board = np.full(lanes * size, self.n + 2, dtype=np.min_scalar_type(self.n + 2))
-        below, right = board[width:], board[1:]  # the South and East neighbours of board[p]
-        counts = np.zeros(lanes, dtype=np.int64)
-        base = np.arange(0, lanes * size, size)
-        everyone = np.arange(lanes)
-        for t, c in enumerate(self.order):
-            v = values[:, t]
-            p = base + cells[c]
-            lane = everyone
-            moved = []
-            while True:
-                south = below[p]
-                east = right[p]
-                m = np.minimum(south, east)
-                go = (m < v).nonzero()[0]
-                board[p] = np.minimum(m, v)
-                if not len(go):
-                    break
-                p = (p + (width - (width - 1) * (east < south)))[go]
-                v = v[go]
-                lane = lane[go]
-                moved.append(lane)
-            if moved:
-                counts += np.bincount(np.concatenate(moved), minlength=lanes)
-        return counts, board.reshape(lanes, size)[:, cells]
-
     def slide_chain(self, board, start):
         """The smaller-neighbour chain from `start`: cells p0 = start, p1, ...,
         each the smaller of the South and East neighbours of the one before,
@@ -359,6 +311,72 @@ class _ShapeOps:
             codes.append(shift + r * powers[cells[m]])
             shift -= powers[cell_of[r]]
         return groups
+
+
+def sort_lanes(groups, values):
+    """The sift of `sort_values` on many boards at once, of one shape or of
+    several: `groups` lists (ops, k) pairs by size, the largest first, and
+    the rows of the 2-D int array `values` are their draws in that order, k
+    of `ops.shape` each, a draw in processing order in the first n entries
+    of its row.  Each draw is sifted on a board of its own, a lane.  Returns
+    the exchange count of each lane and, per group, its sorted boards, one
+    row of the shape's n cell values per draw.
+
+    Every lane is a padded frame of (rows + 1) x (lambda_1 + 1) entries, the
+    most rows and the longest first row of the batch, of the smallest
+    unsigned type that holds the sentinel n + 2 of the largest shape (one
+    byte up to n = 253, two up to 65,533), the sentinel off each shape, so
+    South is p + W and East p + 1.  The t-th processed cell of each shape
+    is a frame position in the table `starts`.  At processed cell t only the
+    g shapes with n > t take part; their lanes are a prefix of the batch,
+    and each starts at its shape's cell, the t-th row of the table repeated
+    by the lane counts.  Each processed cell runs one loop over the lanes
+    still sifting it, each step a few whole-array numpy calls: the smaller
+    neighbour m is read, the cell gets min(m, v), which is m where the lane
+    moves on (m < v) and v where it stops, and the lanes that move step to
+    m's cell, compacted together with their values and lane indices.  A
+    lane's count for the cell is the number of steps it moved, each raising
+    i + j by one, added once per cell by one `bincount` of the lane indices
+    of every step."""
+    import numpy as np  # here, not at module level: the scalar sift needs none
+    width = max(ops.shape.row(1) for ops, _ in groups) + 1
+    size = (max(len(ops.shape.parts) for ops, _ in groups) + 1) * width
+    top = groups[0][0].n
+    cells = [[(i - 1) * width + j - 1 for i, j in ops.coord] for ops, _ in groups]
+    starts = np.zeros((top, len(groups)), dtype=np.intp)
+    for g, ((ops, _), frame_cells) in enumerate(zip(groups, cells)):
+        starts[:ops.n, g] = [frame_cells[c] for c in ops.order]
+    sizes = np.array([k for _, k in groups])
+    ends = [0, *accumulate(sizes.tolist())]
+    lanes = len(values)
+    board = np.full(lanes * size, top + 2, dtype=np.min_scalar_type(top + 2))
+    below, right = board[width:], board[1:]  # the South and East neighbours of board[p]
+    counts = np.zeros(lanes, dtype=np.int64)
+    base = np.arange(0, lanes * size, size)
+    everyone = np.arange(lanes)
+    for t in range(top):
+        g = sum(1 for ops, _ in groups if ops.n > t)  # the shapes taking part
+        a = ends[g]
+        v = values[:a, t]
+        p = base[:a] + np.repeat(starts[t, :g], sizes[:g])
+        lane = everyone[:a]
+        moved = []
+        while True:
+            south = below[p]
+            east = right[p]
+            m = np.minimum(south, east)
+            go = (m < v).nonzero()[0]
+            board[p] = np.minimum(m, v)
+            if not len(go):
+                break
+            p = (p + (width - (width - 1) * (east < south)))[go]
+            v = v[go]
+            lane = lane[go]
+            moved.append(lane)
+        if moved:
+            counts += np.bincount(np.concatenate(moved), minlength=lanes)
+    frames = board.reshape(lanes, size)
+    return counts, [frames[lo:hi, c] for lo, hi, c in zip(ends, ends[1:], cells)]
 
 
 def slid(board, cells, m, r):

@@ -10,13 +10,14 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .nps import Tableau, shape_ops
+from .nps import Tableau, shape_ops, sort_lanes
 from .partitions import SizeGuardError, syt_count
 
 __all__ = [
     "SeededStream",
     "random_tableau",
     "estimate_avg_case",
+    "estimate_avg_cases",
     "syt_uniformity_test",
     "CHUNK",
 ]
@@ -28,14 +29,15 @@ CHUNK = 512
 # 7x7), a run of that size takes about 40 s.
 MAX_DRAW_ENTRIES = 10**9
 _BLOCK_ENTRIES = 2**12
-# The lane sift takes a run of at least _MIN_LANES draws whose batches hold
-# at least that many padded boards within _LANE_BYTES bytes; below either,
-# numpy's fixed cost per step outweighs the lanes.  1,024 boards of every
-# square up to 44x44 fit (two bytes an entry from 16x16 on).  A batch holds
-# at most _MAX_LANES boards: the step loop keeps int64 arrays of about 100
-# bytes a lane, and on 7x7 with 60,000 draws 65,536 lanes took 0.51 s and
-# 13 MB more peak RSS, against 0.24 s at 8,192.
-_MIN_LANES = 2**10
+# The lane sift takes a run of at least _MIN_LANES draws, counted over all
+# the shapes of a call, whose batches hold at least that many padded frames
+# within _LANE_BYTES bytes; below either, numpy's fixed cost per step
+# outweighs the lanes.  512 frames of every square up to 63x63 fit (two
+# bytes an entry from 16x16 on).  A batch holds at most _MAX_LANES frames:
+# the step loop keeps int64 arrays of about 100 bytes a lane, and on 7x7
+# with 60,000 draws 65,536 lanes took 0.51 s and 13 MB more peak RSS,
+# against 0.24 s at 8,192.
+_MIN_LANES = 2**9
 _MAX_LANES = 2**13
 _LANE_BYTES = 2**22
 _TALLY_CODES = 2**12
@@ -125,70 +127,112 @@ def _distinct_draws(shape, m, seed):
     return zip((codes[:, None] // powers % (n + 1)).tolist(), counts.tolist())
 
 
-def _check_draw_budget(shape, m):
+def _check_draws(shape, m):
+    """Refuse a run of fewer than two draws, or of more than
+    MAX_DRAW_ENTRIES draw entries, before any draw."""
+    if m < 2:
+        raise SizeGuardError("need at least two samples")
     if m * shape.size > MAX_DRAW_ENTRIES:
         raise SizeGuardError(f"{m} draws of {shape.size} cells exceed the budget of "
                              f"MAX_DRAW_ENTRIES = {MAX_DRAW_ENTRIES} draw entries")
 
 
-def _lane_batches(shape, m, seed, lanes):
-    """The draws of `_draw_blocks` as arrays of `lanes` rows, the last one
-    shorter, in the smallest unsigned type that holds n; one buffer is
-    filled again for each batch."""
+def _lane_batches(shapes, m, seed, lanes, dtype):
+    """The draws of `_draw_blocks` of each (k, shape) of `shapes` in turn,
+    as arrays of `lanes` rows in `dtype`, the last one shorter, a draw in
+    the first n entries of its row, each array with its runs [k, count]:
+    `count` draws of shape k, in order.  The first shape is the largest;
+    one buffer is filled again for each batch."""
     import numpy as np
-    batch = np.empty((min(m, lanes), shape.size), dtype=np.min_scalar_type(shape.size))
-    filled = 0
-    for block in _draw_blocks(shape, m, seed):
-        while len(block):
-            take = min(len(block), len(batch) - filled)
-            batch[filled:filled + take] = block[:take]
-            block = block[take:]
-            filled += take
-            if filled == len(batch):
-                yield batch
-                filled = 0
-    if filled:
-        yield batch[:filled]
-
-
-def _sort_draws(shape, m, seed, tally=None):
-    """Sort each of the m draws; return the sum of their exchange counts and
-    the sum of the squares, as ints.  When `tally` is a dict, each sorted
-    board, a tuple of its cell values, is counted in it in draw order.
-
-    A run of at least _MIN_LANES draws goes through `sort_lanes` in batches
-    of as many padded boards as _LANE_BYTES bytes hold, a board's entries
-    taking the bytes of the smallest unsigned type that holds n + 2, up to
-    _MAX_LANES boards, when that is at least _MIN_LANES; any other run
-    through `sort_values`, one draw at a time.  Both give the same counts
-    and boards."""
-    import numpy as np
-    ops = shape_ops(shape)
-    n = shape.size
-    board_bytes = ((len(shape.parts) + 1) * (shape.row(1) + 1)
-                   * np.min_scalar_type(n + 2).itemsize)
-    lanes = min(_LANE_BYTES // board_bytes, _MAX_LANES)
-    total = total_sq = 0
-    if m < _MIN_LANES or lanes < _MIN_LANES:
-        board = ops.new_board()
+    batch = np.empty((min(len(shapes) * m, lanes), shapes[0][1].size), dtype=dtype)
+    filled, runs = 0, []
+    for k, shape in shapes:
+        n = shape.size
         for block in _draw_blocks(shape, m, seed):
-            for values in block.tolist():
-                count = ops.sort_values(board, values)
-                total += count
-                total_sq += count * count
-                if tally is not None:
-                    key = tuple(board[:n])
-                    tally[key] = tally.get(key, 0) + 1
-        return total, total_sq
-    for batch in _lane_batches(shape, m, seed, lanes):
-        counts, boards = ops.sort_lanes(batch)
+            while len(block):
+                take = min(len(block), len(batch) - filled)
+                batch[filled:filled + take, :n] = block[:take]
+                block = block[take:]
+                filled += take
+                if runs and runs[-1][0] == k:
+                    runs[-1][1] += take
+                else:
+                    runs.append([k, take])
+                if filled == len(batch):
+                    yield runs, batch
+                    filled, runs = 0, []
+    if filled:
+        yield runs, batch[:filled]
+
+
+def _sort_draws(shapes, m, seed, tally=None):
+    """Sort the m draws of each shape; return per shape the sum of their
+    exchange counts and the sum of the squares, as ints.  When `tally` is a
+    dict, each sorted board, a tuple of its cell values, is counted in it in
+    draw order (a call of one shape).
+
+    When all the shapes together have at least _MIN_LANES draws, they go
+    through `sort_lanes` in batches of as many padded frames as _LANE_BYTES
+    bytes hold, a frame fitting every shape of the call and its entries
+    taking the bytes of the smallest unsigned type that holds the largest
+    n + 2, up to _MAX_LANES frames, when that is at least _MIN_LANES: the
+    shapes' draws one after another, the largest shape first, so one batch
+    can hold the draws of many shapes.  Otherwise each draw goes through
+    `sort_values`, one at a time.  Both give the same counts and boards."""
+    if not shapes:
+        return []
+    import numpy as np
+    dtype = np.min_scalar_type(max(shape.size for shape in shapes) + 2)
+    frame = ((max(len(shape.parts) for shape in shapes) + 1)
+             * (max(shape.row(1) for shape in shapes) + 1))
+    lanes = min(_LANE_BYTES // (frame * dtype.itemsize), _MAX_LANES)
+    sums = [[0, 0] for _ in shapes]
+    if len(shapes) * m < _MIN_LANES or lanes < _MIN_LANES:
+        for shape, shape_sums in zip(shapes, sums):
+            ops = shape_ops(shape)
+            board = ops.new_board()
+            for block in _draw_blocks(shape, m, seed):
+                for values in block.tolist():
+                    count = ops.sort_values(board, values)
+                    shape_sums[0] += count
+                    shape_sums[1] += count * count
+                    if tally is not None:
+                        key = tuple(board[:shape.size])
+                        tally[key] = tally.get(key, 0) + 1
+        return list(map(tuple, sums))
+    largest_first = sorted(enumerate(shapes), key=lambda item: -item[1].size)
+    for runs, batch in _lane_batches(largest_first, m, seed, lanes, dtype):
+        counts, boards = sort_lanes([(shape_ops(shapes[k]), count) for k, count in runs], batch)
         counts = counts.tolist()
-        total += sum(counts)
-        total_sq += sum(map(mul, counts, counts))
-        if tally is not None:
-            for key in map(tuple, boards.tolist()):
-                tally[key] = tally.get(key, 0) + 1
-    return total, total_sq
+        end = 0
+        for (k, count), sorted_boards in zip(runs, boards):
+            part = counts[end:end + count]
+            end += count
+            sums[k][0] += sum(part)
+            sums[k][1] += sum(map(mul, part, part))
+            if tally is not None:
+                for key in map(tuple, sorted_boards.tolist()):
+                    tally[key] = tally.get(key, 0) + 1
+    return list(map(tuple, sums))
+
+
+def estimate_avg_cases(shapes, m, seed):
+    """Monte Carlo estimates of the average exchange count of each shape.
+
+    Returns (mean, stderr) per shape over m independent uniform fillings,
+    each shape's draws and result those of `estimate_avg_case` on it
+    alone; stderr uses the unbiased sample variance.  All the shapes'
+    draws are sorted together, in one lane batch where they fit
+    (`_sort_draws`).  Refuses a run of fewer than two draws or above
+    MAX_DRAW_ENTRIES, shape by shape, before any draw.
+    """
+    for shape in shapes:
+        _check_draws(shape, m)
+    estimates = []
+    for total, total_sq in _sort_draws(shapes, m, seed):
+        variance = (total_sq - total * total / m) / (m - 1)
+        estimates.append((total / m, math.sqrt(max(variance, 0.0) / m)))
+    return estimates
 
 
 def estimate_avg_case(shape, m, seed):
@@ -197,13 +241,7 @@ def estimate_avg_case(shape, m, seed):
     Returns (mean, stderr) over m independent uniform fillings; stderr uses
     the unbiased sample variance.  Refuses a run above MAX_DRAW_ENTRIES.
     """
-    if m < 2:
-        raise SizeGuardError("need at least two samples")
-    _check_draw_budget(shape, m)
-    total, total_sq = _sort_draws(shape, m, seed)
-    mean = total / m
-    variance = (total_sq - total * total / m) / (m - 1)
-    return mean, math.sqrt(max(variance, 0.0) / m)
+    return estimate_avg_cases([shape], m, seed)[0]
 
 
 def syt_uniformity_test(shape, m, seed):
@@ -221,7 +259,7 @@ def syt_uniformity_test(shape, m, seed):
         raise SizeGuardError(f"{count} standard tableaux is too many to tabulate")
     if m < 10 * count:
         raise SizeGuardError(f"need m >= {10 * count} draws for {count} classes")
-    _check_draw_budget(shape, m)
+    _check_draws(shape, m)
     n = shape.size
     tally = {}
     if n <= _CODED_SIZE and math.factorial(n) <= m:
@@ -232,7 +270,7 @@ def syt_uniformity_test(shape, m, seed):
             key = tuple(board[:n])
             tally[key] = tally.get(key, 0) + k
     else:
-        _sort_draws(shape, m, seed, tally)
+        _sort_draws([shape], m, seed, tally)
     expected = m / count
     chi_square = sum((obs - expected) ** 2 for obs in tally.values()) / expected
     chi_square += (count - len(tally)) * expected  # classes never observed

@@ -331,26 +331,50 @@ def kernel_mismatch():
     return _kernel_mismatch
 
 
-def _lanes_mismatch(shape, fillings):
-    """The first filling on which `sort_lanes`, given all the fillings as the
-    lanes of one call, differs from `_sort_filling` in exchanges or sorted
-    board; None when there is none."""
-    fillings = [list(values) for values in fillings]
-    values = np.array(fillings, dtype=np.int64).reshape(len(fillings), shape.size)
-    counts, boards = shape_ops(shape).sort_lanes(values)
-    for values, count, board in zip(fillings, counts.tolist(), boards.tolist()):
-        want, want_board = _sort_filling(shape, values)
-        if (count, board) != (want, want_board[:shape.size]):
-            return values
+def _mixed_lanes_mismatch(groups):
+    """The first filling on which `nps.sort_lanes`, given the fillings of
+    every (shape, fillings) pair as the lanes of one call, the largest shape
+    first and each row padded with zeros, differs from `_sort_filling` in
+    exchanges or sorted board; None when there is none."""
+    groups = sorted(((shape, [list(values) for values in fillings]) for shape, fillings in groups),
+                    key=lambda group: -group[0].size)
+    values = np.zeros((sum(len(fillings) for _, fillings in groups), groups[0][0].size),
+                      dtype=np.int64)
+    for row, filling in zip(values, (f for _, fillings in groups for f in fillings)):
+        row[:len(filling)] = filling
+    counts, boards = nps.sort_lanes([(shape_ops(shape), len(fillings)) for shape, fillings in groups],
+                                    values)
+    counts = iter(counts.tolist())
+    for (shape, fillings), sorted_boards in zip(groups, boards):
+        assert sorted_boards.shape == (len(fillings), shape.size)
+        for filling, board in zip(fillings, sorted_boards.tolist()):
+            want, want_board = _sort_filling(shape, filling)
+            if (next(counts), board) != (want, want_board[:shape.size]):
+                return filling
     return None
+
+
+def _lanes_mismatch(shape, fillings):
+    """The first filling on which `nps.sort_lanes`, given all the fillings
+    as the lanes of one call, differs from `_sort_filling` in exchanges or
+    sorted board; None when there is none."""
+    return _mixed_lanes_mismatch([(shape, fillings)])
 
 
 @pytest.fixture(scope="session")
 def lanes_mismatch():
     """`lanes_mismatch(shape, fillings)`: the first value sequence on which
-    the lane sift `_ShapeOps.sort_lanes` differs from the swap-by-swap sort
-    of `sort_filling`, or None."""
+    the lane sift `nps.sort_lanes` differs from the swap-by-swap sort of
+    `sort_filling`, or None."""
     return _lanes_mismatch
+
+
+@pytest.fixture(scope="session")
+def mixed_lanes_mismatch():
+    """`mixed_lanes_mismatch(groups)`: the first value sequence on which
+    `nps.sort_lanes`, given the fillings of several shapes in one batch,
+    differs from the swap-by-swap sort of `sort_filling`, or None."""
+    return _mixed_lanes_mismatch
 
 
 def _naive_sort(tableau):

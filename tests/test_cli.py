@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from npslab.curves import LimitCurve, partition_boundary
 from npslab.integrals import DEFAULT_TOL, avg_lower_integral, worst_case_integral
 from npslab.nps import DEFAULT_ENUMERATION_CUTOFF
 from npslab.partitions import Partition
+from npslab.sampling import estimate_avg_case
 
 
 def run(capsys, *argv):
@@ -291,6 +294,23 @@ def test_sweep_curve_file_family(tmp_path, capsys):
     assert [int(r[1]) for r in rows] == [worst_case(p) for p in blown_up] == [80, 297]
 
 
+def test_curve_file_sweep_builds_one_segment_table(tmp_path, capsys, monkeypatch):
+    curve_path = tmp_path / "curve.json"
+    partition_boundary(Partition([4, 2]), 6).to_file(curve_path)
+    tables = []
+    deepest_cells = cli._deepest_cells
+
+    def recorded(curve, n, table=None):
+        tables.append(table)
+        return deepest_cells(curve, n, table=table)
+
+    monkeypatch.setattr(cli, "_deepest_cells", recorded)
+    code, _, _ = run(capsys, "sweep", "--family", "curve-file", "--sizes", "10..20",
+                     "--curve", str(curve_path), "--out", str(tmp_path / "cf.csv"))
+    assert code == 0 and len(tables) == 11
+    assert tables[0] is not None and all(table is tables[0] for table in tables)
+
+
 @pytest.mark.parametrize("breakpoints,area", [([], "0"), ([[-2, 2], [0, 4], [2, 2]], "8")],
                          ids=["empty", "area-8"])
 def test_sweep_refuses_curve_without_unit_area(tmp_path, capsys, breakpoints, area):
@@ -312,6 +332,85 @@ def test_sweep_byte_stable(tmp_path, capsys):
     assert run(capsys, *args, "--out", str(a))[0] == 0
     assert run(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _cli_workload_sweeps(tmp_path, seed):
+    """The four sweeps of perfbench's `cli` workload at its default length,
+    as (family, argv) pairs."""
+    curve_path = tmp_path / "boundary.json"
+    partition_boundary(Partition([4, 2]), 6).to_file(curve_path)
+    common = ["--exact-limit", "20", "--seed", str(seed), "--jobs", "1"]
+    return [
+        ("curve-file", ["--sizes", "10..30", "--curve", str(curve_path)] + common),
+        ("square", ["--sizes", "4..100"] + common),
+        ("staircase", ["--sizes", "1..45"] + common),
+        ("two-row", ["--sizes", "100..250", "--param", "5"] + common),
+    ]
+
+
+def test_cli_workload_sweeps_are_pinned(tmp_path, capsys):
+    # sha256 of each CSV, Monte Carlo columns included, as written before
+    # the sweeps sorted their Monte Carlo rows in one lane batch
+    pinned = {
+        "curve-file": "91454c51839b845cb8a7df3db1772b4de6517901fdb1743cddcc8e4fd762ee9a",
+        "square": "4a1a53848256bf157cc3c8d7719ef6bbaf1cf5aca5b3794d5c9809b120236c0a",
+        "staircase": "105376b6c078cf5c38d921ecdd11782a22b3c4bf70e289acb8ef10dd054db2a9",
+        "two-row": "b4f3fb4e4de304587eb02dfd04f361fab617c8176c5cf34a755422618e517d73",
+    }
+    digests = {}
+    for family, argv in _cli_workload_sweeps(tmp_path, seed=1):
+        out_path = tmp_path / f"{family}.csv"
+        assert run(capsys, "sweep", "--family", family, *argv, "--out", str(out_path))[0] == 0
+        digests[family] = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digests == pinned
+
+
+def test_sweep_sorts_its_monte_carlo_rows_in_one_call(tmp_path, capsys, monkeypatch):
+    # each Monte Carlo row equals `estimate_avg_case` of its shape at the
+    # sweep's seed, by `float.hex`, though the sweep's 800 to 2,000 draws
+    # take the lanes and each row's 200 alone the scalar sift
+    calls = []
+    estimate_avg_cases = cli.estimate_avg_cases
+
+    def recorded(shapes, m, seed):
+        estimates = estimate_avg_cases(shapes, m, seed)
+        calls.append((shapes, m, seed, estimates))
+        return estimates
+
+    monkeypatch.setattr(cli, "estimate_avg_cases", recorded)
+    for family, argv in _cli_workload_sweeps(tmp_path, seed=3)[:3]:
+        del calls[:]
+        out_path = tmp_path / f"{family}.csv"
+        assert run(capsys, "sweep", "--family", family, *argv, "--out", str(out_path))[0] == 0
+        (shapes, m, seed, estimates), = calls
+        assert (m, seed, len(shapes) * m >= 800) == (200, 3, True)
+        with open(out_path, newline="", encoding="utf-8") as fh:
+            sampled = [row for row in csv.DictReader(fh) if row["C_stderr"]]
+        assert [int(row["n"]) for row in sampled] == [shape.size for shape in shapes]
+        for row, shape, (mean, stderr) in zip(sampled, shapes, estimates):
+            assert [x.hex() for x in estimate_avg_case(shape, m, seed)] == [mean.hex(),
+                                                                             stderr.hex()]
+            assert (row["C"], row["C_stderr"]) == (f"{mean:.12g}", f"{stderr:.12g}")
+
+
+@pytest.mark.parametrize("samples, budget, message", [
+    ("1", None, "need at least two samples"),
+    # 200 draws of 25 and 36 cells fit; the 7x7 row is the first refused
+    ("200", 7_200, "200 draws of 49 cells exceed the budget of MAX_DRAW_ENTRIES = 7200 draw "
+                   "entries"),
+], ids=["one-sample", "over-budget-row"])
+def test_sweep_refuses_a_monte_carlo_row_before_any_draw(tmp_path, capsys, monkeypatch, samples,
+                                                        budget, message):
+    def no_draws(*args):
+        raise AssertionError("drew before the refusal")
+
+    monkeypatch.setattr("npslab.sampling._draw_blocks", no_draws)
+    if budget is not None:
+        monkeypatch.setattr("npslab.sampling.MAX_DRAW_ENTRIES", budget)
+    out_path = tmp_path / "x.csv"
+    assert run(capsys, "sweep", "--family", "square", "--sizes", "4..100", "--exact-limit", "20",
+               "--samples", samples, "--out", str(out_path)) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
 
 
 def test_sweep_empty_sizes(tmp_path, capsys):

@@ -49,6 +49,14 @@ def _lanes_caught(lanes_mismatch):
                for shape in SIFT_SHAPES)
 
 
+def _mixed_lanes_caught(mixed_lanes_mismatch):
+    """Whether `sort_lanes` differs from the swap-by-swap sort on some
+    filling of size 5 or less, all fillings of every such shape in one
+    call."""
+    return mixed_lanes_mismatch(
+        [(shape, permutations(range(1, shape.size + 1))) for shape in SIFT_SHAPES]) is not None
+
+
 def _nps_caught(naive_sort):
     """Whether `nps_sort` differs from the naive sort in exchanges, output,
     hooks or trace on some filling of size 5 or less; a raise counts."""
@@ -326,17 +334,27 @@ MUTANTS = [
                  (("kernel_mismatch", _kernel_caught), ("naive_sort", _nps_caught)),
                  id="kernel-east-first"),
     # the lanes step East where South is smaller and South where East is
-    pytest.param(nps._ShapeOps, "sort_lanes", "(width - (width - 1) * (east < south))",
+    pytest.param(nps, "sort_lanes", "(width - (width - 1) * (east < south))",
                  "(1 + (width - 1) * (east < south))",
                  (("lanes_mismatch", _lanes_caught),), id="lanes-strides-swapped"),
     # a lane that stops counts one exchange more than its steps: every lane
     # is counted as a mover once more at every cell
-    pytest.param(nps._ShapeOps, "sort_lanes", "moved = []", "moved = [everyone]",
+    pytest.param(nps, "sort_lanes", "moved = []", "moved = [lane]",
                  (("lanes_mismatch", _lanes_caught),), id="lanes-count-off-by-one"),
     # a lane that stops leaves the cell it stops at as it was
-    pytest.param(nps._ShapeOps, "sort_lanes", "board[p] = np.minimum(m, v)",
+    pytest.param(nps, "sort_lanes", "board[p] = np.minimum(m, v)",
                  "board[p[go]] = m[go]",
                  (("lanes_mismatch", _lanes_caught),), id="lanes-stopped-not-written"),
+    # a shape's lanes still take part at the cell after its last one: they
+    # sift the row's padding from the start cell in the table's padding
+    pytest.param(nps, "sort_lanes", "if ops.n > t)", "if ops.n >= t)",
+                 (("mixed_lanes_mismatch", _mixed_lanes_caught),),
+                 id="lanes-finished-shape-one-cell-too-long"),
+    # every lane starts from the cells of the batch's first, largest shape
+    pytest.param(nps, "sort_lanes", "np.repeat(starts[t, :g], sizes[:g])",
+                 "np.repeat(starts[t, 0], a)",
+                 (("mixed_lanes_mismatch", _mixed_lanes_caught),),
+                 id="lanes-start-cells-of-the-wrong-shape"),
     # the slide chain follows the South neighbour while there is one,
     # whatever its value
     pytest.param(nps._ShapeOps, "slide_chain", "c = s if board[s] < board[e] else e",

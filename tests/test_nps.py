@@ -18,6 +18,7 @@ from npslab.nps import (
     _ShapeOps,
     nps_sort,
     shape_ops,
+    sort_lanes,
     verify_bijection,
 )
 from npslab.sampling import _draw_blocks
@@ -209,7 +210,7 @@ def _lanes_against_sort_values(shape, values):
     """Whether `sort_lanes` on the rows of `values` gives each row's count and
     board from `sort_values`, run draw by draw on one board."""
     ops = shape_ops(shape)
-    counts, boards = ops.sort_lanes(values)
+    counts, (boards,) = sort_lanes([(ops, len(values))], values)
     assert counts.shape == (len(values),) and boards.shape == (len(values), shape.size)
     board = ops.new_board()
     return all(ops.sort_values(board, row) == count and board[:shape.size] == sorted_board
@@ -234,6 +235,14 @@ def test_sort_lanes_matches_sort_values_up_to_8():
 def test_sort_lanes_matches_sort_values_on_seeded_draws(parts):
     shape = Partition(parts)
     assert _lanes_against_sort_values(shape, np.concatenate(list(_draw_blocks(shape, 300, seed=3))))
+
+
+def test_sort_lanes_sifts_every_shape_up_to_6_in_one_batch(mixed_lanes_mismatch):
+    # every filling of every shape of size 1 to 6: 8,903 lanes of 29 shapes
+    # in one call, in one frame of 7 x 7 entries
+    groups = [(shape, itertools.permutations(range(1, n + 1)))
+              for n in range(1, 7) for shape in partitions_of(n)]
+    assert mixed_lanes_mismatch(groups) is None
 
 
 def _unsorted(self, board, values, landed=None):

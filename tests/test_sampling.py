@@ -7,12 +7,14 @@ import pytest
 
 from npslab import sampling
 from npslab.complexity import worst_case
-from npslab.nps import _ShapeOps, nps_sort
+from npslab.curves import _deepest_cells, partition_boundary
+from npslab.nps import _ShapeOps, nps_sort, shape_ops
 from npslab.partitions import Partition, syt_count
 from npslab.sampling import (
     SeededStream,
     _draw_blocks,
     estimate_avg_case,
+    estimate_avg_cases,
     random_tableau,
     syt_uniformity_test,
 )
@@ -147,18 +149,18 @@ def test_monte_carlo_equals_oracle_loop(parts, m, seed, boards_per_draw, sort_fi
                 _uniformity_by_oracle(shape, m, seed, boards_per_draw, sort_filling))
     sorts = []
     sort_values = _ShapeOps.sort_values
-    sort_lanes = _ShapeOps.sort_lanes
+    sort_lanes = sampling.sort_lanes
 
     def counted(self, board, values):
         sorts.append(tuple(values))
         return sort_values(self, board, values)
 
-    def counted_lanes(self, values):
-        sorts.extend(map(tuple, values.tolist()))
-        return sort_lanes(self, values)
+    def counted_lanes(groups, values):
+        sorts.extend(map(tuple, values[:, :shape.size].tolist()))
+        return sort_lanes(groups, values)
 
     monkeypatch.setattr(_ShapeOps, "sort_values", counted)
-    monkeypatch.setattr(_ShapeOps, "sort_lanes", counted_lanes)
+    monkeypatch.setattr(sampling, "sort_lanes", counted_lanes)
     assert estimate_avg_case(shape, m, seed) == expected[0]
     assert len(sorts) == m
     del sorts[:]
@@ -243,39 +245,96 @@ def test_lane_and_scalar_sifts_give_identical_outputs(parts, m, seed, lanes, mon
 
 
 def test_lane_path_is_taken_by_the_floor_and_the_entry_budget(monkeypatch):
-    # the entry budget counts the bytes of the padded boards (`_LANE_BYTES`)
-    # both sifts stubbed to count 0: the test reads only which one each run
-    # takes and how the lanes cut it into batches
+    # the floor counts the draws of every shape of a call (`_MIN_LANES`), the
+    # budget the bytes of the padded frames (`_LANE_BYTES`), one frame that
+    # fits every shape of the call; both sifts stubbed to count 0: the test
+    # reads only which one each run takes and how the lanes cut it into
+    # batches
     batches, scalar = [], []
 
-    def counted_lanes(self, values):
+    def counted_lanes(groups, values):
         batches.append(len(values))
-        return np.zeros(len(values), dtype=np.int64), None
+        return np.zeros(len(values), dtype=np.int64), [None] * len(groups)
 
     def counted_values(self, board, values):
         scalar.append(values)
         return 0
 
-    monkeypatch.setattr(_ShapeOps, "sort_lanes", counted_lanes)
+    monkeypatch.setattr(sampling, "sort_lanes", counted_lanes)
     monkeypatch.setattr(_ShapeOps, "sort_values", counted_values)
 
-    def sifts(parts, m):
+    def sifts(shapes, m):
         del batches[:], scalar[:]
-        estimate_avg_case(Partition(parts), m, 0)
+        estimate_avg_cases([Partition(parts) for parts in shapes], m, 0)
         return batches, len(scalar)
 
     floor = sampling._MIN_LANES
-    assert sifts([4, 3, 1], floor - 1) == ([], floor - 1)
-    assert sifts([4, 3, 1], floor) == ([floor], 0)
+    assert floor == 512
+    assert sifts([[4, 3, 1]], floor - 1) == ([], floor - 1)
+    assert sifts([[4, 3, 1]], floor) == ([floor], 0)
+    # 200 draws of each of the staircases 6..1 to 9..1, the Monte Carlo rows
+    # of a sweep of 1..45 at --exact-limit 20, make one batch of 800 lanes;
+    # two shapes of 255 draws stay below the floor
+    staircases = [list(range(k, 0, -1)) for k in range(6, 10)]
+    assert sifts(staircases, 200) == ([800], 0)
+    assert sifts([[4, 3, 1], [3, 3, 1]], 255) == ([], 510)
     # 16x16 fills 17 x 17 entries of two bytes, (200) 2 x 201 of one byte
-    assert sifts([16] * 16, floor) == ([floor], 0)
-    assert sifts([200], floor) == ([floor], 0)
-    # 44x44: 45 x 45 two-byte entries, so 2^22 bytes hold 1,035 boards
-    assert sifts([44] * 44, 1_036) == ([1_035, 1], 0)
-    # 45x45: 1,024 boards of 46 x 46 two-byte entries exceed 2^22 bytes
-    assert sifts([45] * 45, floor) == ([], floor)
-    # small boards: batches of at most 8,192 lanes
-    assert sifts([3, 2], 8_193) == ([8_192, 1], 0)
+    assert sifts([[16] * 16], floor) == ([floor], 0)
+    assert sifts([[200]], floor) == ([floor], 0)
+    # 63x63: 64 x 64 two-byte entries, so 2^22 bytes hold 512 frames
+    assert sifts([[63] * 63], floor + 1) == ([floor, 1], 0)
+    # 64x64: 512 frames of 65 x 65 two-byte entries exceed 2^22 bytes
+    assert sifts([[64] * 64], floor) == ([], floor)
+    # (200) and (1^200) each fit, but their common frame of 201 x 201 entries
+    # holds 103 to a batch
+    assert sifts([[200], [1] * 200], floor) == ([], 2 * floor)
+    # small frames: batches of at most 8,192 lanes, across shapes
+    assert sifts([[3, 2]], 8_193) == ([8_192, 1], 0)
+    assert sifts([[3, 2], [2, 2]], 5_000) == ([8_192, 1_808], 0)
+
+
+def _mixed_shapes():
+    """Frames of different widths and heights: 5x5, the staircase 7..1,
+    (12,1), (2,1^8) and the fit of the (4,2) boundary at n = 40."""
+    fit = _deepest_cells(partition_boundary(Partition((4, 2)), 6), 40)
+    return [Partition((5,) * 5), Partition(range(7, 0, -1)), Partition((12, 1)),
+            Partition((2,) + (1,) * 8), fit]
+
+
+@pytest.mark.parametrize("frames", [None, 100], ids=["one-batch", "batches-of-100"])
+def test_mixed_batch_equals_the_scalar_sift_per_shape(frames, monkeypatch):
+    shapes, m, seed = _mixed_shapes(), 120, 6  # 600 lanes in all, above the floor
+    assert len({(len(s.parts), s.row(1)) for s in shapes}) == len({s.size for s in shapes}) == 5
+    want = []  # per shape, the count and sorted board of each draw by `sort_values`
+    for shape in shapes:
+        ops = shape_ops(shape)
+        board = ops.new_board()
+        want.append([(ops.sort_values(board, values), board[:shape.size])
+                     for block in _draw_blocks(shape, m, seed) for values in block.tolist()])
+    monkeypatch.setattr(sampling, "_MIN_LANES", 10**9)
+    scalar = [[x.hex() for x in estimate_avg_case(shape, m, seed)] for shape in shapes]
+    monkeypatch.undo()
+
+    got, batches = [[] for _ in shapes], []
+    sort_lanes = sampling.sort_lanes
+
+    def recorded(groups, values):
+        counts, boards = sort_lanes(groups, values)
+        batches.append(len(values))
+        lanes = iter(counts.tolist())
+        for (ops, _), sorted_boards in zip(groups, boards):
+            got[shapes.index(ops.shape)] += [(next(lanes), b) for b in sorted_boards.tolist()]
+        return counts, boards
+
+    monkeypatch.setattr(sampling, "sort_lanes", recorded)
+    if frames:
+        frame = (max(len(s.parts) for s in shapes) + 1) * (max(s.row(1) for s in shapes) + 1)
+        monkeypatch.setattr(sampling, "_LANE_BYTES", frames * frame)  # one byte an entry
+        monkeypatch.setattr(sampling, "_MIN_LANES", frames)
+    estimates = [[x.hex() for x in pair] for pair in estimate_avg_cases(shapes, m, seed)]
+    assert batches == ([frames] * 6 if frames else [600])
+    assert got == want
+    assert estimates == scalar
 
 
 def test_sample_output_of_7x7_is_pinned(capsys):

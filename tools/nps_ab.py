@@ -1,20 +1,29 @@
-"""Time the five operations of a perfbench `sift` pass in one process, two
+"""Time the operations of a perfbench `sift` or `cli` pass in one process, two
 checkouts in alternation.
 
-    python3 tools/nps_ab.py PARENT CHANGE [--batches 5] [--rounds 10] [--seed 1]
+    python3 tools/nps_ab.py PARENT CHANGE [--workload sift|cli] [--batches 5]
+                            [--rounds 10] [--seed 1]
 
 PARENT and CHANGE are checkouts (repository roots).  Each one's
 `src/npslab` is loaded under its own package name, `npslab_a` and
 `npslab_b`, which works because every import inside the package is
-relative.  A round times one pass of each side over the five operations of
-a `sift` pass at its default length, in the order A, B on even rounds and
-B, A on odd ones:
+relative.  A round times one pass of each side over the operations of a
+pass at the workload's default length, in the order A, B on even rounds and
+B, A on odd ones.  A `sift` pass (the default) has five:
 
 - `verify_bijection` on every shape of size 7;
 - `nps_sort(random_tableau(7x7, SeededStream(seed, i)))` for i < 210;
 - `estimate_avg_case` on 7x7 with 5,600 draws;
 - `syt_uniformity_test` on (3,2) with 14,000 draws;
 - `exchange_stats` on every shape of size <= 7.
+
+A `cli` pass runs `cli.main` on the commands of perfbench's `cli` workload,
+its two seeded shapes fixed: the curve-file ((4,2) boundary, sizes 10..30),
+square (4..100), staircase (1..45) and two-row (100..250) sweeps at
+`--exact-limit 20`, then `exact --all`, `worst --witness`, `limit`,
+`sample --uniformity` and `verify --level fast`.  Each operation returns its
+exit code and standard output, a sweep's CSV bytes too; its working
+directory and `verify`'s seconds are masked in the output.
 
 The rounds run in K batches, each a B/A run of the rounds followed by an
 A/A run, in which the parent is timed against itself: the spread that the
@@ -29,10 +38,15 @@ on.  Outputs are compared between the sides once, before timing.
 """
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 import statistics
 import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -53,9 +67,9 @@ def load(checkout, name):
     return package
 
 
-def operations(pkg, seed):
-    """The five operations of a pass over `pkg`, by name, each a function of
-    no arguments that returns its outputs."""
+def sift_operations(pkg, seed):
+    """The five operations of a `sift` pass over `pkg`, by name, each a
+    function of no arguments that returns its outputs."""
     exchange_stats = importlib.import_module(pkg.__name__ + ".complexity").exchange_stats
     shapes = list(pkg.partitions_of(SIZE))
     smaller = [s for n in range(1, SIZE + 1) for s in pkg.partitions_of(n)]
@@ -68,6 +82,43 @@ def operations(pkg, seed):
         "syt_uniformity_test": lambda: pkg.syt_uniformity_test(pkg.Partition((3, 2)), TESTS, seed),
         "exchange_stats": lambda: [exchange_stats(s) for s in smaller],
     }
+
+
+def cli_operations(pkg, seed, workdir):
+    """The nine operations of a `cli` pass over `pkg`, by name, each a
+    function of no arguments that returns its outputs; the sweeps write
+    their CSV files and the curve file in `workdir`/`pkg.__name__`."""
+    main = importlib.import_module(pkg.__name__ + ".cli").main
+    root = workdir / pkg.__name__
+    root.mkdir(parents=True)
+    curve = root / "boundary.json"
+    pkg.partition_boundary(pkg.Partition((4, 2)), 6).to_file(curve)
+
+    def command(argv, csv_path=None):
+        def run():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            text = re.sub(r"\(\d+\.\d+s\)", "(s)", out.getvalue().replace(str(root), "DIR"))
+            return code, text, csv_path.read_bytes() if csv_path else None
+        return run
+
+    ops = {}
+    for family, sizes, extra in (("curve-file", "10..30", ["--curve", str(curve)]),
+                                 ("square", "4..100", []), ("staircase", "1..45", []),
+                                 ("two-row", "100..250", ["--param", "5"])):
+        out = root / f"{family}.csv"
+        ops[f"sweep {family}"] = command(
+            ["sweep", "--family", family, "--sizes", sizes, "--exact-limit", "20",
+             "--seed", str(seed), "--jobs", "1", "--out", str(out)] + extra, out)
+    ops["exact --all"] = command(["exact", "--shape", "3,2,1,1", "--all"])
+    ops["worst --witness"] = command(["worst", "--shape", "9,8,8,6,5,5,4,3,2,2,1,1",
+                                      "--witness"])
+    ops["limit C"] = command(["limit", "--curve", "square", "--integral", "C", "--tol", "1e-4"])
+    ops["sample --uniformity"] = command(["sample", "--shape", "3,2", "--draws", "10000",
+                                          "--seed", str(seed), "--uniformity"])
+    ops["verify fast"] = command(["verify", "--level", "fast", "--jobs", "1"])
+    return ops
 
 
 def comparable(name, outputs):
@@ -125,22 +176,26 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
+    parser.add_argument("--workload", choices=("sift", "cli"), default="sift")
     parser.add_argument("--batches", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=10, help="rounds per batch")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    a_ops = operations(load(args.parent, "npslab_a"), args.seed)
-    b_ops = operations(load(args.change, "npslab_b"), args.seed)
-    for name in a_ops:
-        if comparable(name, a_ops[name]()) != comparable(name, b_ops[name]()):
-            sys.exit(f"{name}: the outputs of the two checkouts differ")
-    ab, aa = [], []
-    for _ in range(args.batches):
-        ab.append(timings(a_ops, b_ops, args.rounds))
-        aa.append(timings(a_ops, a_ops, args.rounds))
+    with tempfile.TemporaryDirectory() as workdir:
+        operations = (sift_operations if args.workload == "sift"
+                      else partial(cli_operations, workdir=Path(workdir)))
+        a_ops = operations(load(args.parent, "npslab_a"), args.seed)
+        b_ops = operations(load(args.change, "npslab_b"), args.seed)
+        for name in a_ops:
+            if comparable(name, a_ops[name]()) != comparable(name, b_ops[name]()):
+                sys.exit(f"{name}: the outputs of the two checkouts differ")
+        ab, aa = [], []
+        for _ in range(args.batches):
+            ab.append(timings(a_ops, b_ops, args.rounds))
+            aa.append(timings(a_ops, a_ops, args.rounds))
     shape = f"{args.batches} batches of {args.rounds} rounds"
-    report(f"B / A, {shape}, seed {args.seed}", ab)
-    report(f"A / A, {shape}", aa)
+    report(f"B / A, {args.workload}, {shape}, seed {args.seed}", ab)
+    report(f"A / A, {args.workload}, {shape}", aa)
 
 
 if __name__ == "__main__":
