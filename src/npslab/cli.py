@@ -28,7 +28,6 @@ from .curves import (
     LimitCurve,
     ScalingExponents,
     _deepest_cells,
-    _segment_table,
     flat_top_curve,
     unit_square_curve,
 )
@@ -221,7 +220,7 @@ def _sweep_family(args):
         curve = _load_curve(args.curve)
         if abs(curve.area - 1) > FILE_TOLERANCE:
             raise UsageError(f"curve {args.curve!r} has area {float(curve.area):.12g}, not 1")
-        shape_for = partial(_deepest_cells, curve, table=_segment_table(curve))
+        shape_for = partial(_deepest_cells, curve)
     exponent = float(ScalingExponents.balanced().growth_exponent)
     return (shape_for, exponent, worst_case_integral(curve, tol=tol),
             avg_lower_integral(curve, tol=tol))

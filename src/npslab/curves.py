@@ -9,8 +9,9 @@ Lipschitz checks) or scales by a known power of sqrt(scale_sq) (lengths,
 areas), this keeps all structural checks exact even when the true
 breakpoints are irrational - e.g. the unit-square curve has true apex
 (0, sqrt(2)) but frame apex (0, 2) with scale_sq = 1/2.  Exact work per segment
-reads one integer table of the frame breakpoints, `_segment_table`: the
-limit integrals of `integrals.py`, the curve-file fit and `same_curve`.
+reads one integer table of the frame breakpoints, `_segments`, which a
+curve builds once when it is made: the limit integrals of `integrals.py`,
+the curve-file fit and `same_curve`.
 
 Queries answer in the type they are asked in.  A float query (``value``,
 ``hook_distances``, ``hook_coordinates``, or a frame method given a float)
@@ -109,7 +110,7 @@ def _exact_rational_power(n, exponent):
 class LimitCurve:
     """A 1-Lipschitz piecewise-linear curve equal to |x| outside its span."""
 
-    __slots__ = ("xs", "ys", "scale_sq", "scale", "_float_table")
+    __slots__ = ("xs", "ys", "scale_sq", "scale", "_float_table", "_segments")
 
     def __init__(self, points, scale_sq=Fraction(1), tolerance=Fraction(0)):
         """`points` are frame breakpoints; true coords are sqrt(scale_sq)
@@ -139,23 +140,37 @@ class LimitCurve:
             for x, y in pts:
                 if y + tol < abs(x):
                     raise ValueError(f"curve dips below |x| at x={x}")
-        self._store(tuple(p[0] for p in pts), tuple(p[1] for p in pts), scale_sq)
+        L = math.lcm(*(v.denominator for p in pts for v in p))
+        self._store(L, [x.numerator * (L // x.denominator) for x, _ in pts],
+                    [y.numerator * (L // y.denominator) for _, y in pts], scale_sq)
 
-    def _store(self, xs, ys, scale_sq):
-        """Set the exact breakpoints and squared scale, the float scale
-        sqrt(scale_sq) from frame to true units, and the float query table."""
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+    def _store(self, L, X, Y, scale_sq):
+        """Set the breakpoints (X[k], Y[k]) / L, exactly and as floats (an
+        int/int division rounds correctly), the squared scale, the float
+        scale sqrt(scale_sq) from frame to true units, the float query table
+        and the segment table `_segments`: L and Q the least common
+        denominators of the breakpoints and of the slopes, and on segment k
+        Q L gamma(S / L) = G[k] S + C[k], G[k] = Q slope, C[k] = Q Y[k] - G[k] X[k]."""
+        common = math.gcd(L, *X, *Y)
+        L, X, Y = L // common, tuple(x // common for x in X), tuple(y // common for y in Y)
+        steps = [(x1 - x0, y1 - y0) for x0, x1, y0, y1 in zip(X, X[1:], Y, Y[1:])]
+        Q = math.lcm(*(dx // math.gcd(dx, dy) for dx, dy in steps))
+        G = tuple(dy * Q // dx for dx, dy in steps)
+        C = tuple(Q * y - g * x for x, y, g in zip(X, Y, G))
+        object.__setattr__(self, "xs", tuple(Fraction(x, L) for x in X))
+        object.__setattr__(self, "ys", tuple(Fraction(y, L) for y in Y))
         object.__setattr__(self, "scale_sq", scale_sq)
         object.__setattr__(self, "scale", math.sqrt(scale_sq))
         object.__setattr__(self, "_float_table",
-                           _query_table(tuple(map(float, xs)), tuple(map(float, ys))))
+                           _query_table(tuple(x / L for x in X), tuple(y / L for y in Y)))
+        object.__setattr__(self, "_segments", _Segments(L, Q, X, Y, G, C))
 
     def __setattr__(self, name, value):
         raise AttributeError("LimitCurve is immutable")
 
     def __reduce__(self):
-        return (_stored_curve, (self.xs, self.ys, self.scale_sq))
+        L, _, X, Y, _, _ = self._segments
+        return (_stored_curve, (L, X, Y, self.scale_sq))
 
     # -- basic geometry -------------------------------------------------
 
@@ -203,11 +218,12 @@ class LimitCurve:
     def mirrored(self):
         """The reflection across x = 0, which swaps the two diagonal directions
         and keeps every property the constructor checks."""
-        return _stored_curve(tuple(-x for x in reversed(self.xs)), self.ys[::-1], self.scale_sq)
+        L, _, X, Y, _, _ = self._segments
+        return _stored_curve(L, [-x for x in reversed(X)], Y[::-1], self.scale_sq)
 
     def _canonical(self):
         """The breakpoints where the slope changes, as signs and true squares."""
-        L, _, X, Y, G, _ = _segment_table(self)
+        L, _, X, Y, G, _ = self._segments
         p, q = self.scale_sq.numerator, self.scale_sq.denominator * L * L
 
         def key(v):
@@ -338,36 +354,17 @@ def _exits(table, x, y):
     return arm, -pw + (pv - target) * (pw - xs[j]) / (pv - (ys[j] + xs[j])) + x
 
 
+# The curve's segments in integers, built with the curve (`LimitCurve._store`).
 _Segments = namedtuple("_Segments", "L Q X Y G C")
 
 
-def _segment_table(curve):
-    """The curve's segments in integers.  L is the lcm of the breakpoint
-    denominators and Q that of the slope denominators; breakpoint k is
-    (X[k], Y[k]) / L, and on segment k, Q L gamma(S / L) = G[k] S + C[k]
-    with G[k] = Q slope and C[k] = Q Y[k] - G[k] X[k]."""
-    xs, ys = curve.xs, curve.ys
-    L = math.lcm(*(v.denominator for v in xs), *(v.denominator for v in ys))
-    X = [v.numerator * (L // v.denominator) for v in xs]
-    Y = [v.numerator * (L // v.denominator) for v in ys]
-    slopes = []
-    for k in range(len(X) - 1):
-        dy, dx = Y[k + 1] - Y[k], X[k + 1] - X[k]
-        g = math.gcd(dy, dx)
-        slopes.append((dy // g, dx // g))
-    Q = math.lcm(*(den for _, den in slopes))
-    G = [num * (Q // den) for num, den in slopes]
-    C = [Q * y - g * x for x, y, g in zip(X, Y, G)]
-    return _Segments(L, Q, X, Y, G, C)
-
-
-def _stored_curve(xs, ys, scale_sq):
-    """The curve on frame breakpoints, without the constructor's checks: the
-    breakpoints come from a curve that passed them, possibly under a
-    tolerance, or from a construction that satisfies them exactly, such as
-    `partition_boundary`."""
+def _stored_curve(L, X, Y, scale_sq):
+    """The curve on the frame breakpoints (X[k], Y[k]) / L, without the
+    constructor's checks: the breakpoints come from a curve that passed
+    them, possibly under a tolerance, or from a construction that satisfies
+    them exactly, such as `partition_boundary`."""
     curve = object.__new__(LimitCurve)
-    curve._store(xs, ys, scale_sq)
+    curve._store(L, X, Y, scale_sq)
     return curve
 
 
@@ -425,7 +422,7 @@ def partition_boundary(shape, n, exponents=None):
     # The profile runs from (0, rows) to (lambda_1, 0) in (row length u, row
     # index v).  A run of k equal rows of length u, ending at row v, gives
     # its two corners (u, v) and (u, v - k); the points between them are
-    # collinear and left out.  A point is (rho u - v, rho u + v) in the
+    # collinear and left out.  A point is (p u - q v, p u + q v) / q in the
     # frame, rho = p / q.  For any rho > 0 the steps have slopes +-1 and
     # strictly increasing x and the ends lie on |x|, so the constructor's
     # checks hold by construction.
@@ -436,12 +433,12 @@ def partition_boundary(shape, n, exponents=None):
         k = len(list(run))
         profile += [(u, v), (u, v - k)]
         v -= k
-    xs = tuple(Fraction(p * u - q * v, q) for u, v in profile)
-    ys = tuple(Fraction(p * u + q * v, q) for u, v in profile)
-    return _stored_curve(xs, ys, scale / 2)
+    X = [p * u - q * v for u, v in profile]
+    Y = [p * u + q * v for u, v in profile]
+    return _stored_curve(q, X, Y, scale / 2)
 
 
-def _deepest_cells(curve, n, table=None):
+def _deepest_cells(curve, n):
     """The partition of n made of the n cells deepest below the curve in
     balanced scaling: cell (i, j) scores phi = gamma(x) - y at its centre,
     x = (j - i)/sqrt(2n) and y = (i + j - 1)/sqrt(2n), and exact ties go to
@@ -456,9 +453,9 @@ def _deepest_cells(curve, n, table=None):
     ratio that one division rounds correctly; when R is irrational, cells
     with different A cannot tie and A R is one float per A, else A R joins
     the ratio over Q L rd, R = rn / rd.  So exact ties give equal floats,
-    also across collinear breakpoints, which share a line.  A sweep of
-    many n passes the curve's `_segment_table` as `table`, built once."""
-    L, Q, X, _, G, C = _segment_table(curve) if table is None else table
+    also across collinear breakpoints, which share a line.  The table is
+    the curve's `_segments`, built once with the curve."""
+    L, Q, X, _, G, C = curve._segments
     r2 = 2 * n * curve.scale_sq  # R^2 = p / q
     root = _rational_sqrt(r2)
     rn, rd = (root.numerator, root.denominator) if root is not None else (0, 1)

@@ -16,8 +16,8 @@ segments gamma(s), gamma(t) and the point are affine in (s, t).
   so the integrand is affine plus K(s)^2 / (t - s), with elementary log terms.
 
 Each integral reads the curve's one integer segment table
-(`curves._segment_table`, which the curve-file fit and `same_curve` read
-too): the breakpoints times L, the lcm of their denominators, and the
+(`curve._segments`, built with the curve, which the curve-file fit and
+`same_curve` read too): the breakpoints times L, the lcm of their denominators, and the
 slopes times Q, the lcm of theirs.  The area element of a pair is then
 E / (2 Q^2) with E an integer, and an affine integrand over the pair's
 rectangle or triangle is its area times its value at the centroid, all in
@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 
 from .complexity import _w_table
-from .curves import _rational_sqrt, _segment_table, partition_boundary
+from .curves import _rational_sqrt, partition_boundary
 
 __all__ = [
     "worst_case_integral",
@@ -130,7 +130,7 @@ def _distance_frame_integral(curve):
     Fraction.  In units of 1 / (2 Q L), d is 2 top - y2, where y2 is twice
     the point's height and top is the largest candidate for gamma on [s, t].
     """
-    table = _segment_table(curve)
+    table = curve._segments
     Q, X, Y, G, C = table.Q, table.X, table.Y, table.G, table.C
     total = 0
     for i, j, e, m, ms, mt in _hook_pairs(table):
@@ -164,7 +164,7 @@ def imbalanced_integrals(curve, tol=DEFAULT_TOL):
     x - s = (t - s - gamma(t) + gamma(s)) / 2 are affine on every pair of
     segments, so each pair is integrated exactly, in units of 1 / (2 Q L).
     """
-    table = _segment_table(curve)
+    table = curve._segments
     Q, G, C = table.Q, table.G, table.C
     right = left = 0
     for i, j, e, m, ms, mt in _hook_pairs(table):
@@ -188,7 +188,7 @@ def avg_lower_integral(curve, tol=DEFAULT_TOL):
     as one integer over 72 Q^4 L^3; each log term is an integer ratio times
     ln(V / L), summed with fsum.
     """
-    table = _segment_table(curve)
+    table = curve._segments
     L, Q, X, G, C = table.L, table.Q, table.X, table.G, table.C
     affine = from_logs = 0
     logs = []

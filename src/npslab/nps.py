@@ -14,10 +14,11 @@ row first: the insertion rule.
 The step-by-step sift has two forms.  `_ShapeOps.sort_values` sifts one
 draw on a flat list board whose neighbours come from the ops tables:
 `nps_sort` builds the hooks by the insertion rule and the trace from its
-landing cells, and checks its output by comparing each entry with its South
-and East neighbours through those tables, by the sorted entries 1..n, by the
-range [-leg, arm] of the hooks on bounds kept with the shape's ops, and by
-the constructors' integer checks.  `sort_lanes` sifts a 2-D array of draws
+landing cells, and checks its output by the sorted entries 1..n, by the
+constructors' integer checks and by the two filling rules, each stated once
+on the shape's ops and called by `Tableau` and `HookTableau` too:
+`is_standard` compares each entry with its South and East neighbours, and
+`check_hooks` holds the hooks to [-leg, arm].  `sort_lanes` sifts draws
 at once in numpy, one padded board per draw, the draws of one shape or of
 several in one batch, and returns the same counts and boards; the Monte
 Carlo routines of `sampling` use it on runs of many draws.
@@ -128,13 +129,8 @@ class Tableau(_Filling):
         return cls.from_rows(rows)
 
     def is_standard(self):
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if j + 1 < len(row) and row[j + 1] < v:
-                    return False
-                if i + 1 < len(self.rows) and j < len(self.rows[i + 1]) and self.rows[i + 1][j] < v:
-                    return False
-        return True
+        ops = shape_ops(self.shape)
+        return ops.is_standard([*chain.from_iterable(self.rows), ops.n + 2])
 
 
 class HookTableau(_Filling):
@@ -147,10 +143,7 @@ class HookTableau(_Filling):
 
     def __init__(self, shape, rows):
         super().__init__(shape, rows)
-        cells = shape.cells()
-        for (i, j), v, (arm, leg) in zip(cells, chain.from_iterable(self.rows), _arms_legs(shape)):
-            if not -leg <= v <= arm:
-                raise ValueError(f"entry {v} at ({i},{j}) outside [-leg, arm]")
+        shape_ops(shape).check_hooks(list(chain.from_iterable(self.rows)))
 
 
 class EntryTrace(NamedTuple):
@@ -225,6 +218,21 @@ class _ShapeOps:
 
     def rows_from_board(self, board):
         return tuple(map(tuple, map(board.__getitem__, self.row_slices)))
+
+    def check_hooks(self, hooks):
+        """Refuse hooks in cell order outside [-leg, arm], naming the first such cell."""
+        low, high = self.min_hooks, self.max_hooks
+        if not all(map(le, low, hooks)) or not all(map(le, hooks, high)):
+            k = next(k for k, v in enumerate(hooks) if not low[k] <= v <= high[k])
+            i, j = self.coord[k]
+            raise ValueError(f"entry {hooks[k]} at ({i},{j}) outside [-leg, arm]")
+
+    def is_standard(self, board):
+        """Whether each entry of a board in cell order, the sentinel at index
+        n above them all, is below its South and East neighbours."""
+        entries = board[:self.n]
+        return (all(map(lt, entries, map(board.__getitem__, self.south)))
+                and all(map(lt, entries, map(board.__getitem__, self.east))))
 
     def sort_values(self, board, values, landed=None):
         """Sift values[t] from the t-th processed cell for every t, in place,
@@ -412,19 +420,11 @@ def nps_sort(tableau):
         columns[j0 - 1].insert(i1 - i0, j1 - j0 - i1)
     e = list(chain.from_iterable(columns))
     hooks = list(map(add, map(e.__getitem__, ops.by_columns), ops.rows_of))
-    if not all(map(le, ops.min_hooks, hooks)) or not all(map(le, hooks, ops.max_hooks)):
-        k = next(k for k, v in enumerate(hooks) if not ops.min_hooks[k] <= v <= ops.max_hooks[k])
-        i, j = coord[k]
-        raise ValueError(f"entry {hooks[k]} at ({i},{j}) outside [-leg, arm]")
-    # the HookTableau constructor, less the range check made above
+    ops.check_hooks(hooks)  # the range check of the HookTableau constructor
     hook_tableau = HookTableau._from_flat(ops, hooks)
-    # `Tableau.is_standard` and the bijection check of its constructor, in
-    # C-level passes: each entry below its South and East neighbours (the
-    # sentinel n + 2 where there is none), and the entries 1..n
+    # `Tableau.is_standard` and the bijection check of its constructor
     sorted_board = board[:ops.n]
-    if (not all(map(lt, sorted_board, map(board.__getitem__, ops.south)))
-            or not all(map(lt, sorted_board, map(board.__getitem__, ops.east)))
-            or sorted(sorted_board) != ops.one_to_n):
+    if not ops.is_standard(board) or sorted(sorted_board) != ops.one_to_n:
         raise AssertionError(f"sort produced a non-standard tableau from {tableau}")
     output = Tableau._from_flat(ops, sorted_board)
     # trace entries made by tuple.__new__, without a Python-level call each

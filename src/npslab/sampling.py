@@ -8,6 +8,7 @@ that the draws of every (shape, m, seed) stay bit-identical.
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import mul
 
 from .nps import Tableau, shape_ops, sort_lanes
@@ -165,6 +166,22 @@ def _lane_batches(shapes, m, seed, lanes, dtype):
         yield runs, batch[:filled]
 
 
+def _sift_weighted(ops, draws, tally=None):
+    """Sift each (values, weight) of `draws` on one board; return the weighted
+    sums of the exchange counts and of their squares.  When `tally` is a dict,
+    each sorted board, a tuple of its cell values, is counted `weight` times."""
+    board = ops.new_board()
+    total = total_sq = 0
+    for values, weight in draws:
+        count = ops.sort_values(board, values)
+        total += weight * count
+        total_sq += weight * count * count
+        if tally is not None:
+            key = tuple(board[:ops.n])
+            tally[key] = tally.get(key, 0) + weight
+    return total, total_sq
+
+
 def _sort_draws(shapes, m, seed, tally=None):
     """Sort the m draws of each shape; return per shape the sum of their
     exchange counts and the sum of the squares, as ints.  When `tally` is a
@@ -178,7 +195,7 @@ def _sort_draws(shapes, m, seed, tally=None):
     n + 2, up to _MAX_LANES frames, when that is at least _MIN_LANES: the
     shapes' draws one after another, the largest shape first, so one batch
     can hold the draws of many shapes.  Otherwise each draw goes through
-    `sort_values`, one at a time.  Both give the same counts and boards."""
+    `_sift_weighted`, one at a time.  Both give the same counts and boards."""
     if not shapes:
         return []
     import numpy as np
@@ -186,20 +203,11 @@ def _sort_draws(shapes, m, seed, tally=None):
     frame = ((max(len(shape.parts) for shape in shapes) + 1)
              * (max(shape.row(1) for shape in shapes) + 1))
     lanes = min(_LANE_BYTES // (frame * dtype.itemsize), _MAX_LANES)
-    sums = [[0, 0] for _ in shapes]
     if len(shapes) * m < _MIN_LANES or lanes < _MIN_LANES:
-        for shape, shape_sums in zip(shapes, sums):
-            ops = shape_ops(shape)
-            board = ops.new_board()
-            for block in _draw_blocks(shape, m, seed):
-                for values in block.tolist():
-                    count = ops.sort_values(board, values)
-                    shape_sums[0] += count
-                    shape_sums[1] += count * count
-                    if tally is not None:
-                        key = tuple(board[:shape.size])
-                        tally[key] = tally.get(key, 0) + 1
-        return list(map(tuple, sums))
+        return [_sift_weighted(shape_ops(shape), zip(chain.from_iterable(
+            block.tolist() for block in _draw_blocks(shape, m, seed)), repeat(1)), tally)
+            for shape in shapes]
+    sums = [[0, 0] for _ in shapes]
     largest_first = sorted(enumerate(shapes), key=lambda item: -item[1].size)
     for runs, batch in _lane_batches(largest_first, m, seed, lanes, dtype):
         counts, boards = sort_lanes([(shape_ops(shapes[k]), count) for k, count in runs], batch)
@@ -263,12 +271,7 @@ def syt_uniformity_test(shape, m, seed):
     n = shape.size
     tally = {}
     if n <= _CODED_SIZE and math.factorial(n) <= m:
-        ops = shape_ops(shape)
-        board = ops.new_board()
-        for values, k in _distinct_draws(shape, m, seed):
-            ops.sort_values(board, values)
-            key = tuple(board[:n])
-            tally[key] = tally.get(key, 0) + k
+        _sift_weighted(shape_ops(shape), _distinct_draws(shape, m, seed), tally)
     else:
         _sort_draws([shape], m, seed, tally)
     expected = m / count

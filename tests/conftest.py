@@ -1162,6 +1162,31 @@ def frame_integrals_by_fractions():
     return _frame_integrals_by_fractions
 
 
+def _segments_by_fractions(curve):
+    """(L, Q, X, Y, G, C) of a curve from its Fraction breakpoints and
+    slopes: L and Q the lcm of their reduced denominators, (X, Y) the
+    breakpoints times L, G the slopes times Q and C = Q Y - G X, each
+    checked to be an integer: an oracle for `LimitCurve._segments`."""
+    xs, ys = curve.xs, curve.ys
+    slopes = [(y1 - y0) / (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])]
+    L = math.lcm(*(v.denominator for v in xs + ys))
+    Q = math.lcm(*(s.denominator for s in slopes))
+
+    def integers(values):
+        assert all(v.denominator == 1 for v in values)
+        return tuple(v.numerator for v in values)
+
+    X, Y = integers([x * L for x in xs]), integers([y * L for y in ys])
+    G = integers([s * Q for s in slopes])
+    return L, Q, X, Y, G, integers([Q * y - g * x for x, y, g in zip(X, Y, G)])
+
+
+@pytest.fixture(scope="session")
+def segments_by_fractions():
+    """The integer segment table of a curve, built in Fractions."""
+    return _segments_by_fractions
+
+
 def _integrals_by_fractions(curve):
     """(W, C, I1, I2) with every pair of segments integrated in frame
     Fractions over its polygon, affine functions as coefficient triples and

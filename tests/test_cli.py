@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from npslab import cli, two_row
+from npslab import cli, curves, two_row
 from npslab.cli import main
 from npslab.complexity import WitnessConstructionError, average_case_chicago, worst_case
 from npslab.curves import LimitCurve, partition_boundary
@@ -295,20 +295,30 @@ def test_sweep_curve_file_family(tmp_path, capsys):
 
 
 def test_curve_file_sweep_builds_one_segment_table(tmp_path, capsys, monkeypatch):
+    # the file curve builds its segment table once, and every fit and both
+    # integrals read that table: no other is built during the sweep
     curve_path = tmp_path / "curve.json"
     partition_boundary(Partition([4, 2]), 6).to_file(curve_path)
-    tables = []
-    deepest_cells = cli._deepest_cells
+    built, read = [], []
+    segments = curves._Segments
 
-    def recorded(curve, n, table=None):
-        tables.append(table)
-        return deepest_cells(curve, n, table=table)
+    def counted(*fields):
+        built.append(segments(*fields))
+        return built[-1]
 
-    monkeypatch.setattr(cli, "_deepest_cells", recorded)
+    def reading(function):
+        def call(curve, *args, **kwargs):
+            read.append(curve._segments)
+            return function(curve, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(curves, "_Segments", counted)
+    for name in ("_deepest_cells", "worst_case_integral", "avg_lower_integral"):
+        monkeypatch.setattr(cli, name, reading(getattr(cli, name)))
     code, _, _ = run(capsys, "sweep", "--family", "curve-file", "--sizes", "10..20",
                      "--curve", str(curve_path), "--out", str(tmp_path / "cf.csv"))
-    assert code == 0 and len(tables) == 11
-    assert tables[0] is not None and all(table is tables[0] for table in tables)
+    assert code == 0 and len(read) == 11 + 2
+    assert len(built) == 1 and all(table is built[0] for table in read)
 
 
 @pytest.mark.parametrize("breakpoints,area", [([], "0"), ([[-2, 2], [0, 4], [2, 2]], "8")],

@@ -8,7 +8,6 @@ import pytest
 from npslab.curves import (
     LimitCurve,
     _deepest_cells,
-    _segment_table,
     flat_top_curve,
     partition_boundary,
     unit_square_curve,
@@ -95,13 +94,3 @@ def test_fit_matches_the_fraction_lines(fit_by_fractions):
     assert [(curve, n) for curve in grid for n in FRACTION_SIZES
             if _deepest_cells(curve, n) != fit_by_fractions(curve, n)] == []
 
-
-def test_one_table_serves_every_fit():
-    # a sweep builds the segment table once and passes it to every fit: the
-    # fitted shapes equal those of fits that build their own
-    exact = [flat_top_curve(), unit_square_curve(), boundary((4, 2)), boundary((6, 5, 3, 3, 1))]
-    grid = exact + [LimitCurve.from_document({"breakpoints": c.breakpoints}) for c in exact[2:]]
-    for curve in grid:
-        table = _segment_table(curve)
-        assert [_deepest_cells(curve, n, table=table) for n in range(1, 121)] == [
-            _deepest_cells(curve, n) for n in range(1, 121)], curve

@@ -28,6 +28,29 @@ def small_partitions():
         lambda n: st.sampled_from([p.parts for p in partitions_of(n)]))
 
 
+# -- the segment table ------------------------------------------------------
+
+
+def test_segment_table_equals_the_fraction_table(general_curves, full_profile_boundary,
+                                                 segments_by_fractions):
+    # the curves of the integral and fit tests, their decimal copies, and
+    # the mirrors of both; the float breakpoints are those of the Fractions
+    exponents = (None, ScalingExponents(Fraction(1, 3), Fraction(2, 3)), ScalingExponents(1, 0))
+    grid = [partition_boundary(shape, n, e)
+            for n in range(1, 9) for shape in partitions_of(n) for e in exponents]
+    grid += [partition_boundary(Partition(parts), sum(parts)) for parts in
+             ((6, 5, 3, 3, 1), (10, 1), (3, 3, 3), (5, 5, 1, 1), tuple(range(15, 0, -1)))]
+    grid += [full_profile_boundary(Partition(parts)) for parts in ((6, 5, 3, 3, 1), (3, 3, 3))]
+    grid += [unit_square_curve(), flat_top_curve(), *general_curves, LimitCurve([]),
+             LimitCurve([(-1, 1), (-0.25, 1.25), (2, 2)])]
+    grid += [LimitCurve.from_document({"breakpoints": c.breakpoints}) for c in grid]
+    grid += [c.mirrored() for c in grid]
+    for curve in grid:
+        assert tuple(curve._segments) == segments_by_fractions(curve), curve
+        assert [[v.hex() for v in values] for values in curve._float_table[:2]] == [
+            [float(v).hex() for v in values] for values in (curve.xs, curve.ys)], curve
+
+
 # -- scaling exponents ------------------------------------------------------
 
 

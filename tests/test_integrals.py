@@ -25,7 +25,6 @@ from npslab.curves import (
 )
 from npslab.integrals import (
     _distance_frame_integral,
-    _segment_table,
     avg_lower_integral,
     distance_integral_cellwise,
     imbalanced_integrals,
@@ -234,8 +233,9 @@ def rational_curves(draw):
 
 @given(rational_curves())
 @settings(max_examples=40, deadline=None)
-def test_integrals_equal_fraction_oracle_on_rational_curves(integrals_by_fractions, curve):
-    assert _segment_table(curve).Q > 1
+def test_integrals_equal_fraction_oracle_on_rational_curves(integrals_by_fractions,
+                                                           segments_by_fractions, curve):
+    assert curve._segments.Q > 1 and tuple(curve._segments) == segments_by_fractions(curve)
     assert _production(curve) == integrals_by_fractions(curve)
 
 

@@ -224,10 +224,15 @@ def integrals_on_general_curves(integrals_by_fractions, general_curves):
 
 def _every_integral_caught(expected):
     """Whether each of W, C, I1 and I2 differs from the Fraction oracle on
-    every general curve."""
-    return all(got != want for curve, wants in expected for got, want in zip(
-        (integrals.worst_case_integral(curve), integrals.avg_lower_integral(curve),
-         *integrals.imbalanced_integrals(curve)), wants))
+    every general curve, each built again, so that its segment table is
+    the one that the code under test builds."""
+    for curve, wants in expected:
+        curve = curves.LimitCurve(list(zip(curve.xs, curve.ys)), curve.scale_sq)
+        if any(got == want for got, want in zip(
+                (integrals.worst_case_integral(curve), integrals.avg_lower_integral(curve),
+                 *integrals.imbalanced_integrals(curve)), wants)):
+            return False
+    return True
 
 
 def _c_integral_caught(expected):
@@ -412,7 +417,7 @@ MUTANTS = [
                  (("arms_legs_by_cells", _hook_product_caught),
                   ("arms_legs_by_cells", _hook_range_caught)), id="leg-off-by-one"),
     # the slope denominator read as 1 while G and C stay scaled by Q
-    pytest.param(curves, "_segment_table", "return _Segments(L, Q,", "return _Segments(L, 1,",
+    pytest.param(curves.LimitCurve, "_store", "_Segments(L, Q,", "_Segments(L, 1,",
                  (("integrals_on_general_curves", _every_integral_caught),),
                  id="segment-q-forced-to-one"),
     # the log terms' rational parts weighted 36 / p in place of 36 / p^2
@@ -426,8 +431,8 @@ MUTANTS = [
     pytest.param(curves.LimitCurve, "area_frame", " - lo * abs(lo)", "",
                  (("balanced_boundaries", _area_caught),), id="area-without-left-end"),
     # the boundary without its last breakpoint
-    pytest.param(curves, "partition_boundary", "_stored_curve(xs, ys, scale / 2)",
-                 "_stored_curve(xs[:-1], ys[:-1], scale / 2)",
+    pytest.param(curves, "partition_boundary", "_stored_curve(q, X, Y, scale / 2)",
+                 "_stored_curve(q, X[:-1], Y[:-1], scale / 2)",
                  (("boundary_refusals", _boundary_caught),), id="boundary-missing-last-point"),
     # the lower corner of a run of two or more equal rows dropped, as if it
     # were collinear with its neighbours
@@ -490,5 +495,8 @@ def test_mutant_is_caught(monkeypatch, request, clean_checks, owner, name, old, 
     for key, loaded in list(sys.modules.items()):
         if key.startswith("npslab") and getattr(loaded, name, None) is original:
             monkeypatch.setattr(loaded, name, mutant)
+    # the cached shape ops are built again from the mutant, and dropped after it
+    nps.shape_ops.cache_clear()
+    request.addfinalizer(nps.shape_ops.cache_clear)
     for oracle, caught in checks:
         assert caught(oracle), caught.__name__

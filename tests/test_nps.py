@@ -80,6 +80,21 @@ def test_is_standard():
     assert Tableau.parse("1,3;2,4").is_standard()
 
 
+def test_is_standard_matches_cell_by_cell_comparison():
+    # every filling of every shape of size 5 or less, against each entry
+    # compared with its right and lower neighbours where they exist
+    def by_cells(rows):
+        return all(v < right for row in rows for v, right in zip(row, row[1:])) and all(
+            v < below for upper, lower in zip(rows, rows[1:]) for v, below in zip(upper, lower))
+
+    for n in range(6):
+        for shape in partitions_of(n):
+            for perm in itertools.permutations(range(1, n + 1)):
+                cuts = list(itertools.accumulate(shape.parts, initial=0))
+                rows = [perm[a:b] for a, b in zip(cuts, cuts[1:])]
+                assert Tableau(shape, rows).is_standard() == by_cells(rows), rows
+
+
 def test_hook_tableau_bounds():
     shape = Partition([2, 1])
     HookTableau(shape, ((1, 0), (0,)))
@@ -99,11 +114,16 @@ def test_hook_tableau_refuses_non_integral_entries_by_name(rows, entry):
 
 
 def test_hook_tableau_reads_each_column_height_once(monkeypatch):
+    # the range check reads the bounds of the shape's cached ops, whose one
+    # build takes the column heights once for the processing order and once
+    # for the arms and legs; no tableau of the shape takes them again
     calls = []
     original = partitions.conjugate
     monkeypatch.setattr(partitions, "conjugate", lambda shape: calls.append(shape) or original(shape))
-    HookTableau(Partition([7] * 7), ((0,) * 7,) * 7)
-    assert len(calls) == 1
+    nps.shape_ops.cache_clear()
+    for _ in range(3):
+        HookTableau(Partition([7] * 7), ((0,) * 7,) * 7)
+    assert len(calls) == 2
 
 
 # -- hand-traced sorts ------------------------------------------------------

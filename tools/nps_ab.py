@@ -1,8 +1,8 @@
-"""Time the operations of a perfbench `sift` or `cli` pass in one process, two
-checkouts in alternation.
+"""Time the operations of a perfbench `sift`, `limit` or `cli` pass in one
+process, two checkouts in alternation.
 
-    python3 tools/nps_ab.py PARENT CHANGE [--workload sift|cli] [--batches 5]
-                            [--rounds 10] [--seed 1]
+    python3 tools/nps_ab.py PARENT CHANGE [--workload sift|limit|cli]
+                            [--batches 5] [--rounds 10] [--seed 1]
 
 PARENT and CHANGE are checkouts (repository roots).  Each one's
 `src/npslab` is loaded under its own package name, `npslab_a` and
@@ -16,6 +16,15 @@ B, A on odd ones.  A `sift` pass (the default) has five:
 - `estimate_avg_case` on 7x7 with 5,600 draws;
 - `syt_uniformity_test` on (3,2) with 14,000 draws;
 - `exchange_stats` on every shape of size <= 7.
+
+A `limit` pass has five, on the curves of perfbench's `limit` workload:
+
+- `partition_boundary` of (6,5,3,3,1), (4,3,1) and (3,3);
+- `worst_case_integral` on the (4,3,1) boundary and the unit square;
+- `imbalanced_integrals` on the (3,3) boundary and the unit square;
+- `avg_lower_integral` on the (6,5,3,3,1) boundary and the unit square;
+- `hook_distances` and `hook_coordinates` at 400 seeded points inside the
+  (6,5,3,3,1) boundary, drawn as perfbench draws its probe points.
 
 A `cli` pass runs `cli.main` on the commands of perfbench's `cli` workload,
 its two seeded shapes fixed: the curve-file ((4,2) boundary, sizes 10..30),
@@ -42,6 +51,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import random
 import re
 import statistics
 import sys
@@ -81,6 +91,35 @@ def sift_operations(pkg, seed):
         "estimate_avg_case": lambda: pkg.estimate_avg_case(square, DRAWS, seed),
         "syt_uniformity_test": lambda: pkg.syt_uniformity_test(pkg.Partition((3, 2)), TESTS, seed),
         "exchange_stats": lambda: [exchange_stats(s) for s in smaller],
+    }
+
+
+def limit_operations(pkg, seed, probes=400):
+    """The five operations of a `limit` pass over `pkg`, by name, each a
+    function of no arguments that returns its outputs; the integrals and
+    the probes read curves built once, as perfbench's do."""
+    shapes = [(6, 5, 3, 3, 1), (4, 3, 1), (3, 3)]
+    probe, distance, diagonal = (pkg.partition_boundary(pkg.Partition(p), sum(p)) for p in shapes)
+    square = pkg.unit_square_curve()
+    rng = random.Random(seed)
+    (lo, _), (hi, _) = probe.breakpoints[0], probe.breakpoints[-1]
+    points = []
+    while len(points) < probes:
+        x = rng.uniform(lo, hi)
+        top = probe.value(x)
+        if top - abs(x) > 1e-9:
+            points.append((x, abs(x) + rng.uniform(0.02, 0.98) * (top - abs(x))))
+    return {
+        "partition_boundary": lambda: [pkg.partition_boundary(pkg.Partition(p), sum(p))
+                                       for p in shapes],
+        "worst_case_integral": lambda: [pkg.worst_case_integral(c, tol=1e-4)
+                                        for c in (distance, square)],
+        "imbalanced_integrals": lambda: [pkg.imbalanced_integrals(c, tol=1e-4)
+                                         for c in (diagonal, square)],
+        "avg_lower_integral": lambda: [pkg.avg_lower_integral(c, tol=1e-4)
+                                       for c in (probe, square)],
+        "probes": lambda: [(pkg.hook_distances(probe, p), pkg.hook_coordinates(probe, p))
+                           for p in points],
     }
 
 
@@ -126,6 +165,8 @@ def comparable(name, outputs):
     if name == "verify_bijection":
         return [(r.shape.parts, r.distinct_pairs, r.expected, r.injective, r.each_syt_count,
                  r.uniform) for r in outputs]
+    if name == "partition_boundary":
+        return [(c.xs, c.ys, c.scale_sq) for c in outputs]
     if name == "nps_sort":
         return [(o.output.rows, o.hooks.rows, o.exchanges, [tuple(e) for e in o.trace])
                 for o in outputs]
@@ -176,14 +217,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", choices=("sift", "cli"), default="sift")
+    parser.add_argument("--workload", choices=("sift", "limit", "cli"), default="sift")
     parser.add_argument("--batches", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=10, help="rounds per batch")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        operations = (sift_operations if args.workload == "sift"
-                      else partial(cli_operations, workdir=Path(workdir)))
+        operations = {"sift": sift_operations, "limit": limit_operations,
+                      "cli": partial(cli_operations, workdir=Path(workdir))}[args.workload]
         a_ops = operations(load(args.parent, "npslab_a"), args.seed)
         b_ops = operations(load(args.change, "npslab_b"), args.seed)
         for name in a_ops:
