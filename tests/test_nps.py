@@ -89,8 +89,8 @@ def test_is_standard_matches_cell_by_cell_comparison():
 
     for n in range(6):
         for shape in partitions_of(n):
+            cuts = list(itertools.accumulate(shape.parts, initial=0))
             for perm in itertools.permutations(range(1, n + 1)):
-                cuts = list(itertools.accumulate(shape.parts, initial=0))
                 rows = [perm[a:b] for a, b in zip(cuts, cuts[1:])]
                 assert Tableau(shape, rows).is_standard() == by_cells(rows), rows
 

@@ -64,6 +64,7 @@ SIZE = 7
 SORTS = 30 * SIZE
 DRAWS = 800 * SIZE
 TESTS = 2000 * SIZE
+PROBES = 400
 
 
 def load(checkout, name):
@@ -94,7 +95,7 @@ def sift_operations(pkg, seed):
     }
 
 
-def limit_operations(pkg, seed, probes=400):
+def limit_operations(pkg, seed):
     """The five operations of a `limit` pass over `pkg`, by name, each a
     function of no arguments that returns its outputs; the integrals and
     the probes read curves built once, as perfbench's do."""
@@ -104,7 +105,7 @@ def limit_operations(pkg, seed, probes=400):
     rng = random.Random(seed)
     (lo, _), (hi, _) = probe.breakpoints[0], probe.breakpoints[-1]
     points = []
-    while len(points) < probes:
+    while len(points) < PROBES:
         x = rng.uniform(lo, hi)
         top = probe.value(x)
         if top - abs(x) > 1e-9:
