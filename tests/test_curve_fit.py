@@ -2,9 +2,11 @@
 below a limit curve in balanced scaling."""
 
 import math
+import pickle
 
 import pytest
 
+from npslab import curves
 from npslab.curves import (
     LimitCurve,
     _deepest_cells,
@@ -94,3 +96,27 @@ def test_fit_matches_the_fraction_lines(fit_by_fractions):
     assert [(curve, n) for curve in grid for n in FRACTION_SIZES
             if _deepest_cells(curve, n) != fit_by_fractions(curve, n)] == []
 
+
+
+def test_one_table_serves_every_fit(monkeypatch):
+    # each curve builds its segment table once, with the curve, and every fit
+    # reads that table: fitting builds no other, and the fitted shapes equal
+    # those of a copy of the curve that built its own
+    exact = [flat_top_curve(), unit_square_curve(), boundary((4, 2)), boundary((6, 5, 3, 3, 1))]
+    grid = exact + [LimitCurve.from_document({"breakpoints": c.breakpoints}) for c in exact[2:]]
+    copies = [pickle.loads(pickle.dumps(curve)) for curve in grid]
+    tables = [curve._segments for curve in grid]
+    built = []
+    segments = curves._Segments
+
+    def counted(*fields):
+        built.append(fields)
+        return segments(*fields)
+
+    monkeypatch.setattr(curves, "_Segments", counted)
+    fits = [[_deepest_cells(curve, n) for n in range(1, 121)] for curve in grid]
+    assert built == [] and all(c._segments is t for c, t in zip(grid, tables))
+    assert all(c._segments is not t for c, t in zip(copies, tables))
+    monkeypatch.undo()
+    for curve, copy, fitted in zip(grid, copies, fits):
+        assert fitted == [_deepest_cells(copy, n) for n in range(1, 121)], curve
