@@ -279,13 +279,13 @@ def _cmd_sweep(args):
 def _cmd_verify(args):
     results = run_suite(args.level)
     failures = [r for r in results if not r.ok]
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"[{status}] {r.name} ({r.seconds:.2f}s): {r.detail}")
+    lines = [f"[{'PASS' if r.ok else 'FAIL'}] {r.name} ({r.seconds:.2f}s): {r.detail}"
+             for r in results]
+    doc = {"checks": [vars(r) for r in results], "passed": len(results) - len(failures)}
+    _emit(args, doc, lines + ([] if failures else [f"all {len(results)} checks passed"]))
     if failures:
         print(f"FAILED: {failures[0].name}: {failures[0].detail}", file=sys.stderr)
         return 1
-    print(f"all {len(results)} checks passed")
     return 0
 
 

@@ -2,16 +2,16 @@
 functions of rescaled partitions, and the three distance functions on them.
 
 A curve gamma maps x to gamma(x) >= |x|, is 1-Lipschitz and equals |x|
-outside a bounded interval.  Breakpoints are stored exactly as Fractions in
-an internal *frame*; true coordinates are sqrt(scale_sq) times the frame
-ones.  Because every quantity of interest is either scale-invariant (slopes,
-Lipschitz checks) or scales by a known power of sqrt(scale_sq) (lengths,
-areas), this keeps all structural checks exact even when the true
-breakpoints are irrational - e.g. the unit-square curve has true apex
-(0, sqrt(2)) but frame apex (0, 2) with scale_sq = 1/2.  Exact work per segment
-reads one integer table of the frame breakpoints, `_segments`, which a
-curve builds once when it is made: the limit integrals of `integrals.py`,
-the curve-file fit and `same_curve`.
+outside a bounded interval.  Breakpoints are stored exactly, as integers over
+one denominator, in an internal *frame*; true coordinates are sqrt(scale_sq)
+times the frame ones.  Because every quantity of interest is either
+scale-invariant (slopes, Lipschitz checks) or scales by a known power of
+sqrt(scale_sq) (lengths, areas), this keeps all structural checks exact even
+when the true breakpoints are irrational - e.g. the unit-square curve has true
+apex (0, sqrt(2)) but frame apex (0, 2) with scale_sq = 1/2.  A curve builds
+two tables when it is made: the integer `_segments`, which all exact work
+reads (the area, the limit integrals of `integrals.py`, the curve-file fit
+and `same_curve`), and the float query table; `xs` and `ys` are views.
 
 Queries answer in the type they are asked in.  A float query (``value``,
 ``hook_distances``, ``hook_coordinates``, or a frame method given a float)
@@ -110,7 +110,7 @@ def _exact_rational_power(n, exponent):
 class LimitCurve:
     """A 1-Lipschitz piecewise-linear curve equal to |x| outside its span."""
 
-    __slots__ = ("xs", "ys", "scale_sq", "scale", "_float_table", "_segments")
+    __slots__ = ("scale_sq", "scale", "_float_table", "_segments")
 
     def __init__(self, points, scale_sq=Fraction(1), tolerance=Fraction(0)):
         """`points` are frame breakpoints; true coords are sqrt(scale_sq)
@@ -145,10 +145,10 @@ class LimitCurve:
                     [y.numerator * (L // y.denominator) for _, y in pts], scale_sq)
 
     def _store(self, L, X, Y, scale_sq):
-        """Set the breakpoints (X[k], Y[k]) / L, exactly and as floats (an
-        int/int division rounds correctly), the squared scale, the float
-        scale sqrt(scale_sq) from frame to true units, the float query table
-        and the segment table `_segments`: L and Q the least common
+        """Set the breakpoints (X[k], Y[k]) / L as integers and as floats (an
+        int/int division rounds correctly), building no Fraction: the squared
+        scale, the float scale sqrt(scale_sq) from frame to true units, the
+        float query table and the segment table `_segments`: L and Q the least common
         denominators of the breakpoints and of the slopes, and on segment k
         Q L gamma(S / L) = G[k] S + C[k], G[k] = Q slope, C[k] = Q Y[k] - G[k] X[k]."""
         common = math.gcd(L, *X, *Y)
@@ -157,8 +157,6 @@ class LimitCurve:
         Q = math.lcm(*(dx // math.gcd(dx, dy) for dx, dy in steps))
         G = tuple(dy * Q // dx for dx, dy in steps)
         C = tuple(Q * y - g * x for x, y, g in zip(X, Y, G))
-        object.__setattr__(self, "xs", tuple(Fraction(x, L) for x in X))
-        object.__setattr__(self, "ys", tuple(Fraction(y, L) for y in Y))
         object.__setattr__(self, "scale_sq", scale_sq)
         object.__setattr__(self, "scale", math.sqrt(scale_sq))
         object.__setattr__(self, "_float_table",
@@ -175,9 +173,20 @@ class LimitCurve:
     # -- basic geometry -------------------------------------------------
 
     @property
+    def xs(self):
+        """The frame abscissas of the breakpoints, as Fractions."""
+        return tuple(Fraction(x, self._segments.L) for x in self._segments.X)
+
+    @property
+    def ys(self):
+        """The frame ordinates of the breakpoints, as Fractions."""
+        return tuple(Fraction(y, self._segments.L) for y in self._segments.Y)
+
+    @property
     def span(self):
         """Frame interval outside which the curve equals |x|."""
-        return (self.xs[0], self.xs[-1]) if self.xs else (Fraction(0), Fraction(0))
+        L, _, X, *_ = self._segments
+        return (Fraction(X[0], L), Fraction(X[-1], L)) if X else (Fraction(0), Fraction(0))
 
     def _table(self, x):
         """The query table in the type of the query x: the float one for a
@@ -199,16 +208,16 @@ class LimitCurve:
     def breakpoints(self):
         """Breakpoints in true coordinates, as floats."""
         s = self.scale
-        return [(float(x) * s, float(y) * s) for x, y in zip(self.xs, self.ys)]
+        return [(x * s, y * s) for x, y in zip(*self._float_table[:2])]
 
     def area_frame(self):
         """Exact integral of (curve - |x|) over the frame axis: the trapezoids
         under the breakpoints less the integral of |x| over their span,
-        (x_N |x_N| - x_0 |x_0|) / 2."""
-        xs, ys = self.xs, self.ys
-        lo, hi = self.span
-        twice = sum((y0 + y1) * (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]))
-        return (twice - (hi * abs(hi) - lo * abs(lo))) / 2
+        (x_N |x_N| - x_0 |x_0|) / 2, as one integer sum over 2 L^2."""
+        L, _, X, Y, _, _ = self._segments
+        twice = sum((y0 + y1) * (x1 - x0) for x0, y0, x1, y1 in zip(X, Y, X[1:], Y[1:]))
+        ends = X[-1] * abs(X[-1]) - X[0] * abs(X[0]) if X else 0
+        return Fraction(twice - ends, 2 * L * L)
 
     @property
     def area(self):

@@ -168,21 +168,25 @@ def skew_syt_count(outer, inner):
     return down[sum(p * base**i for i, p in enumerate(inner.parts))]
 
 
-def _harmonic_numerators(n):
-    """(D, [D H_0, D H_1, ..., D H_n]) with D = lcm(1..n): the harmonic
-    numbers up to H_n as integers over one common denominator, each the
-    running sum of the integers D/k."""
+def _harmonic_terms(n):
+    """(D, the integers D/k for k = 1..n, yielded one at a time), D = lcm(1..n)."""
     lcd = lcm(*range(1, n + 1))
-    return lcd, list(accumulate((lcd // k for k in range(1, n + 1)), initial=0))
+    return lcd, (lcd // k for k in range(1, n + 1))
+
+
+def _harmonic_numerators(n):
+    """(D, [D H_0, D H_1, ..., D H_n]): the running sums of the terms D/k."""
+    lcd, terms = _harmonic_terms(n)
+    return lcd, list(accumulate(terms, initial=0))
 
 
 def harmonic(n):
     """H_n = 1 + 1/2 + ... + 1/n as an exact Fraction (H_0 = 0): the sum of
-    the integers D/k over D = lcm(1..n), with no other numerator kept."""
+    the terms D/k over D, with no other numerator kept."""
     if n < 0:
         raise ValueError("harmonic number of negative index")
-    lcd = lcm(*range(1, n + 1))
-    return Fraction(sum(lcd // k for k in range(1, n + 1)), lcd)
+    lcd, terms = _harmonic_terms(n)
+    return Fraction(sum(terms), lcd)
 
 
 def partitions_of(n):

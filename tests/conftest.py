@@ -1,6 +1,7 @@
 import functools
 import heapq
 import itertools
+import json
 import math
 import random
 from bisect import bisect_right
@@ -835,17 +836,24 @@ def boundary_refusals():
 
 # Slopes strictly inside (-1, 1), so that gamma(s) on a falling s-segment and
 # gamma(t) on a rising t-segment beat the breakpoint values between them.
-_GENERAL_CURVES = (
-    LimitCurve([(-2, 2), (-1, Fraction(5, 2)), (0, 2), (1, Fraction(5, 2)), (2, 2)]),
-    LimitCurve([(-1, 1), (Fraction(-1, 2), Fraction(5, 4)), (Fraction(1, 4), 1),
-                (Fraction(3, 4), Fraction(5, 4)), (2, 2)]),
+_GENERAL_POINTS = (
+    [(-2, 2), (-1, Fraction(5, 2)), (0, 2), (1, Fraction(5, 2)), (2, 2)],
+    [(-1, 1), (Fraction(-1, 2), Fraction(5, 4)), (Fraction(1, 4), 1),
+     (Fraction(3, 4), Fraction(5, 4)), (2, 2)],
 )
+_GENERAL_CURVES = tuple(LimitCurve(points) for points in _GENERAL_POINTS)
 
 
 @pytest.fixture(scope="session")
 def general_curves():
     """Two rational curves whose slopes lie strictly inside (-1, 1)."""
     return _GENERAL_CURVES
+
+
+@pytest.fixture(scope="session")
+def general_curve_points():
+    """The constructor's points of the two `general_curves`, in order."""
+    return _GENERAL_POINTS
 
 
 def pochhammer_rising(x, k):
@@ -1203,10 +1211,9 @@ def integrals_by_fractions():
     return _integrals_by_fractions
 
 
-def _full_profile_boundary(shape):
-    """The balanced boundary of a partition with a breakpoint at every unit
-    step of its profile, the collinear ones between the corners of a run of
-    equal rows included, through the checked constructor."""
+def _profile(shape):
+    """The profile of a partition from (0, rows) to (lambda_1, 0) in (row
+    length u, row index v), with a point at the end of every row."""
     ell = len(shape.parts)
     profile = [(0, ell)]
     prev_u = 0
@@ -1216,7 +1223,14 @@ def _full_profile_boundary(shape):
             profile.append((u, i))
             prev_u = u
         profile.append((u, i - 1))
-    return LimitCurve([(u - v, u + v) for u, v in profile], Fraction(1, 2 * shape.size))
+    return profile
+
+
+def _full_profile_boundary(shape):
+    """The balanced boundary of a partition with a breakpoint at every unit
+    step of its profile, the collinear ones between the corners of a run of
+    equal rows included, through the checked constructor."""
+    return LimitCurve([(u - v, u + v) for u, v in _profile(shape)], Fraction(1, 2 * shape.size))
 
 
 @pytest.fixture(scope="session")
@@ -1224,6 +1238,56 @@ def full_profile_boundary():
     """The boundary with every profile step as a breakpoint: an oracle for
     `partition_boundary`, which keeps the corners only."""
     return _full_profile_boundary
+
+
+def _boundary_points(shape, rho, corners=True):
+    """The points of a partition's boundary under the ratio rho of its row
+    and column scales: the corners of its profile, where the profile turns,
+    or with corners=False every point of `_profile`, at (rho u - v, rho u + v)."""
+    profile = _profile(shape)
+    if corners:
+        profile = [profile[0], *(q for p, q, r in zip(profile, profile[1:], profile[2:])
+                                 if (q[0] - p[0]) * (r[1] - q[1]) != (q[1] - p[1]) * (r[0] - q[0])),
+                   profile[-1]]
+    return [(rho * u - v, rho * u + v) for u, v in profile]
+
+
+@pytest.fixture(scope="session")
+def boundary_points():
+    """The breakpoints of `partition_boundary` found without its run-length
+    pass over the rows: an oracle for its constructor's points."""
+    return _boundary_points
+
+
+def _views_by_fractions(points, scale_sq):
+    """xs, ys, span, area, repr, to_document() as JSON text and breakpoints
+    by float.hex of the curve on these points, each computed in Fractions
+    from the points as the curve did when it kept Fraction tuples."""
+    xs, ys = tuple(Fraction(x) for x, _ in points), tuple(Fraction(y) for _, y in points)
+    scale_sq = Fraction(scale_sq)
+    lo, hi = (xs[0], xs[-1]) if xs else (Fraction(0), Fraction(0))
+    twice = sum((y0 + y1) * (x1 - x0) for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]))
+    s = math.sqrt(scale_sq)
+    breakpoints = [(float(x) * s, float(y) * s) for x, y in zip(xs, ys)]
+    rn, rd = math.isqrt(scale_sq.numerator), math.isqrt(scale_sq.denominator)
+    if Fraction(rn * rn, rd * rd) == scale_sq:
+        document = [[str(x * rn / rd), str(y * rn / rd)] for x, y in zip(xs, ys)]
+    else:
+        document = [[x, y] for x, y in breakpoints]
+    pairs = ", ".join(f"({x},{y})" for x, y in zip(xs, ys))
+    return {"xs": xs, "ys": ys, "span": (lo, hi),
+            "area": scale_sq * (twice - (hi * abs(hi) - lo * abs(lo))) / 2,
+            "repr": f"LimitCurve([{pairs}], scale_sq={scale_sq})",
+            "document": json.dumps({"breakpoints": document}),
+            "breakpoints": [(x.hex(), y.hex()) for x, y in breakpoints]}
+
+
+@pytest.fixture(scope="session")
+def views_by_fractions():
+    """What a curve shows of its breakpoints, from its constructor's points
+    in Fractions: an oracle for the views that `LimitCurve` derives from its
+    integer and float tables."""
+    return _views_by_fractions
 
 
 def _surd_sign(a, b, m):

@@ -703,6 +703,26 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert "broken-check" in err and "invariant violated" in err
 
 
+def test_verify_honours_json_format(capsys, monkeypatch):
+    code, out, _ = run(capsys, "--format", "json", "verify", "--level", "fast")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] == 12
+    assert all(sorted(c) == ["detail", "name", "ok", "seconds"] for c in doc["checks"])
+    _, text, _ = run(capsys, "verify", "--level", "fast")
+    masked = [re.sub(r"\(\d+\.\d\ds\)", "", line) for line in text.splitlines()]
+    assert masked == [f"[PASS] {c['name']} : {c['detail']}" for c in doc["checks"]] + [
+        "all 12 checks passed"]
+    from npslab.verify import CheckResult
+    monkeypatch.setattr("npslab.cli.run_suite", lambda level: [
+        CheckResult("good-check", True, "fine", 0.0),
+        CheckResult("broken-check", False, "invariant violated", 0.5)])
+    code, out, err = run(capsys, "--format", "json", "verify")
+    assert code == 1 and err == "FAILED: broken-check: invariant violated\n"
+    assert json.loads(out) == {"passed": 1, "checks": [
+        {"name": "good-check", "ok": True, "detail": "fine", "seconds": 0.0},
+        {"name": "broken-check", "ok": False, "detail": "invariant violated", "seconds": 0.5}]}
+
+
 @pytest.mark.parametrize("error", [WitnessConstructionError, AssertionError],
                          ids=["witness", "assertion"])
 def test_self_check_failure_is_verification_failure(capsys, monkeypatch, error):

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npslab import curves
 from npslab.curves import (
     LimitCurve,
     ScalingExponents,
@@ -31,24 +33,72 @@ def small_partitions():
 # -- the segment table ------------------------------------------------------
 
 
-def test_segment_table_equals_the_fraction_table(general_curves, full_profile_boundary,
-                                                 segments_by_fractions):
-    # the curves of the integral and fit tests, their decimal copies, and
-    # the mirrors of both; the float breakpoints are those of the Fractions
+def _curves_with_points(general_curves, general_curve_points, full_profile_boundary,
+                        boundary_points, views_by_fractions):
+    """The curves of the integral and fit tests, their decimal copies and the
+    mirrors of both, each with the points its constructor took and its
+    squared scale.  A boundary's points are its profile's corners, under the
+    rho that its squared scale 1 / (2 n rho) gives; a decimal copy's are the
+    float breakpoints of its source, by the oracle."""
     exponents = (None, ScalingExponents(Fraction(1, 3), Fraction(2, 3)), ScalingExponents(1, 0))
-    grid = [partition_boundary(shape, n, e)
-            for n in range(1, 9) for shape in partitions_of(n) for e in exponents]
-    grid += [partition_boundary(Partition(parts), sum(parts)) for parts in
-             ((6, 5, 3, 3, 1), (10, 1), (3, 3, 3), (5, 5, 1, 1), tuple(range(15, 0, -1)))]
-    grid += [full_profile_boundary(Partition(parts)) for parts in ((6, 5, 3, 3, 1), (3, 3, 3))]
-    grid += [unit_square_curve(), flat_top_curve(), *general_curves, LimitCurve([]),
-             LimitCurve([(-1, 1), (-0.25, 1.25), (2, 2)])]
-    grid += [LimitCurve.from_document({"breakpoints": c.breakpoints}) for c in grid]
-    grid += [c.mirrored() for c in grid]
-    for curve in grid:
+    shapes = [(shape, e) for n in range(1, 9) for shape in partitions_of(n) for e in exponents]
+    shapes += [(Partition(parts), None) for parts in
+               ((6, 5, 3, 3, 1), (10, 1), (3, 3, 3), (5, 5, 1, 1), tuple(range(15, 0, -1)))]
+    grid = []
+    for shape, e in shapes:
+        curve = partition_boundary(shape, shape.size, e)
+        grid.append((curve, boundary_points(shape, 1 / (2 * shape.size * curve.scale_sq)),
+                     curve.scale_sq))
+    for parts in ((6, 5, 3, 3, 1), (3, 3, 3)):
+        shape = Partition(parts)
+        grid.append((full_profile_boundary(shape), boundary_points(shape, 1, corners=False),
+                     Fraction(1, 2 * shape.size)))
+    skew = [(-1, 1), (-0.25, 1.25), (2, 2)]
+    grid += [(unit_square_curve(), [(-1, 1), (0, 2), (1, 1)], Fraction(1, 2)),
+             (flat_top_curve(), [(-1, 1), (1, 1)], 1),
+             *((c, points, 1) for c, points in zip(general_curves, general_curve_points)),
+             (LimitCurve([]), [], 1), (LimitCurve(skew), skew, 1)]
+    grid += [(LimitCurve.from_document({"breakpoints": c.breakpoints}),
+              [tuple(map(float.fromhex, p)) for p in views_by_fractions(points, sq)["breakpoints"]],
+              1) for c, points, sq in grid]
+    return grid + [(c.mirrored(), [(-x, y) for x, y in reversed(points)], sq)
+                   for c, points, sq in grid]
+
+
+@pytest.fixture(scope="module")
+def curves_with_points(general_curves, general_curve_points, full_profile_boundary,
+                       boundary_points, views_by_fractions):
+    return _curves_with_points(general_curves, general_curve_points, full_profile_boundary,
+                               boundary_points, views_by_fractions)
+
+
+def test_segment_table_equals_the_fraction_table(curves_with_points, segments_by_fractions):
+    # the float breakpoints are those of the Fractions
+    for curve, _, _ in curves_with_points:
         assert tuple(curve._segments) == segments_by_fractions(curve), curve
         assert [[v.hex() for v in values] for values in curve._float_table[:2]] == [
             [float(v).hex() for v in values] for values in (curve.xs, curve.ys)], curve
+
+
+def test_breakpoint_views_equal_the_fraction_curve(curves_with_points, views_by_fractions):
+    # xs, ys, span, area, repr, the document and the float breakpoints, which
+    # the curve derives from its integers and floats, equal those computed in
+    # Fractions from its constructor's points
+    for curve, points, scale_sq in curves_with_points:
+        views = {"xs": curve.xs, "ys": curve.ys, "span": curve.span, "area": curve.area,
+                 "repr": repr(curve), "document": json.dumps(curve.to_document()),
+                 "breakpoints": [(x.hex(), y.hex()) for x, y in curve.breakpoints]}
+        assert views == views_by_fractions(points, scale_sq), curve
+        assert all(type(v) is Fraction for v in (*curve.xs, *curve.ys, *curve.span, curve.area))
+
+
+def test_a_stored_curve_builds_no_fraction(monkeypatch):
+    assert LimitCurve.__slots__ == ("scale_sq", "scale", "_float_table", "_segments")
+    curve = partition_boundary(Partition(range(40, 0, -1)), 820)
+    built = []
+    monkeypatch.setattr(curves, "Fraction", lambda *args: built.append(args))
+    mirror = curve.mirrored()
+    assert built == [] and mirror.same_curve(curve)
 
 
 # -- scaling exponents ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Named mutants of the fast paths.
 
-Each row rewrites one line of a function's source, or of a method's, installs
+Each row rewrites one line of a function's source, or of a method's or a
+property's, installs
 the rewritten function with monkeypatch on its class or in every module that
 imported it, and asserts that each of its checks, an independent oracle from
 `conftest.py` and a comparison, tells it apart.  Before the rewrite every
@@ -28,7 +29,8 @@ def _rewrite(owner, name, old, new):
     source with the one occurrence of `old` replaced by `new`, reading the
     globals of the module that defines it."""
     module = inspect.getmodule(owner)
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    target = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(getattr(target, "fget", target)))
     assert source.count(old) == 1, (name, old)
     namespace = {}
     exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), namespace)
@@ -184,6 +186,20 @@ def _area_caught(boundaries):
     return any(curve.area != 1 for curve in boundaries)
 
 
+@pytest.fixture(scope="session")
+def general_curve_views(general_curves, general_curve_points, views_by_fractions):
+    """The two general curves, whose breakpoints have denominators, each with
+    the views of its constructor's points computed in Fractions."""
+    return [(curve, views_by_fractions(points, 1))
+            for curve, points in zip(general_curves, general_curve_points)]
+
+
+def _xs_caught(expected):
+    """Whether the xs view of some general curve differs from the Fractions
+    of its constructor's points."""
+    return any(curve.xs != views["xs"] for curve, views in expected)
+
+
 def _boundary_caught(boundary_refusals):
     return bool(boundary_refusals())
 
@@ -304,7 +320,7 @@ MUTANTS = [
                  (("s0_nested_termwise", _nested_caught),), id="nested-harmonics-wrong-lcm"),
     # every harmonic term shifted by one: D/(k + 1) in place of D/k, so D H_m
     # reads D (H_(m+1) - 1) in every caller
-    pytest.param(partitions, "_harmonic_numerators", "lcd // k for k", "lcd // (k + 1) for k",
+    pytest.param(partitions, "_harmonic_terms", "lcd // k for k", "lcd // (k + 1) for k",
                  (("chicago_by_fractions", _chicago_caught),
                   ("s0_nested_termwise", _nested_caught)), id="harmonic-terms-shifted"),
     # every row tail one higher: p - j in place of p - 1 - j
@@ -428,8 +444,12 @@ MUTANTS = [
                  "2 * (w_rows[i - 1][j - 1] + 1) + ((i, j) == (1, 1))",
                  (("cellwise_by_fractions", _cellwise_caught),), id="cell-distance-off-by-one"),
     # the integral of |x| over the span without its left end
-    pytest.param(curves.LimitCurve, "area_frame", " - lo * abs(lo)", "",
+    pytest.param(curves.LimitCurve, "area_frame", " - X[0] * abs(X[0])", "",
                  (("balanced_boundaries", _area_caught),), id="area-without-left-end"),
+    # the abscissas divided by L twice: X / L^2 in place of X / L
+    pytest.param(curves.LimitCurve, "xs", "Fraction(x, self._segments.L)",
+                 "Fraction(x, self._segments.L ** 2)",
+                 (("general_curve_views", _xs_caught),), id="xs-view-over-l-squared"),
     # the boundary without its last breakpoint
     pytest.param(curves, "partition_boundary", "_stored_curve(q, X, Y, scale / 2)",
                  "_stored_curve(q, X[:-1], Y[:-1], scale / 2)",

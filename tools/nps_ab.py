@@ -6,8 +6,8 @@ process, two checkouts in alternation.
 
 PARENT and CHANGE are checkouts (repository roots).  Each one's
 `src/npslab` is loaded under its own package name, `npslab_a` and
-`npslab_b`, which works because every import inside the package is
-relative.  A round times one pass of each side over the operations of a
+`npslab_b`, and then PARENT's once more as `npslab_c`, which works because
+every import inside the package is relative.  A round times one pass of each side over the operations of a
 pass at the workload's default length, in the order A, B on even rounds and
 B, A on odd ones.  A `sift` pass (the default) has five:
 
@@ -35,15 +35,17 @@ exit code and standard output, a sweep's CSV bytes too; its working
 directory and `verify`'s seconds are masked in the output.
 
 The rounds run in K batches, each a B/A run of the rounds followed by an
-A/A run, in which the parent is timed against itself: the spread that the
-host alone gives.  For each operation and for the whole pass it prints each
+A/A run, in which `npslab_a` is timed against `npslab_c`: the spread that
+the host alone gives.  Both ratios set a package loaded earlier against one
+loaded later, so the A/A ratio carries the bias of the load order that
+B/A carries, and identical code loaded second reads slower in both.  For each operation and for the whole pass it prints each
 side's median milliseconds over all rounds, the median and the quartiles of
 the per-round ratio B / A, the ratio of the two sides' minimum times in each
 batch, and the median of those batch minima, then the same for A/A.  The
 per-round ratio spreads widely on a noisy host; the minima of interleaved
 runs spread less, but one run's minimum still moves by several percent, so
 the median over the batches of each batch's minimum ratio is the one to gate
-on.  Outputs are compared between the sides once, before timing.
+on.  Outputs are compared between the three packages once, before timing.
 """
 
 import argparse
@@ -228,16 +230,19 @@ def main():
                       "cli": partial(cli_operations, workdir=Path(workdir))}[args.workload]
         a_ops = operations(load(args.parent, "npslab_a"), args.seed)
         b_ops = operations(load(args.change, "npslab_b"), args.seed)
+        c_ops = operations(load(args.parent, "npslab_c"), args.seed)
         for name in a_ops:
-            if comparable(name, a_ops[name]()) != comparable(name, b_ops[name]()):
-                sys.exit(f"{name}: the outputs of the two checkouts differ")
+            expected = comparable(name, a_ops[name]())
+            for label, ops in (("CHANGE", b_ops), ("PARENT loaded again", c_ops)):
+                if comparable(name, ops[name]()) != expected:
+                    sys.exit(f"{name}: the outputs of PARENT and {label} differ")
         ab, aa = [], []
         for _ in range(args.batches):
             ab.append(timings(a_ops, b_ops, args.rounds))
-            aa.append(timings(a_ops, a_ops, args.rounds))
+            aa.append(timings(a_ops, c_ops, args.rounds))
     shape = f"{args.batches} batches of {args.rounds} rounds"
     report(f"B / A, {args.workload}, {shape}, seed {args.seed}", ab)
-    report(f"A / A, {args.workload}, {shape}", aa)
+    report(f"A / A (PARENT loaded again as B), {args.workload}, {shape}", aa)
 
 
 if __name__ == "__main__":

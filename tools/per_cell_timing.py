@@ -10,17 +10,23 @@ Each line is one loop and its seconds:
 - `nps_sort` on 210 seeded fillings of 7x7, best of 5, where the hook
   tableau's range check runs after every sort;
 - `worst_case_witness` on the four witness shapes of perfbench `exact` at
-  seed 1 (the staircase 30..1 and three random 30-row shapes), best of 5.
+  seed 1 (the staircase 30..1 and three random 30-row shapes), best of 5;
+- `partition_boundary` of the staircases 40..1 (81 breakpoints, 200 calls)
+  and 1000..1 (2,001 breakpoints, 20 calls), best of 5;
+- `LimitCurve.from_file` and `area` on the 1000..1 boundary written as a
+  decimal file to a temporary directory, best of 5.
 
 Run it from the checkouts to compare, with PYTHONPATH naming each one's
 `src/`; the loops call the public API only.
 """
 
 import random
+import tempfile
+from pathlib import Path
 from time import perf_counter
 
-from npslab import (Partition, Tableau, f_fixed_entry, nps_sort, skew_syt_count,
-                    worst_case_witness)
+from npslab import (LimitCurve, Partition, Tableau, f_fixed_entry, nps_sort, partition_boundary,
+                    skew_syt_count, worst_case_witness)
 from npslab.partitions import partitions_of
 
 WITNESS_SHAPES = [
@@ -56,6 +62,10 @@ def main():
         rng.shuffle(values)
         fillings.append(Tableau(seven, [values[k:k + 7] for k in range(0, 49, 7)]))
     witnesses = [Partition(parts) for parts in WITNESS_SHAPES]
+    forty, thousand = Partition(range(40, 0, -1)), Partition(range(1000, 0, -1))
+    workdir = tempfile.TemporaryDirectory()
+    decimal = Path(workdir.name) / "staircase-1000.json"
+    partition_boundary(thousand, thousand.size).to_file(decimal)
 
     loops = [
         (f"f_fixed_entry 6x6, {len(pairs)} (cell, k) pairs",
@@ -66,9 +76,16 @@ def main():
          lambda: [nps_sort(t) for t in fillings], 5),
         (f"worst_case_witness, {len(witnesses)} perfbench exact shapes",
          lambda: [worst_case_witness(s) for s in witnesses], 5),
+        ("partition_boundary 40..1, 200 calls",
+         lambda: [partition_boundary(forty, forty.size) for _ in range(200)], 5),
+        ("partition_boundary 1000..1, 20 calls",
+         lambda: [partition_boundary(thousand, thousand.size) for _ in range(20)], 5),
+        ("LimitCurve.from_file and area, decimal 1000..1 file",
+         lambda: LimitCurve.from_file(decimal).area, 5),
     ]
-    for name, loop, repeat in loops:
-        print(f"{name}: {timed(loop, repeat):.4f} s")
+    with workdir:
+        for name, loop, repeat in loops:
+            print(f"{name}: {timed(loop, repeat):.4f} s")
 
 
 if __name__ == "__main__":
