@@ -7,9 +7,10 @@ process, two checkouts in alternation.
 PARENT and CHANGE are checkouts (repository roots).  Each one's
 `src/npslab` is loaded under its own package name, `npslab_a` and
 `npslab_b`, and then PARENT's once more as `npslab_c`, which works because
-every import inside the package is relative.  A round times one pass of each side over the operations of a
-pass at the workload's default length, in the order A, B on even rounds and
-B, A on odd ones.  A `sift` pass (the default) has five:
+every import inside the package is relative.  A round times one pass of
+each side over the operations of a pass at the workload's default length,
+in the order A, B on even rounds and B, A on odd ones.  A `sift` pass (the
+default) has five:
 
 - `verify_bijection` on every shape of size 7;
 - `nps_sort(random_tableau(7x7, SeededStream(seed, i)))` for i < 210;
@@ -38,14 +39,14 @@ The rounds run in K batches, each a B/A run of the rounds followed by an
 A/A run, in which `npslab_a` is timed against `npslab_c`: the spread that
 the host alone gives.  Both ratios set a package loaded earlier against one
 loaded later, so the A/A ratio carries the bias of the load order that
-B/A carries, and identical code loaded second reads slower in both.  For each operation and for the whole pass it prints each
-side's median milliseconds over all rounds, the median and the quartiles of
-the per-round ratio B / A, the ratio of the two sides' minimum times in each
-batch, and the median of those batch minima, then the same for A/A.  The
-per-round ratio spreads widely on a noisy host; the minima of interleaved
-runs spread less, but one run's minimum still moves by several percent, so
-the median over the batches of each batch's minimum ratio is the one to gate
-on.  Outputs are compared between the three packages once, before timing.
+B/A carries: identical code loaded later reads slower in both.  For each
+operation and for the whole pass it prints each side's median milliseconds
+over all rounds, the median and the quartiles of the per-round ratio B / A,
+the ratio of the two sides' minimum times in each batch, and the median of
+those batch minima, then the same for A/A.  The per-round ratio spreads
+widely on a noisy host; the minima of interleaved runs spread less, but one
+run's minimum still moves by several percent, so the median over the
+batches of each batch's minimum ratio is the one to gate on.  Outputs are compared between the three packages once, before timing.
 """
 
 import argparse
