@@ -281,7 +281,7 @@ def _cmd_verify(args):
     failures = [r for r in results if not r.ok]
     lines = [f"[{'PASS' if r.ok else 'FAIL'}] {r.name} ({r.seconds:.2f}s): {r.detail}"
              for r in results]
-    doc = {"checks": [vars(r) for r in results], "passed": len(results) - len(failures)}
+    doc = {"checks": [r._asdict() for r in results], "passed": len(results) - len(failures)}
     _emit(args, doc, lines + ([] if failures else [f"all {len(results)} checks passed"]))
     if failures:
         print(f"FAILED: {failures[0].name}: {failures[0].detail}", file=sys.stderr)

@@ -41,11 +41,10 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, groupby
 
-from .partitions import Partition
+from .partitions import Partition, _Frozen
 
 __all__ = [
     "LimitCurve",
@@ -62,24 +61,23 @@ __all__ = [
 FILE_TOLERANCE = Fraction(1, 10**9)
 
 
-@dataclass(frozen=True)
-class ScalingExponents:
+class ScalingExponents(namedtuple("ScalingExponents", "alpha beta")):
     """Rescaling exponents (alpha, beta) = (1/p, 1/q) with alpha + beta = 1.
 
     alpha scales the diagonal (row) direction by n^alpha, beta the
     antidiagonal (column) direction; beta = 0 encodes q = infinity.
     """
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        alpha = Fraction(self.alpha)
-        beta = Fraction(self.beta)
+    def __new__(cls, alpha, beta):
+        alpha, beta = Fraction(alpha), Fraction(beta)
         if alpha + beta != 1 or alpha < 0 or beta < 0:
             raise ValueError(f"exponents must be nonnegative with sum 1, got {alpha}, {beta}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        return super().__new__(cls, alpha, beta)
+
+    # `_replace` builds its copy by `_make`, which would skip the check
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def balanced(cls):
@@ -107,7 +105,7 @@ def _exact_rational_power(n, exponent):
     return None
 
 
-class LimitCurve:
+class LimitCurve(_Frozen):
     """A 1-Lipschitz piecewise-linear curve equal to |x| outside its span."""
 
     __slots__ = ("scale_sq", "scale", "_float_table", "_segments")
@@ -162,9 +160,6 @@ class LimitCurve:
         object.__setattr__(self, "_float_table",
                            _query_table(tuple(x / L for x in X), tuple(y / L for y in Y)))
         object.__setattr__(self, "_segments", _Segments(L, Q, X, Y, G, C))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LimitCurve is immutable")
 
     def __reduce__(self):
         L, _, X, Y, _, _ = self._segments

@@ -37,15 +37,13 @@ which the insertion rule inserts a digit; its last-level sets, decoded,
 are the (output, hooks) pairs of `nps_sort`.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import factorial
 from operator import add, le, lt, sub
-from typing import NamedTuple
 
-from .partitions import (Partition, SizeGuardError, _arms_legs, _integers, hook_product,
+from .partitions import (Partition, SizeGuardError, _arms_legs, _Frozen, _integers, hook_product,
                          reverse_lex_cells, syt_count)
 
 __all__ = [
@@ -67,14 +65,11 @@ DEFAULT_ENUMERATION_CUTOFF = 9
 MAX_BIJECTION_FILLINGS = factorial(10)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class _Filling:
+class _Filling(_Frozen):
     """Integer rows on the cells of a shape, immutable and equal by rows to
     a filling of the same type."""
 
-    __slots__ = ("shape", "rows")  # by hand, as for `Partition`
-    shape: Partition
-    rows: tuple
+    __slots__ = ("shape", "rows")
 
     def __init__(self, shape, rows):
         rows = tuple(_integers(row, "entry", i) for i, row in enumerate(rows, start=1))
@@ -96,6 +91,12 @@ class _Filling:
 
     def __reduce__(self):
         return (type(self), (self.shape, self.rows))
+
+    def __eq__(self, other):
+        return self.rows == other.rows if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.shape, self.rows))
 
     def entry(self, i, j):
         return self.rows[i - 1][j - 1]
@@ -146,29 +147,10 @@ class HookTableau(_Filling):
         shape_ops(shape).check_hooks(list(chain.from_iterable(self.rows)))
 
 
-class EntryTrace(NamedTuple):
-    value: int
-    start: tuple
-    end: tuple
-    exchanges: int
-
-
-@dataclass(frozen=True)
-class NpsOutcome:
-    output: Tableau
-    hooks: HookTableau
-    exchanges: int
-    trace: tuple
-
-
-@dataclass(frozen=True)
-class BijectionReport:
-    shape: Partition
-    distinct_pairs: int
-    expected: int
-    injective: bool
-    each_syt_count: dict
-    uniform: bool
+EntryTrace = namedtuple("EntryTrace", "value start end exchanges")
+NpsOutcome = namedtuple("NpsOutcome", "output hooks exchanges trace")
+BijectionReport = namedtuple("BijectionReport",
+                             "shape distinct_pairs expected injective each_syt_count uniform")
 
 
 class _ShapeOps:

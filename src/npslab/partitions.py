@@ -12,7 +12,6 @@ row subtracts a power of the base, and no subdiagram is built as a
 `Partition`.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, lcm, prod
@@ -49,16 +48,25 @@ def _integers(values, what, row=None):
         raise ValueError(f"{what} {values[k - 1]!r}{at} is not an integer") from None
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Partition:
+class _Frozen:
+    """Base of the value types with a checking constructor, which sets their
+    slots by `object.__setattr__`: after that, setting or deleting an
+    attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Partition(_Frozen):
     """A weakly decreasing sequence of positive integers, identified with its
     Young diagram of cells (i, j), both indices 1-based."""
 
-    # slots by hand: with slots=True, Python 3.11 raises TypeError, not
-    # AttributeError, on assigning to a name that is not a field
     __slots__ = ("parts", "size")
-    parts: tuple
-    size: int
 
     def __init__(self, parts=()):
         parts = _integers(parts, "part")
@@ -72,6 +80,12 @@ class Partition:
 
     def __reduce__(self):
         return (Partition, (self.parts,))
+
+    def __eq__(self, other):
+        return self.parts == other.parts if type(other) is Partition else NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts, self.size))
 
     @classmethod
     def parse(cls, text):

@@ -7,7 +7,7 @@ that the draws of every (shape, m, seed) stay bit-identical.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
 from operator import mul
 
@@ -46,12 +46,10 @@ _TALLY_CODES = 2**12
 _CODED_SIZE = 15
 
 
-@dataclass(frozen=True)
-class SeededStream:
+class SeededStream(namedtuple("SeededStream", "seed stream_id", defaults=(0,))):
     """A reproducible random stream: master seed plus a substream id."""
 
-    seed: int
-    stream_id: int = 0
+    __slots__ = ()
 
     def generator(self):
         import numpy as np  # here, not at module level: commands that draw nothing skip its import

@@ -10,7 +10,7 @@ naming the first violated invariant.  `run_suite` calls the checks with the
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -55,12 +55,7 @@ LEVELS = {
 }
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+CheckResult = namedtuple("CheckResult", "name ok detail seconds")
 
 
 def brute_table(size_cap):

@@ -8,7 +8,6 @@ brute-force table fails when the table is wrong, and the last tests run the
 README's library example and its command lines.
 """
 
-import dataclasses
 import re
 import shlex
 from fractions import Fraction
@@ -160,7 +159,7 @@ def _pairs_short_at(fn, shape):
     """`verify_bijection` reporting one distinct pair fewer on `shape`."""
     def short(s):
         report = fn(s)
-        return dataclasses.replace(report, distinct_pairs=report.distinct_pairs - (s == shape))
+        return report._replace(distinct_pairs=report.distinct_pairs - (s == shape))
     return short
 
 
@@ -168,7 +167,7 @@ def _one_more_exchange_at(fn, shape):
     """`nps_sort` reporting one more exchange on fillings of `shape`."""
     def more(tableau):
         outcome = fn(tableau)
-        return dataclasses.replace(outcome, exchanges=outcome.exchanges + (tableau.shape == shape))
+        return outcome._replace(exchanges=outcome.exchanges + (tableau.shape == shape))
     return more
 
 

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from npslab import sampling, two_row
-from npslab.curves import LimitCurve, ScalingExponents, partition_boundary
-from npslab.nps import HookTableau, Tableau
+from npslab.curves import LimitCurve, ScalingExponents, partition_boundary, unit_square_curve
+from npslab.nps import HookTableau, Tableau, nps_sort, verify_bijection
 from npslab.partitions import Partition, partitions_of
+from npslab.sampling import SeededStream
 
 
 def _boundary(shape, n, exponents=None):
@@ -29,11 +30,13 @@ def _uniformity_of_one_repeated_filling():
 
 
 def _refusals(obj, field):
-    """Whether assigning to the field, and to a new name, raises AttributeError."""
+    """Whether assigning to the field, assigning to a new name and deleting
+    the field each raise AttributeError."""
     refused = []
-    for name in (field, "extra"):
+    for attempt in (partial(setattr, obj, field, None), partial(setattr, obj, "extra", None),
+                    partial(delattr, obj, field)):
         try:
-            setattr(obj, name, None)
+            attempt()
             refused.append(False)
         except AttributeError:
             refused.append(True)
@@ -73,15 +76,23 @@ GUARDS = [
                  ["breakpoints"][0], ["-3/4", "3/4"], id="rational-scale-document"),
     pytest.param(lambda: LimitCurve([(-1, 1), (0, 2), (1, 1)]).same_curve(
         LimitCurve([(-1, 1), (0, 1), (1, 1)])), False, id="apex-not-merged"),
-    pytest.param(lambda: _refusals(Partition([2, 1]), "parts"), [True, True],
+    pytest.param(lambda: _refusals(Partition([2, 1]), "parts"), [True] * 3,
                  id="assign-partition"),
-    pytest.param(lambda: _refusals(Tableau.parse("1,2"), "rows"), [True, True],
+    pytest.param(lambda: _refusals(Tableau.parse("1,2"), "rows"), [True] * 3,
                  id="assign-tableau"),
-    pytest.param(lambda: _refusals(HookTableau(Partition([1]), [[0]]), "rows"), [True, True],
+    pytest.param(lambda: _refusals(HookTableau(Partition([1]), [[0]]), "rows"), [True] * 3,
                  id="assign-hook-tableau"),
-    pytest.param(lambda: _refusals(ScalingExponents.balanced(), "alpha"), [True, True],
+    pytest.param(lambda: _refusals(ScalingExponents.balanced(), "alpha"), [True] * 3,
                  id="assign-exponents"),
-    pytest.param(lambda: _refusals(LimitCurve([]), "xs"), [True, True], id="assign-curve"),
+    pytest.param(lambda: _refusals(LimitCurve([]), "xs"), [True] * 3, id="assign-curve"),
+    # a slot, not a property: a curve that refused only assignment let `del` empty it
+    pytest.param(lambda: _refusals(unit_square_curve(), "scale"), [True] * 3,
+                 id="assign-curve-slot"),
+    pytest.param(lambda: _refusals(SeededStream(1), "seed"), [True] * 3, id="assign-stream"),
+    pytest.param(lambda: _refusals(nps_sort(Tableau.parse("2,1")), "exchanges"), [True] * 3,
+                 id="assign-outcome"),
+    pytest.param(lambda: _refusals(verify_bijection(Partition([2])), "injective"), [True] * 3,
+                 id="assign-bijection-report"),
     pytest.param(_uniformity_of_one_repeated_filling, ((50 - 10)**2 / 10 + 4 * 10, 4),
                  id="uniformity-unobserved-classes"),
 ]

@@ -4,7 +4,10 @@ tables by.  `BijectionReport`'s repr appears in `verify` failure text."""
 
 import copy
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +83,19 @@ def test_fillings_of_two_types_are_not_equal():
 
 def test_exponents_are_normalised_to_fractions():
     assert ScalingExponents(Fraction(1, 2), 0.5) == ScalingExponents.balanced()
+
+
+def test_replace_keeps_the_exponents_check():
+    with pytest.raises(ValueError, match="sum 1"):
+        ScalingExponents.balanced()._replace(alpha=2)
+    assert ScalingExponents.balanced()._replace(alpha=1, beta=0) == ScalingExponents(1, 0)
+
+
+def test_package_import_loads_no_unused_modules():
+    # -S keeps `site`, which can import `typing` on its own, out of the check
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import npslab, npslab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr + proc.stdout
